@@ -72,7 +72,7 @@ def census(n: int, long_ok: bool = False, workers: int = 1,
            results_path=None) -> SpeedRow:
     """Exact counts for vertex count n.
 
-    n = 7 takes minutes and sits behind long_ok.  With results_path, every
+    n = 7 takes about 2 s and sits behind long_ok.  With results_path, every
     decided class is appended to the file and classes already present are
     not re-decided, so an interrupted run resumes where it stopped.
     """

@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true",
                    help="print rows for 2..n instead of the single row")
     p.add_argument("--long", action="store_true",
-                   help="allow the minutes-long n=7 run")
+                   help="allow the n=7 run (about 2 s)")
     p.add_argument("--workers", type=int, default=_default_workers(),
                    help="parallel per-class decisions (default from "
                         "WORDREP_WORKERS, else 1)")

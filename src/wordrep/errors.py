@@ -50,10 +50,6 @@ class CyclicInputError(WordrepError):
     """An operation requiring an acyclic orientation got a cyclic one."""
 
 
-class NotK4FreeError(WordrepError):
-    """The four-cycle forcing rule was invoked on a graph containing K4."""
-
-
 class TooManyEdgesError(WordrepError):
     """Exact orientation counting was requested beyond the edge cap."""
 

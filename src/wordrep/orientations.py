@@ -1,13 +1,15 @@
 """Directed side of the toolkit: orientations of a graph's edges,
 acyclicity, shortcut detection, semi-transitivity, the four-cycle forcing
-rule for K4-free graphs, and the backtracking search for a semi-transitive
-orientation.
+rule, and the backtracking search for a semi-transitive orientation.
 
 An orientation assigns each stored edge (u, v), u < v, one of FORWARD
 (u -> v), BACKWARD (v -> u) or None (unassigned).  A total acyclic
 orientation is semi-transitive when no directed path v1...vk (k >= 4)
 between the endpoints of an edge v1->vk misses an inner pair edge; such a
-path makes v1->vk a shortcut.
+path makes v1->vk a shortcut.  In particular no 4-cycle with at most one
+chord carries three consecutive arcs a->b->c->d: the closing arc d->a
+would make a directed cycle, and a->d a shortcut unless both chords a-c
+and b-d are edges.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Iterator
 from .errors import (
     CyclicInputError,
     ImproperColoringError,
-    NotK4FreeError,
     OutOfRangeError,
     ParseError,
     PartialOrientationError,
@@ -28,7 +29,7 @@ from .errors import (
     TooManyEdgesError,
     WordrepError,
 )
-from .graphs import Graph, VertexColoring, four_cycles, is_k4_free
+from .graphs import Graph, VertexColoring, four_cycles
 
 FORWARD = 1
 BACKWARD = -1
@@ -202,19 +203,23 @@ def is_semi_transitive(o: Orientation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# four-cycle rule (K4-free graphs only): no 4-cycle may carry three
-# consecutively oriented edges.  Traversal frame per cycle (a,b,c,d): the
-# four legs in cyclic order, each as (edge index, sign), sign +1 when the
-# stored (u<v) direction agrees with the traversal a->b->c->d->a.  A leg's
-# traversal value is dirs[edge]*sign; a triple of consecutive legs is
-# violated exactly when all three values are equal.
+# four-cycle rule: no 4-cycle may carry three consecutively oriented edges
+# unless both its chords are edges (see the module docstring).  A K4-free
+# graph has no 4-cycle with both chords, so there every 4-cycle counts.
+# Traversal frame per cycle (a,b,c,d): the four legs in cyclic order, each
+# as (edge index, sign), sign +1 when the stored (u<v) direction agrees with
+# the traversal a->b->c->d->a.  A leg's traversal value is dirs[edge]*sign;
+# a triple of consecutive legs is violated exactly when all three values
+# are equal.
 
-def _cycle_triples(g: Graph):
-    """(triples, by_edge): each triple is (legs3, cycle) where legs3 are
-    three consecutive (edge, sign) legs of a 4-cycle."""
-    triples = []
-    by_edge: list[list[int]] = [[] for _ in g.edges]
+def _cycle_triples(g: Graph) -> list[list[tuple]]:
+    """For each edge, the triples through it as (legs3, cycle), where legs3
+    are three consecutive (edge, sign) legs of a 4-cycle with at most one
+    chord."""
+    by_edge: list[list[tuple]] = [[] for _ in g.edges]
     for a, b, c, d in four_cycles(g):
+        if g.has_edge(a, c) and g.has_edge(b, d):
+            continue
         legs = []
         for x, y in ((a, b), (b, c), (c, d), (d, a)):
             if x < y:
@@ -223,11 +228,51 @@ def _cycle_triples(g: Graph):
                 legs.append((g.edge_index[(y, x)], -1))
         for i in range(4):
             tri = (legs[i], legs[(i + 1) % 4], legs[(i + 2) % 4])
-            triples.append((tri, (a, b, c, d)))
-    for t_idx, (tri, _) in enumerate(triples):
-        for e, _sign in tri:
-            by_edge[e].append(t_idx)
-    return triples, by_edge
+            for e, _sign in tri:
+                by_edge[e].append((tri, (a, b, c, d)))
+    return by_edge
+
+
+def _propagate(by_edge, dirs, arcs, place) -> tuple[int, ...] | None:
+    """Place each (edge, direction) of arcs, then run the four-cycle rule to
+    fixpoint: whenever two legs of a triple share a traversal value and the
+    third is unassigned, the third is forced opposite.
+
+    place(e, d) sets dirs[e] = d and returns False to refuse.  Returns None
+    when all is placed, the cycle of a triple whose three legs are equal, or
+    () when place refused.
+    """
+    for e, d in arcs:
+        if not place(e, d):
+            return ()
+    # (edge, forced direction), or (edge, None) for an edge already placed
+    queue: list[tuple[int, int | None]] = [(e, None) for e, _ in arcs]
+    while queue:
+        e, d = queue.pop()
+        if d is not None:
+            # skip an edge placed since it was queued: placed the other way,
+            # it left the queuing triple with three equal legs, which returned
+            if dirs[e] is not None:
+                continue
+            if not place(e, d):
+                return ()
+        for legs, cycle in by_edge[e]:
+            free = common = None
+            for leg in legs:
+                x = dirs[leg[0]]
+                if x is None:
+                    if free is not None:
+                        break
+                    free = leg
+                elif common is None:
+                    common = x * leg[1]
+                elif common != x * leg[1]:
+                    break
+            else:
+                if free is None:
+                    return cycle
+                queue.append((free[0], -common * free[1]))
+    return None
 
 
 def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
@@ -235,27 +280,21 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
 
     Whenever two legs of a consecutive triple share a traversal value and
     the third is unassigned, the third is forced opposite.  Returns a
-    Lemma1Cycle conflict if some triple is already fully equal.
+    Lemma1Cycle conflict if some triple ends up with three equal legs.
+    Sound on every graph: 4-cycles with both chords carry no triples.
     """
     if o.base != g:
         raise OutOfRangeError("orientation does not belong to this graph")
-    if not is_k4_free(g):
-        raise NotK4FreeError("the four-cycle rule is only sound for K4-free graphs")
-    triples, _ = _cycle_triples(g)
-    dirs = list(o.dirs)
-    changed = True
-    while changed:
-        changed = False
-        for tri, cycle in triples:
-            vals = [dirs[e] * s if dirs[e] is not None else None for e, s in tri]
-            assigned = [v for v in vals if v is not None]
-            if len(assigned) == 3 and assigned[0] == assigned[1] == assigned[2]:
-                return Conflict("Lemma1Cycle", cycle)
-            if len(assigned) == 2 and assigned[0] == assigned[1]:
-                i = vals.index(None)
-                e, s = tri[i]
-                dirs[e] = -assigned[0] * s
-                changed = True
+    dirs: list[int | None] = [None] * len(g.edges)
+
+    def place(e: int, d: int) -> bool:
+        dirs[e] = d
+        return True
+
+    arcs = [(e, d) for e, d in enumerate(o.dirs) if d is not None]
+    cycle = _propagate(_cycle_triples(g), dirs, arcs, place)
+    if cycle is not None:
+        return Conflict("Lemma1Cycle", cycle)
     return Orientation(g, tuple(dirs))
 
 
@@ -279,9 +318,10 @@ def _reachable(out: list[int], src: int, dst: int) -> bool:
 
 class _Searcher:
     """Depth-first search over edge directions, lexicographic edge order,
-    FORWARD first.  Acyclicity is enforced incrementally on every
-    assignment; on K4-free graphs each assignment also runs the four-cycle
-    forcing rule to fixpoint.  Shortcut checks run at the leaves only."""
+    FORWARD first.  Every assignment is checked for acyclicity incrementally
+    and runs the four-cycle forcing rule to fixpoint, on every graph: the
+    rule skips only 4-cycles with both chords, where it is unsound.
+    Shortcut checks run at the leaves only."""
 
     def __init__(self, g: Graph, stats: SearchStats):
         self.g = g
@@ -289,46 +329,32 @@ class _Searcher:
         self.stats = stats
         self.dirs: list[int | None] = [None] * self.m
         self.out = [0] * (g.n + 1)
-        if is_k4_free(g):
-            self.triples, self.by_edge = _cycle_triples(g)
-        else:
-            self.triples, self.by_edge = [], [[] for _ in range(self.m)]
+        self.trail: list[int] = []  # assigned edges in order, for undo
+        self.by_edge = _cycle_triples(g)
 
-    def assign(self, e: int, d: int, trail: list[int]) -> bool:
-        """Assign edge e and propagate; False on conflict.  Everything
-        actually assigned lands on the trail for undo."""
-        queue = [(e, d)]
-        while queue:
-            e2, d2 = queue.pop()
-            cur = self.dirs[e2]
-            if cur is not None:
-                if cur != d2:
-                    return False
-                continue
-            u, v = self.g.edges[e2]
-            t, h = (u, v) if d2 == FORWARD else (v, u)
-            if _reachable(self.out, h, t):
-                return False
-            self.dirs[e2] = d2
-            self.out[t] |= 1 << h
-            trail.append(e2)
-            if e2 != e:
-                self.stats.propagations += 1
-            for t_idx in self.by_edge[e2]:
-                tri, _cycle = self.triples[t_idx]
-                vals = [self.dirs[ee] * ss if self.dirs[ee] is not None else None
-                        for ee, ss in tri]
-                assigned = [x for x in vals if x is not None]
-                if len(assigned) == 3 and assigned[0] == assigned[1] == assigned[2]:
-                    return False
-                if len(assigned) == 2 and assigned[0] == assigned[1]:
-                    i = vals.index(None)
-                    ee, ss = tri[i]
-                    queue.append((ee, -assigned[0] * ss))
+    def place(self, e: int, d: int) -> bool:
+        """Assign edge e unless that closes a directed cycle."""
+        u, v = self.g.edges[e]
+        t, h = (u, v) if d == FORWARD else (v, u)
+        if _reachable(self.out, h, t):
+            return False
+        self.dirs[e] = d
+        self.out[t] |= 1 << h
+        self.trail.append(e)
         return True
 
-    def undo(self, trail: list[int]) -> None:
-        for e in reversed(trail):
+    def assign(self, e: int, d: int) -> bool:
+        """Assign edge e and propagate; False on conflict.  Everything
+        actually assigned lands on the trail for undo."""
+        mark = len(self.trail)
+        ok = _propagate(self.by_edge, self.dirs, [(e, d)], self.place) is None
+        # every edge placed after e itself was forced
+        self.stats.propagations += max(len(self.trail) - mark - 1, 0)
+        return ok
+
+    def undo(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            e = self.trail.pop()
             u, v = self.g.edges[e]
             t, h = (u, v) if self.dirs[e] == FORWARD else (v, u)
             self.out[t] &= ~(1 << h)
@@ -345,51 +371,24 @@ class _Searcher:
             return False
         return True
 
-    def find(self, use_symmetry: bool = True) -> Orientation | None:
-        witness: Orientation | None = None
-
-        def branch(depth: int) -> bool:
-            nonlocal witness
-            self.stats.nodes += 1
-            e = next((i for i in range(self.m) if self.dirs[i] is None), None)
-            if e is None:
-                if self.leaf_ok():
-                    witness = Orientation(self.g, tuple(self.dirs))
-                    return True
-                return False
-            # the very first branch never has prior assignments, so its
-            # BACKWARD subtree holds exactly the reversals of the FORWARD one
-            dirs_to_try = (FORWARD,) if (use_symmetry and depth == 0) \
-                else (FORWARD, BACKWARD)
-            for d in dirs_to_try:
-                trail: list[int] = []
-                if self.assign(e, d, trail) and branch(depth + 1):
-                    return True
-                self.undo(trail)
-            return False
-
-        branch(0)
-        return witness
-
-    def count(self) -> int:
-        total = 0
-
-        def branch() -> None:
-            nonlocal total
-            self.stats.nodes += 1
-            e = next((i for i in range(self.m) if self.dirs[i] is None), None)
-            if e is None:
-                if self.leaf_ok():
-                    total += 1
-                return
-            for d in (FORWARD, BACKWARD):
-                trail: list[int] = []
-                if self.assign(e, d, trail):
-                    branch()
-                self.undo(trail)
-
-        branch()
-        return total
+    def branch(self, depth: int, first_only: bool) -> int:
+        """Number of semi-transitive leaves below the current node.  With
+        first_only the walk stops at the first one, leaving it in self.dirs,
+        and skips the root's BACKWARD subtree: with nothing assigned yet it
+        holds exactly the reversals of the FORWARD one."""
+        self.stats.nodes += 1
+        e = next((i for i in range(self.m) if self.dirs[i] is None), None)
+        if e is None:
+            return int(self.leaf_ok())
+        found = 0
+        for d in (FORWARD,) if first_only and depth == 0 else (FORWARD, BACKWARD):
+            mark = len(self.trail)
+            if self.assign(e, d):
+                found += self.branch(depth + 1, first_only)
+                if found and first_only:
+                    return found
+            self.undo(mark)
+        return found
 
 
 def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientation | None:
@@ -399,7 +398,8 @@ def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientat
     lexicographic search reaches first (its reversal is equally valid)."""
     stats = stats if stats is not None else SearchStats()
     start = time.perf_counter()
-    result = _Searcher(g, stats).find()
+    searcher = _Searcher(g, stats)
+    result = Orientation(g, tuple(searcher.dirs)) if searcher.branch(0, True) else None
     stats.wall_time_s += time.perf_counter() - start
     return result
 
@@ -411,7 +411,7 @@ def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
     stats = stats if stats is not None else SearchStats()
     start = time.perf_counter()
-    result = _Searcher(g, stats).count()
+    result = _Searcher(g, stats).branch(0, False)
     stats.wall_time_s += time.perf_counter() - start
     return result
 

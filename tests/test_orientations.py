@@ -10,7 +10,6 @@ from wordrep.bundled import bundled_graph
 from wordrep.errors import (
     CyclicInputError,
     ImproperColoringError,
-    NotK4FreeError,
     PartialOrientationError,
     TooManyColorsError,
     TooManyEdgesError,
@@ -19,7 +18,6 @@ from wordrep.graphs import (
     VertexColoring,
     find_proper_coloring,
     graph_from_edge_list,
-    is_k4_free,
 )
 from wordrep.orientations import (
     BACKWARD,
@@ -45,7 +43,6 @@ from wordrep.orientations import (
 
 from helpers import (
     random_graph,
-    random_k4_free_graph,
     ref_is_semi_transitive,
     total_orientations_as_arcs,
 )
@@ -53,6 +50,7 @@ from helpers import (
 K4 = graph_from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 C4 = graph_from_edge_list(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 C5 = graph_from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+DIAMOND = graph_from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
 K3 = graph_from_edge_list(3, [(1, 2), (1, 3), (2, 3)])
 
 
@@ -156,40 +154,44 @@ def test_lemma1_trigger_conflict():
 
 
 def test_lemma1_empty_is_fixed_point():
-    result = lemma1_propagate(C4, empty_orientation(C4))
-    assert isinstance(result, Orientation)
-    assert result.dirs == (None,) * 4
+    for g in (C4, K4):
+        result = lemma1_propagate(g, empty_orientation(g))
+        assert isinstance(result, Orientation)
+        assert result.dirs == (None,) * len(g.edges)
+    # every 4-cycle of K4 has both chords, so even the run 1->2->3->4 of the
+    # transitive tournament forces nothing
+    o = orientation_from_arcs(K4, [(1, 2), (2, 3), (3, 4)])
+    assert lemma1_propagate(K4, o) == o
 
 
 def test_lemma1_forcing_on_c4():
     # arcs 1->2, 2->3 block both runs through them: 3->4 would finish
-    # 1->2->3->4 and 4->1 would finish 4->1->2->3
-    o = orientation_from_arcs(C4, [(1, 2), (2, 3)])
-    result = lemma1_propagate(C4, o)
-    assert isinstance(result, Orientation)
-    forced = set(result.arcs()) - {(1, 2), (2, 3)}
-    assert forced == {(4, 3), (1, 4)}
+    # 1->2->3->4 and 4->1 would finish 4->1->2->3; one chord (the diamond's
+    # 1-3) does not lift the rule
+    for g in (C4, DIAMOND):
+        o = orientation_from_arcs(g, [(1, 2), (2, 3)])
+        result = lemma1_propagate(g, o)
+        assert isinstance(result, Orientation)
+        forced = set(result.arcs()) - {(1, 2), (2, 3)}
+        assert forced == {(4, 3), (1, 4)}
 
 
-def test_lemma1_requires_k4_free():
-    with pytest.raises(NotK4FreeError):
-        lemma1_propagate(K4, empty_orientation(K4))
-
-
-def test_lemma1_statement_on_k4_free_classes():
-    # no semi-transitive orientation of a K4-free graph has a 4-cycle with
-    # three consecutively oriented edges
+def test_lemma1_statement_on_all_classes():
+    # no semi-transitive orientation has a 4-cycle with at most one chord
+    # carrying three consecutively oriented edges
     from wordrep.graphs import enumerate_graphs, four_cycles
     for n in range(2, 6):
         for cls in enumerate_graphs(n):
             g = cls.graph
-            if not is_k4_free(g) or not four_cycles(g):
+            cycles = [(a, b, c, d) for a, b, c, d in four_cycles(g)
+                      if not (g.has_edge(a, c) and g.has_edge(b, d))]
+            if not cycles:
                 continue
             for o in enumerate_total_orientations(g):
                 if not is_semi_transitive(o):
                     continue
                 arcs = set(o.arcs())
-                for a, b, c, d in four_cycles(g):
+                for a, b, c, d in cycles:
                     ring = [(a, b), (b, c), (c, d), (d, a)]
                     for i in range(4):
                         run = [ring[i], ring[(i + 1) % 4], ring[(i + 2) % 4]]
@@ -201,7 +203,7 @@ def test_lemma1_soundness_random():
     # forcings derived from a subset of a true solution never contradict it
     rng = random.Random(8080)
     for _ in range(25):
-        g = random_k4_free_graph(rng, rng.randint(4, 6))
+        g = random_graph(rng, rng.randint(4, 6))
         solutions = [o for o in enumerate_total_orientations(g)
                      if is_semi_transitive(o)]
         for o in rng.sample(solutions, min(8, len(solutions))):
@@ -259,13 +261,12 @@ def test_search_count_consistency_all_n5():
 
 
 def test_propagation_is_pure_pruning():
-    # propagation-enabled counts equal plain enumeration on K4-free graphs
+    # propagation-enabled counts equal plain enumeration on every graph
     from wordrep.graphs import enumerate_graphs
     for n in range(2, 6):
         for cls in enumerate_graphs(n):
-            if is_k4_free(cls.graph):
-                assert count_semi_transitive(cls.graph) == \
-                    count_semi_transitive_naive(cls.graph)
+            assert count_semi_transitive(cls.graph) == \
+                count_semi_transitive_naive(cls.graph)
 
 
 def test_search_stats_populated():
@@ -273,6 +274,24 @@ def test_search_stats_populated():
     assert find_semi_transitive(bundled_graph("A"), stats) is None
     assert stats.nodes > 0 and stats.propagations > 0
     assert stats.wall_time_s > 0
+
+
+def test_search_counters_locked():
+    # (nodes, propagations, leaf checks, leaf conflicts) of fixed runs, so a
+    # refactor cannot silently change the search tree
+    def counters(s):
+        return (s.nodes, s.propagations, s.shortcut_checks, s.shortcut_conflicts)
+
+    from wordrep.decision import decide
+    from wordrep.graphs import enumerate_graphs
+    assert counters(decide(bundled_graph("A")).stats) == (17, 71, 0, 0)
+    stats = SearchStats()
+    total = sum(count_semi_transitive(cls.graph, stats) for cls in enumerate_graphs(6))
+    assert (total, counters(stats)) == (6533, (17574, 5844, 6643, 110))
+    runs = [decide(cls.graph) for cls in enumerate_graphs(7)]
+    assert sum(d.witness is None for d in runs) == 26
+    assert tuple(map(sum, zip(*(counters(d.stats) for d in runs)))) == \
+        (8936, 5249, 1017, 0)
 
 
 def test_orient_by_coloring_triangle():
