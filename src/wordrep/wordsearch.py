@@ -2,17 +2,30 @@
 
 The word is built left to right; at each position the candidate letters
 are tried in increasing label order, which fixes the output completely.
-The only structure available for pruning is alternation itself, tracked
-per unordered pair of letters:
 
-  * an edge pair dies the moment its restricted subsequence repeats a
-    letter (it could never alternate again);
-  * a non-edge pair dies when it can no longer acquire a repeat, i.e. the
-    restriction so far still alternates and the remaining multiplicities
-    cannot place two consecutive equal letters.
+Symmetry: only words starting with letter 1 are searched. A cyclic shift
+of a k-uniform word represents the same graph, so if any k-uniform word
+represents g, one starting with 1 does, and the lex-least one starts
+with 1 anyway. This prunes refutations only; every found word is the same.
 
-A finished word therefore has every edge pair alternating by
-construction, and the leaf check only needs the non-edge pairs.
+The only other pruning is alternation itself, kept as per-letter bitmasks
+(bit y set = letter y):
+
+  * adj[x], non[x]: neighbours and non-neighbours of x;
+  * wait[x]: letters that have not appeared since the last x and whose
+    pair with x is still open: every neighbour, and each non-neighbour
+    not yet broken;
+  * broken[x]: non-neighbours whose restriction with x has repeated a
+    letter, so the pair can never alternate;
+  * rem2: letters with two or more copies left.
+
+Placing x again repeats x in its restriction with every letter of
+wait[x]. If one of them is a neighbour, x is rejected (the pair could
+never alternate again); the rest become broken. Once x has no copies
+left, a non-neighbour y that is not broken with x and has at most one
+copy left can never repeat either, so x is rejected too. Every pair is
+checked that way when its later letter runs out, so a finished word
+represents g.
 """
 
 from __future__ import annotations
@@ -49,105 +62,53 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     length = n * k
     nodes = _node_counter if _node_counter is not None else [0]
 
-    # per-pair state, indexed p = pair_id(x, y), x < y:
-    #   last[p]   last letter of the restricted subsequence (0 = none)
-    #   broken[p] the restriction has repeated a letter at least once
-    npairs = n * (n - 1) // 2
-
-    def pid(x: int, y: int) -> int:
-        # x < y
-        return (x - 1) * n - (x * (x + 1)) // 2 + (y - 1)
-
-    is_edge = [False] * npairs
-    for u, v in g.edges:
-        is_edge[pid(u, v)] = True
-
+    letters = range(1, n + 1)
+    full = sum(1 << x for x in letters)
+    adj = g.adj
+    non = [0] + [full & ~adj[x] & ~(1 << x) for x in letters]
     remaining = [k] * (n + 1)
-    last = [0] * npairs
-    broken = [False] * npairs
     word: list[int] = []
 
-    def nonedge_alive(x: int, y: int, p: int) -> bool:
-        # still possible for the pair to stop alternating later?
-        if broken[p]:
-            return True
-        if last[p] == x and remaining[x] >= 1:
-            return True
-        if last[p] == y and remaining[y] >= 1:
-            return True
-        return remaining[x] >= 2 or remaining[y] >= 2
-
-    def viable() -> bool:
-        # dead non-edge pairs can be detected before placing anything
-        for x in range(1, n + 1):
-            for y in range(x + 1, n + 1):
-                p = pid(x, y)
-                if not is_edge[p] and not nonedge_alive(x, y, p):
-                    return False
-        return True
-
-    def place(x: int) -> list[tuple[int, int, bool]] | None:
-        """Try appending letter x; None on a dead pair, else an undo log
-        of (pair, old_last, old_broken) entries."""
-        log = []
-        for y in range(1, n + 1):
-            if y == x:
-                continue
-            p = pid(x, y) if x < y else pid(y, x)
-            if last[p] == x:
-                if is_edge[p]:
-                    for q, ol, ob in reversed(log):
-                        last[q], broken[q] = ol, ob
-                    return None
-                if not broken[p]:
-                    log.append((p, last[p], broken[p]))
-                    broken[p] = True
-            else:
-                log.append((p, last[p], broken[p]))
-                last[p] = x
-        return log
-
-    def undo(log: list[tuple[int, int, bool]]) -> None:
-        for p, ol, ob in reversed(log):
-            last[p], broken[p] = ol, ob
-
-    def search() -> bool:
+    def search(wait: list[int], broken: list[int], rem2: int) -> bool:
+        # the lists belong to the caller: children get copies
         nodes[0] += 1
         if len(word) == length:
-            # edge pairs alternate by construction; non-edges must not
-            return all(
-                broken[pid(x, y)]
-                for x in range(1, n + 1)
-                for y in range(x + 1, n + 1)
-                if not is_edge[pid(x, y)])
-        for x in range(1, n + 1):
-            if remaining[x] == 0:
+            return True   # each pair was checked when its later letter ran out
+        for x in letters if word else (1,):   # cyclic shifts: start with 1
+            left = remaining[x]
+            if not left:
                 continue
-            log = place(x)
-            if log is None:
+            fresh = wait[x]   # x repeats in its restriction with these
+            if fresh & adj[x]:
                 continue
-            remaining[x] -= 1
+            bx = 1 << x
+            left -= 1
+            child_rem2 = rem2 & ~bx if left < 2 else rem2
+            child_broken = broken
+            if fresh:
+                child_broken = broken[:]
+                child_broken[x] |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    child_broken[low.bit_length() - 1] |= bx
+                    fresh ^= low
+            if not left and non[x] & ~child_broken[x] & ~child_rem2:
+                continue
+            not_x = ~bx
+            child_wait = [w & not_x for w in wait]
+            child_wait[x] = adj[x] | non[x] & ~child_broken[x]
+            remaining[x] = left
             word.append(x)
-            ok = True
-            # placing x changes the outlook of every non-edge pair at x
-            for y in range(1, n + 1):
-                if y == x:
-                    continue
-                a, b = (x, y) if x < y else (y, x)
-                p = pid(a, b)
-                if not is_edge[p] and not nonedge_alive(a, b, p):
-                    ok = False
-                    break
-            if ok and search():
+            if search(child_wait, child_broken, child_rem2):
                 return True
             word.pop()
-            remaining[x] += 1
-            undo(log)
+            remaining[x] = left + 1
         return False
 
-    if not viable():
-        return None
-    if search():
+    rem2 = full if k >= 2 else 0
+    if rem2 == 0 and any(non):
+        return None   # with one copy each, a non-edge can never repeat
+    if search([0] * (n + 1), [0] * (n + 1), rem2):
         return Word(tuple(word))
     return None
 

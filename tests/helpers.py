@@ -35,24 +35,24 @@ def ref_represents(letters, g: Graph) -> bool:
 
 
 def k_uniform_words(n: int, k: int):
-    """All words with each of 1..n exactly k times, lexicographic order."""
-    remaining = [k] * (n + 1)
-    word: list[int] = []
-    length = n * k
-
-    def rec():
-        if len(word) == length:
-            yield tuple(word)
+    """All words with each of 1..n exactly k times, lexicographic order:
+    the sorted word, then multiset next-permutation until none is left."""
+    word = [x for x in range(1, n + 1) for _ in range(k)]
+    while True:
+        yield tuple(word)
+        # the longest non-increasing suffix starts after position i
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for x in range(1, n + 1):
-            if remaining[x]:
-                remaining[x] -= 1
-                word.append(x)
-                yield from rec()
-                word.pop()
-                remaining[x] += 1
-
-    yield from rec()
+        # swap word[i] with the last suffix letter above it, then sort
+        # the suffix by reversing it
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
 
 
 def naive_lex_min_word(g: Graph, k: int):

@@ -115,6 +115,22 @@ def test_reversal_preserves_graph():
         assert graph_of_word(reverse_word(w)) == graph_of_word(w)
 
 
+def test_rotation_preserves_graph_of_uniform_words():
+    # the word search only tries words that start with letter 1, because
+    # every cyclic shift of a k-uniform word represents the same graph
+    rng = random.Random(2008)
+    for _ in range(200):
+        n, k = rng.randint(1, 7), rng.randint(1, 3)
+        letters = [x for x in range(1, n + 1) for _ in range(k)]
+        rng.shuffle(letters)
+        g = graph_of_word(word_from_letters(letters))
+        for i in range(1, len(letters)):
+            assert graph_of_word(word_from_letters(letters[i:] + letters[:i])) == g
+    # uniformity is needed: 121 alternates on 1-2, its rotation 211 does not
+    assert graph_of_word(parse_word("121")).has_edge(1, 2)
+    assert not graph_of_word(parse_word("211")).has_edge(1, 2)
+
+
 def test_deletion_matches_vertex_deletion():
     rng = random.Random(424242)
     for _ in range(120):

@@ -1,20 +1,27 @@
 """The bounded k-uniform word search against the generate-and-test oracle."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from wordrep.bundled import bundled_graph
+from wordrep.decision import REPRESENTABLE, decide
 from wordrep.errors import TooLargeError
 from wordrep.graphs import enumerate_graphs, graph_from_edge_list
 from wordrep.words import represents, uniformity
 from wordrep.wordsearch import find_k_uniform_word, find_word
 
-from helpers import naive_lex_min_word, random_graph
+from helpers import k_uniform_words, naive_lex_min_word, random_graph
 
 K4 = graph_from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 M = graph_from_edge_list(4, [(1, 2), (2, 3), (2, 4), (3, 4)])
 K1 = graph_from_edge_list(1, [])
+# the 5-wheel, the smallest graph with no representing word
+W5 = graph_from_edge_list(
+    6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
+        (1, 6), (2, 6), (3, 6), (4, 6), (5, 6)])
 
 
 def test_k_uniform_examples():
@@ -100,10 +107,48 @@ def test_search_equals_generate_and_test_longer_words():
 
 @pytest.mark.slow
 def test_wheel_has_no_2_uniform_word():
-    # the 6-vertex wheel is the smallest graph with no representing word;
     # the full 12-letter enumeration agrees with the pruned search
-    w5 = graph_from_edge_list(
-        6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
-            (1, 6), (2, 6), (3, 6), (4, 6), (5, 6)])
-    assert find_k_uniform_word(w5, 2) is None
-    assert naive_lex_min_word(w5, 2) is None
+    assert find_k_uniform_word(W5, 2) is None
+    assert naive_lex_min_word(W5, 2) is None
+
+
+def test_k_uniform_words_order():
+    # the oracle's generator yields every k-uniform word once, sorted
+    for n in range(0, 5):
+        for k in (1, 2):
+            multiset = [x for x in range(1, n + 1) for _ in range(k)]
+            assert list(k_uniform_words(n, k)) == \
+                sorted(set(itertools.permutations(multiset)))
+
+
+def test_word_search_agrees_with_decide_n6():
+    found_at = Counter()
+    for cls in enumerate_graphs(6):
+        res = find_word(cls.graph, 3)
+        assert (res.word is not None) == (decide(cls.graph).verdict == REPRESENTABLE)
+        found_at[res.k_tried if res.word is not None else None] += 1
+    assert found_at == {1: 1, 2: 153, 3: 1, None: 1}
+
+
+def test_word_search_counters_locked():
+    # node counts of fixed runs, so a refactor cannot silently change the
+    # search tree; refutations search only the words starting with 1
+    counter = [0]
+    assert find_k_uniform_word(W5, 2, counter) is None
+    assert counter == [405]
+    assert {name: find_word(bundled_graph(name), 3).nodes
+            for name in ("A", "M", "K4", "C5")} == \
+        {"A": 88162, "M": 9, "K4": 5, "C5": 26}
+    counter = [0]
+    for n in range(1, 6):
+        for cls in enumerate_graphs(n):
+            for k in range(1, 4):
+                find_k_uniform_word(cls.graph, k, counter)
+    assert counter == [1387]
+
+
+@pytest.mark.slow
+def test_petersen_2_uniform_refutation_nodes():
+    counter = [0]
+    assert find_k_uniform_word(bundled_graph("petersen"), 2, counter) is None
+    assert counter == [1060265]
