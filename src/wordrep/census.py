@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 
 from .decision import REPRESENTABLE, decide
@@ -53,60 +52,29 @@ def _decide_class(cls: GraphClass) -> tuple[str, int, str]:
     return cls.form.key, contribution, verdict
 
 
-def load_results(path) -> dict[str, tuple[int, str]]:
-    """Read an append-only results file: "key\\tb-contribution\\tverdict"."""
-    results: dict[str, tuple[int, str]] = {}
-    if not os.path.exists(path):
-        return results
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, contribution, verdict = line.split("\t")
-            results[key] = (int(contribution), verdict)
-    return results
-
-
-def census(n: int, long_ok: bool = False, workers: int = 1,
-           results_path=None) -> SpeedRow:
+def census(n: int, long_ok: bool = False, workers: int = 1) -> SpeedRow:
     """Exact counts for vertex count n.
 
-    n = 7 takes about 2 s and sits behind long_ok.  With results_path, every
-    decided class is appended to the file and classes already present are
-    not re-decided, so an interrupted run resumes where it stopped.
+    n = 7 sits behind long_ok.  It takes about 0.4 s in process (class
+    enumeration 0.13 s, 1,044 decisions 0.26 s) and `census 7 --long`
+    about 0.6 s end to end, on a 2-core Linux VM with Python 3.11.
     """
     limit = CENSUS_MAX_N_LONG if long_ok else CENSUS_MAX_N
     if n > limit:
         hint = "" if long_ok else f" (n = {CENSUS_MAX_N_LONG} needs the long-running flag)"
         raise TooLargeError(f"census capped at n = {limit}, got {n}{hint}")
 
-    known = load_results(results_path) if results_path else {}
-    rows: dict[str, tuple[int, str]] = {}
-    todo: list[GraphClass] = []
-    for cls in enumerate_graphs(n):
-        if cls.form.key in known:
-            rows[cls.form.key] = known[cls.form.key]
-        else:
-            todo.append(cls)
-
-    if workers > 1 and todo:
+    classes = list(enumerate_graphs(n))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(_decide_class, todo, chunksize=8))
+            rows = list(pool.map(_decide_class, classes, chunksize=8))
     else:
-        fresh = [_decide_class(cls) for cls in todo]
+        rows = [_decide_class(cls) for cls in classes]
 
-    if results_path and fresh:
-        with open(results_path, "a", encoding="utf-8") as fh:
-            for key, contribution, verdict in fresh:
-                fh.write(f"{key}\t{contribution}\t{verdict}\n")
-    for key, contribution, verdict in fresh:
-        rows[key] = (contribution, verdict)
-
-    b_n = sum(contribution for contribution, _ in rows.values())
-    a_n = sum(1 for _, verdict in rows.values() if verdict == REPRESENTABLE)
+    b_n = sum(contribution for _, contribution, _ in rows)
+    a_n = sum(1 for _, _, verdict in rows if verdict == REPRESENTABLE)
     nonrep = tuple(sorted(
-        key for key, (_, verdict) in rows.items() if verdict != REPRESENTABLE))
+        key for key, _, verdict in rows if verdict != REPRESENTABLE))
     return SpeedRow(n, a_n, b_n, _entropy(n, b_n), nonrep)
 
 

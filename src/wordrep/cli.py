@@ -111,8 +111,7 @@ def cmd_census(args) -> int:
     if args.table:
         rows = entropy_table(args.n, long_ok=args.long, workers=args.workers)
     else:
-        rows = [census(args.n, long_ok=args.long, workers=args.workers,
-                       results_path=args.results)]
+        rows = [census(args.n, long_ok=args.long, workers=args.workers)]
     if args.json:
         payload = {"rows": [r.to_json() for r in rows]}
         _emit_json(payload if args.table else payload["rows"][0])
@@ -181,13 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true",
                    help="print rows for 2..n instead of the single row")
     p.add_argument("--long", action="store_true",
-                   help="allow the n=7 run (about 2 s)")
+                   help="allow the n=7 run (about 0.6 s)")
     p.add_argument("--workers", type=int, default=_default_workers(),
                    help="parallel per-class decisions (default from "
                         "WORDREP_WORKERS, else 1)")
-    p.add_argument("--results", default=None,
-                   help="append-only results file; reruns skip classes "
-                        "already present")
 
     p = add("verify-paper", cmd_verify_paper,
             "run the bundled reference checks and print a pass/fail table")

@@ -130,7 +130,7 @@ def test_find_word(capsys, graph_file):
     assert payload["nodes"] >= 1
 
 
-def test_census_text_and_json(capsys, tmp_path):
+def test_census_text_and_json(capsys):
     code, out, _ = run(capsys, "census", "4", "--table")
     assert code == 0
     assert out.splitlines()[0].split()[0] == "n"
@@ -140,11 +140,6 @@ def test_census_text_and_json(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["a_n"] == 11 and payload["b_n"] == 64
-
-    results = tmp_path / "r.tsv"
-    code, _, _ = run(capsys, "census", "5", "--results", str(results))
-    assert code == 0
-    assert len(results.read_text().splitlines()) == 34
 
 
 def test_census_needs_long_flag(capsys):

@@ -1,6 +1,7 @@
 """Graph values, edge-list I/O, substructure iteration, canonical forms,
 isomorphism, and class enumeration."""
 
+import itertools
 import math
 import random
 
@@ -231,14 +232,48 @@ def test_canonical_key_shape():
 
 
 def test_enumerate_class_counts():
-    assert [sum(1 for _ in enumerate_graphs(n)) for n in range(1, 6)] == \
-        [1, 2, 4, 11, 34]
+    assert [sum(1 for _ in enumerate_graphs(n)) for n in range(1, 8)] == \
+        [1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_enumerate_labelled_sizes_sum():
-    for n in range(1, 6):
+    for n in range(1, 8):
         total = sum(c.labelled_size for c in enumerate_graphs(n))
         assert total == 2 ** math.comb(n, 2)
+
+
+def test_enumerate_aut_size_brute_force():
+    # |Aut| counted the slow way: permutations that map the edge set onto itself
+    for n in range(1, 6):
+        for cls in enumerate_graphs(n):
+            edges = set(cls.graph.edges)
+            fixing = sum(
+                1 for perm in itertools.permutations(range(1, n + 1))
+                if {tuple(sorted((perm[u - 1], perm[v - 1])))
+                    for u, v in edges} == edges)
+            assert cls.aut_size == fixing
+            assert cls.labelled_size * fixing == math.factorial(n)
+
+
+def test_canonical_form_n8_random():
+    # the only coverage of the 8-vertex relabel table
+    rng = random.Random(8)
+    graphs = [random_graph(rng, 8) for _ in range(20)]
+    forms = [canonical_form(g) for g in graphs]
+    pairs = [(u, v) for u in range(1, 8) for v in range(u + 1, 9)]
+    for g, form in zip(graphs, forms):
+        for _ in range(5):
+            perm = list(range(1, 9))
+            rng.shuffle(perm)
+            relabeled = graph_from_edge_list(
+                8, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+            assert canonical_form(relabeled) == form
+        rebuilt = graph_from_edge_list(
+            8, [pairs[i] for i, b in enumerate(form.bit_string) if b == "1"])
+        assert are_isomorphic(rebuilt, g)
+    for g, form in zip(graphs, forms):
+        for h, other in zip(graphs, forms):
+            assert (form == other) == are_isomorphic(g, h)
 
 
 def test_enumerate_representatives_are_canonical():
