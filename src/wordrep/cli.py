@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .census import census, entropy_table, format_table
@@ -25,13 +24,6 @@ from .orientations import count_semi_transitive, find_semi_transitive, format_or
 from .verify import checks_to_json, format_report, run_all_checks
 from .words import format_word, graph_of_word, parse_word, represents
 from .wordsearch import DEFAULT_K_MAX, find_word
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("WORDREP_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit_json(obj) -> None:
@@ -108,10 +100,7 @@ def cmd_find_word(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.table:
-        rows = entropy_table(args.n, long_ok=args.long, workers=args.workers)
-    else:
-        rows = [census(args.n, long_ok=args.long, workers=args.workers)]
+    rows = entropy_table(args.n) if args.table else [census(args.n)]
     if args.json:
         payload = {"rows": [r.to_json() for r in rows]}
         _emit_json(payload if args.table else payload["rows"][0])
@@ -179,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--table", action="store_true",
                    help="print rows for 2..n instead of the single row")
-    p.add_argument("--long", action="store_true",
-                   help="allow the n=7 run (about 0.6 s)")
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="parallel per-class decisions (default from "
-                        "WORDREP_WORKERS, else 1)")
 
     p = add("verify-paper", cmd_verify_paper,
             "run the bundled reference checks and print a pass/fail table")

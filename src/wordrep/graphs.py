@@ -182,7 +182,12 @@ def format_edge_list(g: Graph) -> str:
 
 def read_edge_list(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"edge list is not UTF-8 text: {exc.reason} "
+                             f"at byte {exc.start}") from None
+    return parse_edge_list(text)
 
 
 def write_edge_list(g: Graph, path) -> None:

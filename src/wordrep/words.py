@@ -63,11 +63,16 @@ def alternates(w: Word, x: int, y: int) -> bool:
 
 def graph_of_word(w: Word) -> Graph:
     """The graph on {1..n} whose edges are exactly the alternating pairs."""
+    # letters are distinct positive integers, so they are 1..n iff there are n
     n = max(w.alphabet)
-    if w.alphabet != frozenset(range(1, n + 1)):
-        missing = sorted(set(range(1, n + 1)) - w.alphabet)
+    if len(w.alphabet) != n:
+        absent = n - len(w.alphabet)
+        shown = ", ".join(map(str, itertools.islice(
+            (x for x in range(1, n + 1) if x not in w.alphabet), 5)))
+        if absent > 5:
+            shown += f", ... ({absent} in all)"
         raise NonContiguousAlphabetError(
-            f"alphabet must be 1..{n}; missing {missing}")
+            f"alphabet must be 1..{n}; missing {shown}")
     edges = [
         (x, y)
         for x, y in itertools.combinations(range(1, n + 1), 2)
@@ -82,8 +87,7 @@ def represents(w: Word, g: Graph) -> bool:
     A word over the wrong alphabet raises AlphabetMismatch rather than
     returning False: that situation says nothing about g.
     """
-    expected = frozenset(range(1, g.n + 1))
-    if w.alphabet != expected:
+    if len(w.alphabet) != g.n or max(w.alphabet) != g.n:
         raise AlphabetMismatchError(
             f"word alphabet {sorted(w.alphabet)} != graph vertex set 1..{g.n}")
     return graph_of_word(w).edges == g.edges

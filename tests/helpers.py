@@ -9,6 +9,7 @@ meaningful.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 from wordrep.graphs import Graph, graph_from_edge_list
@@ -18,20 +19,11 @@ from wordrep.graphs import Graph, graph_from_edge_list
 # words
 
 def ref_alternates(letters, x: int, y: int) -> bool:
-    """Literal reading of the definition: the restriction must be one of
-    the two alternating patterns of its length."""
+    """Literal reading of the definition: the restriction to {x, y} holds
+    only those two letters, so it is xyxy... or yxyx... exactly when no
+    two neighbours in it are equal."""
     r = [a for a in letters if a == x or a == y]
-    pat_x = [x if i % 2 == 0 else y for i in range(len(r))]
-    pat_y = [y if i % 2 == 0 else x for i in range(len(r))]
-    return r == pat_x or r == pat_y
-
-
-def ref_represents(letters, g: Graph) -> bool:
-    for x in range(1, g.n + 1):
-        for y in range(x + 1, g.n + 1):
-            if ref_alternates(letters, x, y) != g.has_edge(x, y):
-                return False
-    return True
+    return not any(map(operator.eq, r, r[1:]))
 
 
 def k_uniform_words(n: int, k: int):
@@ -57,9 +49,15 @@ def k_uniform_words(n: int, k: int):
 
 def naive_lex_min_word(g: Graph, k: int):
     """Generate-and-test oracle: first k-uniform word representing g in
-    lexicographic order, or None."""
+    lexicographic order, or None.  A word represents g when every pair
+    of letters alternates exactly if it is an edge."""
+    pairs = [(x, y, g.has_edge(x, y))
+             for x, y in itertools.combinations(range(1, g.n + 1), 2)]
     for letters in k_uniform_words(g.n, k):
-        if ref_represents(letters, g):
+        for x, y, adjacent in pairs:
+            if ref_alternates(letters, x, y) != adjacent:
+                break
+        else:
             return letters
     return None
 

@@ -1,4 +1,4 @@
-"""Census tests: exact a_n / b_n values, entropy, parallelism.
+"""Census tests: exact a_n / b_n values, entropy, the n <= 7 cap.
 
 Constants for n <= 5 follow from every such graph being representable
 (b_n = 2^C(n,2)); the n = 6 and n = 7 rows were frozen after independent
@@ -7,6 +7,7 @@ full labelled sweeps agreed with the orbit-stabilizer totals.
 
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -65,16 +66,20 @@ def test_labelled_oracle_n6():
     assert total == 32696
 
 
-def test_n7_needs_long_flag():
+def test_census_capped_at_n7(monkeypatch):
+    # the cap is enumerate_graphs's; it must fire before any class is decided
+    def no_decisions(g):
+        raise AssertionError("decided a class past the cap")
+
+    monkeypatch.setattr(sys.modules["wordrep.census"], "decide", no_decisions)
     with pytest.raises(TooLargeError):
-        census(7)
+        census(8)
     with pytest.raises(TooLargeError):
-        entropy_table(7)
+        entropy_table(8)
 
 
-@pytest.mark.slow
 def test_row_n7():
-    row = census(7, long_ok=True)
+    row = census(7)
     assert row.a_n == 1018
     assert row.b_n == 2054480
     assert len(row.nonrep_classes) == 26
@@ -99,19 +104,13 @@ def test_entropy_never_increases():
 def test_rows_are_possible_numbers():
     # b_n counts labelled graphs, so it can never exceed 2^C(n,2)
     for n in range(1, 8):
-        row = census(n, long_ok=True)
+        row = census(n)
         pairs = math.comb(n, 2)
         assert 1 <= row.b_n <= 2 ** pairs
         assert row.a_n + len(row.nonrep_classes) == \
             sum(1 for _ in enumerate_graphs(n))
         if row.entropy is not None:
             assert 0 < row.entropy <= 1
-
-
-def test_workers_match_serial():
-    serial = census(5, workers=1)
-    parallel = census(5, workers=2)
-    assert parallel == serial
 
 
 def test_to_json_shape():

@@ -142,10 +142,15 @@ def test_census_text_and_json(capsys):
     assert payload["a_n"] == 11 and payload["b_n"] == 64
 
 
-def test_census_needs_long_flag(capsys):
-    code, out, err = run(capsys, "census", "7")
-    assert code == 2
-    assert "long" in err
+def test_census_cap_and_n7_row(capsys):
+    code, out, err = run(capsys, "census", "8")
+    assert (code, out) == (2, "")
+    assert "n <= 7" in err
+
+    code, out, _ = run(capsys, "census", "7")
+    assert code == 0
+    assert out.splitlines()[1].split() == [
+        "7", "1018", "2054480", "0.998588", "26"]
 
 
 def test_verify_paper(capsys):
@@ -174,6 +179,14 @@ def test_bad_edge_file(capsys, tmp_path):
     code, _, err = run(capsys, "decide", str(path))
     assert code == 2
     assert "error:" in err
+
+
+def test_edge_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"\xff\xfe2 1\n1 2\n")
+    code, out, err = run(capsys, "decide", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "UTF-8" in err
 
 
 def test_unknown_arguments():

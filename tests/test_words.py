@@ -1,6 +1,7 @@
 """Alternation semantics, word parsing, and the word-to-graph map."""
 
 import random
+import time
 
 import pytest
 
@@ -75,6 +76,15 @@ def test_graph_of_word_contiguity():
         graph_of_word(word_from_letters((1, 3)))
     with pytest.raises(NonContiguousAlphabetError):
         graph_of_word(word_from_letters((2, 2)))
+    with pytest.raises(NonContiguousAlphabetError, match=r"missing 2, 3$"):
+        graph_of_word(word_from_letters((4, 1, 4)))
+    # a huge letter fails fast, and the message lists only the first gaps
+    start = time.perf_counter()
+    with pytest.raises(NonContiguousAlphabetError) as exc:
+        graph_of_word(word_from_letters((1, 10**9, 1)))
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == ("alphabet must be 1..1000000000; missing "
+                              "2, 3, 4, 5, 6, ... (999999998 in all)")
 
 
 def test_represents():
@@ -88,6 +98,10 @@ def test_represents_alphabet_mismatch_is_an_error():
         represents(parse_word("123"), K4)
     with pytest.raises(AlphabetMismatchError):
         represents(parse_word("12345"), K4)
+    with pytest.raises(AlphabetMismatchError):
+        represents(parse_word("1235"), K4)
+    with pytest.raises(AlphabetMismatchError):
+        represents(word_from_letters((1, 2, 3, 10**9)), K4)
 
 
 def test_uniformity():
