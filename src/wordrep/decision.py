@@ -7,13 +7,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .errors import TooLargeToVerifyError
 from .graphs import Graph
 from .orientations import (
     FORWARD,
     Orientation,
     SearchStats,
-    enumerate_total_orientations,
+    acyclic_orientations,
     find_semi_transitive,
     format_orientation,
     is_semi_transitive,
@@ -21,8 +20,6 @@ from .orientations import (
 
 REPRESENTABLE = "Representable"
 NON_REPRESENTABLE = "NonRepresentable"
-
-VERIFY_MAX_EDGES = 14
 
 
 @dataclass(frozen=True)
@@ -37,6 +34,9 @@ def decide(g: Graph) -> Decision:
 
     Complete graphs short-circuit: orienting every edge by increasing
     label is a transitive tournament, which is always semi-transitive.
+    The general search reaches that same witness first, but its one leaf
+    check walks every directed path of the tournament: about 0.04 s at
+    n = 12 and 0.4 s at n = 15, 2-4x more per vertex.
     """
     if g.is_complete():
         witness = Orientation(g, (FORWARD,) * len(g.edges))
@@ -52,18 +52,14 @@ def verify_certificate(g: Graph, d: Decision) -> bool:
     """Independent re-check of a decision.
 
     Representable: the witness must be a total semi-transitive orientation
-    of g.  NonRepresentable: re-confirmed by plain enumeration of all 2^m
-    orientations, with no propagation and no symmetry; refuses graphs past
-    the enumeration cap rather than pretending to check.
+    of g.  NonRepresentable: is_semi_transitive must reject every acyclic
+    orientation (888 for graph A), with no search, propagation or symmetry.
+    They come from the n! vertex orders, so n > 8 raises TooLargeError.
     """
     if d.verdict == REPRESENTABLE:
         w = d.witness
         return w is not None and w.base == g and w.is_total and is_semi_transitive(w)
-    if len(g.edges) > VERIFY_MAX_EDGES:
-        raise TooLargeToVerifyError(
-            f"naive re-check capped at {VERIFY_MAX_EDGES} edges, "
-            f"got {len(g.edges)}")
-    return all(not is_semi_transitive(o) for o in enumerate_total_orientations(g))
+    return not any(is_semi_transitive(o) for o in acyclic_orientations(g))
 
 
 def decision_to_json(d: Decision) -> dict:

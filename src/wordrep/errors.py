@@ -62,10 +62,6 @@ class TooManyColorsError(WordrepError):
     """The coloring-based construction needs at most three colors."""
 
 
-class TooLargeToVerifyError(WordrepError):
-    """A negative certificate is too large for independent re-checking."""
-
-
 class ParseError(WordrepError):
     """A text input (edge list, word, orientation) failed to parse."""
 

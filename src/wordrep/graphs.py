@@ -10,6 +10,7 @@ representation at this scale and makes the search kernels branch-free.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -123,13 +124,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    pairs = [
-        (u, v)
-        for u in g.vertices()
-        for v in range(u + 1, g.n + 1)
-        if not g.has_edge(u, v)
-    ]
-    return graph_from_edge_list(g.n, pairs)
+    return graph_from_edge_list(g.n, [p for p in _pairs(g.n) if not g.has_edge(*p)])
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +301,15 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-_perm_cache: dict[int, np.ndarray] = {}
+@functools.cache
+def _permutations(n: int) -> np.ndarray:
+    """The n! permutations of 0..n-1 as int8 rows, itertools order.  Row p
+    relabels v as p[v - 1] + 1, or as a vertex order puts v at position
+    p[v - 1]; _perm_tables and acyclic_orientations share it."""
+    return np.array(list(itertools.permutations(range(n))), np.int8).reshape(-1, n)
 
 
+@functools.cache
 def _perm_tables(n: int) -> np.ndarray:
     """values[s, p] is the MSB-first bit value of the slot that pair s lands
     on under the p-th permutation, so a relabelled code is a gather-sum.
@@ -317,20 +318,12 @@ def _perm_tables(n: int) -> np.ndarray:
     28 x 40320 (4.5 MB) at n = 8.  Codes stay below 2^28 for n <= 8, so
     int32 holds every value and every sum.
     """
-    if n in _perm_cache:
-        return _perm_cache[n]
     pairs = _pairs(n)
-    s = len(pairs)
-    idx = np.zeros((n + 1, n + 1), dtype=np.int64)
+    perms = _permutations(n)
+    weight = np.zeros((n, n), dtype=np.int32)   # slot value of each pair
     for i, (u, v) in enumerate(pairs):
-        idx[u, v] = idx[v, u] = i
-    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-    weights = np.int32(1) << (s - 1 - np.arange(s, dtype=np.int32))
-    values = np.empty((s, len(perms)), dtype=np.int32)
-    for i, (u, v) in enumerate(pairs):
-        values[i] = weights[idx[perms[:, u - 1], perms[:, v - 1]]]
-    _perm_cache[n] = values
-    return values
+        weight[u - 1, v - 1] = weight[v - 1, u - 1] = 1 << (len(pairs) - 1 - i)
+    return np.stack([weight[perms[:, u - 1], perms[:, v - 1]] for u, v in pairs])
 
 
 def _orbit_codes(n: int, mask: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Directed side of the toolkit: orientations of a graph's edges,
 acyclicity, shortcut detection, semi-transitivity, the four-cycle forcing
-rule, and the backtracking search for a semi-transitive orientation.
+rule, the backtracking search for a semi-transitive orientation, and the
+vertex-order enumeration of acyclic orientations that re-checks it.
 
 An orientation assigns each stored edge (u, v), u < v, one of FORWARD
 (u -> v), BACKWARD (v -> u) or None (unassigned).  A total acyclic
@@ -19,17 +20,21 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import (
     CyclicInputError,
     ImproperColoringError,
     OutOfRangeError,
     ParseError,
     PartialOrientationError,
+    TooLargeError,
     TooManyColorsError,
     TooManyEdgesError,
     WordrepError,
 )
-from .graphs import Graph, VertexColoring, four_cycles
+from .graphs import (CANONICAL_MAX_N, Graph, VertexColoring, _bits, _permutations,
+                     four_cycles)
 
 FORWARD = 1
 BACKWARD = -1
@@ -121,13 +126,6 @@ def _out_masks(o: Orientation) -> list[int]:
     return out
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def is_acyclic(o: Orientation) -> bool:
     _require_total(o)
     return _acyclic(o.base.n, _out_masks(o))
@@ -194,12 +192,10 @@ def _shortcut_dfs(out, arc_set, h, path, on_path) -> tuple[int, ...] | None:
 
 
 def is_semi_transitive(o: Orientation) -> bool:
-    _require_total(o)
-    out = _out_masks(o)
-    if not _acyclic(o.base.n, out):
+    try:
+        return find_shortcut(o) is None
+    except CyclicInputError:
         return False
-    arcs = [o.arc(i) for i in range(len(o.dirs))]
-    return _shortcut_scan(out, arcs) is None
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +412,31 @@ def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:
     return result
 
 
-def enumerate_total_orientations(g: Graph) -> Iterator[Orientation]:
-    """All 2^m total orientations, lexicographic with FORWARD < BACKWARD."""
-    for dirs in itertools.product((FORWARD, BACKWARD), repeat=len(g.edges)):
-        yield Orientation(g, dirs)
+def acyclic_orientations(g: Graph) -> Iterator[Orientation]:
+    """Every acyclic orientation of g once, with no search: each is induced
+    by its topological orders, so the n! vertex orders induce all of them
+    and nothing else.  Lexicographic with FORWARD < BACKWARD (all-FORWARD
+    first); n <= CANONICAL_MAX_N (8)."""
+    if g.n > CANONICAL_MAX_N:
+        raise TooLargeError(
+            f"vertex-order enumeration supports n <= {CANONICAL_MAX_N}, got {g.n}")
+    pos = _permutations(g.n)
+    # back[p, e]: stored edge e = (u, v) points backward, v is before u in p
+    back = pos[:, [u - 1 for u, _ in g.edges]] > pos[:, [v - 1 for _, v in g.edges]]
+    # sorting row keys (first edge most significant) sorts the rows, 30x
+    # faster than np.unique(axis=0) on K8
+    _, first = np.unique(back @ (1 << np.arange(len(g.edges))[::-1]), return_index=True)
+    for row in np.where(back[first], BACKWARD, FORWARD).tolist():
+        yield Orientation(g, tuple(row))
 
 
 def count_semi_transitive_naive(g: Graph) -> int:
-    """Plain full enumeration with no propagation and no pruning; the
-    regression anchor the fast counter must match bit-for-bit."""
+    """Plain generate-and-test over acyclic_orientations: no search, no
+    propagation and no pruning; the anchor the fast counter must match."""
     if len(g.edges) > COUNT_MAX_EDGES:
         raise TooManyEdgesError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
-    return sum(1 for o in enumerate_total_orientations(g) if is_semi_transitive(o))
+    return sum(map(is_semi_transitive, acyclic_orientations(g)))
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _check_refutation() -> list[CheckResult]:
     detail = (
         f"search nodes={s.nodes} propagations={s.propagations} "
         f"leaf_checks={s.shortcut_checks} leaf_conflicts={s.shortcut_conflicts}; "
-        f"naive re-check over all 4096 orientations "
+        f"re-check over the orientations of all {a.n}! vertex orders "
         f"{'confirms' if confirmed else 'FAILED'}")
     return [CheckResult("a-refutation", refuted and confirmed, detail)]
 

@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     SameLetterError,
 )
-from .graphs import Graph, graph_from_edge_list
+from .graphs import Graph, _pairs
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,19 @@ def graph_of_word(w: Word) -> Graph:
             shown += f", ... ({absent} in all)"
         raise NonContiguousAlphabetError(
             f"alphabet must be 1..{n}; missing {shown}")
-    edges = [
-        (x, y)
-        for x, y in itertools.combinations(range(1, n + 1), 2)
-        if alternates(w, x, y)
-    ]
-    return graph_from_edge_list(n, edges)
+    # one pass; since[x] masks the letters seen since the last x (-1, all
+    # of them, before the first x).  A repeated x breaks its pair with each
+    # letter outside since[x]; a pair alternates iff neither letter broke it.
+    since = [-1] * (n + 1)
+    kept = [-1] * (n + 1)   # kept[x]: the letters whose pair x has not broken
+    for x in w.letters:
+        kept[x] &= since[x]
+        bx = 1 << x
+        since = [s | bx for s in since]
+        since[x] = 0
+    # ok[x][y] == "1" iff y is in kept[x]
+    ok = [format(k % (2 << n), f"0{n + 1}b")[::-1] for k in kept]
+    return Graph(n, tuple([(x, y) for x, y in _pairs(n) if ok[x][y] == ok[y][x] == "1"]))
 
 
 def represents(w: Word, g: Graph) -> bool:

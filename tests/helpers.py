@@ -13,6 +13,7 @@ import operator
 import random
 
 from wordrep.graphs import Graph, graph_from_edge_list
+from wordrep.orientations import BACKWARD, FORWARD, Orientation
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,14 @@ def ref_four_cycles(g: Graph):
                     g.has_edge(c, d) and g.has_edge(d, a):
                 found.add((a, b, c, d))
     return sorted(found)
+
+
+def enumerate_total_orientations(g: Graph):
+    """All 2^m total orientations, lexicographic with FORWARD < BACKWARD:
+    the literal generate-and-test sweep the vertex-order route is checked
+    against."""
+    for dirs in itertools.product((FORWARD, BACKWARD), repeat=len(g.edges)):
+        yield Orientation(g, dirs)
 
 
 def total_orientations_as_arcs(g: Graph):

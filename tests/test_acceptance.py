@@ -43,13 +43,9 @@ from wordrep import (
 )
 from wordrep.bundled import bundled_graph, bundled_word
 from wordrep.decision import decision_to_json, decision_to_text
-from wordrep.orientations import (
-    Orientation,
-    count_semi_transitive_naive,
-    enumerate_total_orientations,
-)
+from wordrep.orientations import Orientation, count_semi_transitive_naive
 
-from helpers import all_graphs, random_3partite
+from helpers import all_graphs, enumerate_total_orientations, random_3partite
 
 
 def report(capsys, num, name, ok, detail=""):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wordrep.bundled import bundled_graph
+from wordrep.census import census
 from wordrep.decision import (
     NON_REPRESENTABLE,
     REPRESENTABLE,
@@ -14,7 +15,7 @@ from wordrep.decision import (
     decision_to_text,
     verify_certificate,
 )
-from wordrep.errors import TooLargeToVerifyError
+from wordrep.errors import TooLargeError
 from wordrep.graphs import delete_vertex, enumerate_graphs, graph_from_edge_list
 from wordrep.orientations import (
     BACKWARD,
@@ -80,11 +81,29 @@ def test_verify_certificate_rejects_bad_witness():
     assert not verify_certificate(k4, other_graph)
 
 
-def test_verify_certificate_too_large():
-    k6 = complete(6)
+def test_verify_certificate_rejects_false_refutation():
     claim = Decision(NON_REPRESENTABLE, None, SearchStats())
-    with pytest.raises(TooLargeToVerifyError):
-        verify_certificate(k6, claim)
+    for g in (complete(6), complete(8), bundled_graph("M")):
+        assert not verify_certificate(g, claim)
+
+
+def test_verify_certificate_too_large():
+    claim = Decision(NON_REPRESENTABLE, None, SearchStats())
+    with pytest.raises(TooLargeError):
+        verify_certificate(graph_from_edge_list(9, [(1, 2)]), claim)
+
+
+def test_verify_certificate_confirms_every_n7_refutation():
+    # the vertex-order re-check has no edge cap: it also covers the six
+    # refutations with 15 or 16 edges
+    keys = set(census(7).nonrep_classes)
+    graphs = [cls.graph for cls in enumerate_graphs(7) if cls.form.key in keys]
+    assert len(graphs) == 26
+    assert sum(len(g.edges) >= 15 for g in graphs) == 6
+    for g in graphs:
+        d = decide(g)
+        assert d.verdict == NON_REPRESENTABLE
+        assert verify_certificate(g, d)
 
 
 def test_hereditary_closure_n6():

@@ -11,6 +11,7 @@ from wordrep.errors import (
     CyclicInputError,
     ImproperColoringError,
     PartialOrientationError,
+    TooLargeError,
     TooManyColorsError,
     TooManyEdgesError,
 )
@@ -25,10 +26,10 @@ from wordrep.orientations import (
     Conflict,
     Orientation,
     SearchStats,
+    acyclic_orientations,
     count_semi_transitive,
     count_semi_transitive_naive,
     empty_orientation,
-    enumerate_total_orientations,
     find_semi_transitive,
     find_shortcut,
     format_orientation,
@@ -42,7 +43,9 @@ from wordrep.orientations import (
 )
 
 from helpers import (
+    enumerate_total_orientations,
     random_graph,
+    ref_is_acyclic,
     ref_is_semi_transitive,
     total_orientations_as_arcs,
 )
@@ -197,6 +200,24 @@ def test_lemma1_statement_on_all_classes():
                         run = [ring[i], ring[(i + 1) % 4], ring[(i + 2) % 4]]
                         assert not all(p in arcs for p in run)
                         assert not all((q, p) in arcs for p, q in run)
+
+
+def test_acyclic_orientations_are_the_acyclic_sweep():
+    # every acyclic orientation is induced by its topological orders, so the
+    # vertex-order route yields exactly the acyclic members of the 2^m
+    # sweep, once each and in the same order
+    from wordrep.graphs import enumerate_graphs
+    graphs = [cls.graph for n in range(1, 6) for cls in enumerate_graphs(n)]
+    for g in graphs + [bundled_graph("A")]:
+        sweep = [o for o in enumerate_total_orientations(g)
+                 if ref_is_acyclic(g.n, o.arcs())]
+        assert list(acyclic_orientations(g)) == sweep
+    assert len(sweep) == 888   # graph A
+
+
+def test_acyclic_orientations_too_large():
+    with pytest.raises(TooLargeError):
+        next(acyclic_orientations(graph_from_edge_list(9, [(1, 2)])))
 
 
 def test_lemma1_soundness_random():

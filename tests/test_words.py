@@ -56,13 +56,21 @@ def test_alternates_errors():
 
 def test_alternates_against_reference():
     rng = random.Random(31415)
+    contiguous = 0
     for _ in range(300):
         letters = random_word(rng, rng.randint(2, 6), rng.randint(2, 14))
         w = word_from_letters(letters)
         present = sorted(w.alphabet)
+        g = None
+        if present[-1] == len(present):
+            contiguous += 1
+            g = graph_of_word(w)
         for i, x in enumerate(present):
             for y in present[i + 1:]:
                 assert alternates(w, x, y) == ref_alternates(letters, x, y)
+                if g is not None:
+                    assert g.has_edge(x, y) == ref_alternates(letters, x, y)
+    assert contiguous > 150
 
 
 def test_graph_of_word_examples():
@@ -85,6 +93,15 @@ def test_graph_of_word_contiguity():
     assert time.perf_counter() - start < 1.0
     assert str(exc.value) == ("alphabet must be 1..1000000000; missing "
                               "2, 3, 4, 5, 6, ... (999999998 in all)")
+
+
+def test_graph_of_word_is_one_pass():
+    # every pair of 1 2 ... 1000 alternates; one pair test per rescan of
+    # the word would cost about 5 * 10^8 letter visits
+    start = time.perf_counter()
+    g = graph_of_word(word_from_letters(range(1, 1001)))
+    assert time.perf_counter() - start < 1.0
+    assert g.n == 1000 and g.is_complete()
 
 
 def test_represents():
