@@ -3,6 +3,12 @@ acyclicity, shortcut detection, semi-transitivity, the four-cycle forcing
 rule, the backtracking search for a semi-transitive orientation, and the
 vertex-order enumeration of acyclic orientations that re-checks it.
 
+The search keeps a reachability closure of its partial orientation, so
+acyclicity is a one-bit test per arc and semi-transitivity at a leaf is a
+polynomial mask test (the interval lemma in _Searcher).  find_shortcut
+and is_semi_transitive enumerate directed paths literally instead, as the
+independent route that certificates and counts are re-checked by.
+
 An orientation assigns each stored edge (u, v), u < v, one of FORWARD
 (u -> v), BACKWARD (v -> u) or None (unassigned).  A total acyclic
 orientation is semi-transitive when no directed path v1...vk (k >= 4)
@@ -297,27 +303,30 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
 # ---------------------------------------------------------------------------
 # backtracking search
 
-def _reachable(out: list[int], src: int, dst: int) -> bool:
-    seen = 1 << src
-    frontier = seen
-    target = 1 << dst
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= out[v]
-        if nxt & target:
-            return True
-        frontier = nxt & ~seen
-        seen |= nxt
-    return False
-
-
 class _Searcher:
     """Depth-first search over edge directions, lexicographic edge order,
-    FORWARD first.  Every assignment is checked for acyclicity incrementally
-    and runs the four-cycle forcing rule to fixpoint, on every graph: the
-    rule skips only 4-cycles with both chords, where it is unsound.
-    Shortcut checks run at the leaves only."""
+    FORWARD first.  Every assignment runs the four-cycle forcing rule to
+    fixpoint, on every graph: the rule skips only 4-cycles with both chords,
+    where it is unsound.
+
+    The search keeps the reachability closure of the arcs placed so far,
+    packed into one int: row v, bits v*w to v*w + w - 1 with w = n + 1,
+    holds v's strict descendants.  Arc t->h closes a directed cycle
+    exactly when h already reaches t, a one-bit test.  Once it is placed,
+    t and every ancestor of t also reach h and all h reaches; one product
+    of the rows holding t (as their lowest bits) with that set writes it
+    into each of them, with no carry between rows.  The int is immutable,
+    so undo restores the one saved with the oldest trail entry it pops.
+
+    Shortcut checks run at the leaves only, on the closure, with no path
+    enumeration.  Arc u->v has a shortcut iff its interval I = {u, v} +
+    {x : u ~> x ~> v} holds some x ~> y with x, y non-adjacent.  Proof:
+    u ~> x ~> y ~> v is then a path (the orientation is acyclic) of at
+    least 3 arcs, as x ~> y takes two or more and {x, y} != {u, v}, and
+    it misses the edge x-y; conversely a shortcut path, so its
+    non-adjacent pair, lies in I.  In an acyclic orientation x ~> y with
+    x, y adjacent is the arc x->y, so the pairs to look for are y in
+    desc[x] & ~out[x], with desc the unpacked rows."""
 
     def __init__(self, g: Graph, stats: SearchStats):
         self.g = g
@@ -325,18 +334,28 @@ class _Searcher:
         self.stats = stats
         self.dirs: list[int | None] = [None] * self.m
         self.out = [0] * (g.n + 1)
+        self.w = g.n + 1
+        self.row = (1 << self.w) - 1
+        # bit 0 of every row: picks out the rows that hold a given vertex
+        self.col = sum(1 << v * self.w for v in range(self.w))
+        self.closure = 0
         self.trail: list[int] = []  # assigned edges in order, for undo
+        self.saved: list[int] = []  # closure before each trail entry
         self.by_edge = _cycle_triples(g)
 
     def place(self, e: int, d: int) -> bool:
         """Assign edge e unless that closes a directed cycle."""
         u, v = self.g.edges[e]
         t, h = (u, v) if d == FORWARD else (v, u)
-        if _reachable(self.out, h, t):
+        c, w = self.closure, self.w
+        if c >> h * w + t & 1:
             return False
         self.dirs[e] = d
         self.out[t] |= 1 << h
         self.trail.append(e)
+        self.saved.append(c)
+        below = c >> h * w & self.row | 1 << h
+        self.closure = c | (c >> t & self.col | 1 << t * w) * below
         return True
 
     def assign(self, e: int, d: int) -> bool:
@@ -349,6 +368,9 @@ class _Searcher:
         return ok
 
     def undo(self, mark: int) -> None:
+        if len(self.trail) > mark:
+            self.closure = self.saved[mark]
+            del self.saved[mark:]
         while len(self.trail) > mark:
             e = self.trail.pop()
             u, v = self.g.edges[e]
@@ -356,15 +378,33 @@ class _Searcher:
             self.out[t] &= ~(1 << h)
             self.dirs[e] = None
 
+    def descendants(self) -> list[int]:
+        """The closure unpacked: entry v is the mask of v's descendants."""
+        c, w, row = self.closure, self.w, self.row
+        return [c >> v * w & row for v in range(w)]
+
     def leaf_ok(self) -> bool:
+        """The interval lemma grouped by x instead of by arc: x and a far y
+        (in desc[x] & ~out[x]) lie in the interval of u->v exactly when x
+        is at or below u and v is at or below y.  So each x with a far y
+        gets one mask, reach[x], of everything at or below its far ys, and
+        each tail u one test reach[x] & out[u] per x at or below u."""
         self.stats.shortcut_checks += 1
-        arcs = []
-        for i, d in enumerate(self.dirs):
-            u, v = self.g.edges[i]
-            arcs.append((u, v) if d == FORWARD else (v, u))
-        if _shortcut_scan(self.out, arcs) is not None:
-            self.stats.shortcut_conflicts += 1
-            return False
+        desc, out = self.descendants(), self.out
+        reach = []  # (x's bit, reach[x])
+        for x, below in enumerate(desc):
+            far = below & ~out[x]
+            if far:
+                r = 0
+                for y in _bits(far):
+                    r |= desc[y] | 1 << y
+                reach.append((1 << x, r))
+        for u, below in enumerate(desc):
+            scope = below | 1 << u
+            for bit, r in reach:
+                if bit & scope and r & out[u]:
+                    self.stats.shortcut_conflicts += 1
+                    return False
         return True
 
     def branch(self, depth: int, first_only: bool) -> int:

@@ -1,6 +1,7 @@
 """The top-level decision procedure and its certificates."""
 
 import json
+import time
 
 import pytest
 
@@ -31,6 +32,12 @@ def complete(n):
         n, [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)])
 
 
+def _timed_decide(g):
+    start = time.perf_counter()
+    d = decide(g)
+    return d, time.perf_counter() - start
+
+
 def test_decide_examples():
     assert decide(bundled_graph("A")).verdict == NON_REPRESENTABLE
     assert decide(bundled_graph("K4")).verdict == REPRESENTABLE
@@ -49,7 +56,23 @@ def test_complete_fast_path():
         d = decide(complete(n))
         assert d.verdict == REPRESENTABLE
         assert d.witness.dirs == (FORWARD,) * len(complete(n).edges)
-        assert d.stats.nodes == 0
+        assert is_semi_transitive(d.witness)
+    # no special case: the search walks K20's 190 edges FORWARD and checks
+    # one leaf (about 20 ms); a leaf scan over every path takes seconds
+    d, seconds = min((_timed_decide(complete(20)) for _ in range(3)),
+                     key=lambda r: r[1])
+    assert d.witness.dirs == (FORWARD,) * 190 and seconds < 0.2
+
+
+def test_near_complete_is_fast():
+    # K16 minus the edge 1-2 is Representable after one leaf check, which
+    # no longer enumerates the directed paths of the near-tournament
+    g = graph_from_edge_list(
+        16, [e for e in complete(16).edges if e != (1, 2)])
+    d, seconds = min((_timed_decide(g) for _ in range(3)),
+                     key=lambda r: r[1])
+    assert d.verdict == REPRESENTABLE and d.stats.shortcut_checks == 1
+    assert seconds < 0.1
 
 
 def test_nonrep_stats_cover_search():

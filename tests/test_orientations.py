@@ -26,6 +26,7 @@ from wordrep.orientations import (
     Conflict,
     Orientation,
     SearchStats,
+    _Searcher,
     acyclic_orientations,
     count_semi_transitive,
     count_semi_transitive_naive,
@@ -309,10 +310,108 @@ def test_search_counters_locked():
     stats = SearchStats()
     total = sum(count_semi_transitive(cls.graph, stats) for cls in enumerate_graphs(6))
     assert (total, counters(stats)) == (6533, (17574, 5844, 6643, 110))
-    runs = [decide(cls.graph) for cls in enumerate_graphs(7)]
-    assert sum(d.witness is None for d in runs) == 26
-    assert tuple(map(sum, zip(*(counters(d.stats) for d in runs)))) == \
+    runs = [(cls.graph.is_complete(), decide(cls.graph))
+            for cls in enumerate_graphs(7)]
+    assert sum(d.witness is None for _, d in runs) == 26
+    assert tuple(map(sum, zip(*(counters(d.stats) for k7, d in runs if not k7)))) == \
         (8936, 5249, 1017, 0)
+    # K7 is searched like any graph: its 21 edges FORWARD, one leaf
+    assert [counters(d.stats) for k7, d in runs if k7] == [(22, 0, 1, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the search's reachability closure and its leaf test
+
+def _leaf_test(o):
+    """The search's leaf verdict on the total acyclic orientation o."""
+    s = _Searcher(o.base, SearchStats())
+    assert all(s.place(e, d) for e, d in enumerate(o.dirs))
+    return s.leaf_ok()
+
+
+def _ref_closure(n, arcs):
+    """Strict descendants of each vertex as bitmasks, by depth-first
+    search over a set of arcs."""
+    succ = {v: [h for t, h in arcs if t == v] for v in range(1, n + 1)}
+    desc = [0] * (n + 1)
+    for v in range(1, n + 1):
+        seen, stack = set(), list(succ[v])
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack.extend(succ[w])
+        desc[v] = sum(1 << w for w in seen)
+    return desc
+
+
+def test_leaf_test_is_semi_transitivity():
+    # the closure's interval test against the literal path scan: every
+    # acyclic orientation of every class with n <= 6 and of graph A, and
+    # seeded vertex-order orientations of random graphs with n = 7..9
+    from wordrep.graphs import enumerate_graphs
+    small = [o for n in range(1, 7) for cls in enumerate_graphs(n)
+             for o in acyclic_orientations(cls.graph)]
+    assert len(small) == 21188
+    rng = random.Random(4242)
+    ordered = []
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(7, 9))
+        pos = rng.sample(range(g.n), g.n)
+        ordered.append(Orientation(g, tuple(
+            FORWARD if pos[u - 1] < pos[v - 1] else BACKWARD for u, v in g.edges)))
+    passed = []
+    for group in (small, list(acyclic_orientations(bundled_graph("A"))), ordered):
+        verdicts = [_leaf_test(o) for o in group]
+        assert verdicts == [find_shortcut(o) is None for o in group]
+        passed.append(sum(verdicts))
+    # 7292 semi-transitive orientations over the n <= 6 classes, none of A
+    assert passed[:2] == [7292, 0] and 0 < passed[2] < len(ordered)
+
+
+def test_searcher_closure_invariant():
+    # seeded assign/undo walks: after every step the search's closure is
+    # the transitive closure of the placed arcs, and place refuses exactly
+    # the arcs that would close a directed cycle
+    rng = random.Random(99)
+    refusals = 0
+
+    def check(s):
+        nonlocal refusals
+        g = s.g
+        arcs = [(u, v) if d == FORWARD else (v, u)
+                for (u, v), d in zip(g.edges, s.dirs) if d is not None]
+        desc = _ref_closure(g.n, arcs)
+        assert s.descendants() == desc
+        for e, d in itertools.product(range(len(g.edges)), (FORWARD, BACKWARD)):
+            if s.dirs[e] is not None:
+                continue
+            u, v = g.edges[e]
+            arc = (u, v) if d == FORWARD else (v, u)
+            mark = len(s.trail)
+            placed = s.place(e, d)
+            assert placed == ref_is_acyclic(g.n, arcs + [arc])
+            refusals += not placed
+            s.undo(mark)
+            assert s.descendants() == desc and s.dirs[e] is None
+
+    for _ in range(40):
+        s = _Searcher(random_graph(rng, rng.randint(2, 8), 0.6), SearchStats())
+        marks = []
+        for _ in range(40):
+            free = [e for e, d in enumerate(s.dirs) if d is None]
+            if free and (not marks or rng.random() < 0.7):
+                marks.append(len(s.trail))
+                ok = s.assign(rng.choice(free), rng.choice((FORWARD, BACKWARD)))
+                check(s)
+                if not ok:
+                    s.undo(marks.pop())
+            elif marks:
+                k = rng.randrange(len(marks))
+                s.undo(marks[k])
+                del marks[k:]
+            check(s)
+    assert refusals > 100
 
 
 def test_orient_by_coloring_triangle():
