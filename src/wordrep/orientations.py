@@ -166,10 +166,7 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     out = _out_masks(o)
     if not _acyclic(o.base.n, out):
         raise CyclicInputError("shortcut detection needs an acyclic orientation")
-    return _shortcut_scan(out, [o.arc(i) for i in range(len(o.dirs))])
-
-
-def _shortcut_scan(out: list[int], arcs) -> Conflict | None:
+    arcs = [o.arc(i) for i in range(len(o.dirs))]
     arc_set = set(arcs)
     for t, h in arcs:
         hit = _shortcut_dfs(out, arc_set, h, [t], 1 << t)
