@@ -29,7 +29,6 @@ from .graphs import (
     enumerate_graphs,
     find_proper_coloring,
     format_edge_list,
-    four_cycles,
     graph_from_edge_list,
     is_k4_free,
     parse_edge_list,
@@ -105,7 +104,6 @@ __all__ = [
     "format_edge_list",
     "format_orientation",
     "format_word",
-    "four_cycles",
     "graph_from_edge_list",
     "graph_of_word",
     "is_acyclic",

@@ -1,5 +1,5 @@
 """Undirected simple graphs on vertices 1..n, plus the small-n machinery
-that everything else leans on: triangle/4-cycle iteration, K4 detection,
+that everything else leans on: triangle iteration, K4 detection,
 proper colorings, canonical forms, isomorphism, and exhaustive enumeration
 of isomorphism classes.
 
@@ -191,7 +191,7 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# triangles, 4-cycles, K4
+# triangles, K4
 
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
     """All triangles (u, v, w) with u < v < w, lexicographic order."""
@@ -201,25 +201,6 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
         for w in _bits(common):
             if w > v:
                 out.append((u, v, w))
-    out.sort()
-    return out
-
-
-def four_cycles(g: Graph) -> list[tuple[int, int, int, int]]:
-    """All 4-cycles, one tuple (a, b, c, d) per cycle.
-
-    The cycle is a-b-c-d-a with all four cycle edges present (diagonals may
-    or may not exist).  Canonical representative: a is the smallest vertex
-    of the cycle, b the smaller of a's two cycle-neighbors, c the vertex
-    opposite a.
-    """
-    out = []
-    for a in g.vertices():
-        higher = ~((1 << (a + 1)) - 1)
-        for c in range(a + 1, g.n + 1):
-            common = g.adj[a] & g.adj[c] & higher
-            for b, d in itertools.combinations(list(_bits(common)), 2):
-                out.append((a, b, c, d))
     out.sort()
     return out
 

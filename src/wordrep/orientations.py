@@ -39,13 +39,15 @@ from .errors import (
     TooManyEdgesError,
     WordrepError,
 )
-from .graphs import (CANONICAL_MAX_N, Graph, VertexColoring, _bits, _permutations,
-                     four_cycles)
+from .graphs import CANONICAL_MAX_N, Graph, VertexColoring, _bits, _permutations
 
 FORWARD = 1
 BACKWARD = -1
 
 COUNT_MAX_EDGES = 24
+# K40 branches on at most C(40, 2) = 780 edges, one recursion level each,
+# under Python's default limit of 1000 frames
+SEARCH_MAX_N = 40
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class Orientation:
 
 @dataclass(frozen=True)
 class Conflict:
-    kind: str  # DirectedCycle | Shortcut | Lemma1Cycle
+    kind: str  # Shortcut | Lemma1Cycle
     witness: tuple[int, ...]
 
 
@@ -214,21 +216,30 @@ def is_semi_transitive(o: Orientation) -> bool:
 def _cycle_triples(g: Graph) -> list[list[tuple]]:
     """For each edge, the triples through it as (legs3, cycle), where legs3
     are three consecutive (edge, sign) legs of a 4-cycle with at most one
-    chord."""
+    chord.  Cycles (a, b, c, d) come in lexicographic order, straight from
+    the adjacency masks: a is the smallest vertex, b < d, and c is opposite
+    a.  When a-c is an edge, every d adjacent to b is dropped, so no cycle
+    with both chords is visited."""
+    adj, index = g.adj, g.edge_index
     by_edge: list[list[tuple]] = [[] for _ in g.edges]
-    for a, b, c, d in four_cycles(g):
-        if g.has_edge(a, c) and g.has_edge(b, d):
-            continue
-        legs = []
-        for x, y in ((a, b), (b, c), (c, d), (d, a)):
-            if x < y:
-                legs.append((g.edge_index[(x, y)], 1))
-            else:
-                legs.append((g.edge_index[(y, x)], -1))
-        for i in range(4):
-            tri = (legs[i], legs[(i + 1) % 4], legs[(i + 2) % 4])
-            for e, _sign in tri:
-                by_edge[e].append((tri, (a, b, c, d)))
+
+    def leg(x: int, y: int) -> tuple[int, int]:
+        return (index[x, y], 1) if x < y else (index[y, x], -1)
+
+    for a in g.vertices():
+        above = -1 << a + 1
+        for b in _bits(adj[a] & above):
+            for c in _bits(adj[b] & above):
+                ds = adj[a] & adj[c] & (-1 << b + 1)
+                if adj[a] >> c & 1:
+                    ds &= ~adj[b]
+                for d in _bits(ds):
+                    cycle = (a, b, c, d)
+                    legs = (leg(a, b), leg(b, c), leg(c, d), leg(d, a))
+                    for i in range(4):
+                        tri = (legs[i], legs[(i + 1) % 4], legs[(i + 2) % 4])
+                        for e, _sign in tri:
+                            by_edge[e].append((tri, cycle))
     return by_edge
 
 
@@ -323,14 +334,16 @@ class _Searcher:
     it misses the edge x-y; conversely a shortcut path, so its
     non-adjacent pair, lies in I.  In an acyclic orientation x ~> y with
     x, y adjacent is the arc x->y, so the pairs to look for are y in
-    desc[x] & ~out[x], with desc the unpacked rows."""
+    desc[x] & ~g.adj[x], with desc the unpacked rows."""
 
     def __init__(self, g: Graph, stats: SearchStats):
+        if g.n > SEARCH_MAX_N:
+            raise TooLargeError(
+                f"orientation search supports n <= {SEARCH_MAX_N}, got {g.n}")
         self.g = g
         self.m = len(g.edges)
         self.stats = stats
         self.dirs: list[int | None] = [None] * self.m
-        self.out = [0] * (g.n + 1)
         self.w = g.n + 1
         self.row = (1 << self.w) - 1
         # bit 0 of every row: picks out the rows that hold a given vertex
@@ -348,7 +361,6 @@ class _Searcher:
         if c >> h * w + t & 1:
             return False
         self.dirs[e] = d
-        self.out[t] |= 1 << h
         self.trail.append(e)
         self.saved.append(c)
         below = c >> h * w & self.row | 1 << h
@@ -369,11 +381,7 @@ class _Searcher:
             self.closure = self.saved[mark]
             del self.saved[mark:]
         while len(self.trail) > mark:
-            e = self.trail.pop()
-            u, v = self.g.edges[e]
-            t, h = (u, v) if self.dirs[e] == FORWARD else (v, u)
-            self.out[t] &= ~(1 << h)
-            self.dirs[e] = None
+            self.dirs[self.trail.pop()] = None
 
     def descendants(self) -> list[int]:
         """The closure unpacked: entry v is the mask of v's descendants."""
@@ -382,24 +390,26 @@ class _Searcher:
 
     def leaf_ok(self) -> bool:
         """The interval lemma grouped by x instead of by arc: x and a far y
-        (in desc[x] & ~out[x]) lie in the interval of u->v exactly when x
+        (in desc[x] & ~g.adj[x]) lie in the interval of u->v exactly when x
         is at or below u and v is at or below y.  So each x with a far y
         gets one mask, reach[x], of everything at or below its far ys, and
-        each tail u one test reach[x] & out[u] per x at or below u."""
+        each tail u one test of reach[x] against its out-neighbours per x
+        at or below u.  The leaf's orientation is total and acyclic, so u's
+        out-neighbours are g.adj[u] & desc[u]."""
         self.stats.shortcut_checks += 1
-        desc, out = self.descendants(), self.out
+        desc, adj = self.descendants(), self.g.adj
         reach = []  # (x's bit, reach[x])
         for x, below in enumerate(desc):
-            far = below & ~out[x]
+            far = below & ~adj[x]
             if far:
                 r = 0
                 for y in _bits(far):
                     r |= desc[y] | 1 << y
                 reach.append((1 << x, r))
         for u, below in enumerate(desc):
-            scope = below | 1 << u
+            scope, out = below | 1 << u, adj[u] & below
             for bit, r in reach:
-                if bit & scope and r & out[u]:
+                if bit & scope and r & out:
                     self.stats.shortcut_conflicts += 1
                     return False
         return True

@@ -156,14 +156,6 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return graph_from_edge_list(n, pairs)
 
 
-def random_k4_free_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
-    from wordrep.graphs import is_k4_free
-    while True:
-        g = random_graph(rng, n, p)
-        if is_k4_free(g):
-            return g
-
-
 def random_word(rng: random.Random, alphabet: int, length: int):
     return tuple(rng.randint(1, alphabet) for _ in range(length))
 

@@ -189,6 +189,21 @@ def test_edge_file_not_utf8(capsys, tmp_path):
     assert err.startswith("error:") and "UTF-8" in err
 
 
+def test_orientation_search_vertex_cap(capsys, tmp_path):
+    # untrusted edge lists past the search's vertex cap fail with one error
+    # line and exit 2, not a RecursionError, a MemoryError or minutes of
+    # closure building
+    k45 = [(u, v) for u in range(1, 46) for v in range(u + 1, 46)]
+    path_1000 = [(v, v + 1) for v in range(1, 1000)]
+    path = tmp_path / "big.edges"
+    for n, edges in ((1000, path_1000), (45, k45), (99999999999, []), (20000, [])):
+        path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        for command in ("decide", "find-orientation", "count-orientations"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_arguments():
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--bogus"])

@@ -21,8 +21,11 @@ from wordrep.graphs import delete_vertex, enumerate_graphs, graph_from_edge_list
 from wordrep.orientations import (
     BACKWARD,
     FORWARD,
+    SEARCH_MAX_N,
     Orientation,
     SearchStats,
+    count_semi_transitive,
+    find_semi_transitive,
     is_semi_transitive,
 )
 
@@ -58,7 +61,7 @@ def test_complete_fast_path():
         assert d.witness.dirs == (FORWARD,) * len(complete(n).edges)
         assert is_semi_transitive(d.witness)
     # no special case: the search walks K20's 190 edges FORWARD and checks
-    # one leaf (about 20 ms); a leaf scan over every path takes seconds
+    # one leaf (about 2 ms); a leaf scan over every path takes seconds
     d, seconds = min((_timed_decide(complete(20)) for _ in range(3)),
                      key=lambda r: r[1])
     assert d.witness.dirs == (FORWARD,) * 190 and seconds < 0.2
@@ -73,6 +76,19 @@ def test_near_complete_is_fast():
                      key=lambda r: r[1])
     assert d.verdict == REPRESENTABLE and d.stats.shortcut_checks == 1
     assert seconds < 0.1
+
+
+def test_search_vertex_cap():
+    # the search recurses once per branched edge: K40's 780 levels stay
+    # under Python's default recursion limit of 1000
+    assert SEARCH_MAX_N == 40
+    assert decide(complete(40)).verdict == REPRESENTABLE
+    with pytest.raises(TooLargeError):
+        decide(complete(41))
+    for n in (41, 99999999999):
+        for search in (decide, find_semi_transitive, count_semi_transitive):
+            with pytest.raises(TooLargeError):
+                search(graph_from_edge_list(n, []))
 
 
 def test_nonrep_stats_cover_search():

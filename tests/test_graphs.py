@@ -22,7 +22,6 @@ from wordrep.graphs import (
     enumerate_graphs,
     find_proper_coloring,
     format_edge_list,
-    four_cycles,
     graph_from_edge_list,
     is_k4_free,
     parse_edge_list,
@@ -33,7 +32,6 @@ from helpers import (
     all_graphs,
     brute_canonical,
     random_graph,
-    ref_four_cycles,
 )
 
 K4 = graph_from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
@@ -135,32 +133,6 @@ def test_triangles():
     assert triangles(K4) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     assert triangles(C5) == []
     assert triangles(C4) == []
-
-
-def test_four_cycles_examples():
-    assert four_cycles(C4) == [(1, 2, 3, 4)]
-    assert len(four_cycles(K4)) == 3
-    a = bundled_graph("A")
-    assert (1, 2, 5, 6) in four_cycles(a)
-
-
-def test_four_cycles_against_quadruple_scan_small():
-    for n in range(1, 6):
-        for g in all_graphs(n):
-            assert four_cycles(g) == ref_four_cycles(g)
-
-
-def test_four_cycles_against_quadruple_scan_random_n6_n7():
-    rng = random.Random(1405)
-    for _ in range(150):
-        g = random_graph(rng, rng.randint(6, 7))
-        assert four_cycles(g) == ref_four_cycles(g)
-
-
-@pytest.mark.slow
-def test_four_cycles_against_quadruple_scan_all_n6():
-    for g in all_graphs(6):
-        assert four_cycles(g) == ref_four_cycles(g)
 
 
 def test_is_k4_free():

@@ -26,6 +26,7 @@ from wordrep.orientations import (
     Conflict,
     Orientation,
     SearchStats,
+    _cycle_triples,
     _Searcher,
     acyclic_orientations,
     count_semi_transitive,
@@ -44,8 +45,10 @@ from wordrep.orientations import (
 )
 
 from helpers import (
+    all_graphs,
     enumerate_total_orientations,
     random_graph,
+    ref_four_cycles,
     ref_is_acyclic,
     ref_is_semi_transitive,
     total_orientations_as_arcs,
@@ -183,11 +186,11 @@ def test_lemma1_forcing_on_c4():
 def test_lemma1_statement_on_all_classes():
     # no semi-transitive orientation has a 4-cycle with at most one chord
     # carrying three consecutively oriented edges
-    from wordrep.graphs import enumerate_graphs, four_cycles
+    from wordrep.graphs import enumerate_graphs
     for n in range(2, 6):
         for cls in enumerate_graphs(n):
             g = cls.graph
-            cycles = [(a, b, c, d) for a, b, c, d in four_cycles(g)
+            cycles = [(a, b, c, d) for a, b, c, d in ref_four_cycles(g)
                       if not (g.has_edge(a, c) and g.has_edge(b, d))]
             if not cycles:
                 continue
@@ -201,6 +204,40 @@ def test_lemma1_statement_on_all_classes():
                         run = [ring[i], ring[(i + 1) % 4], ring[(i + 2) % 4]]
                         assert not all(p in arcs for p in run)
                         assert not all((q, p) in arcs for p, q in run)
+
+
+def _ref_cycle_triples(g):
+    """The forcing rule's index rebuilt from the literal quadruple scan:
+    cycles with both chords dropped, each leg signed +1 when its stored
+    (u < v) direction agrees with the traversal a->b->c->d->a."""
+    by_edge = [[] for _ in g.edges]
+    for a, b, c, d in ref_four_cycles(g):
+        if g.has_edge(a, c) and g.has_edge(b, d):
+            continue
+        legs = [(g.edge_index[min(x, y), max(x, y)], 1 if x < y else -1)
+                for x, y in ((a, b), (b, c), (c, d), (d, a))]
+        for i in range(4):
+            tri = (legs[i], legs[(i + 1) % 4], legs[(i + 2) % 4])
+            for e, _sign in tri:
+                by_edge[e].append((tri, (a, b, c, d)))
+    return by_edge
+
+
+def test_cycle_triples_match_quadruple_scan():
+    # same triples in the same order: the order fixes the propagation queue
+    # and with it the search's counters
+    from wordrep.graphs import enumerate_graphs
+    rng = random.Random(1405)
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    graphs += [cls.graph for n in range(1, 8) for cls in enumerate_graphs(n)]
+    graphs += [random_graph(rng, rng.randint(6, 9), rng.choice((0.3, 0.5, 0.7, 0.9)))
+               for _ in range(120)]
+    graphs.append(bundled_graph("A"))
+    for g in graphs:
+        assert _cycle_triples(g) == _ref_cycle_triples(g)
+    # every 4-cycle of K20 has both chords
+    k20 = graph_from_edge_list(20, list(itertools.combinations(range(1, 21), 2)))
+    assert not any(_cycle_triples(k20))
 
 
 def test_acyclic_orientations_are_the_acyclic_sweep():

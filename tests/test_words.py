@@ -98,9 +98,14 @@ def test_graph_of_word_contiguity():
 def test_graph_of_word_is_one_pass():
     # every pair of 1 2 ... 1000 alternates; one pair test per rescan of
     # the word would cost about 5 * 10^8 letter visits
-    start = time.perf_counter()
-    g = graph_of_word(word_from_letters(range(1, 1001)))
-    assert time.perf_counter() - start < 1.0
+    # the best of 3 runs, so one run slowed by a busy machine does not fail
+    word = word_from_letters(range(1, 1001))
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        g = graph_of_word(word)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 1.0
     assert g.n == 1000 and g.is_complete()
 
 
