@@ -51,7 +51,6 @@ from .orientations import (
     lemma1_propagate,
     orient_by_coloring,
     orientation_from_arcs,
-    parse_orientation,
     reverse,
 )
 from .words import (
@@ -113,7 +112,6 @@ __all__ = [
     "orient_by_coloring",
     "orientation_from_arcs",
     "parse_edge_list",
-    "parse_orientation",
     "parse_word",
     "read_edge_list",
     "represents",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .decision import REPRESENTABLE, decide
-from .errors import TooLargeError
+from .errors import OutOfRangeError, TooLargeError
 from .graphs import ENUMERATE_MAX_N, enumerate_graphs
 
 
@@ -42,14 +42,12 @@ def _entropy(n: int, b_n: int) -> float | None:
     return math.log2(b_n) / pairs
 
 
-def census(n: int, long_ok: bool = False) -> SpeedRow:
+def census(n: int) -> SpeedRow:
     """Exact counts for vertex count n <= ENUMERATE_MAX_N (7).
 
     n = 7 takes about 0.4 s in process (class enumeration 0.13 s, 1,044
     decisions 0.26 s) and `census 7` about 0.6 s end to end, on a 2-core
-    Linux VM with Python 3.11.  long_ok is accepted and ignored: the
-    benchmark's perfbench/worker.py still passes it.
-    """
+    Linux VM with Python 3.11."""
     a_n = b_n = 0
     nonrep = []
     # enumerate every class before deciding any: interleaving the orbit
@@ -64,7 +62,10 @@ def census(n: int, long_ok: bool = False) -> SpeedRow:
 
 
 def entropy_table(n_max: int, long_ok: bool = False) -> list[SpeedRow]:
-    """Rows for n = 2..n_max; long_ok is ignored, as in census."""
+    """Rows for n = 2..n_max, 2 <= n_max <= ENUMERATE_MAX_N (7).  long_ok
+    does nothing; it stays only because perfbench/worker.py passes it."""
+    if n_max < 2:
+        raise OutOfRangeError(f"entropy table needs n >= 2, got {n_max}")
     if n_max > ENUMERATE_MAX_N:
         raise TooLargeError(
             f"entropy table supports n <= {ENUMERATE_MAX_N}, got {n_max}")

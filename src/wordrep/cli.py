@@ -20,7 +20,7 @@ from .decision import (
 )
 from .errors import WordrepError
 from .graphs import format_edge_list, read_edge_list
-from .orientations import count_semi_transitive, find_semi_transitive, format_orientation
+from .orientations import count_semi_transitive
 from .verify import checks_to_json, format_report, run_all_checks
 from .words import format_word, graph_of_word, parse_word, represents
 from .wordsearch import DEFAULT_K_MAX, find_word
@@ -36,7 +36,7 @@ def cmd_decide(args) -> int:
     if args.json:
         _emit_json(decision_to_json(d))
     else:
-        sys.stdout.write(decision_to_text(d, show_stats=args.stats))
+        sys.stdout.write(decision_to_text(d))
     return 1 if d.verdict == NON_REPRESENTABLE else 0
 
 
@@ -58,19 +58,6 @@ def cmd_graph_of_word(args) -> int:
     else:
         sys.stdout.write(format_edge_list(g))
     return 0
-
-
-def cmd_find_orientation(args) -> int:
-    g = read_edge_list(args.graph)
-    o = find_semi_transitive(g)
-    if args.json:
-        arcs = None if o is None else [list(o.arc(i)) for i in range(len(o.dirs))]
-        _emit_json({"orientation": arcs})
-    elif o is None:
-        print("None")
-    else:
-        sys.stdout.write(format_orientation(o))
-    return 0 if o is not None else 1
 
 
 def cmd_count_orientations(args) -> int:
@@ -134,10 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("decide", cmd_decide,
-            "decide whether a graph is word-representable")
+            "decide word-representability; the witness is a semi-transitive orientation")
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--stats", action="store_true",
-                   help="append search statistics to the text output")
 
     p = add("check-word", cmd_check_word,
             "check whether a word represents a graph")
@@ -148,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("graph-of-word", cmd_graph_of_word,
             "print the graph whose edges are the word's alternating pairs")
     p.add_argument("--word", required=True)
-
-    p = add("find-orientation", cmd_find_orientation,
-            "search for a semi-transitive orientation")
-    p.add_argument("graph", help="edge-list file")
 
     p = add("count-orientations", cmd_count_orientations,
             "count all semi-transitive orientations exactly")
@@ -179,10 +160,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WordrepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WordrepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,15 +67,9 @@ def decision_to_json(d: Decision) -> dict:
     return {"verdict": d.verdict, "witness": witness, "stats": asdict(d.stats)}
 
 
-def decision_to_text(d: Decision, show_stats: bool = False) -> str:
-    lines = [d.verdict]
-    if d.witness is not None:
-        lines.append(format_orientation(d.witness).rstrip("\n"))
-    if show_stats:
-        s = d.stats
-        lines.append(
-            f"nodes={s.nodes} propagations={s.propagations} "
-            f"shortcut_checks={s.shortcut_checks} "
-            f"shortcut_conflicts={s.shortcut_conflicts} "
-            f"wall_time_s={s.wall_time_s:.3f}")
-    return "\n".join(lines) + "\n"
+def decision_to_text(d: Decision) -> str:
+    """The verdict line, then the witness in format_orientation's text;
+    the search counters are in decision_to_json's stats."""
+    if d.witness is None:
+        return d.verdict + "\n"
+    return d.verdict + "\n" + format_orientation(d.witness)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -194,14 +193,14 @@ def write_edge_list(g: Graph, path) -> None:
 # triangles, K4
 
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """All triangles (u, v, w) with u < v < w, lexicographic order."""
+    """All triangles (u, v, w) with u < v < w, in lexicographic order: the
+    edges (u, v) are, and w rises."""
     out = []
     for u, v in g.edges:
         common = g.adj[u] & g.adj[v]
         for w in _bits(common):
             if w > v:
                 out.append((u, v, w))
-    out.sort()
     return out
 
 

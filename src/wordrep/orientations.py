@@ -32,7 +32,6 @@ from .errors import (
     CyclicInputError,
     ImproperColoringError,
     OutOfRangeError,
-    ParseError,
     PartialOrientationError,
     TooLargeError,
     TooManyColorsError,
@@ -324,7 +323,8 @@ class _Searcher:
     t and every ancestor of t also reach h and all h reaches; one product
     of the rows holding t (as their lowest bits) with that set writes it
     into each of them, with no carry between rows.  The int is immutable,
-    so undo restores the one saved with the oldest trail entry it pops.
+    so branch keeps the closure it had before each assignment and undo
+    restores it.
 
     Shortcut checks run at the leaves only, on the closure, with no path
     enumeration.  Arc u->v has a shortcut iff its interval I = {u, v} +
@@ -350,7 +350,6 @@ class _Searcher:
         self.col = sum(1 << v * self.w for v in range(self.w))
         self.closure = 0
         self.trail: list[int] = []  # assigned edges in order, for undo
-        self.saved: list[int] = []  # closure before each trail entry
         self.by_edge = _cycle_triples(g)
 
     def place(self, e: int, d: int) -> bool:
@@ -362,7 +361,6 @@ class _Searcher:
             return False
         self.dirs[e] = d
         self.trail.append(e)
-        self.saved.append(c)
         below = c >> h * w & self.row | 1 << h
         self.closure = c | (c >> t & self.col | 1 << t * w) * below
         return True
@@ -376,10 +374,10 @@ class _Searcher:
         self.stats.propagations += max(len(self.trail) - mark - 1, 0)
         return ok
 
-    def undo(self, mark: int) -> None:
-        if len(self.trail) > mark:
-            self.closure = self.saved[mark]
-            del self.saved[mark:]
+    def undo(self, mark: int, closure: int) -> None:
+        """Unassign every trail entry from mark on and restore the closure
+        kept before the first of them was placed."""
+        self.closure = closure
         while len(self.trail) > mark:
             self.dirs[self.trail.pop()] = None
 
@@ -425,12 +423,12 @@ class _Searcher:
             return int(self.leaf_ok())
         found = 0
         for d in (FORWARD,) if first_only and depth == 0 else (FORWARD, BACKWARD):
-            mark = len(self.trail)
+            mark, closure = len(self.trail), self.closure
             if self.assign(e, d):
                 found += self.branch(depth + 1, first_only)
                 if found and first_only:
                     return found
-            self.undo(mark)
+            self.undo(mark, closure)
         return found
 
 
@@ -508,7 +506,7 @@ def orient_by_coloring(g: Graph, coloring: VertexColoring) -> Orientation:
 
 
 # ---------------------------------------------------------------------------
-# text format: edge-list header, then one "t h >" line per stored edge
+# text format, output only: edge-list header, one "t h >" line per edge
 
 def format_orientation(o: Orientation) -> str:
     _require_total(o)
@@ -517,37 +515,3 @@ def format_orientation(o: Orientation) -> str:
         t, h = o.arc(i)
         lines.append(f"{t} {h} >")
     return "\n".join(lines) + "\n"
-
-
-def parse_orientation(text: str, g: Graph) -> Orientation:
-    arcs = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if not header_seen:
-            if len(tokens) != 2 or not all(t.isdigit() for t in tokens):
-                raise ParseError("expected 'n m' header", line=lineno)
-            if int(tokens[0]) != g.n or int(tokens[1]) != len(g.edges):
-                raise ParseError(
-                    f"header {line!r} does not match the graph "
-                    f"({g.n} {len(g.edges)})", line=lineno)
-            header_seen = True
-            continue
-        if len(tokens) != 3 or tokens[2] != ">" or \
-                not tokens[0].isdigit() or not tokens[1].isdigit():
-            raise ParseError(f"expected 'u v >', got {line!r}", line=lineno)
-        arcs.append((int(tokens[0]), int(tokens[1])))
-    if not header_seen:
-        raise ParseError("empty orientation: missing header")
-    if len(arcs) != len(g.edges):
-        raise ParseError(f"expected {len(g.edges)} arc lines, got {len(arcs)}")
-    for i, (t, h) in enumerate(arcs):
-        key = (t, h) if t < h else (h, t)
-        if key != g.edges[i]:
-            raise ParseError(
-                f"arc {t}->{h} out of stored edge order (expected edge "
-                f"{g.edges[i][0]}-{g.edges[i][1]})", line=i + 2)
-    return orientation_from_arcs(g, arcs, total=True)

@@ -34,10 +34,11 @@ def _check_m_word() -> list[CheckResult]:
     w = bundled_word("M")
     out = [CheckResult("m-word-represents", represents(w, m),
                        "1213423 represents the triangle 2-3-4 plus pendant edge 1-2")]
+    gw = graph_of_word(w)
     non_alt = tuple(
         (x, y)
         for x in range(1, 5) for y in range(x + 1, 5)
-        if not graph_of_word(w).has_edge(x, y))
+        if not gw.has_edge(x, y))
     out.append(CheckResult(
         "m-word-nonalternating-pairs",
         non_alt == ((1, 3), (1, 4)),

@@ -195,7 +195,7 @@ def test_criterion_08_census(capsys):
         failures.append(f"n=6 took {elapsed:.1f}s")
     if (row6.a_n, row6.b_n, row6.nonrep_classes) != (155, 32696, ("6:1eeb",)):
         failures.append(f"n=6 row {row6}")
-    row7 = census(7, long_ok=True)
+    row7 = census(7)
     a_key = canonical_key(bundled_graph("A"))
     if a_key not in row7.nonrep_classes:
         failures.append(f"{a_key} missing from n=7 non-representable classes")

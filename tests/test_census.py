@@ -13,7 +13,7 @@ import pytest
 
 from wordrep import REPRESENTABLE, census, decide, entropy_table
 from wordrep.census import SpeedRow, format_table
-from wordrep.errors import TooLargeError
+from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import enumerate_graphs, graph_from_edge_list
 
 
@@ -93,6 +93,14 @@ def test_entropy_table_rows():
     rows = entropy_table(5)
     assert [r.n for r in rows] == [2, 3, 4, 5]
     assert rows == [census(n) for n in range(2, 6)]
+
+
+def test_entropy_table_needs_a_row():
+    # rows start at n = 2, so a smaller n_max would give an empty table
+    for n_max in (1, 0, -3):
+        with pytest.raises(OutOfRangeError):
+            entropy_table(n_max)
+    assert [r.n for r in entropy_table(2)] == [2]
 
 
 def test_entropy_never_increases():

@@ -42,10 +42,13 @@ def test_decide_representable(capsys, graph_file):
 
 
 def test_decide_nonrepresentable(capsys, graph_file):
-    code, out, _ = run(capsys, "decide", graph_file("A"), "--stats")
+    code, out, _ = run(capsys, "decide", graph_file("A"))
+    assert (code, out) == (1, "NonRepresentable\n")
+    code, out, _ = run(capsys, "decide", graph_file("A"), "--json")
     assert code == 1
-    assert out.startswith("NonRepresentable\n")
-    assert "nodes=17" in out
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["witness"]) == ("NonRepresentable", None)
+    assert payload["stats"]["nodes"] == 17
 
 
 def test_decide_golden_json(capsys, graph_file):
@@ -89,21 +92,6 @@ def test_graph_of_word_json(capsys):
     code, out, _ = run(capsys, "graph-of-word", "--word", "11", "--json")
     assert code == 0
     assert json.loads(out) == {"n": 1, "edges": []}
-
-
-def test_find_orientation(capsys, graph_file):
-    code, out, _ = run(capsys, "find-orientation", graph_file("C5"))
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "5 5"
-    assert len(lines) == 6
-
-    code, out, _ = run(capsys, "find-orientation", graph_file("A"))
-    assert (code, out) == (1, "None\n")
-
-    code, out, _ = run(capsys, "find-orientation", graph_file("A"), "--json")
-    assert code == 1
-    assert json.loads(out) == {"orientation": None}
 
 
 def test_count_orientations(capsys, graph_file):
@@ -153,6 +141,16 @@ def test_census_cap_and_n7_row(capsys):
         "7", "1018", "2054480", "0.998588", "26"]
 
 
+def test_census_table_needs_a_row(capsys):
+    # the table's rows start at n = 2; a smaller n is an error, not an
+    # empty table
+    for argv in (("0", "--table"), ("-3", "--table"), ("1", "--table"),
+                 ("1", "--table", "--json")):
+        code, out, err = run(capsys, "census", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_paper(capsys):
     code, first, _ = run(capsys, "verify-paper")
     assert code == 0
@@ -198,7 +196,7 @@ def test_orientation_search_vertex_cap(capsys, tmp_path):
     path = tmp_path / "big.edges"
     for n, edges in ((1000, path_1000), (45, k45), (99999999999, []), (20000, [])):
         path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
-        for command in ("decide", "find-orientation", "count-orientations"):
+        for command in ("decide", "count-orientations"):
             code, out, err = run(capsys, command, str(path))
             assert (code, out) == (2, "")
             assert err.startswith("error:") and err.count("\n") == 1
@@ -211,6 +209,16 @@ def test_unknown_arguments():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_removed_paths_are_usage_errors(capsys, graph_file):
+    # decide prints the witness orientation, and decide --json the counters
+    path = graph_file("C5")
+    for argv in (["find-orientation", path], ["decide", path, "--stats"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_console_script(tmp_path):

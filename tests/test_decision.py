@@ -182,9 +182,7 @@ def test_decision_json_shape():
 
 
 def test_decision_text():
-    text = decision_to_text(decide(bundled_graph("A")), show_stats=True)
-    assert text.startswith("NonRepresentable\n")
-    assert "nodes=" in text
+    assert decision_to_text(decide(bundled_graph("A"))) == "NonRepresentable\n"
     text = decision_to_text(decide(bundled_graph("K4")))
     assert text.startswith("Representable\n")
     assert "1 2 >" in text

@@ -40,7 +40,6 @@ from wordrep.orientations import (
     lemma1_propagate,
     orient_by_coloring,
     orientation_from_arcs,
-    parse_orientation,
     reverse,
 )
 
@@ -425,11 +424,11 @@ def test_searcher_closure_invariant():
                 continue
             u, v = g.edges[e]
             arc = (u, v) if d == FORWARD else (v, u)
-            mark = len(s.trail)
+            mark, closure = len(s.trail), s.closure
             placed = s.place(e, d)
             assert placed == ref_is_acyclic(g.n, arcs + [arc])
             refusals += not placed
-            s.undo(mark)
+            s.undo(mark, closure)
             assert s.descendants() == desc and s.dirs[e] is None
 
     for _ in range(40):
@@ -438,14 +437,14 @@ def test_searcher_closure_invariant():
         for _ in range(40):
             free = [e for e, d in enumerate(s.dirs) if d is None]
             if free and (not marks or rng.random() < 0.7):
-                marks.append(len(s.trail))
+                marks.append((len(s.trail), s.closure))
                 ok = s.assign(rng.choice(free), rng.choice((FORWARD, BACKWARD)))
                 check(s)
                 if not ok:
-                    s.undo(marks.pop())
+                    s.undo(*marks.pop())
             elif marks:
                 k = rng.randrange(len(marks))
-                s.undo(marks[k])
+                s.undo(*marks[k])
                 del marks[k:]
             check(s)
     assert refusals > 100
@@ -485,27 +484,16 @@ def test_orient_by_coloring_guards():
 
 
 def test_orientation_format_round_trip():
-    for g in (K4, C4, C5):
-        for o in (increasing(g), reverse(increasing(g))):
-            text = format_orientation(o)
-            assert parse_orientation(text, g) == o
+    # the text format is output only: the "n m" header, then one "tail head >"
+    # line per stored edge, in stored edge order
+    assert format_orientation(increasing(K4)) == \
+        "4 6\n1 2 >\n1 3 >\n1 4 >\n2 3 >\n2 4 >\n3 4 >\n"
+    assert format_orientation(reverse(increasing(C5))) == \
+        "5 5\n2 1 >\n5 1 >\n3 2 >\n4 3 >\n5 4 >\n"
     o = orientation_from_arcs(C4, [(1, 2), (3, 2), (3, 4), (1, 4)], total=True)
-    text = format_orientation(o)
-    assert "3 2 >" in text.splitlines()
-    assert parse_orientation(text, C4) == o
-
-
-def test_orientation_parse_errors():
-    from wordrep.errors import ParseError
-    with pytest.raises(ParseError):
-        parse_orientation("", C4)
-    with pytest.raises(ParseError):
-        parse_orientation("4 4\n1 2 >\n", C4)
-    with pytest.raises(ParseError):
-        parse_orientation("4 3\n1 2 >\n2 3 >\n3 4 >\n", C4)
-    bad_order = "4 4\n2 3 >\n1 2 >\n3 4 >\n1 4 >\n"
-    with pytest.raises(ParseError):
-        parse_orientation(bad_order, C4)
+    assert format_orientation(o) == "4 4\n1 2 >\n1 4 >\n3 2 >\n3 4 >\n"
+    with pytest.raises(PartialOrientationError):
+        format_orientation(orientation_from_arcs(C4, [(1, 2)]))
 
 
 def test_conflict_witnesses_are_genuine():
