@@ -1,7 +1,8 @@
 """Directed side of the toolkit: orientations of a graph's edges,
 acyclicity, shortcut detection, semi-transitivity, the four-cycle forcing
-rule, the backtracking search for a semi-transitive orientation, and the
-vertex-order enumeration of acyclic orientations that re-checks it.
+rule, the backtracking search for a semi-transitive orientation (one
+connected component at a time), and the vertex-order enumeration of
+acyclic orientations that re-checks it.
 
 The search keeps a reachability closure of its partial orientation, so
 acyclicity is a one-bit test per arc and semi-transitivity at a leaf is a
@@ -24,7 +25,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from functools import reduce
+from operator import or_
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -219,26 +222,33 @@ def _cycle_triples(g: Graph) -> list[list[tuple]]:
     the adjacency masks: a is the smallest vertex, b < d, and c is opposite
     a.  When a-c is an edge, every d adjacent to b is dropped, so no cycle
     with both chords is visited."""
-    adj, index = g.adj, g.edge_index
+    adj = g.adj
     by_edge: list[list[tuple]] = [[] for _ in g.edges]
-
-    def leg(x: int, y: int) -> tuple[int, int]:
-        return (index[x, y], 1) if x < y else (index[y, x], -1)
-
+    leg = {}   # (x, y) -> the leg x->y as (edge index, sign)
+    for (u, v), i in g.edge_index.items():
+        leg[u, v] = (i, 1)
+        leg[v, u] = (i, -1)
     for a in g.vertices():
         above = -1 << a + 1
         for b in _bits(adj[a] & above):
+            ab = leg[a, b]
             for c in _bits(adj[b] & above):
                 ds = adj[a] & adj[c] & (-1 << b + 1)
                 if adj[a] >> c & 1:
                     ds &= ~adj[b]
+                if not ds:
+                    continue
+                bc = leg[b, c]
                 for d in _bits(ds):
                     cycle = (a, b, c, d)
-                    legs = (leg(a, b), leg(b, c), leg(c, d), leg(d, a))
-                    for i in range(4):
-                        tri = (legs[i], legs[(i + 1) % 4], legs[(i + 2) % 4])
-                        for e, _sign in tri:
-                            by_edge[e].append((tri, cycle))
+                    cd, da = leg[c, d], leg[d, a]
+                    # the four consecutive triples, each listed under its
+                    # three edges in leg order
+                    for tri in ((ab, bc, cd), (bc, cd, da), (cd, da, ab), (da, ab, bc)):
+                        entry = (tri, cycle)
+                        by_edge[tri[0][0]].append(entry)
+                        by_edge[tri[1][0]].append(entry)
+                        by_edge[tri[2][0]].append(entry)
     return by_edge
 
 
@@ -334,7 +344,10 @@ class _Searcher:
     it misses the edge x-y; conversely a shortcut path, so its
     non-adjacent pair, lies in I.  In an acyclic orientation x ~> y with
     x, y adjacent is the arc x->y, so the pairs to look for are y in
-    desc[x] & ~g.adj[x], with desc the unpacked rows."""
+    desc[x] & ~g.adj[x], with desc the unpacked rows.
+
+    The word search keeps one too: it places each word's first-occurrence
+    arcs through _propagate and place, and restores them with undo."""
 
     def __init__(self, g: Graph, stats: SearchStats):
         if g.n > SEARCH_MAX_N:
@@ -347,7 +360,7 @@ class _Searcher:
         self.w = g.n + 1
         self.row = (1 << self.w) - 1
         # bit 0 of every row: picks out the rows that hold a given vertex
-        self.col = sum(1 << v * self.w for v in range(self.w))
+        self.col = ((1 << self.w * self.w) - 1) // self.row
         self.closure = 0
         self.trail: list[int] = []  # assigned edges in order, for undo
         self.by_edge = _cycle_triples(g)
@@ -412,24 +425,64 @@ class _Searcher:
                     return False
         return True
 
-    def branch(self, depth: int, first_only: bool) -> int:
-        """Number of semi-transitive leaves below the current node.  With
-        first_only the walk stops at the first one, leaving it in self.dirs,
-        and skips the root's BACKWARD subtree: with nothing assigned yet it
+    def branch(self, edges: Sequence[int], depth: int, first_only: bool) -> int:
+        """Number of semi-transitive orientations of the given edges, one
+        connected component's, below the current node.  With first_only
+        the walk stops at the first one, leaving it in self.dirs, and skips
+        the root's BACKWARD subtree: with none of the edges assigned yet it
         holds exactly the reversals of the FORWARD one."""
         self.stats.nodes += 1
-        e = next((i for i in range(self.m) if self.dirs[i] is None), None)
+        e = next((i for i in edges if self.dirs[i] is None), None)
         if e is None:
             return int(self.leaf_ok())
         found = 0
         for d in (FORWARD,) if first_only and depth == 0 else (FORWARD, BACKWARD):
             mark, closure = len(self.trail), self.closure
             if self.assign(e, d):
-                found += self.branch(depth + 1, first_only)
+                found += self.branch(edges, depth + 1, first_only)
                 if found and first_only:
                     return found
             self.undo(mark, closure)
         return found
+
+
+def _components(g: Graph) -> list[Sequence[int]]:
+    """Stored edge indices of each connected component that has an edge,
+    components in the order of their first edge; every edge at once when
+    there are fewer than two."""
+    adj, comps = g.adj, []
+    left = reduce(or_, adj)   # the vertices with an edge
+    while left:
+        comp = frontier = left & -left
+        while frontier and comp != left:   # comp == left: nothing else to reach
+            low = frontier & -frontier
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier = frontier ^ low | new
+        left &= ~comp
+        comps.append(comp)
+    if len(comps) < 2:
+        return [range(len(g.edges))]
+    return [[i for i, (u, _) in enumerate(g.edges) if comp >> u & 1] for comp in comps]
+
+
+def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searcher]:
+    """The component searches in turn; the number of semi-transitive
+    orientations is the product of theirs, so a component without one ends
+    the search.  With first_only each found component keeps its arcs, and
+    the witness is the product of the components' FORWARD-first witnesses,
+    which is the FORWARD-first witness of g: the orientations of g are the
+    products of the components' ones, and its edge order interleaves
+    theirs."""
+    start = time.perf_counter()
+    searcher = _Searcher(g, stats)
+    found = 1
+    for edges in _components(g):
+        found *= searcher.branch(edges, 0, first_only)
+        if not found:
+            break
+    stats.wall_time_s += time.perf_counter() - start
+    return found, searcher
 
 
 def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientation | None:
@@ -437,12 +490,8 @@ def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientat
 
     Deterministic: the witness is the one the sequential FORWARD-first
     lexicographic search reaches first (its reversal is equally valid)."""
-    stats = stats if stats is not None else SearchStats()
-    start = time.perf_counter()
-    searcher = _Searcher(g, stats)
-    result = Orientation(g, tuple(searcher.dirs)) if searcher.branch(0, True) else None
-    stats.wall_time_s += time.perf_counter() - start
-    return result
+    found, searcher = _search(g, stats if stats is not None else SearchStats(), True)
+    return Orientation(g, tuple(searcher.dirs)) if found else None
 
 
 def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:
@@ -450,11 +499,7 @@ def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:
     if len(g.edges) > COUNT_MAX_EDGES:
         raise TooManyEdgesError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
-    stats = stats if stats is not None else SearchStats()
-    start = time.perf_counter()
-    result = _Searcher(g, stats).branch(0, False)
-    stats.wall_time_s += time.perf_counter() - start
-    return result
+    return _search(g, stats if stats is not None else SearchStats(), False)[0]
 
 
 def acyclic_orientations(g: Graph) -> Iterator[Orientation]:

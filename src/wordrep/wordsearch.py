@@ -26,6 +26,29 @@ left, a non-neighbour y that is not broken with x and has at most one
 copy left can never repeat either, so x is rejected too. Every pair is
 checked that way when its later letter runs out, so a finished word
 represents g.
+
+Orientation prune: orient each edge of g from the letter whose first
+copy comes first.  For a uniform word representing g this first-occurrence
+orientation is semi-transitive (Halldorsson, Kitaev & Pyatkin, "Semi-
+transitive orientations and word-representable graphs", DAM 2016).  So
+when x first appears, every edge from x to a letter not yet seen must
+point out of x; the edges to letters already seen were fixed when those
+appeared.  These arcs go into one _Searcher, the orientation search's
+state, kept for the whole call: _propagate places them through the
+four-cycle forcing rule and the closure's acyclicity test.  A conflict
+(a forced arc pointing the other way, a triple with three equal legs, or
+a directed cycle) rejects x; backtracking undoes the arcs.  Each forced
+arc holds in every semi-transitive orientation that extends the arcs in
+force, so the first-occurrence orientation of any representing word
+extends the partial orientation of each of its prefixes: no representing
+word is cut.  That holds for every word, so it holds for the ones starting
+with 1 that the cyclic-shift symmetry keeps (each judged by its own first
+occurrences), and the word found is the same lex-least one.
+
+The prune is off when g has no 4-cycle with at most one chord (Petersen,
+of girth 5, is such a graph): then nothing is ever forced, and arcs that
+all point from an earlier first copy to a later one follow one order and
+cannot close a cycle, so it would cut nothing and only cost time.
 """
 
 from __future__ import annotations
@@ -35,6 +58,7 @@ from dataclasses import dataclass
 
 from .errors import TooLargeError
 from .graphs import Graph
+from .orientations import BACKWARD, FORWARD, SearchStats, _propagate, _Searcher
 from .words import Word
 
 SEARCH_MAX_LETTERS = 30
@@ -66,12 +90,28 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     full = sum(1 << x for x in letters)
     adj = g.adj
     non = [0] + [full & ~adj[x] & ~(1 << x) for x in letters]
+    rem2 = full if k >= 2 else 0
+    if rem2 == 0 and any(non):
+        return None   # with one copy each, a non-edge can never repeat
+
     remaining = [k] * (n + 1)
+    st = _Searcher(g, SearchStats())
+    # after its first copy x has k - 1 left; with no 4-cycle triple the
+    # orientation prune cuts nothing, and -1 never matches
+    first_left = k - 1 if any(st.by_edge) else -1
+    by_edge, dirs, place = st.by_edge, st.dirs, st.place
+    # out_arcs[x]: (neighbour y, edge x-y, the direction x -> y)
+    out_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    for e, (u, v) in enumerate(g.edges):
+        out_arcs[u].append((v, e, FORWARD))
+        out_arcs[v].append((u, e, BACKWARD))
     word: list[int] = []
+    count = 0   # nodes; one add to the caller's list at the end is cheaper
 
     def search(wait: list[int], broken: list[int], rem2: int) -> bool:
         # the lists belong to the caller: children get copies
-        nodes[0] += 1
+        nonlocal count
+        count += 1
         if len(word) == length:
             return True   # each pair was checked when its later letter ran out
         for x in letters if word else (1,):   # cyclic shifts: start with 1
@@ -94,23 +134,33 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
                     fresh ^= low
             if not left and non[x] & ~child_broken[x] & ~child_rem2:
                 continue
+            if left == first_left:
+                # x's first copy: its edges to unseen letters point out of
+                # x.  An arc already in force is skipped; one forced the
+                # other way is refused by place, as it closes a cycle.
+                mark, closure = len(st.trail), st.closure
+                arcs = [(e, d) for y, e, d in out_arcs[x]
+                        if remaining[y] == k and dirs[e] != d]
+                if _propagate(by_edge, dirs, arcs, place) is not None:
+                    st.undo(mark, closure)
+                    continue
             not_x = ~bx
             child_wait = [w & not_x for w in wait]
-            child_wait[x] = adj[x] | non[x] & ~child_broken[x]
+            # every other letter, less the non-neighbours broken with x
+            child_wait[x] = full & not_x & ~child_broken[x]
             remaining[x] = left
             word.append(x)
             if search(child_wait, child_broken, child_rem2):
                 return True
             word.pop()
             remaining[x] = left + 1
+            if left == first_left:
+                st.undo(mark, closure)
         return False
 
-    rem2 = full if k >= 2 else 0
-    if rem2 == 0 and any(non):
-        return None   # with one copy each, a non-edge can never repeat
-    if search([0] * (n + 1), [0] * (n + 1), rem2):
-        return Word(tuple(word))
-    return None
+    found = search([0] * (n + 1), [0] * (n + 1), rem2)
+    nodes[0] += count
+    return Word(tuple(word)) if found else None
 
 
 def find_word(g: Graph, k_max: int = DEFAULT_K_MAX) -> WordSearchResult:

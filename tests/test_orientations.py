@@ -3,6 +3,7 @@ forcing rule, the search, and the coloring construction."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from wordrep.orientations import (
     FORWARD,
     Conflict,
     Orientation,
+    SEARCH_MAX_N,
     SearchStats,
     _cycle_triples,
     _Searcher,
@@ -300,6 +302,42 @@ def test_count_matches_naive_bit_for_bit():
         assert count_semi_transitive(g) == count_semi_transitive_naive(g)
 
 
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return graph_from_edge_list(offset, edges)
+
+
+def test_components_are_searched_in_turn():
+    # A after a 33-vertex path: A is refuted once, not once for every
+    # orientation of the path (about 7 * 10^10 nodes in one search)
+    path = graph_from_edge_list(33, [(v, v + 1) for v in range(1, 33)])
+    g = _disjoint_union(path, bundled_graph("A"))
+    assert g.n == SEARCH_MAX_N
+    stats = SearchStats()
+    start = time.perf_counter()
+    assert find_semi_transitive(g, stats) is None
+    assert time.perf_counter() - start < 1.0
+    # the path's 32 arcs and its leaf, then A's 17 nodes
+    assert stats.nodes == 33 + 17
+    assert count_semi_transitive(_disjoint_union(C4, C4, K3)) == 6 * 6 * 6 == 216
+
+
+def test_witness_is_lex_least_on_disjoint_unions():
+    # the first semi-transitive orientation in the vertex-order route's
+    # lexicographic order (FORWARD < BACKWARD) is the search's witness,
+    # and the count is the number of semi-transitive acyclic orientations
+    rng = random.Random(44)
+    for _ in range(30):
+        n1 = rng.randint(2, 6)
+        g = _disjoint_union(random_graph(rng, n1, 0.7), random_graph(rng, rng.randint(2, 8 - n1), 0.7))
+        valid = [o for o in acyclic_orientations(g) if is_semi_transitive(o)]
+        assert find_semi_transitive(g) == (valid[0] if valid else None)
+        assert count_semi_transitive(g) == len(valid)
+
+
 def test_count_too_many_edges():
     big = graph_from_edge_list(
         8, [(u, v) for u in range(1, 8) for v in range(u + 1, 9)])
@@ -345,12 +383,17 @@ def test_search_counters_locked():
     assert counters(decide(bundled_graph("A")).stats) == (17, 71, 0, 0)
     stats = SearchStats()
     total = sum(count_semi_transitive(cls.graph, stats) for cls in enumerate_graphs(6))
-    assert (total, counters(stats)) == (6533, (17574, 5844, 6643, 110))
+    # searching the components in turn moved these from (17574, 5844,
+    # 6643, 110): a disconnected graph's tree is a sum over components,
+    # not a product
+    assert (total, counters(stats)) == (6533, (17288, 5828, 6533, 110))
     runs = [(cls.graph.is_complete(), decide(cls.graph))
             for cls in enumerate_graphs(7)]
     assert sum(d.witness is None for _, d in runs) == 26
+    # one more node and leaf check for each further component with an edge
+    # (from 8936 and 1017)
     assert tuple(map(sum, zip(*(counters(d.stats) for k7, d in runs if not k7)))) == \
-        (8936, 5249, 1017, 0)
+        (8987, 5249, 1068, 0)
     # K7 is searched like any graph: its 21 edges FORWARD, one leaf
     assert [counters(d.stats) for k7, d in runs if k7] == [(22, 0, 1, 0)]
 

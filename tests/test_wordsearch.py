@@ -7,10 +7,10 @@ from collections import Counter
 import pytest
 
 from wordrep.bundled import bundled_graph
-from wordrep.decision import REPRESENTABLE, decide
 from wordrep.errors import TooLargeError
 from wordrep.graphs import enumerate_graphs, graph_from_edge_list
-from wordrep.words import represents, uniformity
+from wordrep.orientations import acyclic_orientations, is_semi_transitive
+from wordrep.words import Word, graph_of_word, represents, uniformity
 from wordrep.wordsearch import find_k_uniform_word, find_word
 
 from helpers import k_uniform_words, naive_lex_min_word, random_graph
@@ -121,30 +121,55 @@ def test_k_uniform_words_order():
                 sorted(set(itertools.permutations(multiset)))
 
 
-def test_word_search_agrees_with_decide_n6():
+def test_word_search_agrees_with_vertex_orders_n6():
+    # refutations are re-checked by the vertex-order route, which shares
+    # no code with the forcing rule the word search now prunes by
     found_at = Counter()
     for cls in enumerate_graphs(6):
-        res = find_word(cls.graph, 3)
-        assert (res.word is not None) == (decide(cls.graph).verdict == REPRESENTABLE)
+        g = cls.graph
+        res = find_word(g, 3)
+        if res.word is not None:
+            assert represents(res.word, g)
+        else:
+            assert not any(map(is_semi_transitive, acyclic_orientations(g)))
         found_at[res.k_tried if res.word is not None else None] += 1
     assert found_at == {1: 1, 2: 153, 3: 1, None: 1}
 
 
+def test_search_keeps_the_rotations_of_random_words():
+    # a rotation of a uniform word represents the same graph, so each
+    # rotation of w that starts with 1 bounds the lex-least word from
+    # above; a prune that dropped a representing word would return a
+    # greater word or None
+    rng = random.Random(2016)
+    for _ in range(80):
+        n = rng.randint(6, 7)
+        letters = [x for x in range(1, n + 1) for _ in range(2)]
+        rng.shuffle(letters)
+        rotation = min(tuple(letters[i:] + letters[:i])
+                       for i, x in enumerate(letters) if x == 1)
+        g = graph_of_word(Word(tuple(letters)))
+        got = find_k_uniform_word(g, 2)
+        assert got is not None and got.letters <= rotation
+
+
 def test_word_search_counters_locked():
     # node counts of fixed runs, so a refactor cannot silently change the
-    # search tree; refutations search only the words starting with 1
+    # search tree; refutations search only the words starting with 1.
+    # The first-occurrence orientation prune moved them: W5 at k = 2 from
+    # 405 to 4, A from 88,162 to 52 and the sweep from 1,387 to 1,349
     counter = [0]
     assert find_k_uniform_word(W5, 2, counter) is None
-    assert counter == [405]
+    assert counter == [4]
     assert {name: find_word(bundled_graph(name), 3).nodes
             for name in ("A", "M", "K4", "C5")} == \
-        {"A": 88162, "M": 9, "K4": 5, "C5": 26}
+        {"A": 52, "M": 9, "K4": 5, "C5": 26}
     counter = [0]
     for n in range(1, 6):
         for cls in enumerate_graphs(n):
             for k in range(1, 4):
                 find_k_uniform_word(cls.graph, k, counter)
-    assert counter == [1387]
+    assert counter == [1349]
 
 
 @pytest.mark.slow
