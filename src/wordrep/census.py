@@ -45,9 +45,9 @@ def _entropy(n: int, b_n: int) -> float | None:
 def census(n: int) -> SpeedRow:
     """Exact counts for vertex count n <= ENUMERATE_MAX_N (7).
 
-    n = 7 takes about 0.4 s in process (class enumeration 0.13 s, 1,044
-    decisions 0.26 s) and `census 7` about 0.6 s end to end, on a 2-core
-    Linux VM with Python 3.11."""
+    n = 7 takes about 0.25 s in process once numpy is loaded (class
+    enumeration 0.09 s, 1,044 decisions 0.16 s) and `census 7` about 0.4 s
+    end to end, on a 2-core Linux VM with Python 3.11."""
     a_n = b_n = 0
     nonrep = []
     # enumerate every class before deciding any: interleaving the orbit

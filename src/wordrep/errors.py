@@ -11,7 +11,8 @@ class WordrepError(Exception):
 
 
 class OutOfRangeError(WordrepError):
-    """An edge endpoint or vertex label lies outside 1..n."""
+    """A value lies outside its range: an edge endpoint or vertex label
+    outside 1..n, or a count (vertices, multiplicity, table rows) too small."""
 
 
 class SelfLoopError(WordrepError):

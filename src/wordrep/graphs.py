@@ -15,9 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
     OutOfRangeError,
@@ -25,6 +23,9 @@ from .errors import (
     SelfLoopError,
     TooLargeError,
 )
+
+if TYPE_CHECKING:   # the functions that use numpy import it themselves
+    import numpy as np
 
 CANONICAL_MAX_N = 8
 ENUMERATE_MAX_N = 7
@@ -286,6 +287,7 @@ def _permutations(n: int) -> np.ndarray:
     """The n! permutations of 0..n-1 as int8 rows, itertools order.  Row p
     relabels v as p[v - 1] + 1, or as a vertex order puts v at position
     p[v - 1]; _perm_tables and acyclic_orientations share it."""
+    import numpy as np
     return np.array(list(itertools.permutations(range(n))), np.int8).reshape(-1, n)
 
 
@@ -298,6 +300,7 @@ def _perm_tables(n: int) -> np.ndarray:
     28 x 40320 (4.5 MB) at n = 8.  Codes stay below 2^28 for n <= 8, so
     int32 holds every value and every sum.
     """
+    import numpy as np
     pairs = _pairs(n)
     perms = _permutations(n)
     weight = np.zeros((n, n), dtype=np.int32)   # slot value of each pair
@@ -312,7 +315,7 @@ def _orbit_codes(n: int, mask: int) -> np.ndarray:
     values = _perm_tables(n)
     s = len(values)
     edge_slots = [i for i in range(s) if mask >> (s - 1 - i) & 1]
-    return values[edge_slots].sum(axis=0, dtype=np.int32)
+    return values[edge_slots].sum(axis=0, dtype=values.dtype)
 
 
 @dataclass(frozen=True)
@@ -367,7 +370,8 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
     form by construction.  A class costs one gather-sum over the relabel
     table (its n! orbit codes), one scatter of those codes into the seen
     array, and one scan to the next unmarked mask: n = 7 (1,044 classes)
-    takes about 0.13 s on a 2-core Linux VM with Python 3.11.
+    takes about 0.09 s once the relabel table is built, on a 2-core Linux
+    VM with Python 3.11.
     """
     if n > ENUMERATE_MAX_N:
         raise TooLargeError(
@@ -377,6 +381,7 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
     if n == 1:
         yield GraphClass(Graph(1, ()), CanonicalForm(1, 0), 1, 1)
         return
+    import numpy as np
     fact = math.factorial(n)
     seen = bytearray(1 << (n * (n - 1) // 2))
     marks = np.frombuffer(seen, dtype=np.uint8)

@@ -29,8 +29,6 @@ from functools import reduce
 from operator import or_
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     CyclicInputError,
     ImproperColoringError,
@@ -510,6 +508,7 @@ def acyclic_orientations(g: Graph) -> Iterator[Orientation]:
     if g.n > CANONICAL_MAX_N:
         raise TooLargeError(
             f"vertex-order enumeration supports n <= {CANONICAL_MAX_N}, got {g.n}")
+    import numpy as np
     pos = _permutations(g.n)
     # back[p, e]: stored edge e = (u, v) points backward, v is before u in p
     back = pos[:, [u - 1 for u, _ in g.edges]] > pos[:, [v - 1 for _, v in g.edges]]

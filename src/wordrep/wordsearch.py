@@ -56,7 +56,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import TooLargeError
+from .errors import OutOfRangeError, TooLargeError
 from .graphs import Graph
 from .orientations import BACKWARD, FORWARD, SearchStats, _propagate, _Searcher
 from .words import Word
@@ -77,7 +77,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     """First k-uniform representing word in the deterministic order, or
     None when no k-uniform word represents g."""
     if k < 1:
-        raise TooLargeError(f"multiplicity must be >= 1, got {k}")
+        raise OutOfRangeError(f"multiplicity must be >= 1, got {k}")
     if g.n * k > SEARCH_MAX_LETTERS:
         raise TooLargeError(
             f"word search capped at {SEARCH_MAX_LETTERS} letters, "
@@ -166,7 +166,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
 def find_word(g: Graph, k_max: int = DEFAULT_K_MAX) -> WordSearchResult:
     """Iterate k = 1..k_max, returning the first success."""
     if k_max < 1:
-        raise TooLargeError(f"k_max must be >= 1, got {k_max}")
+        raise OutOfRangeError(f"k_max must be >= 1, got {k_max}")
     counter = [0]
     start = time.perf_counter()
     for k in range(1, k_max + 1):

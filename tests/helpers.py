@@ -12,6 +12,8 @@ import itertools
 import operator
 import random
 
+import numpy as np
+
 from wordrep.graphs import Graph, graph_from_edge_list
 from wordrep.orientations import BACKWARD, FORWARD, Orientation
 
@@ -61,6 +63,53 @@ def naive_lex_min_word(g: Graph, k: int):
         else:
             return letters
     return None
+
+
+def two_uniform_placements(n: int):
+    """Every 2-uniform word on letters 1..n, as int8 blocks of letter
+    positions: pos[r, x] holds the two ascending positions of letter x + 1
+    in word r.  One block per pair of slots that letter 1 takes, so a
+    caller holds 1/C(2n, 2) of the words at a time (113,400 at n = 6)."""
+    rest = (np.concatenate(list(two_uniform_placements(n - 1))) if n > 1
+            else np.zeros((1, 0, 2), np.int8))
+    for a, b in itertools.combinations(range(2 * n), 2):
+        free = np.delete(np.arange(2 * n, dtype=np.int8), [a, b])
+        block = np.empty((len(rest), n, 2), np.int8)
+        block[:, 0] = a, b
+        block[:, 1:] = free[rest]
+        yield block
+
+
+def placement_alternates(pos, x: int, y: int):
+    """Per word, whether letters x and y alternate: exactly one y lies
+    between the two x's."""
+    a1, a2, b1, b2 = pos[:, x - 1, 0], pos[:, x - 1, 1], pos[:, y - 1, 0], pos[:, y - 1, 1]
+    return ((a1 < b1) & (b1 < a2)) != ((a1 < b2) & (b2 < a2))
+
+
+def placement_words(pos):
+    """The words, as tuples, whose letter positions pos holds."""
+    rows, n, _ = pos.shape
+    words = np.empty((rows, 2 * n), np.int8)
+    letters = np.repeat(np.arange(1, n + 1, dtype=np.int8), 2)
+    np.put_along_axis(words, pos.reshape(rows, 2 * n).astype(np.intp),
+                      np.broadcast_to(letters, words.shape), axis=1)
+    return [tuple(w) for w in words.tolist()]
+
+
+def lex_min_2_uniform_word(g: Graph):
+    """naive_lex_min_word(g, 2) vectorised: every 2-uniform word, and
+    every letter pair in it, is tested against g's edges, one block of
+    placements at a time."""
+    pairs = [(x, y, g.has_edge(x, y))
+             for x, y in itertools.combinations(range(1, g.n + 1), 2)]
+    found = []
+    for pos in two_uniform_placements(g.n):
+        ok = np.ones(len(pos), bool)
+        for x, y, adjacent in pairs:
+            ok &= placement_alternates(pos, x, y) == adjacent
+        found.extend(placement_words(pos[ok]))
+    return min(found, default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Exit code contract: 0 positive, 1 negative answer, 2 usage/parse error.
 """
 
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import wordrep
 from wordrep.bundled import bundled_graph
 from wordrep.cli import main
 from wordrep.graphs import parse_edge_list, write_edge_list
@@ -117,6 +119,10 @@ def test_find_word(capsys, graph_file):
     assert payload["k_tried"] == 1
     assert payload["nodes"] >= 1
 
+    code, out, err = run(capsys, "find-word", graph_file("K4"), "--k-max", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: k_max must be >= 1, got 0\n"
+
 
 def test_census_text_and_json(capsys):
     code, out, _ = run(capsys, "census", "4", "--table")
@@ -219,6 +225,37 @@ def test_removed_paths_are_usage_errors(capsys, graph_file):
             main(argv)
         assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def _modules_after(*argvs):
+    """Run each argv through main() in one fresh interpreter; return the
+    exit codes and whether numpy was imported."""
+    script = (
+        "import json, sys\n"
+        "from wordrep.cli import main\n"
+        f"codes = [main(argv) for argv in {list(argvs)!r}]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+    src = pathlib.Path(wordrep.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stderr == ""
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_search_and_word_commands_never_import_numpy():
+    # numpy costs about 0.15 s of start-up, and only class enumeration,
+    # canonical forms and the vertex-order re-check use it
+    data = pathlib.Path(wordrep.__file__).parent / "data"
+    codes, numpy_loaded = _modules_after(
+        ["decide", str(data / "A.edges")],
+        ["count-orientations", str(data / "K4.edges")],
+        ["find-word", str(data / "M.edges")],
+        ["check-word", str(data / "M.edges"), "--word", "1213423"],
+        ["graph-of-word", "--word", "1213423"])
+    assert codes == [1, 0, 0, 0, 0]
+    assert not numpy_loaded
+    # the control: census enumerates classes, so it does load numpy
+    assert _modules_after(["census", "3"]) == [[0], True]
 
 
 def test_console_script(tmp_path):

@@ -4,16 +4,27 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from wordrep.bundled import bundled_graph
-from wordrep.errors import TooLargeError
+from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import enumerate_graphs, graph_from_edge_list
 from wordrep.orientations import acyclic_orientations, is_semi_transitive
 from wordrep.words import Word, graph_of_word, represents, uniformity
 from wordrep.wordsearch import find_k_uniform_word, find_word
 
-from helpers import k_uniform_words, naive_lex_min_word, random_graph
+from helpers import (
+    all_graphs,
+    k_uniform_words,
+    lex_min_2_uniform_word,
+    naive_lex_min_word,
+    placement_alternates,
+    placement_words,
+    random_graph,
+    ref_alternates,
+    two_uniform_placements,
+)
 
 K4 = graph_from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 M = graph_from_edge_list(4, [(1, 2), (2, 3), (2, 4), (3, 4)])
@@ -46,12 +57,16 @@ def test_find_word_examples():
 
 
 def test_guards():
-    with pytest.raises(TooLargeError):
+    # a multiplicity below 1 is out of range; one above the letter cap is
+    # too large
+    with pytest.raises(OutOfRangeError):
         find_k_uniform_word(K4, 0)
     with pytest.raises(TooLargeError):
         find_k_uniform_word(bundled_graph("petersen"), 4)   # 40 letters
-    with pytest.raises(TooLargeError):
+    with pytest.raises(OutOfRangeError):
         find_word(K4, 0)
+    with pytest.raises(OutOfRangeError):
+        find_word(K4, k_max=0)
 
 
 def test_deterministic():
@@ -105,11 +120,29 @@ def test_search_equals_generate_and_test_longer_words():
             assert got is not None and got.letters == expected
 
 
-@pytest.mark.slow
 def test_wheel_has_no_2_uniform_word():
-    # the full 12-letter enumeration agrees with the pruned search
+    # the full 12-letter enumeration agrees with the pruned search; the
+    # vectorised oracle tests all 7,484,400 words in about 1 s, where the
+    # pure-Python one took about 25 s
     assert find_k_uniform_word(W5, 2) is None
-    assert naive_lex_min_word(W5, 2) is None
+    assert lex_min_2_uniform_word(W5) is None
+
+
+def test_vectorised_oracle_matches_the_naive_one():
+    # the placements are every 2-uniform word once, their alternation is
+    # the literal one, and the vectorised oracle finds the naive oracle's
+    # word on every labelled graph (so every class) with n <= 4
+    for n in range(1, 5):
+        pos = np.concatenate(list(two_uniform_placements(n)))
+        words = placement_words(pos)
+        assert sorted(words) == list(k_uniform_words(n, 2))
+        for x, y in itertools.combinations(range(1, n + 1), 2):
+            assert placement_alternates(pos, x, y).tolist() == \
+                [ref_alternates(w, x, y) for w in words]
+        for g in all_graphs(n):
+            assert lex_min_2_uniform_word(g) == naive_lex_min_word(g, 2)
+    blocks = [len(pos) for pos in two_uniform_placements(6)]
+    assert blocks == [113400] * 66   # 66 * 10! / 2^5 = 12! / 2^6 words
 
 
 def test_k_uniform_words_order():
