@@ -23,8 +23,6 @@ from .graphs import (
     VertexColoring,
     are_isomorphic,
     canonical_form,
-    canonical_key,
-    complement,
     delete_vertex,
     enumerate_graphs,
     find_proper_coloring,
@@ -33,7 +31,6 @@ from .graphs import (
     is_k4_free,
     parse_edge_list,
     read_edge_list,
-    triangles,
     write_edge_list,
 )
 from .orientations import (
@@ -46,16 +43,13 @@ from .orientations import (
     find_shortcut,
     find_semi_transitive,
     format_orientation,
-    is_acyclic,
     is_semi_transitive,
     lemma1_propagate,
     orient_by_coloring,
     orientation_from_arcs,
-    reverse,
 )
 from .words import (
     Word,
-    alternates,
     format_word,
     graph_of_word,
     parse_word,
@@ -84,12 +78,9 @@ __all__ = [
     "Word",
     "WordSearchResult",
     "WordrepError",
-    "alternates",
     "are_isomorphic",
     "canonical_form",
-    "canonical_key",
     "census",
-    "complement",
     "count_semi_transitive",
     "decide",
     "delete_vertex",
@@ -105,7 +96,6 @@ __all__ = [
     "format_word",
     "graph_from_edge_list",
     "graph_of_word",
-    "is_acyclic",
     "is_k4_free",
     "is_semi_transitive",
     "lemma1_propagate",
@@ -115,8 +105,6 @@ __all__ = [
     "parse_word",
     "read_edge_list",
     "represents",
-    "reverse",
-    "triangles",
     "uniformity",
     "verify_certificate",
     "word_from_letters",

@@ -23,14 +23,6 @@ class TooLargeError(WordrepError):
     """Input exceeds the supported exhaustive-search range."""
 
 
-class SameLetterError(WordrepError):
-    """An alternation query was made with x == y."""
-
-
-class NotInAlphabetError(WordrepError):
-    """A queried letter does not occur in the word."""
-
-
 class NonContiguousAlphabetError(WordrepError):
     """A word's alphabet is not {1, ..., n} for any n."""
 
@@ -64,7 +56,7 @@ class TooManyColorsError(WordrepError):
 
 
 class ParseError(WordrepError):
-    """A text input (edge list, word, orientation) failed to parse."""
+    """A text input (edge list or word) failed to parse."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line

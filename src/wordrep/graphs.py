@@ -1,7 +1,6 @@
 """Undirected simple graphs on vertices 1..n, plus the small-n machinery
-that everything else leans on: triangle iteration, K4 detection,
-proper colorings, canonical forms, isomorphism, and exhaustive enumeration
-of isomorphism classes.
+that everything else leans on: K4 detection, proper colorings, canonical
+forms, isomorphism, and exhaustive enumeration of isomorphism classes.
 
 Vertices are always the contiguous labels 1..n.  Adjacency is kept as one
 bitmask per vertex (bit v set in adj[u] means u ~ v), which is the cheapest
@@ -59,9 +58,6 @@ class Graph:
             return False
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[v]))
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -70,9 +66,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max(self.degree_sequence())
-
-    def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
 
     def is_connected(self) -> bool:
         if self.n == 1:
@@ -123,10 +116,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return graph_from_edge_list(g.n - 1, kept)
 
 
-def complement(g: Graph) -> Graph:
-    return graph_from_edge_list(g.n, [p for p in _pairs(g.n) if not g.has_edge(*p)])
-
-
 # ---------------------------------------------------------------------------
 # edge-list text format: first significant line "n m", then m lines "u v";
 # full-line "#" comments and blank lines allowed anywhere
@@ -142,8 +131,9 @@ def parse_edge_list(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if any(not t.isdigit() for t in tokens):
-            bad = next(t for t in tokens if not t.isdigit())
+        # ASCII only: str.isdigit also accepts "²" and "٣"
+        bad = next((t for t in tokens if not (t.isascii() and t.isdigit())), None)
+        if bad is not None:
             raise ParseError(f"expected decimal integers, got {bad!r}", line=lineno,
                              column=raw.index(bad) + 1)
         if len(tokens) != 2:
@@ -191,24 +181,16 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# triangles, K4
-
-def triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """All triangles (u, v, w) with u < v < w, in lexicographic order: the
-    edges (u, v) are, and w rises."""
-    out = []
-    for u, v in g.edges:
-        common = g.adj[u] & g.adj[v]
-        for w in _bits(common):
-            if w > v:
-                out.append((u, v, w))
-    return out
-
+# K4
 
 def is_k4_free(g: Graph) -> bool:
-    for u, v, w in triangles(g):
-        if g.adj[u] & g.adj[v] & g.adj[w]:
-            return False
+    """No edge u-v has two adjacent common neighbours."""
+    adj = g.adj
+    for u, v in g.edges:
+        common = adj[u] & adj[v]
+        for w in _bits(common):
+            if adj[w] & common:
+                return False
     return True
 
 
@@ -326,11 +308,6 @@ class CanonicalForm:
     code: int
 
     @property
-    def bit_string(self) -> str:
-        s = self.n * (self.n - 1) // 2
-        return format(self.code, f"0{s}b") if s else ""
-
-    @property
     def key(self) -> str:
         s = self.n * (self.n - 1) // 2
         width = max(1, (s + 3) // 4)
@@ -345,10 +322,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
         return CanonicalForm(1, 0)
     codes = _orbit_codes(g.n, _edge_mask(g))
     return CanonicalForm(g.n, int(codes.min()))
-
-
-def canonical_key(g: Graph) -> str:
-    return canonical_form(g).key
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,7 @@ class SearchStats:
     wall_time_s: float = 0.0
 
 
-def empty_orientation(g: Graph) -> Orientation:
-    return Orientation(g, (None,) * len(g.edges))
-
-
-def orientation_from_arcs(g: Graph, arcs, total: bool = False) -> Orientation:
+def orientation_from_arcs(g: Graph, arcs) -> Orientation:
     """Build an orientation from (tail, head) pairs."""
     dirs: list[int | None] = [None] * len(g.edges)
     for t, h in arcs:
@@ -109,15 +105,7 @@ def orientation_from_arcs(g: Graph, arcs, total: bool = False) -> Orientation:
         if dirs[idx] is not None and dirs[idx] != d:
             raise WordrepError(f"edge {key[0]}-{key[1]} given both directions")
         dirs[idx] = d
-    o = Orientation(g, tuple(dirs))
-    if total and not o.is_total:
-        raise PartialOrientationError("arcs do not cover every edge")
-    return o
-
-
-def reverse(o: Orientation) -> Orientation:
-    _require_total(o)
-    return Orientation(o.base, tuple(-d for d in o.dirs))
+    return Orientation(g, tuple(dirs))
 
 
 def _require_total(o: Orientation) -> None:
@@ -125,18 +113,6 @@ def _require_total(o: Orientation) -> None:
         unassigned = sum(1 for d in o.dirs if d is None)
         raise PartialOrientationError(
             f"operation needs a total orientation ({unassigned} edges unassigned)")
-
-
-def _out_masks(o: Orientation) -> list[int]:
-    out = [0] * (o.base.n + 1)
-    for t, h in o.arcs():
-        out[t] |= 1 << h
-    return out
-
-
-def is_acyclic(o: Orientation) -> bool:
-    _require_total(o)
-    return _acyclic(o.base.n, _out_masks(o))
 
 
 def _acyclic(n: int, out: list[int]) -> bool:
@@ -165,7 +141,9 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     the path.
     """
     _require_total(o)
-    out = _out_masks(o)
+    out = [0] * (o.base.n + 1)
+    for t, h in o.arcs():
+        out[t] |= 1 << h
     if not _acyclic(o.base.n, out):
         raise CyclicInputError("shortcut detection needs an acyclic orientation")
     arcs = [o.arc(i) for i in range(len(o.dirs))]

@@ -14,10 +14,8 @@ from functools import cached_property
 from .errors import (
     AlphabetMismatchError,
     NonContiguousAlphabetError,
-    NotInAlphabetError,
     OutOfRangeError,
     ParseError,
-    SameLetterError,
 )
 from .graphs import Graph, _pairs
 
@@ -42,23 +40,6 @@ def word_from_letters(letters) -> Word:
         if x < 1:
             raise OutOfRangeError(f"letters are positive integers, got {x}")
     return Word(letters)
-
-
-def alternates(w: Word, x: int, y: int) -> bool:
-    """True iff the subsequence of w restricted to {x, y} strictly alternates."""
-    if x == y:
-        raise SameLetterError(f"alternation needs two distinct letters, got {x} twice")
-    if x not in w.alphabet:
-        raise NotInAlphabetError(f"letter {x} does not occur in the word")
-    if y not in w.alphabet:
-        raise NotInAlphabetError(f"letter {y} does not occur in the word")
-    last = 0
-    for a in w.letters:
-        if a == x or a == y:
-            if a == last:
-                return False
-            last = a
-    return True
 
 
 def graph_of_word(w: Word) -> Graph:
@@ -108,27 +89,6 @@ def uniformity(w: Word) -> int | None:
     return None
 
 
-def reverse_word(w: Word) -> Word:
-    return Word(tuple(reversed(w.letters)))
-
-
-def delete_letter(w: Word, x: int) -> Word:
-    """Remove every occurrence of x.  The result keeps the other labels as
-    they are, so its alphabet is usually non-contiguous; relabel_contiguous
-    restores 1..m."""
-    if x not in w.alphabet:
-        raise NotInAlphabetError(f"letter {x} does not occur in the word")
-    kept = tuple(a for a in w.letters if a != x)
-    if not kept:
-        raise OutOfRangeError("deleting the only letter would leave an empty word")
-    return Word(kept)
-
-
-def relabel_contiguous(w: Word) -> Word:
-    mapping = {a: i for i, a in enumerate(sorted(w.alphabet), start=1)}
-    return Word(tuple(mapping[a] for a in w.letters))
-
-
 # ---------------------------------------------------------------------------
 # parsing and formatting
 #
@@ -137,9 +97,10 @@ def relabel_contiguous(w: Word) -> Word:
 #   "1213423"                 compact digits, one letter per digit, labels <= 9
 #   "1387296(10)74..."        compact digits with parenthesized multi-digit
 #                             letters, as printed in running text
-# Output is always whitespace-separated decimal tokens.
+# Output is always whitespace-separated decimal tokens.  Digits are ASCII
+# only: str.isdigit and \d also accept "²" and "٣".
 
-_COMPACT_RE = re.compile(r"[1-9]|\((\d+)\)")
+_COMPACT_RE = re.compile(r"[1-9]|\(([0-9]+)\)")
 
 
 def parse_word(text: str) -> Word:
@@ -151,7 +112,7 @@ def parse_word(text: str) -> Word:
         for tok in re.split(r"[\s,]+", stripped):
             if not tok:
                 continue
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise ParseError(f"not a decimal letter: {tok!r}")
             val = int(tok)
             if val < 1:
@@ -159,7 +120,7 @@ def parse_word(text: str) -> Word:
             letters.append(val)
         return word_from_letters(letters)
     if len(stripped) == 1:
-        if not stripped.isdigit() or stripped == "0":
+        if stripped not in "123456789":
             raise ParseError(f"not a letter: {stripped!r}")
         return Word((int(stripped),))
     # compact form; "0" is never a label, so a bare 0 digit is an error and

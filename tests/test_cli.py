@@ -208,6 +208,29 @@ def test_orientation_search_vertex_cap(capsys, tmp_path):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_non_ascii_digits_are_parse_errors(tmp_path):
+    # str.isdigit accepts "\u00b3" (superscript three) and "\u0663"
+    # (Arabic-Indic three); int() rejects the first and reads the second as
+    # 3.  One fresh interpreter runs every case, so a crash would print a
+    # traceback on its stderr.
+    argvs = []
+    for digit in ("\u00b3", "\u0663"):
+        path = tmp_path / f"{ord(digit)}.edges"
+        path.write_text(f"3 1\n2 {digit}\n", encoding="utf-8")
+        argvs += [["decide", str(path)], ["graph-of-word", "--word", f"1 2 {digit}"],
+                  ["graph-of-word", "--word", digit]]
+    script = ("import sys\nfrom wordrep.cli import main\n"
+              f"print([main(argv) for argv in {argvs!r}])\n")
+    src = pathlib.Path(wordrep.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"})
+    assert proc.stdout == f"{[2] * len(argvs)}\n"
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") == len(argvs)
+
+
 def test_unknown_arguments():
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--bogus"])

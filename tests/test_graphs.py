@@ -1,4 +1,4 @@
-"""Graph values, edge-list I/O, substructure iteration, canonical forms,
+"""Graph values, edge-list I/O, K4 detection, canonical forms,
 isomorphism, and class enumeration."""
 
 import itertools
@@ -17,7 +17,6 @@ from wordrep.errors import (
 from wordrep.graphs import (
     canonical_form,
     are_isomorphic,
-    complement,
     delete_vertex,
     enumerate_graphs,
     find_proper_coloring,
@@ -25,7 +24,6 @@ from wordrep.graphs import (
     graph_from_edge_list,
     is_k4_free,
     parse_edge_list,
-    triangles,
 )
 
 from helpers import (
@@ -44,7 +42,6 @@ def test_construction_normalizes():
     assert g.edges == ((1, 2), (2, 3), (2, 4))
     assert g.has_edge(2, 3) and g.has_edge(3, 2)
     assert not g.has_edge(1, 3)
-    assert g.neighbors(2) == (1, 3, 4)
     assert g.degree_sequence() == (1, 3, 1, 1)
 
 
@@ -79,8 +76,8 @@ def test_construction_errors():
 
 
 def test_connectivity_and_completeness():
-    assert K4.is_complete() and K4.is_connected()
-    assert not C4.is_complete() and C4.is_connected()
+    assert K4.is_connected() and C4.is_connected()
+    assert len(K4.edges) == math.comb(4, 2) > len(C4.edges)
     two_parts = graph_from_edge_list(4, [(1, 2), (3, 4)])
     assert not two_parts.is_connected()
     assert graph_from_edge_list(1, []).is_connected()
@@ -112,6 +109,12 @@ def test_edge_list_parse_errors_carry_line_numbers():
         parse_edge_list("3 1\n1 2 3\n")         # three tokens
     with pytest.raises(ParseError):
         parse_edge_list("2 1\n1 3\n")           # endpoint out of range
+    # str.isdigit accepts these, int() rejects the first and reads the
+    # second as 3; only ASCII digits are integers here
+    for digit in ("\u00b3", "\u0663"):
+        with pytest.raises(ParseError) as e:
+            parse_edge_list(f"3 1\n2 {digit}\n")
+        assert (e.value.line, e.value.column) == (2, 3)
 
 
 def test_delete_vertex_relabels():
@@ -124,23 +127,24 @@ def test_delete_vertex_relabels():
         delete_vertex(graph_from_edge_list(1, []), 1)
 
 
-def test_complement():
-    assert complement(K4).edges == ()
-    assert complement(complement(C5)) == C5
-
-
-def test_triangles():
-    assert triangles(K4) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-    assert triangles(C5) == []
-    assert triangles(C4) == []
-
-
 def test_is_k4_free():
     assert not is_k4_free(K4)
     assert is_k4_free(C4)
     assert is_k4_free(bundled_graph("A"))
-    k5_minus = complement(graph_from_edge_list(5, [(1, 2)]))
+    k5_minus = graph_from_edge_list(
+        5, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
     assert not is_k4_free(k5_minus)
+    # against every 4-vertex subset: every class with n <= 6, then a seeded
+    # batch of random graphs with n from 7 to 10
+    rng = random.Random(4444)
+    graphs = [cls.graph for n in range(1, 7) for cls in enumerate_graphs(n)]
+    graphs += [random_graph(rng, rng.randint(7, 10), rng.uniform(0.3, 0.8))
+               for _ in range(300)]
+    for g in graphs:
+        brute = not any(all(g.has_edge(u, v) for u, v in itertools.combinations(quad, 2))
+                        for quad in itertools.combinations(g.vertices(), 4))
+        assert is_k4_free(g) == brute
+    assert 0 < sum(map(is_k4_free, graphs)) < len(graphs)
 
 
 def test_proper_coloring_exact():
@@ -241,7 +245,7 @@ def test_canonical_form_n8_random():
                 8, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
             assert canonical_form(relabeled) == form
         rebuilt = graph_from_edge_list(
-            8, [pairs[i] for i, b in enumerate(form.bit_string) if b == "1"])
+            8, [pairs[i] for i, b in enumerate(format(form.code, "028b")) if b == "1"])
         assert are_isomorphic(rebuilt, g)
     for g, form in zip(graphs, forms):
         for h, other in zip(graphs, forms):
@@ -282,7 +286,7 @@ def test_are_isomorphic_agrees_with_canonical_form():
 def test_canonical_form_of_bit_string_round_trip():
     g = bundled_graph("A")
     form = canonical_form(g)
-    bits = form.bit_string
+    bits = format(form.code, "021b")
     assert len(bits) == 21
     pairs = [(u, v) for u in range(1, 7) for v in range(u + 1, 8)]
     rebuilt = graph_from_edge_list(
