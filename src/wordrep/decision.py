@@ -34,8 +34,8 @@ def decide(g: Graph) -> Decision:
     Complete graphs need no special case: the search places every edge
     FORWARD (K_n has no 4-cycle without both chords, so nothing is
     forced), and its one leaf check sees a transitive tournament, whose
-    closure holds no non-adjacent pair.  K20 takes about 1.7 ms.  Graphs
-    with n > SEARCH_MAX_N (40) raise TooLargeError.
+    closure holds no non-adjacent pair.  Graphs with n > SEARCH_MAX_N (40)
+    raise TooLargeError.
     """
     stats = SearchStats()
     witness = find_semi_transitive(g, stats)

@@ -2,57 +2,29 @@
 
 Every guard in the public API raises one of these rather than a bare
 ValueError, so callers (and the CLI) can tell usage errors apart from
-negative mathematical answers.
+negative mathematical answers.  A class exists only where some caller
+acts on it; the message says which guard fired.
 """
 
 
 class WordrepError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; the CLI exits 2 on any of them."""
 
 
 class OutOfRangeError(WordrepError):
-    """A value lies outside its range: an edge endpoint or vertex label
-    outside 1..n, or a count (vertices, multiplicity, table rows) too small."""
-
-
-class SelfLoopError(WordrepError):
-    """An edge joins a vertex to itself."""
+    """A value lies outside its domain: an edge endpoint or vertex label
+    outside 1..n, a self-loop, a count (vertices, multiplicity, table rows)
+    too small, a word whose alphabet is not 1..n or not the graph's vertex
+    set, a partial orientation where a total one is needed, or a coloring
+    that is improper or has more than three colors."""
 
 
 class TooLargeError(WordrepError):
-    """Input exceeds the supported exhaustive-search range."""
-
-
-class NonContiguousAlphabetError(WordrepError):
-    """A word's alphabet is not {1, ..., n} for any n."""
-
-
-class AlphabetMismatchError(WordrepError):
-    """A word's alphabet differs from the graph's vertex set.
-
-    Raised instead of returning False: a word over the wrong alphabet is a
-    usage error, not evidence about the graph.
-    """
-
-
-class PartialOrientationError(WordrepError):
-    """An operation requiring a total orientation got a partial one."""
+    """Input exceeds a size cap of the exact methods (README "Size caps")."""
 
 
 class CyclicInputError(WordrepError):
     """An operation requiring an acyclic orientation got a cyclic one."""
-
-
-class TooManyEdgesError(WordrepError):
-    """Exact orientation counting was requested beyond the edge cap."""
-
-
-class ImproperColoringError(WordrepError):
-    """A coloring assigns the same color to both ends of an edge."""
-
-
-class TooManyColorsError(WordrepError):
-    """The coloring-based construction needs at most three colors."""
 
 
 class ParseError(WordrepError):

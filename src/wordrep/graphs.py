@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import (
-    OutOfRangeError,
-    ParseError,
-    SelfLoopError,
-    TooLargeError,
-)
+from .errors import OutOfRangeError, ParseError, TooLargeError
 
 if TYPE_CHECKING:   # the functions that use numpy import it themselves
     import numpy as np
@@ -68,17 +63,7 @@ class Graph:
         return max(self.degree_sequence())
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = 1 << 1
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen.bit_count() == self.n
+        return len(_components(self)) == 1
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -86,6 +71,22 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _components(g: Graph) -> list[int]:
+    """Vertex masks of g's connected components, by least vertex."""
+    adj, comps = g.adj, []
+    left = (1 << g.n + 1) - 2   # vertices 1..n
+    while left:
+        comp = frontier = left & -left
+        while frontier and comp != left:   # comp == left: nothing else to reach
+            low = frontier & -frontier
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier = frontier ^ low | new
+        left &= ~comp
+        comps.append(comp)
+    return comps
 
 
 def graph_from_edge_list(n: int, pairs) -> Graph:
@@ -97,7 +98,7 @@ def graph_from_edge_list(n: int, pairs) -> Graph:
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise OutOfRangeError(f"edge endpoint out of range 1..{n}: ({u}, {v})")
         if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
+            raise OutOfRangeError(f"self-loop at vertex {u}")
         seen.add((u, v) if u < v else (v, u))
     return Graph(n, tuple(sorted(seen)))
 
@@ -155,7 +156,7 @@ def parse_edge_list(text: str) -> Graph:
             f"declared m={m_expected} edges but found {len(pairs)}", line=last_line)
     try:
         return graph_from_edge_list(header[0], pairs)
-    except (OutOfRangeError, SelfLoopError) as exc:
+    except OutOfRangeError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -342,9 +343,8 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
     marked as an orbit member, so each representative is its own canonical
     form by construction.  A class costs one gather-sum over the relabel
     table (its n! orbit codes), one scatter of those codes into the seen
-    array, and one scan to the next unmarked mask: n = 7 (1,044 classes)
-    takes about 0.09 s once the relabel table is built, on a 2-core Linux
-    VM with Python 3.11.
+    array, and one scan to the next unmarked mask; only that scan, done in
+    C by bytearray.find, passes over all 2^C(n,2) labelled graphs.
     """
     if n > ENUMERATE_MAX_N:
         raise TooLargeError(

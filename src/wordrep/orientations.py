@@ -25,21 +25,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterator, Sequence
 
-from .errors import (
-    CyclicInputError,
-    ImproperColoringError,
-    OutOfRangeError,
-    PartialOrientationError,
-    TooLargeError,
-    TooManyColorsError,
-    TooManyEdgesError,
-    WordrepError,
-)
-from .graphs import CANONICAL_MAX_N, Graph, VertexColoring, _bits, _permutations
+from .errors import CyclicInputError, OutOfRangeError, TooLargeError, WordrepError
+from .graphs import CANONICAL_MAX_N, Graph, VertexColoring, _bits, _components, _permutations
 
 FORWARD = 1
 BACKWARD = -1
@@ -69,7 +58,7 @@ class Orientation:
         u, v = self.base.edges[i]
         d = self.dirs[i]
         if d is None:
-            raise PartialOrientationError(f"edge {u}-{v} is unassigned")
+            raise OutOfRangeError(f"edge {u}-{v} is unassigned")
         return (u, v) if d == FORWARD else (v, u)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
@@ -111,7 +100,7 @@ def orientation_from_arcs(g: Graph, arcs) -> Orientation:
 def _require_total(o: Orientation) -> None:
     if not o.is_total:
         unassigned = sum(1 for d in o.dirs if d is None)
-        raise PartialOrientationError(
+        raise OutOfRangeError(
             f"operation needs a total orientation ({unassigned} edges unassigned)")
 
 
@@ -308,9 +297,12 @@ class _Searcher:
     exactly when h already reaches t, a one-bit test.  Once it is placed,
     t and every ancestor of t also reach h and all h reaches; one product
     of the rows holding t (as their lowest bits) with that set writes it
-    into each of them, with no carry between rows.  The int is immutable,
-    so branch keeps the closure it had before each assignment and undo
-    restores it.
+    into each of them, with no carry between rows.
+
+    assign opens a frame, the trail length and the closure before it (the
+    int is immutable, so keeping it is enough), and retract closes the
+    last one: it unassigns every edge placed since and restores the
+    closure, whether or not the assign succeeded.
 
     Shortcut checks run at the leaves only, on the closure, with no path
     enumeration.  Arc u->v has a shortcut iff its interval I = {u, v} +
@@ -322,8 +314,8 @@ class _Searcher:
     x, y adjacent is the arc x->y, so the pairs to look for are y in
     desc[x] & ~g.adj[x], with desc the unpacked rows.
 
-    The word search keeps one too: it places each word's first-occurrence
-    arcs through _propagate and place, and restores them with undo."""
+    The word search keeps one too: it assigns each word's first-occurrence
+    arcs and retracts them when it backtracks."""
 
     def __init__(self, g: Graph, stats: SearchStats):
         if g.n > SEARCH_MAX_N:
@@ -338,7 +330,8 @@ class _Searcher:
         # bit 0 of every row: picks out the rows that hold a given vertex
         self.col = ((1 << self.w * self.w) - 1) // self.row
         self.closure = 0
-        self.trail: list[int] = []  # assigned edges in order, for undo
+        self.trail: list[int] = []  # assigned edges in order, for retract
+        self.frames: list[tuple[int, int]] = []  # (len(trail), closure) per assign
         self.by_edge = _cycle_triples(g)
 
     def place(self, e: int, d: int) -> bool:
@@ -354,21 +347,19 @@ class _Searcher:
         self.closure = c | (c >> t & self.col | 1 << t * w) * below
         return True
 
-    def assign(self, e: int, d: int) -> bool:
-        """Assign edge e and propagate; False on conflict.  Everything
-        actually assigned lands on the trail for undo."""
-        mark = len(self.trail)
-        ok = _propagate(self.by_edge, self.dirs, [(e, d)], self.place) is None
-        # every edge placed after e itself was forced
-        self.stats.propagations += max(len(self.trail) - mark - 1, 0)
-        return ok
+    def assign(self, arcs: list[tuple[int, int]]) -> bool:
+        """Open a frame, place each (edge, direction) of arcs and propagate;
+        False on conflict.  Either way, retract undoes it."""
+        self.frames.append((len(self.trail), self.closure))
+        return _propagate(self.by_edge, self.dirs, arcs, self.place) is None
 
-    def undo(self, mark: int, closure: int) -> None:
-        """Unassign every trail entry from mark on and restore the closure
-        kept before the first of them was placed."""
-        self.closure = closure
-        while len(self.trail) > mark:
-            self.dirs[self.trail.pop()] = None
+    def retract(self) -> None:
+        """Close the last frame: unassign every edge placed since it opened
+        and restore the closure it kept."""
+        mark, self.closure = self.frames.pop()
+        trail, dirs = self.trail, self.dirs
+        while len(trail) > mark:
+            dirs[trail.pop()] = None
 
     def descendants(self) -> list[int]:
         """The closure unpacked: entry v is the mask of v's descendants."""
@@ -404,56 +395,46 @@ class _Searcher:
     def branch(self, edges: Sequence[int], depth: int, first_only: bool) -> int:
         """Number of semi-transitive orientations of the given edges, one
         connected component's, below the current node.  With first_only
-        the walk stops at the first one, leaving it in self.dirs, and skips
-        the root's BACKWARD subtree: with none of the edges assigned yet it
-        holds exactly the reversals of the FORWARD one."""
-        self.stats.nodes += 1
+        the walk stops at the first one, leaving it in self.dirs (and its
+        frames open), and skips the root's BACKWARD subtree: with none of
+        the edges assigned yet it holds exactly the reversals of the
+        FORWARD one."""
+        stats = self.stats
+        stats.nodes += 1
         e = next((i for i in edges if self.dirs[i] is None), None)
         if e is None:
             return int(self.leaf_ok())
         found = 0
+        trail = self.trail
         for d in (FORWARD,) if first_only and depth == 0 else (FORWARD, BACKWARD):
-            mark, closure = len(self.trail), self.closure
-            if self.assign(e, d):
+            mark = len(trail)
+            ok = self.assign([(e, d)])
+            # every edge placed after e itself was forced
+            stats.propagations += max(len(trail) - mark - 1, 0)
+            if ok:
                 found += self.branch(edges, depth + 1, first_only)
                 if found and first_only:
                     return found
-            self.undo(mark, closure)
+            self.retract()
         return found
 
 
-def _components(g: Graph) -> list[Sequence[int]]:
-    """Stored edge indices of each connected component that has an edge,
-    components in the order of their first edge; every edge at once when
-    there are fewer than two."""
-    adj, comps = g.adj, []
-    left = reduce(or_, adj)   # the vertices with an edge
-    while left:
-        comp = frontier = left & -left
-        while frontier and comp != left:   # comp == left: nothing else to reach
-            low = frontier & -frontier
-            new = adj[low.bit_length() - 1] & ~comp
-            comp |= new
-            frontier = frontier ^ low | new
-        left &= ~comp
-        comps.append(comp)
-    if len(comps) < 2:
-        return [range(len(g.edges))]
-    return [[i for i, (u, _) in enumerate(g.edges) if comp >> u & 1] for comp in comps]
-
-
 def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searcher]:
-    """The component searches in turn; the number of semi-transitive
-    orientations is the product of theirs, so a component without one ends
-    the search.  With first_only each found component keeps its arcs, and
-    the witness is the product of the components' FORWARD-first witnesses,
-    which is the FORWARD-first witness of g: the orientations of g are the
-    products of the components' ones, and its edge order interleaves
-    theirs."""
+    """The searches of the components with an edge in turn, in the order
+    of their first edge (every edge at once when there are fewer than
+    two); the number of semi-transitive orientations is the product of
+    theirs, so a component without one ends the search.  With first_only
+    each found component keeps its arcs, and the witness is the product
+    of the components' FORWARD-first witnesses, which is the FORWARD-first
+    witness of g: the orientations of g are the products of the
+    components' ones, and its edge order interleaves theirs."""
     start = time.perf_counter()
     searcher = _Searcher(g, stats)
+    comps = [c for c in _components(g) if c & c - 1]   # two or more vertices
+    parts: list[Sequence[int]] = [range(len(g.edges))] if len(comps) < 2 else [
+        [i for i, (u, _) in enumerate(g.edges) if c >> u & 1] for c in comps]
     found = 1
-    for edges in _components(g):
+    for edges in parts:
         found *= searcher.branch(edges, 0, first_only)
         if not found:
             break
@@ -473,7 +454,7 @@ def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientat
 def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:
     """Exact number of total semi-transitive orientations (no symmetry)."""
     if len(g.edges) > COUNT_MAX_EDGES:
-        raise TooManyEdgesError(
+        raise TooLargeError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
     return _search(g, stats if stats is not None else SearchStats(), False)[0]
 
@@ -501,7 +482,7 @@ def count_semi_transitive_naive(g: Graph) -> int:
     """Plain generate-and-test over acyclic_orientations: no search, no
     propagation and no pruning; the anchor the fast counter must match."""
     if len(g.edges) > COUNT_MAX_EDGES:
-        raise TooManyEdgesError(
+        raise TooLargeError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
     return sum(map(is_semi_transitive, acyclic_orientations(g)))
 
@@ -514,12 +495,12 @@ def count_semi_transitive_naive(g: Graph) -> int:
 
 def orient_by_coloring(g: Graph, coloring: VertexColoring) -> Orientation:
     if len(coloring.color) != g.n:
-        raise ImproperColoringError("coloring does not cover the vertex set")
+        raise OutOfRangeError("coloring does not cover the vertex set")
     for u, v in g.edges:
         if coloring.of(u) == coloring.of(v):
-            raise ImproperColoringError(f"edge {u}-{v} is monochromatic")
+            raise OutOfRangeError(f"edge {u}-{v} is monochromatic")
     if coloring.num_colors() > 3:
-        raise TooManyColorsError(
+        raise OutOfRangeError(
             f"construction needs at most 3 colors, got {coloring.num_colors()}")
     dirs = tuple(
         FORWARD if coloring.of(u) < coloring.of(v) else BACKWARD

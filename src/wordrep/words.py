@@ -11,12 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    AlphabetMismatchError,
-    NonContiguousAlphabetError,
-    OutOfRangeError,
-    ParseError,
-)
+from .errors import OutOfRangeError, ParseError
 from .graphs import Graph, _pairs
 
 
@@ -52,7 +47,7 @@ def graph_of_word(w: Word) -> Graph:
             (x for x in range(1, n + 1) if x not in w.alphabet), 5)))
         if absent > 5:
             shown += f", ... ({absent} in all)"
-        raise NonContiguousAlphabetError(
+        raise OutOfRangeError(
             f"alphabet must be 1..{n}; missing {shown}")
     # one pass; since[x] masks the letters seen since the last x (-1, all
     # of them, before the first x).  A repeated x breaks its pair with each
@@ -72,11 +67,12 @@ def graph_of_word(w: Word) -> Graph:
 def represents(w: Word, g: Graph) -> bool:
     """True iff graph_of_word(w) is exactly g (labelled equality).
 
-    A word over the wrong alphabet raises AlphabetMismatch rather than
-    returning False: that situation says nothing about g.
+    A word over the wrong alphabet raises OutOfRangeError rather than
+    returning False: a word over the wrong alphabet is a usage error, not
+    evidence about the graph.
     """
     if len(w.alphabet) != g.n or max(w.alphabet) != g.n:
-        raise AlphabetMismatchError(
+        raise OutOfRangeError(
             f"word alphabet {sorted(w.alphabet)} != graph vertex set 1..{g.n}")
     return graph_of_word(w).edges == g.edges
 

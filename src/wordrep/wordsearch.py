@@ -34,16 +34,17 @@ transitive orientations and word-representable graphs", DAM 2016).  So
 when x first appears, every edge from x to a letter not yet seen must
 point out of x; the edges to letters already seen were fixed when those
 appeared.  These arcs go into one _Searcher, the orientation search's
-state, kept for the whole call: _propagate places them through the
+state, kept for the whole call: its assign places them through the
 four-cycle forcing rule and the closure's acyclicity test.  A conflict
 (a forced arc pointing the other way, a triple with three equal legs, or
-a directed cycle) rejects x; backtracking undoes the arcs.  Each forced
-arc holds in every semi-transitive orientation that extends the arcs in
-force, so the first-occurrence orientation of any representing word
-extends the partial orientation of each of its prefixes: no representing
-word is cut.  That holds for every word, so it holds for the ones starting
-with 1 that the cyclic-shift symmetry keeps (each judged by its own first
-occurrences), and the word found is the same lex-least one.
+a directed cycle) rejects x; retract undoes the arcs, after a rejection
+or on backtracking.  Each forced arc holds in every semi-transitive
+orientation that extends the arcs in force, so the first-occurrence
+orientation of any representing word extends the partial orientation of
+each of its prefixes: no representing word is cut.  That holds for every
+word, so it holds for the ones starting with 1 that the cyclic-shift
+symmetry keeps (each judged by its own first occurrences), and the word
+found is the same lex-least one.
 
 The prune is off when g has no 4-cycle with at most one chord (Petersen,
 of girth 5, is such a graph): then nothing is ever forced, and arcs that
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 from .errors import OutOfRangeError, TooLargeError
 from .graphs import Graph
-from .orientations import BACKWARD, FORWARD, SearchStats, _propagate, _Searcher
+from .orientations import BACKWARD, FORWARD, SearchStats, _Searcher
 from .words import Word
 
 SEARCH_MAX_LETTERS = 30
@@ -99,7 +100,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     # after its first copy x has k - 1 left; with no 4-cycle triple the
     # orientation prune cuts nothing, and -1 never matches
     first_left = k - 1 if any(st.by_edge) else -1
-    by_edge, dirs, place = st.by_edge, st.dirs, st.place
+    dirs, assign, retract = st.dirs, st.assign, st.retract
     # out_arcs[x]: (neighbour y, edge x-y, the direction x -> y)
     out_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     for e, (u, v) in enumerate(g.edges):
@@ -137,12 +138,12 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
             if left == first_left:
                 # x's first copy: its edges to unseen letters point out of
                 # x.  An arc already in force is skipped; one forced the
-                # other way is refused by place, as it closes a cycle.
-                mark, closure = len(st.trail), st.closure
+                # other way is refused, as it closes a cycle.  With no
+                # arcs there is nothing to assign or retract.
                 arcs = [(e, d) for y, e, d in out_arcs[x]
                         if remaining[y] == k and dirs[e] != d]
-                if _propagate(by_edge, dirs, arcs, place) is not None:
-                    st.undo(mark, closure)
+                if arcs and not assign(arcs):
+                    retract()
                     continue
             not_x = ~bx
             child_wait = [w & not_x for w in wait]
@@ -154,8 +155,8 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
                 return True
             word.pop()
             remaining[x] = left + 1
-            if left == first_left:
-                st.undo(mark, closure)
+            if left == first_left and arcs:
+                retract()
         return False
 
     found = search([0] * (n + 1), [0] * (n + 1), rem2)

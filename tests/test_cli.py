@@ -6,6 +6,7 @@ Exit code contract: 0 positive, 1 negative answer, 2 usage/parse error.
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 import wordrep
-from wordrep.bundled import bundled_graph
+from wordrep.bundled import GRAPH_NAMES, bundled_graph
 from wordrep.cli import main
 from wordrep.graphs import parse_edge_list, write_edge_list
 
@@ -60,6 +61,31 @@ def test_decide_golden_json(capsys, graph_file):
     assert payload["stats"]["wall_time_s"] < 1.0
     payload["stats"]["wall_time_s"] = 0.0
     assert payload == json.loads(GOLDEN.joinpath("decide_M.json").read_text())
+
+
+# stdout bytes and exit code of each command, recorded from an earlier build;
+# a bundled graph's name stands for its edge-list file
+GOLDEN_RUNS = [
+    ("census_6_table.json", 0, ["census", "6", "--table", "--json"]),
+    ("verify_paper.txt", 0, ["verify-paper"]),
+    ("verify_paper.json", 0, ["verify-paper", "--json"]),
+    ("find_word_A.json", 1, ["find-word", "A", "--json"]),
+    ("find_word_M.json", 0, ["find-word", "M", "--json"]),
+    ("count_orientations_K4.json", 0, ["count-orientations", "K4", "--json"]),
+    ("count_orientations_C4.json", 0, ["count-orientations", "C4", "--json"]),
+    ("count_orientations_A.json", 0, ["count-orientations", "A", "--json"]),
+    ("decide_A.json", 1, ["decide", "A", "--json"]),
+]
+
+
+@pytest.mark.parametrize("golden, code, argv", GOLDEN_RUNS, ids=[g for g, _, _ in GOLDEN_RUNS])
+def test_golden_outputs(capsys, graph_file, golden, code, argv):
+    argv = [graph_file(a) if a in GRAPH_NAMES else a for a in argv]
+    got, out, err = run(capsys, *argv)
+    # wall time is the one field that is not deterministic
+    out = re.sub(r'"wall_time_s": [^,\n}]+', '"wall_time_s": 0.0', out)
+    assert (got, err) == (code, "")
+    assert out.encode("utf-8") == GOLDEN.joinpath(golden).read_bytes()
 
 
 def test_check_word(capsys, graph_file):
