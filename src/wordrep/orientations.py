@@ -14,10 +14,11 @@ An orientation assigns each stored edge (u, v), u < v, one of FORWARD
 (u -> v), BACKWARD (v -> u) or None (unassigned).  A total acyclic
 orientation is semi-transitive when no directed path v1...vk (k >= 4)
 between the endpoints of an edge v1->vk misses an inner pair edge; such a
-path makes v1->vk a shortcut.  In particular no 4-cycle with at most one
-chord carries three consecutive arcs a->b->c->d: the closing arc d->a
-would make a directed cycle, and a->d a shortcut unless both chords a-c
-and b-d are edges.
+path makes v1->vk a shortcut.  In particular a 4-cycle with at most one
+chord has at most two legs each way round, and exactly two once it is
+fully oriented.  Any three of its four legs are consecutive, a->b->c->d
+say: the closing leg d->a would make a directed cycle, and a->d a
+shortcut unless both chords a-c and b-d are edges.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import CyclicInputError, OutOfRangeError, TooLargeError, WordrepError
+from .errors import CyclicInputError, OutOfRangeError, TooLargeError
 from .graphs import CANONICAL_MAX_N, Graph, VertexColoring, _bits, _components, _permutations
 
 FORWARD = 1
@@ -92,7 +93,7 @@ def orientation_from_arcs(g: Graph, arcs) -> Orientation:
             raise OutOfRangeError(f"{t}-{h} is not an edge of the graph")
         d = FORWARD if (t, h) == key else BACKWARD
         if dirs[idx] is not None and dirs[idx] != d:
-            raise WordrepError(f"edge {key[0]}-{key[1]} given both directions")
+            raise OutOfRangeError(f"edge {key[0]}-{key[1]} given both directions")
         dirs[idx] = d
     return Orientation(g, tuple(dirs))
 
@@ -171,19 +172,18 @@ def is_semi_transitive(o: Orientation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# four-cycle rule: no 4-cycle may carry three consecutively oriented edges
-# unless both its chords are edges (see the module docstring).  A K4-free
-# graph has no 4-cycle with both chords, so there every 4-cycle counts.
-# Traversal frame per cycle (a,b,c,d): the four legs in cyclic order, each
-# as (edge index, sign), sign +1 when the stored (u<v) direction agrees with
-# the traversal a->b->c->d->a.  A leg's traversal value is dirs[edge]*sign;
-# a triple of consecutive legs is violated exactly when all three values
-# are equal.
+# four-cycle rule: a 4-cycle with at most one chord has at most two legs
+# each way round, and exactly two once it is fully oriented (see the module
+# docstring).  A K4-free graph has no 4-cycle with both chords, so there
+# every 4-cycle counts.  Traversal frame per cycle (a,b,c,d): the four legs
+# in cyclic order, each as (edge index, sign), sign +1 when the stored (u<v)
+# direction agrees with the traversal a->b->c->d->a, so a leg goes round
+# exactly when dirs[edge] == sign.
 
-def _cycle_triples(g: Graph) -> list[list[tuple]]:
-    """For each edge, the triples through it as (legs3, cycle), where legs3
-    are three consecutive (edge, sign) legs of a 4-cycle with at most one
-    chord.  Cycles (a, b, c, d) come in lexicographic order, straight from
+def _four_cycles(g: Graph) -> list[list[tuple]]:
+    """For each edge, the 4-cycles with at most one chord through it as
+    (legs, cycle), legs the cycle's four (edge, sign) legs in traversal
+    order.  Cycles (a, b, c, d) come in lexicographic order, straight from
     the adjacency masks: a is the smallest vertex, b < d, and c is opposite
     a.  When a-c is an edge, every d adjacent to b is dropped, so no cycle
     with both chords is visited."""
@@ -196,35 +196,25 @@ def _cycle_triples(g: Graph) -> list[list[tuple]]:
     for a in g.vertices():
         above = -1 << a + 1
         for b in _bits(adj[a] & above):
-            ab = leg[a, b]
             for c in _bits(adj[b] & above):
                 ds = adj[a] & adj[c] & (-1 << b + 1)
                 if adj[a] >> c & 1:
                     ds &= ~adj[b]
-                if not ds:
-                    continue
-                bc = leg[b, c]
                 for d in _bits(ds):
-                    cycle = (a, b, c, d)
-                    cd, da = leg[c, d], leg[d, a]
-                    # the four consecutive triples, each listed under its
-                    # three edges in leg order
-                    for tri in ((ab, bc, cd), (bc, cd, da), (cd, da, ab), (da, ab, bc)):
-                        entry = (tri, cycle)
-                        by_edge[tri[0][0]].append(entry)
-                        by_edge[tri[1][0]].append(entry)
-                        by_edge[tri[2][0]].append(entry)
+                    entry = ((leg[a, b], leg[b, c], leg[c, d], leg[d, a]), (a, b, c, d))
+                    for e, _ in entry[0]:
+                        by_edge[e].append(entry)
     return by_edge
 
 
-def _propagate(by_edge, dirs, arcs, place) -> tuple[int, ...] | None:
+def _propagate(cycles, dirs, arcs, place) -> tuple[int, ...] | None:
     """Place each (edge, direction) of arcs, then run the four-cycle rule to
-    fixpoint: whenever two legs of a triple share a traversal value and the
-    third is unassigned, the third is forced opposite.
+    fixpoint: once two legs of a cycle go one way round, every free leg is
+    forced the other way.
 
     place(e, d) sets dirs[e] = d and returns False to refuse.  Returns None
-    when all is placed, the cycle of a triple whose three legs are equal, or
-    () when place refused.
+    when all is placed, a cycle with three legs going one way round, or ()
+    when place refused.
     """
     for e, d in arcs:
         if not place(e, d):
@@ -235,37 +225,41 @@ def _propagate(by_edge, dirs, arcs, place) -> tuple[int, ...] | None:
         e, d = queue.pop()
         if d is not None:
             # skip an edge placed since it was queued: placed the other way,
-            # it left the queuing triple with three equal legs, which returned
+            # it gave the queuing cycle three legs one way round, which
+            # returned
             if dirs[e] is not None:
                 continue
             if not place(e, d):
                 return ()
-        for legs, cycle in by_edge[e]:
-            free = common = None
+        for legs, cycle in cycles[e]:
+            free = []
+            ahead = back = 0   # legs going round, and going back
             for leg in legs:
                 x = dirs[leg[0]]
                 if x is None:
-                    if free is not None:
-                        break
-                    free = leg
-                elif common is None:
-                    common = x * leg[1]
-                elif common != x * leg[1]:
-                    break
-            else:
-                if free is None:
-                    return cycle
-                queue.append((free[0], -common * free[1]))
+                    free.append(leg)
+                elif x == leg[1]:
+                    ahead += 1
+                else:
+                    back += 1
+            if ahead > 2 or back > 2:
+                return cycle
+            # the free legs go the other way: back is -sign, round is sign
+            if ahead == 2:
+                for f, sign in free:
+                    queue.append((f, -sign))
+            elif back == 2:
+                queue += free
     return None
 
 
 def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
     """Fixpoint of the four-cycle forcing rule over a partial orientation.
 
-    Whenever two legs of a consecutive triple share a traversal value and
-    the third is unassigned, the third is forced opposite.  Returns a
-    Lemma1Cycle conflict if some triple ends up with three equal legs.
-    Sound on every graph: 4-cycles with both chords carry no triples.
+    Once two legs of a 4-cycle with at most one chord go one way round,
+    every unassigned leg is forced the other way.  Returns a Lemma1Cycle
+    conflict if some cycle ends up with three legs going one way round.
+    Sound on every graph: 4-cycles with both chords are not indexed.
     """
     if o.base != g:
         raise OutOfRangeError("orientation does not belong to this graph")
@@ -276,7 +270,7 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
         return True
 
     arcs = [(e, d) for e, d in enumerate(o.dirs) if d is not None]
-    cycle = _propagate(_cycle_triples(g), dirs, arcs, place)
+    cycle = _propagate(_four_cycles(g), dirs, arcs, place)
     if cycle is not None:
         return Conflict("Lemma1Cycle", cycle)
     return Orientation(g, tuple(dirs))
@@ -332,7 +326,7 @@ class _Searcher:
         self.closure = 0
         self.trail: list[int] = []  # assigned edges in order, for retract
         self.frames: list[tuple[int, int]] = []  # (len(trail), closure) per assign
-        self.by_edge = _cycle_triples(g)
+        self.cycles = _four_cycles(g)
 
     def place(self, e: int, d: int) -> bool:
         """Assign edge e unless that closes a directed cycle."""
@@ -351,7 +345,7 @@ class _Searcher:
         """Open a frame, place each (edge, direction) of arcs and propagate;
         False on conflict.  Either way, retract undoes it."""
         self.frames.append((len(self.trail), self.closure))
-        return _propagate(self.by_edge, self.dirs, arcs, self.place) is None
+        return _propagate(self.cycles, self.dirs, arcs, self.place) is None
 
     def retract(self) -> None:
         """Close the last frame: unassign every edge placed since it opened

@@ -36,15 +36,15 @@ point out of x; the edges to letters already seen were fixed when those
 appeared.  These arcs go into one _Searcher, the orientation search's
 state, kept for the whole call: its assign places them through the
 four-cycle forcing rule and the closure's acyclicity test.  A conflict
-(a forced arc pointing the other way, a triple with three equal legs, or
-a directed cycle) rejects x; retract undoes the arcs, after a rejection
-or on backtracking.  Each forced arc holds in every semi-transitive
-orientation that extends the arcs in force, so the first-occurrence
-orientation of any representing word extends the partial orientation of
-each of its prefixes: no representing word is cut.  That holds for every
-word, so it holds for the ones starting with 1 that the cyclic-shift
-symmetry keeps (each judged by its own first occurrences), and the word
-found is the same lex-least one.
+(a forced arc pointing the other way, a 4-cycle with three legs going one
+way round, or a directed cycle) rejects x; retract undoes the arcs, after
+a rejection or on backtracking.  Each forced arc holds in every
+semi-transitive orientation that extends the arcs in force, so the
+first-occurrence orientation of any representing word extends the
+partial orientation of each of its prefixes: no representing word is
+cut.  That holds for every word, so it holds for the ones starting with
+1 that the cyclic-shift symmetry keeps (each judged by its own first
+occurrences), and the word found is the same lex-least one.
 
 The prune is off when g has no 4-cycle with at most one chord (Petersen,
 of girth 5, is such a graph): then nothing is ever forced, and arcs that
@@ -54,7 +54,6 @@ cannot close a cycle, so it would cut nothing and only cost time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError, TooLargeError
@@ -71,7 +70,6 @@ class WordSearchResult:
     word: Word | None
     k_tried: int   # multiplicity reached (the successful k, or the cap)
     nodes: int
-    wall_time_s: float
 
 
 def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None) -> Word | None:
@@ -97,9 +95,9 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
 
     remaining = [k] * (n + 1)
     st = _Searcher(g, SearchStats())
-    # after its first copy x has k - 1 left; with no 4-cycle triple the
-    # orientation prune cuts nothing, and -1 never matches
-    first_left = k - 1 if any(st.by_edge) else -1
+    # after its first copy x has k - 1 left; with no 4-cycle of at most
+    # one chord the orientation prune cuts nothing, and -1 never matches
+    first_left = k - 1 if any(st.cycles) else -1
     dirs, assign, retract = st.dirs, st.assign, st.retract
     # out_arcs[x]: (neighbour y, edge x-y, the direction x -> y)
     out_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
@@ -169,9 +167,8 @@ def find_word(g: Graph, k_max: int = DEFAULT_K_MAX) -> WordSearchResult:
     if k_max < 1:
         raise OutOfRangeError(f"k_max must be >= 1, got {k_max}")
     counter = [0]
-    start = time.perf_counter()
     for k in range(1, k_max + 1):
         w = find_k_uniform_word(g, k, counter)
         if w is not None:
-            return WordSearchResult(w, k, counter[0], time.perf_counter() - start)
-    return WordSearchResult(None, k_max, counter[0], time.perf_counter() - start)
+            return WordSearchResult(w, k, counter[0])
+    return WordSearchResult(None, k_max, counter[0])

@@ -21,7 +21,7 @@ from wordrep.orientations import (
     Orientation,
     SEARCH_MAX_N,
     SearchStats,
-    _cycle_triples,
+    _four_cycles,
     _Searcher,
     acyclic_orientations,
     count_semi_transitive,
@@ -63,6 +63,10 @@ def test_partial_guards():
         find_shortcut(partial)
     with pytest.raises(OutOfRangeError, match=r"^operation needs a total orientation "):
         is_semi_transitive(partial)
+    with pytest.raises(OutOfRangeError, match=r"^1-3 is not an edge of the graph$"):
+        orientation_from_arcs(C4, [(1, 3)])
+    with pytest.raises(OutOfRangeError, match=r"^edge 1-2 given both directions$"):
+        orientation_from_arcs(C4, [(1, 2), (2, 1)])
 
 
 def test_find_shortcut_c4():
@@ -167,7 +171,8 @@ def test_lemma1_forcing_on_c4():
 
 def test_lemma1_statement_on_all_classes():
     # no semi-transitive orientation has a 4-cycle with at most one chord
-    # carrying three consecutively oriented edges
+    # carrying three consecutively oriented edges; as any three of its four
+    # legs are consecutive, it has exactly two legs each way round
     from wordrep.graphs import enumerate_graphs
     for n in range(2, 6):
         for cls in enumerate_graphs(n):
@@ -186,27 +191,28 @@ def test_lemma1_statement_on_all_classes():
                         run = [ring[i], ring[(i + 1) % 4], ring[(i + 2) % 4]]
                         assert not all(p in arcs for p in run)
                         assert not all((q, p) in arcs for p, q in run)
+                    # the balanced form: exactly two legs each way round
+                    assert sum(p in arcs for p in ring) == 2
 
 
-def _ref_cycle_triples(g):
+def _ref_four_cycles(g):
     """The forcing rule's index rebuilt from the literal quadruple scan:
-    cycles with both chords dropped, each leg signed +1 when its stored
-    (u < v) direction agrees with the traversal a->b->c->d->a."""
+    cycles with both chords dropped, each listed under its four edges with
+    its legs in traversal order, each leg signed +1 when its stored (u < v)
+    direction agrees with the traversal a->b->c->d->a."""
     by_edge = [[] for _ in g.edges]
     for a, b, c, d in ref_four_cycles(g):
         if g.has_edge(a, c) and g.has_edge(b, d):
             continue
-        legs = [(g.edge_index[min(x, y), max(x, y)], 1 if x < y else -1)
-                for x, y in ((a, b), (b, c), (c, d), (d, a))]
-        for i in range(4):
-            tri = (legs[i], legs[(i + 1) % 4], legs[(i + 2) % 4])
-            for e, _sign in tri:
-                by_edge[e].append((tri, (a, b, c, d)))
+        legs = tuple((g.edge_index[min(x, y), max(x, y)], 1 if x < y else -1)
+                     for x, y in ((a, b), (b, c), (c, d), (d, a)))
+        for e, _sign in legs:
+            by_edge[e].append((legs, (a, b, c, d)))
     return by_edge
 
 
-def test_cycle_triples_match_quadruple_scan():
-    # same triples in the same order: the order fixes the propagation queue
+def test_four_cycles_match_quadruple_scan():
+    # same cycles in the same order: the order fixes the propagation queue
     # and with it the search's counters
     from wordrep.graphs import enumerate_graphs
     rng = random.Random(1405)
@@ -216,10 +222,34 @@ def test_cycle_triples_match_quadruple_scan():
                for _ in range(120)]
     graphs.append(bundled_graph("A"))
     for g in graphs:
-        assert _cycle_triples(g) == _ref_cycle_triples(g)
+        assert _four_cycles(g) == _ref_four_cycles(g)
+    # one entry per edge of each cycle: 6 cycles of A, 24 entries
+    assert sum(map(len, _four_cycles(bundled_graph("A")))) == 24
     # every 4-cycle of K20 has both chords
     k20 = graph_from_edge_list(20, list(itertools.combinations(range(1, 21), 2)))
-    assert not any(_cycle_triples(k20))
+    assert not any(_four_cycles(k20))
+
+
+def test_lemma1_witnesses_are_sparse_four_cycles():
+    # on seeded random partial orientations every Lemma1Cycle names a
+    # 4-cycle of g with at most one chord
+    rng = random.Random(7141)
+    seen = 0
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(4, 8), rng.choice((0.4, 0.6, 0.8)))
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                for u, v in g.edges if rng.random() < 0.5]
+        result = lemma1_propagate(g, orientation_from_arcs(g, arcs))
+        if isinstance(result, Orientation):
+            continue
+        seen += 1
+        assert result.kind == "Lemma1Cycle"
+        a, b, c, d = cycle = result.witness
+        assert len(set(cycle)) == 4
+        ring = [(a, b), (b, c), (c, d), (d, a)]
+        assert all(g.has_edge(x, y) for x, y in ring)
+        assert not (g.has_edge(a, c) and g.has_edge(b, d))
+    assert seen > 50
 
 
 def test_acyclic_orientations_are_the_acyclic_sweep():
@@ -366,15 +396,18 @@ def test_search_counters_locked():
     total = sum(count_semi_transitive(cls.graph, stats) for cls in enumerate_graphs(6))
     # searching the components in turn moved these from (17574, 5844,
     # 6643, 110): a disconnected graph's tree is a sum over components,
-    # not a product
-    assert (total, counters(stats)) == (6533, (17288, 5828, 6533, 110))
+    # not a product.  Checking each 4-cycle once by its balance, not each
+    # of its triples, queues forced legs in another order, so failing
+    # branches reach their conflict after other numbers of placements:
+    # propagations 5828 -> 5816 here and 5249 -> 5271 below
+    assert (total, counters(stats)) == (6533, (17288, 5816, 6533, 110))
     runs = [(len(cls.graph.edges) == 21, decide(cls.graph))
             for cls in enumerate_graphs(7)]
     assert sum(d.witness is None for _, d in runs) == 26
     # one more node and leaf check for each further component with an edge
     # (from 8936 and 1017)
     assert tuple(map(sum, zip(*(counters(d.stats) for k7, d in runs if not k7)))) == \
-        (8987, 5249, 1068, 0)
+        (8987, 5271, 1068, 0)
     # K7 is searched like any graph: its 21 edges FORWARD, one leaf
     assert [counters(d.stats) for k7, d in runs if k7] == [(22, 0, 1, 0)]
 
