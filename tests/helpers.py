@@ -167,6 +167,32 @@ def ref_four_cycles(g: Graph):
     return sorted(found)
 
 
+def ref_blocks(g: Graph):
+    """Edge indices of each block, in stored order, blocks by first edge,
+    from the definition: two edges share a block iff they lie on a common
+    simple cycle, and an edge on no cycle is a block alone.  Every simple
+    cycle is listed from its least vertex, as the set of its edges."""
+    nbrs = {v: [w for w in g.vertices() if tuple(sorted((v, w))) in g.edges]
+            for v in g.vertices()}
+    cycles = []
+
+    def extend(path):
+        for w in nbrs[path[-1]]:
+            if w == path[0] and len(path) >= 3:
+                ring = path + [w]
+                cycles.append({tuple(sorted(p)) for p in zip(ring, ring[1:])})
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for v in g.vertices():
+        extend([v])
+    blocks = set()
+    for e in g.edges:
+        shared = {e}.union(*(c for c in cycles if e in c))
+        blocks.add(tuple(sorted(g.edges.index(f) for f in shared)))
+    return sorted(map(list, blocks))
+
+
 def enumerate_total_orientations(g: Graph):
     """All 2^m total orientations, lexicographic with FORWARD < BACKWARD:
     the literal generate-and-test sweep the vertex-order route is checked

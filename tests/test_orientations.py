@@ -21,6 +21,7 @@ from wordrep.orientations import (
     Orientation,
     SEARCH_MAX_N,
     SearchStats,
+    _blocks,
     _four_cycles,
     _Searcher,
     acyclic_orientations,
@@ -39,6 +40,7 @@ from helpers import (
     all_graphs,
     enumerate_total_orientations,
     random_graph,
+    ref_blocks,
     ref_four_cycles,
     ref_is_acyclic,
     ref_is_semi_transitive,
@@ -336,6 +338,70 @@ def test_components_are_searched_in_turn():
     assert count_semi_transitive(_disjoint_union(C4, C4, K3)) == 6 * 6 * 6 == 216
 
 
+def test_blocks_match_the_cycle_definition():
+    # seeded graphs with n <= 7, isolated vertices included: one block per
+    # class of edges on a common simple cycle, each bridge alone
+    rng = random.Random(15)
+    graphs = [random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.35, 0.5, 0.7)))
+              for _ in range(300)]
+    assert sum(len(g.edges) == 0 for g in graphs) > 5
+    assert sum(len(_blocks(g)) > 1 for g in graphs) > 80
+    for g in graphs + [bundled_graph("A"), K4]:
+        assert _blocks(g) == ref_blocks(g)
+
+
+BOWTIE = graph_from_edge_list(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+TREE = graph_from_edge_list(8, [(1, 2), (1, 3), (1, 4), (2, 5), (5, 6), (5, 7), (7, 8)])
+
+
+def _with_pendant(g):
+    return graph_from_edge_list(g.n + 1, list(g.edges) + [(g.n, g.n + 1)])
+
+
+@pytest.mark.parametrize("g, count", [
+    (BOWTIE, 6 * 6),
+    (TREE, 2 ** 7),
+    (_with_pendant(K4), 24 * 2),
+    (_with_pendant(bundled_graph("A")), 0),
+    (graph_from_edge_list(1, []), 1),
+    (graph_from_edge_list(5, []), 1),
+])
+def test_count_is_a_product_over_blocks(g, count):
+    assert count_semi_transitive(g) == count_semi_transitive_naive(g) == count
+
+
+def test_two_to_the_blocks_divides_every_count():
+    # reversing one block of a semi-transitive orientation keeps it so
+    rng = random.Random(16)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(2, 8), rng.choice((0.25, 0.4, 0.55)))
+        if len(g.edges) <= 24:
+            count = count_semi_transitive(g)
+            assert count % 2 ** len(_blocks(g)) == 0
+            if g.n <= 6:
+                assert count == count_semi_transitive_naive(g)
+
+
+def test_count_walks_each_block_once():
+    # P_25, at the edge cap: 24 one-edge blocks of 2 nodes each, where one
+    # tree over all the edges takes about 2^25 nodes
+    path = graph_from_edge_list(25, [(v, v + 1) for v in range(1, 25)])
+    assert len(path.edges) == 24
+    stats = SearchStats()
+    start = time.perf_counter()
+    assert count_semi_transitive(path, stats) == 2 ** 24
+    assert time.perf_counter() - start < 0.5
+    assert stats.nodes <= 48
+    # a 12-edge path whose end is A's vertex 1: 12 bridges, then A's 17
+    # nodes once, not once per orientation of the path (139,263 nodes)
+    a = bundled_graph("A")
+    g = graph_from_edge_list(12 + a.n, [(v, v + 1) for v in range(1, 13)]
+                             + [(u + 12, v + 12) for u, v in a.edges])
+    stats = SearchStats()
+    assert count_semi_transitive(g, stats) == 0
+    assert stats.nodes <= 48
+
+
 def test_witness_is_lex_least_on_disjoint_unions():
     # the first semi-transitive orientation in the vertex-order route's
     # lexicographic order (FORWARD < BACKWARD) is the search's witness,
@@ -399,8 +465,11 @@ def test_search_counters_locked():
     # not a product.  Checking each 4-cycle once by its balance, not each
     # of its triples, queues forced legs in another order, so failing
     # branches reach their conflict after other numbers of placements:
-    # propagations 5828 -> 5816 here and 5249 -> 5271 below
-    assert (total, counters(stats)) == (6533, (17288, 5816, 6533, 110))
+    # propagations 5828 -> 5816 here and 5249 -> 5271 below.  Counting
+    # block by block, each from its root edge FORWARD only (the BACKWARD
+    # half is the reversals, and blocks multiply), moved them from
+    # (17288, 5816, 6533, 110)
+    assert (total, counters(stats)) == (6533, (6400, 2475, 2331, 50))
     runs = [(len(cls.graph.edges) == 21, decide(cls.graph))
             for cls in enumerate_graphs(7)]
     assert sum(d.witness is None for _, d in runs) == 26
