@@ -26,15 +26,6 @@ class SpeedRow:
     entropy: float | None  # None for n = 1, where C(n,2) = 0
     nonrep_classes: tuple[str, ...]  # canonical keys, sorted
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a_n": self.a_n,
-            "b_n": self.b_n,
-            "entropy": self.entropy,
-            "nonrep_classes": list(self.nonrep_classes),
-        }
-
 
 def _entropy(n: int, b_n: int) -> float | None:
     pairs = math.comb(n, 2)
@@ -75,12 +66,3 @@ def entropy_table(n_max: int, long_ok: bool = False) -> list[SpeedRow]:
             f"entropy table supports n <= {ENUMERATE_MAX_N}, got {n_max}")
     return [census(n) for n in range(2, n_max + 1)]
 
-
-def format_table(rows: list[SpeedRow]) -> str:
-    header = f"{'n':>2}  {'a_n':>6}  {'b_n':>10}  {'entropy':>9}  nonrep"
-    lines = [header]
-    for r in rows:
-        ent = "-" if r.entropy is None else f"{r.entropy:.6f}"
-        lines.append(
-            f"{r.n:>2}  {r.a_n:>6}  {r.b_n:>10}  {ent:>9}  {len(r.nonrep_classes)}")
-    return "\n".join(lines) + "\n"

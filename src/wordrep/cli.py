@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end, the one module that renders results: each
+cmd_* returns (JSON payload, text, exit code), and main writes the payload
+under --json and the text otherwise.
 
 Exit codes: 0 for a positive or informational answer, 1 for a negative
 answer to a yes/no query (non-representable, word not found, word does
@@ -10,99 +12,73 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from .census import census, entropy_table, format_table
-from .decision import (
-    NON_REPRESENTABLE,
-    decide,
-    decision_to_json,
-    decision_to_text,
-)
+from .census import census, entropy_table
+from .decision import NON_REPRESENTABLE, decide
 from .errors import WordrepError
 from .graphs import format_edge_list, read_edge_list
-from .orientations import count_semi_transitive
-from .verify import checks_to_json, format_report, run_all_checks
+from .orientations import count_semi_transitive, format_orientation
+from .verify import run_all_checks
 from .words import format_word, graph_of_word, parse_word, represents
 from .wordsearch import DEFAULT_K_MAX, find_word
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def cmd_decide(args):
+    d = decide(read_edge_list(args.graph))
+    witness = None if d.witness is None else list(d.witness.arcs())
+    payload = {"verdict": d.verdict, "witness": witness, "stats": asdict(d.stats)}
+    # the search counters are only in the JSON's stats
+    text = d.verdict + "\n" + ("" if d.witness is None else format_orientation(d.witness))
+    return payload, text, 1 if d.verdict == NON_REPRESENTABLE else 0
 
 
-def cmd_decide(args) -> int:
+def cmd_check_word(args):
     g = read_edge_list(args.graph)
-    d = decide(g)
-    if args.json:
-        _emit_json(decision_to_json(d))
-    else:
-        sys.stdout.write(decision_to_text(d))
-    return 1 if d.verdict == NON_REPRESENTABLE else 0
+    ok = represents(parse_word(args.word), g)
+    return {"represents": ok}, f"represents: {str(ok).lower()}\n", 0 if ok else 1
 
 
-def cmd_check_word(args) -> int:
-    g = read_edge_list(args.graph)
-    w = parse_word(args.word)
-    ok = represents(w, g)
-    if args.json:
-        _emit_json({"represents": ok})
-    else:
-        print(f"represents: {'true' if ok else 'false'}")
-    return 0 if ok else 1
-
-
-def cmd_graph_of_word(args) -> int:
+def cmd_graph_of_word(args):
     g = graph_of_word(parse_word(args.word))
-    if args.json:
-        _emit_json({"n": g.n, "edges": [list(e) for e in g.edges]})
-    else:
-        sys.stdout.write(format_edge_list(g))
-    return 0
+    return {"n": g.n, "edges": g.edges}, format_edge_list(g), 0
 
 
-def cmd_count_orientations(args) -> int:
-    g = read_edge_list(args.graph)
-    count = count_semi_transitive(g)
-    if args.json:
-        _emit_json({"count": count})
-    else:
-        print(count)
-    return 0
+def cmd_count_orientations(args):
+    count = count_semi_transitive(read_edge_list(args.graph))
+    return {"count": count}, f"{count}\n", 0
 
 
-def cmd_find_word(args) -> int:
-    g = read_edge_list(args.graph)
-    res = find_word(g, k_max=args.k_max)
-    if args.json:
-        _emit_json({
-            "word": None if res.word is None else list(res.word.letters),
-            "k_tried": res.k_tried,
-            "nodes": res.nodes,
-        })
-    elif res.word is None:
-        print("None")
-    else:
-        print(format_word(res.word))
-    return 0 if res.word is not None else 1
+def cmd_find_word(args):
+    res = find_word(read_edge_list(args.graph), k_max=args.k_max)
+    if res.word is None:
+        return {"word": None, "k_tried": res.k_tried, "nodes": res.nodes}, "None\n", 1
+    payload = {"word": res.word.letters, "k_tried": res.k_tried, "nodes": res.nodes}
+    return payload, format_word(res.word) + "\n", 0
 
 
-def cmd_census(args) -> int:
+def cmd_census(args):
     rows = entropy_table(args.n) if args.table else [census(args.n)]
-    if args.json:
-        payload = {"rows": [r.to_json() for r in rows]}
-        _emit_json(payload if args.table else payload["rows"][0])
-    else:
-        sys.stdout.write(format_table(rows))
-    return 0
+    lines = [f"{'n':>2}  {'a_n':>6}  {'b_n':>10}  {'entropy':>9}  nonrep"]
+    for r in rows:
+        ent = "-" if r.entropy is None else f"{r.entropy:.6f}"
+        lines.append(
+            f"{r.n:>2}  {r.a_n:>6}  {r.b_n:>10}  {ent:>9}  {len(r.nonrep_classes)}")
+    payload = [asdict(r) for r in rows]
+    return {"rows": payload} if args.table else payload[0], "\n".join(lines) + "\n", 0
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args):
     checks = run_all_checks()
-    if args.json:
-        _emit_json(checks_to_json(checks))
-    else:
-        sys.stdout.write(format_report(checks))
-    return 0 if all(c.passed for c in checks) else 1
+    width = max(len(c.name) for c in checks)
+    lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}"
+             for c in checks]
+    passed = sum(c.passed for c in checks)
+    lines.append(f"{len(checks)} checks, {passed} passed, {len(checks) - passed} failed")
+    payload = {"checks": [{"name": c.name, "pass": c.passed, "detail": c.detail}
+                          for c in checks],
+               "all_pass": passed == len(checks)}
+    return payload, "\n".join(lines) + "\n", 0 if payload["all_pass"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,10 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, text, code = args.func(args)
+        # written inside the try: a closed stdout is an OSError, so exit 2
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.json else text)
     except (WordrepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

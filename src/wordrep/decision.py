@@ -5,7 +5,7 @@ orientation search and packages the outcome with its search statistics.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .graphs import Graph
 from .orientations import (
@@ -13,7 +13,6 @@ from .orientations import (
     SearchStats,
     acyclic_orientations,
     find_semi_transitive,
-    format_orientation,
     is_semi_transitive,
 )
 
@@ -57,19 +56,3 @@ def verify_certificate(g: Graph, d: Decision) -> bool:
         return w is not None and w.base == g and w.is_total and is_semi_transitive(w)
     return not any(is_semi_transitive(o) for o in acyclic_orientations(g))
 
-
-def decision_to_json(d: Decision) -> dict:
-    """Stable JSON shape: {verdict, witness, stats}; witness is a list of
-    [tail, head] arcs in stored edge order, or null."""
-    witness = None
-    if d.witness is not None:
-        witness = [list(d.witness.arc(i)) for i in range(len(d.witness.dirs))]
-    return {"verdict": d.verdict, "witness": witness, "stats": asdict(d.stats)}
-
-
-def decision_to_text(d: Decision) -> str:
-    """The verdict line, then the witness in format_orientation's text;
-    the search counters are in decision_to_json's stats."""
-    if d.witness is None:
-        return d.verdict + "\n"
-    return d.verdict + "\n" + format_orientation(d.witness)

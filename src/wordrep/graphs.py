@@ -289,7 +289,11 @@ def _perm_tables(n: int) -> np.ndarray:
     weight = np.zeros((n, n), dtype=np.int32)   # slot value of each pair
     for i, (u, v) in enumerate(pairs):
         weight[u - 1, v - 1] = weight[v - 1, u - 1] = 1 << (len(pairs) - 1 - i)
-    return np.stack([weight[perms[:, u - 1], perms[:, v - 1]] for u, v in pairs])
+    # index arrays of shape (pairs, n!) give values[s, p] in one gather,
+    # and an empty (0, 1) table for n = 1, which has no pairs
+    us = [u - 1 for u, _ in pairs]
+    vs = [v - 1 for _, v in pairs]
+    return weight[perms[:, us].T, perms[:, vs].T]
 
 
 def _orbit_codes(n: int, mask: int) -> np.ndarray:
@@ -319,8 +323,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if g.n > CANONICAL_MAX_N:
         raise TooLargeError(
             f"canonical form supports n <= {CANONICAL_MAX_N}, got {g.n}")
-    if g.n == 1:
-        return CanonicalForm(1, 0)
     codes = _orbit_codes(g.n, _edge_mask(g))
     return CanonicalForm(g.n, int(codes.min()))
 
@@ -351,9 +353,6 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
             f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
     if n < 1:
         raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
-    if n == 1:
-        yield GraphClass(Graph(1, ()), CanonicalForm(1, 0), 1, 1)
-        return
     import numpy as np
     fact = math.factorial(n)
     seen = bytearray(1 << (n * (n - 1) // 2))

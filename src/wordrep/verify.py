@@ -122,22 +122,3 @@ def run_all_checks() -> list[CheckResult]:
     checks.extend(_check_counts())
     return checks
 
-
-def format_report(checks: list[CheckResult]) -> str:
-    width = max(len(c.name) for c in checks)
-    lines = [
-        f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}"
-        for c in checks]
-    failed = sum(1 for c in checks if not c.passed)
-    lines.append(
-        f"{len(checks)} checks, {len(checks) - failed} passed, {failed} failed")
-    return "\n".join(lines) + "\n"
-
-
-def checks_to_json(checks: list[CheckResult]) -> dict:
-    return {
-        "checks": [
-            {"name": c.name, "pass": c.passed, "detail": c.detail}
-            for c in checks],
-        "all_pass": all(c.passed for c in checks),
-    }

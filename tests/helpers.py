@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import itertools
 import operator
+import pathlib
 import random
 
 import numpy as np
 
+import wordrep
+from wordrep.bundled import GRAPH_NAMES
+from wordrep.cli import main
 from wordrep.graphs import Graph, graph_from_edge_list
 from wordrep.orientations import BACKWARD, FORWARD, Orientation
 
@@ -249,3 +253,14 @@ def all_graphs(n: int):
     for mask in range(1 << len(pairs)):
         yield graph_from_edge_list(
             n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+# ---------------------------------------------------------------------------
+# command line
+
+def run_cli(capsys, *argv) -> tuple[int, str]:
+    """Exit code and stdout of main(argv); a bundled graph's name stands
+    for its edge-list file."""
+    data = pathlib.Path(wordrep.__file__).parent / "data"
+    code = main([str(data / f"{a}.edges") if a in GRAPH_NAMES else a for a in argv])
+    return code, capsys.readouterr().out

@@ -7,6 +7,7 @@ slower route where one exists.
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -41,7 +42,6 @@ from wordrep import (
     verify_certificate,
 )
 from wordrep.bundled import bundled_graph, bundled_word
-from wordrep.decision import decision_to_json, decision_to_text
 from wordrep.orientations import Orientation, count_semi_transitive_naive
 
 from helpers import (
@@ -49,6 +49,7 @@ from helpers import (
     enumerate_total_orientations,
     random_3partite,
     ref_alternates,
+    run_cli,
 )
 
 
@@ -242,12 +243,12 @@ def test_criterion_10_entropy_table(capsys):
 def test_criterion_11_determinism(capsys):
     failures = []
     m = bundled_graph("M")
-    texts = {decision_to_text(decide(m)) for _ in range(3)}
+    texts = {run_cli(capsys, "decide", "M") for _ in range(3)}
     if len(texts) != 1:
         failures.append("decide text varies")
     jsons = set()
     for _ in range(3):
-        payload = decision_to_json(decide(m))
+        payload = json.loads(run_cli(capsys, "decide", "M", "--json")[1])
         payload["stats"]["wall_time_s"] = 0.0
         jsons.add(str(payload))
     if len(jsons) != 1:

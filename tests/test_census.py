@@ -6,16 +6,18 @@ full labelled sweeps agreed with the orbit-stabilizer totals.
 """
 
 import itertools
+import json
 import math
 import sys
 
 import pytest
 
 from wordrep import REPRESENTABLE, census, decide, entropy_table
-from wordrep.census import SpeedRow, format_table
 from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import enumerate_graphs, graph_from_edge_list
 from wordrep.orientations import _forward_semi_transitive
+
+from helpers import run_cli
 
 
 def test_small_rows_exact():
@@ -143,19 +145,19 @@ def test_rows_are_possible_numbers():
             assert 0 < row.entropy <= 1
 
 
-def test_to_json_shape():
-    payload = census(4).to_json()
+def test_to_json_shape(capsys):
+    payload = json.loads(run_cli(capsys, "census", "4", "--json")[1])
     assert set(payload) == {"n", "a_n", "b_n", "entropy", "nonrep_classes"}
     assert payload["nonrep_classes"] == []
     assert isinstance(payload["entropy"], float)
-    assert census(1).to_json()["entropy"] is None
+    assert json.loads(run_cli(capsys, "census", "1", "--json")[1])["entropy"] is None
 
 
-def test_format_table():
-    text = format_table(entropy_table(4))
+def test_format_table(capsys):
+    text = run_cli(capsys, "census", "4", "--table")[1]
     lines = text.splitlines()
     assert lines[0].split() == ["n", "a_n", "b_n", "entropy", "nonrep"]
     assert len(lines) == 4
     assert "1.000000" in lines[1]
-    solo = format_table([SpeedRow(1, 1, 1, None, ())])
+    solo = run_cli(capsys, "census", "1")[1]
     assert solo.splitlines()[1].split() == ["1", "1", "1", "-", "0"]

@@ -19,6 +19,8 @@ from wordrep.cli import main
 from wordrep.graphs import parse_edge_list, write_edge_list
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DATA = pathlib.Path(wordrep.__file__).parent / "data"  # the bundled files
+SRC = pathlib.Path(wordrep.__file__).parents[1]
 
 
 @pytest.fixture
@@ -63,18 +65,37 @@ def test_decide_golden_json(capsys, graph_file):
     assert payload == json.loads(GOLDEN.joinpath("decide_M.json").read_text())
 
 
-# stdout bytes and exit code of each command, recorded from an earlier build;
-# a bundled graph's name stands for its edge-list file
+# output bytes and exit code of each command, recorded from an earlier build;
+# a bundled graph's name stands for its edge-list file.  A ".err" file holds
+# the run's stderr and its stdout must be empty; any other file holds the
+# stdout and its stderr must be empty.
 GOLDEN_RUNS = [
     ("census_6_table.json", 0, ["census", "6", "--table", "--json"]),
+    ("census_6_table.txt", 0, ["census", "6", "--table"]),
+    ("census_5.txt", 0, ["census", "5"]),
+    ("census_5.json", 0, ["census", "5", "--json"]),
+    ("census_1.txt", 0, ["census", "1"]),
+    ("census_1.json", 0, ["census", "1", "--json"]),
     ("verify_paper.txt", 0, ["verify-paper"]),
     ("verify_paper.json", 0, ["verify-paper", "--json"]),
     ("find_word_A.json", 1, ["find-word", "A", "--json"]),
+    ("find_word_A.txt", 1, ["find-word", "A"]),
     ("find_word_M.json", 0, ["find-word", "M", "--json"]),
+    ("find_word_M.txt", 0, ["find-word", "M"]),
     ("count_orientations_K4.json", 0, ["count-orientations", "K4", "--json"]),
+    ("count_orientations_K4.txt", 0, ["count-orientations", "K4"]),
     ("count_orientations_C4.json", 0, ["count-orientations", "C4", "--json"]),
     ("count_orientations_A.json", 0, ["count-orientations", "A", "--json"]),
     ("decide_A.json", 1, ["decide", "A", "--json"]),
+    ("decide_A.txt", 1, ["decide", "A"]),
+    ("decide_M.txt", 0, ["decide", "M"]),
+    ("check_word_true.txt", 0, ["check-word", "M", "--word", "1213423"]),
+    ("check_word_true.json", 0, ["check-word", "M", "--word", "1213423", "--json"]),
+    ("check_word_false.txt", 1, ["check-word", "M", "--word", "1234"]),
+    ("check_word_false.json", 1, ["check-word", "M", "--word", "1234", "--json"]),
+    ("graph_of_word.txt", 0, ["graph-of-word", "--word", "1213423"]),
+    ("graph_of_word.json", 0, ["graph-of-word", "--word", "1213423", "--json"]),
+    ("word_parse_error.err", 2, ["graph-of-word", "--word", "1x2"]),
 ]
 
 
@@ -84,8 +105,9 @@ def test_golden_outputs(capsys, graph_file, golden, code, argv):
     got, out, err = run(capsys, *argv)
     # wall time is the one field that is not deterministic
     out = re.sub(r'"wall_time_s": [^,\n}]+', '"wall_time_s": 0.0', out)
-    assert (got, err) == (code, "")
-    assert out.encode("utf-8") == GOLDEN.joinpath(golden).read_bytes()
+    shown, silent = (err, out) if golden.endswith(".err") else (out, err)
+    assert (got, silent) == (code, "")
+    assert shown.encode("utf-8") == GOLDEN.joinpath(golden).read_bytes()
 
 
 def test_check_word(capsys, graph_file):
@@ -247,11 +269,10 @@ def test_non_ascii_digits_are_parse_errors(tmp_path):
                   ["graph-of-word", "--word", digit]]
     script = ("import sys\nfrom wordrep.cli import main\n"
               f"print([main(argv) for argv in {argvs!r}])\n")
-    src = pathlib.Path(wordrep.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         encoding="utf-8",
-        env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"})
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"})
     assert proc.stdout == f"{[2] * len(argvs)}\n"
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("error:") == len(argvs)
@@ -284,9 +305,8 @@ def _modules_after(*argvs):
         "from wordrep.cli import main\n"
         f"codes = [main(argv) for argv in {list(argvs)!r}]\n"
         "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
-    src = pathlib.Path(wordrep.__file__).parents[1]
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.stderr == ""
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -294,12 +314,11 @@ def _modules_after(*argvs):
 def test_search_and_word_commands_never_import_numpy():
     # numpy costs about 0.15 s of start-up, and only class enumeration,
     # canonical forms and the vertex-order re-check use it
-    data = pathlib.Path(wordrep.__file__).parent / "data"
     codes, numpy_loaded = _modules_after(
-        ["decide", str(data / "A.edges")],
-        ["count-orientations", str(data / "K4.edges")],
-        ["find-word", str(data / "M.edges")],
-        ["check-word", str(data / "M.edges"), "--word", "1213423"],
+        ["decide", str(DATA / "A.edges")],
+        ["count-orientations", str(DATA / "K4.edges")],
+        ["find-word", str(DATA / "M.edges")],
+        ["check-word", str(DATA / "M.edges"), "--word", "1213423"],
         ["graph-of-word", "--word", "1213423"])
     assert codes == [1, 0, 0, 0, 0]
     assert not numpy_loaded
@@ -307,16 +326,39 @@ def test_search_and_word_commands_never_import_numpy():
     assert _modules_after(["census", "3"]) == [[0], True]
 
 
-def test_console_script(tmp_path):
+def test_module_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordrep.cli", "decide", str(DATA / "K4.edges")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("Representable\n")
+
+
+def test_console_script():
     exe = shutil.which("wordrep")
     if exe is None:
         pytest.skip("console script not installed")
-    path = tmp_path / "K4.edges"
-    write_edge_list(bundled_graph("K4"), path)
-    proc = subprocess.run([exe, "count-orientations", str(path)],
+    proc = subprocess.run([exe, "count-orientations", str(DATA / "K4.edges")],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "24\n"
-    proc = subprocess.run([sys.executable, "-m", "wordrep.cli", "decide", str(path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+
+
+def test_closed_stdout_is_an_error_not_a_traceback():
+    # a write to a pipe whose reader is gone raises BrokenPipeError, an
+    # OSError: it must end as one error line and exit 2, never as a
+    # traceback and exit 1 (which means "negative answer")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["decide", str(DATA / "M.edges")], ["census", "6", "--table"],
+                     ["verify-paper", "--json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "wordrep.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)})
+            assert proc.returncode == 2, argv
+            assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+            assert "Traceback" not in proc.stderr
+    finally:
+        os.close(write_end)

@@ -12,8 +12,6 @@ from wordrep.decision import (
     REPRESENTABLE,
     Decision,
     decide,
-    decision_to_json,
-    decision_to_text,
     verify_certificate,
 )
 from wordrep.errors import TooLargeError
@@ -28,6 +26,8 @@ from wordrep.orientations import (
     find_semi_transitive,
     is_semi_transitive,
 )
+
+from helpers import run_cli
 
 
 def complete(n):
@@ -167,9 +167,8 @@ def test_max_degree_three_always_representable():
     assert hits > 100
 
 
-def test_decision_json_shape():
-    d = decide(bundled_graph("M"))
-    payload = decision_to_json(d)
+def test_decision_json_shape(capsys):
+    payload = json.loads(run_cli(capsys, "decide", "M", "--json")[1])
     assert set(payload) == {"verdict", "witness", "stats"}
     assert payload["verdict"] == REPRESENTABLE
     assert all(len(arc) == 2 for arc in payload["witness"])
@@ -177,12 +176,12 @@ def test_decision_json_shape():
         "nodes", "propagations", "shortcut_checks",
         "shortcut_conflicts", "wall_time_s"}
     json.dumps(payload)  # serializable
-    neg = decision_to_json(decide(bundled_graph("A")))
+    neg = json.loads(run_cli(capsys, "decide", "A", "--json")[1])
     assert neg["witness"] is None
 
 
-def test_decision_text():
-    assert decision_to_text(decide(bundled_graph("A"))) == "NonRepresentable\n"
-    text = decision_to_text(decide(bundled_graph("K4")))
+def test_decision_text(capsys):
+    assert run_cli(capsys, "decide", "A")[1] == "NonRepresentable\n"
+    text = run_cli(capsys, "decide", "K4")[1]
     assert text.startswith("Representable\n")
     assert "1 2 >" in text
