@@ -4,13 +4,14 @@ rule, the backtracking search for a semi-transitive orientation (one
 connected component at a time, one block at a time when counting), and
 the vertex-order enumeration of acyclic orientations that re-checks it.
 
-The search keeps a reachability closure of its partial orientation, so
-acyclicity is a one-bit test per arc and semi-transitivity at a leaf is a
-polynomial mask test (the interval lemma, _no_shortcut).  The same test
-on the vertex order 1..n certifies most small graphs with no search.
-find_shortcut and is_semi_transitive enumerate directed paths literally
-instead, as the independent route that certificates and counts are
-re-checked by.
+The search holds its partial orientation as two edge masks, FORWARD and
+BACKWARD, and keeps a reachability closure of it, so the forcing rule
+counts a cycle's legs by popcount, acyclicity is a one-bit test per arc
+and semi-transitivity at a leaf is a polynomial mask test (the interval
+lemma, _no_shortcut).  The same test on the vertex order 1..n certifies
+most small graphs with no search.  find_shortcut and is_semi_transitive
+enumerate directed paths literally instead, as the independent route
+that certificates and counts are re-checked by.
 
 An orientation assigns each stored edge (u, v), u < v, one of FORWARD
 (u -> v), BACKWARD (v -> u) or None (unassigned).  A total acyclic
@@ -133,31 +134,33 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     _require_total(o)
     arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
     out = [0] * (o.base.n + 1)
+    into = [0] * (o.base.n + 1)
     for t, h in arcs:
         out[t] |= 1 << h
+        into[h] |= 1 << t
     if not _acyclic(out):
         raise CyclicInputError("shortcut detection needs an acyclic orientation")
-    arc_set = set(arcs)
     for t, h in arcs:
-        hit = _shortcut_dfs(out, arc_set, h, [t], 1 << t)
+        hit = _shortcut_dfs(out, into, h, [t], 1 << t, True)
         if hit is not None:
             return Conflict("Shortcut", hit)
     return None
 
 
-def _shortcut_dfs(out, arc_set, h, path, on_path) -> tuple[int, ...] | None:
+def _shortcut_dfs(out, into, h, path, on_path, closed) -> tuple[int, ...] | None:
+    """closed: every pair of the path so far is an arc in path order, so
+    the path closed by h misses none exactly when each of its vertices
+    has an arc into h."""
     for w in _bits(out[path[-1]]):
         if w == h:
-            if len(path) >= 3:
-                full = tuple(path) + (h,)
-                for i, j in itertools.combinations(range(len(full)), 2):
-                    if (full[i], full[j]) not in arc_set:
-                        return full
+            if len(path) >= 3 and not (closed and on_path & ~into[h] == 0):
+                return tuple(path) + (h,)
             continue
         if on_path >> w & 1:
             continue
         path.append(w)
-        hit = _shortcut_dfs(out, arc_set, h, path, on_path | (1 << w))
+        hit = _shortcut_dfs(out, into, h, path, on_path | 1 << w,
+                            closed and on_path & ~into[w] == 0)
         path.pop()
         if hit is not None:
             return hit
@@ -178,16 +181,17 @@ def is_semi_transitive(o: Orientation) -> bool:
 # every 4-cycle counts.  Traversal frame per cycle (a,b,c,d): the four legs
 # in cyclic order, each as (edge index, sign), sign +1 when the stored (u<v)
 # direction agrees with the traversal a->b->c->d->a, so a leg goes round
-# exactly when dirs[edge] == sign.
+# exactly when its direction is sign.  The same legs as two edge masks:
+# ring, all four, and minus, the sign -1 ones.
 
 def _four_cycles(g: Graph) -> list[list[tuple]]:
     """For each edge, the 4-cycles with at most one chord through it as
-    (legs, cycle), legs the cycle's four (edge, sign) legs in traversal
-    order.  Cycles (a, b, c, d) come in lexicographic order, straight from
-    the adjacency masks: a is the smallest vertex and c is opposite it, so
-    each pair b < d of common neighbours of a and c above a closes one.
-    When a-c is an edge, pairs with b-d an edge are dropped, so no cycle
-    with both chords is visited."""
+    (ring, minus, legs, cycle), legs the cycle's four (edge, sign) legs in
+    traversal order.  Cycles (a, b, c, d) come in lexicographic order,
+    straight from the adjacency masks: a is the smallest vertex and c is
+    opposite it, so each pair b < d of common neighbours of a and c above
+    a closes one.  When a-c is an edge, pairs with b-d an edge are
+    dropped, so no cycle with both chords is visited."""
     adj = g.adj
     by_edge: list[list[tuple]] = [[] for _ in g.edges]
     leg = {}   # (x, y) -> the leg x->y as (edge index, sign)
@@ -205,79 +209,15 @@ def _four_cycles(g: Graph) -> list[list[tuple]]:
                     if not (chord and adj[b] >> d & 1):
                         cycles.append((b, c, d))
         for b, c, d in sorted(cycles):
-            entry = ((leg[a, b], leg[b, c], leg[c, d], leg[d, a]), (a, b, c, d))
-            for e, _ in entry[0]:
+            ab, bc, cd, da = legs = (leg[a, b], leg[b, c], leg[c, d], leg[d, a])
+            ring = 1 << ab[0] | 1 << bc[0] | 1 << cd[0] | 1 << da[0]
+            # a, the least vertex, leaves along its edge's stored direction
+            # and is entered against it
+            minus = (bc[1] < 0) << bc[0] | (cd[1] < 0) << cd[0] | 1 << da[0]
+            entry = (ring, minus, legs, (a, b, c, d))
+            for e, _ in legs:
                 by_edge[e].append(entry)
     return by_edge
-
-
-def _propagate(cycles, dirs, arcs, place) -> tuple[int, ...] | None:
-    """Place each (edge, direction) of arcs, then run the four-cycle rule to
-    fixpoint: once two legs of a cycle go one way round, every free leg is
-    forced the other way.
-
-    place(e, d) sets dirs[e] = d and returns False to refuse.  Returns None
-    when all is placed, a cycle with three legs going one way round, or ()
-    when place refused.
-    """
-    for e, d in arcs:
-        if not place(e, d):
-            return ()
-    # (edge, forced direction), or (edge, None) for an edge already placed
-    queue: list[tuple[int, int | None]] = [(e, None) for e, _ in arcs]
-    while queue:
-        e, d = queue.pop()
-        if d is not None:
-            # skip an edge placed since it was queued: placed the other way,
-            # it gave the queuing cycle three legs one way round, which
-            # returned
-            if dirs[e] is not None:
-                continue
-            if not place(e, d):
-                return ()
-        for legs, cycle in cycles[e]:
-            free = []
-            ahead = back = 0   # legs going round, and going back
-            for leg in legs:
-                x = dirs[leg[0]]
-                if x is None:
-                    free.append(leg)
-                elif x == leg[1]:
-                    ahead += 1
-                else:
-                    back += 1
-            if ahead > 2 or back > 2:
-                return cycle
-            # the free legs go the other way: back is -sign, round is sign
-            if ahead == 2:
-                for f, sign in free:
-                    queue.append((f, -sign))
-            elif back == 2:
-                queue += free
-    return None
-
-
-def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
-    """Fixpoint of the four-cycle forcing rule over a partial orientation.
-
-    Once two legs of a 4-cycle with at most one chord go one way round,
-    every unassigned leg is forced the other way.  Returns a Lemma1Cycle
-    conflict if some cycle ends up with three legs going one way round.
-    Sound on every graph: 4-cycles with both chords are not indexed.
-    """
-    if o.base != g:
-        raise OutOfRangeError("orientation does not belong to this graph")
-    dirs: list[int | None] = [None] * len(g.edges)
-
-    def place(e: int, d: int) -> bool:
-        dirs[e] = d
-        return True
-
-    arcs = [(e, d) for e, d in enumerate(o.dirs) if d is not None]
-    cycle = _propagate(_four_cycles(g), dirs, arcs, place)
-    if cycle is not None:
-        return Conflict("Lemma1Cycle", cycle)
-    return Orientation(g, tuple(dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -345,68 +285,140 @@ class _Searcher:
     fixpoint, on every graph: the rule skips only 4-cycles with both chords,
     where it is unsound.
 
-    The search keeps the reachability closure of the arcs placed so far,
+    The partial orientation is two edge masks: bit e of fwd is set when
+    edge e is placed FORWARD, of bwd when BACKWARD.  Beside them the
+    search keeps the reachability closure of the arcs placed so far,
     packed into one int: row v, bits v*w to v*w + w - 1 with w = n + 1,
     holds v's strict descendants.  Arc t->h closes a directed cycle
     exactly when h already reaches t, a one-bit test.  Once it is placed,
     t and every ancestor of t also reach h and all h reaches; one product
     of the rows holding t (as their lowest bits) with that set writes it
-    into each of them, with no carry between rows.
+    into each of them, with no carry between rows.  A closure of None
+    skips the test, for partial orientations that may be cyclic.
 
-    assign opens a frame, the trail length and the closure before it (the
-    int is immutable, so keeping it is enough), and retract closes the
-    last one: it unassigns every edge placed since and restores the
-    closure, whether or not the assign succeeded.
+    The state is three immutable ints, so saving it is keeping them and
+    undoing is restoring them: branch keeps its node's in a local, and
+    assign opens a frame with them that retract closes, whether or not
+    the assign succeeded.  dirs reads the masks as one direction or None
+    per edge.
 
     Shortcut checks run at the leaves only, on the closure, with no path
     enumeration: the interval lemma of _no_shortcut on the unpacked rows.
 
     The word search keeps one too: it assigns each word's first-occurrence
-    arcs and retracts them when it backtracks."""
+    arcs, of which propagate skips those already in force, and retracts
+    them when it backtracks.  lemma1_propagate runs propagate on one with
+    no closure."""
 
     def __init__(self, g: Graph, stats: SearchStats):
-        if g.n > SEARCH_MAX_N:
-            raise TooLargeError(
-                f"orientation search supports n <= {SEARCH_MAX_N}, got {g.n}")
         self.g = g
-        self.m = len(g.edges)
         self.stats = stats
-        self.dirs: list[int | None] = [None] * self.m
+        self.fwd = self.bwd = 0
         self.w = g.n + 1
         self.row = (1 << self.w) - 1
         # bit 0 of every row: picks out the rows that hold a given vertex
         self.col = ((1 << self.w * self.w) - 1) // self.row
-        self.closure = 0
-        self.trail: list[int] = []  # assigned edges in order, for retract
-        self.frames: list[tuple[int, int]] = []  # (len(trail), closure) per assign
+        self.closure: int | None = 0
+        self.frames: list[tuple[int, int, int | None]] = []  # (fwd, bwd, closure) per assign
         self.cycles = _four_cycles(g)
 
-    def place(self, e: int, d: int) -> bool:
-        """Assign edge e unless that closes a directed cycle."""
-        u, v = self.g.edges[e]
-        t, h = (u, v) if d == FORWARD else (v, u)
-        c, w = self.closure, self.w
-        if c >> h * w + t & 1:
-            return False
-        self.dirs[e] = d
-        self.trail.append(e)
-        below = c >> h * w & self.row | 1 << h
-        self.closure = c | (c >> t & self.col | 1 << t * w) * below
-        return True
+    @property
+    def dirs(self) -> list[int | None]:
+        """The partial orientation, one direction or None per edge."""
+        fwd, bwd = self.fwd, self.bwd
+        return [FORWARD if fwd >> e & 1 else BACKWARD if bwd >> e & 1 else None
+                for e in range(len(self.g.edges))]
+
+    def propagate(self, arcs: list[tuple[int, int]]) -> tuple[int, ...] | None:
+        """Place each (edge, direction) of arcs, then run the four-cycle
+        rule to fixpoint: once two legs of a cycle go one way round, every
+        free leg is forced the other way.  An arc already in force is
+        skipped; a placement that closes a directed cycle is refused.
+
+        Returns None when all is placed, a cycle with three legs going one
+        way round, or () on a refusal; the masks and the closure then hold
+        what was placed before it.  Legs are counted by popcount, on local
+        copies of the masks written back once, and walked only to queue
+        two forced legs in traversal order."""
+        cycles, ends, w, row, col = self.cycles, self.g.edges, self.w, self.row, self.col
+        fwd, bwd, c = self.fwd, self.bwd, self.closure
+        # (edge, direction) to place, or (edge, 0) to scan.  The arcs are
+        # all placed, in order, before any is scanned: once the last one
+        # is, the queue is empty, and the others placed here go in, to be
+        # scanned after it from the end.
+        queue = arcs[::-1]
+        fresh = len(arcs)   # arcs still to place
+        try:
+            while queue:
+                e, d = queue.pop()
+                if d:
+                    bit = 1 << e
+                    if d == FORWARD:
+                        held = fwd & bit
+                        t, h = ends[e]
+                    else:
+                        held = bwd & bit
+                        h, t = ends[e]
+                    # an arc in force is not placed again.  A forced edge
+                    # placed the other way since it was queued gave the
+                    # queuing cycle three legs one way round, which returned.
+                    if not held:
+                        if c is not None:
+                            if c >> h * w + t & 1:
+                                return ()
+                            c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
+                        if d == FORWARD:
+                            fwd |= bit
+                        else:
+                            bwd |= bit
+                    if fresh:
+                        fresh -= 1
+                        if fresh:
+                            continue
+                        new = (fwd | bwd) & ~(self.fwd | self.bwd) & ~bit
+                        if new:
+                            queue = [(a, 0) for a, _ in arcs if new >> a & 1]
+                    if held:
+                        continue
+                placed = fwd | bwd
+                for ring, minus, legs, cycle in cycles[e]:
+                    on = placed & ring
+                    # legs going round: FORWARD ones of sign +1, BACKWARD of -1
+                    ahead = (on & (fwd ^ minus)).bit_count()
+                    if on == ring:   # all four placed: two each way, or three one way
+                        if ahead != 2:
+                            return cycle
+                        continue
+                    back = on.bit_count() - ahead
+                    # the free legs go the other way: back is -sign, round is sign
+                    if ahead == 2:
+                        way = -1
+                    elif back == 2:
+                        way = 1
+                    elif ahead > 2 or back > 2:
+                        return cycle
+                    else:
+                        continue
+                    free = ring ^ on
+                    if free & free - 1:   # two free legs: queued in traversal order
+                        for f, sign in legs:
+                            if free >> f & 1:
+                                queue.append((f, way * sign))
+                    else:
+                        queue.append((free.bit_length() - 1, -way if free & minus else way))
+            return None
+        finally:
+            self.fwd, self.bwd, self.closure = fwd, bwd, c
 
     def assign(self, arcs: list[tuple[int, int]]) -> bool:
         """Open a frame, place each (edge, direction) of arcs and propagate;
         False on conflict.  Either way, retract undoes it."""
-        self.frames.append((len(self.trail), self.closure))
-        return _propagate(self.cycles, self.dirs, arcs, self.place) is None
+        self.frames.append((self.fwd, self.bwd, self.closure))
+        return self.propagate(arcs) is None
 
     def retract(self) -> None:
-        """Close the last frame: unassign every edge placed since it opened
-        and restore the closure it kept."""
-        mark, self.closure = self.frames.pop()
-        trail, dirs = self.trail, self.dirs
-        while len(trail) > mark:
-            dirs[trail.pop()] = None
+        """Close the last frame, restoring the masks and the closure."""
+        self.fwd, self.bwd, self.closure = self.frames.pop()
 
     def descendants(self) -> list[int]:
         """The closure unpacked: entry v is the mask of v's descendants."""
@@ -421,31 +433,55 @@ class _Searcher:
         self.stats.shortcut_conflicts += 1
         return False
 
-    def branch(self, edges: Sequence[int], depth: int, first_only: bool) -> int:
-        """Number of semi-transitive orientations of the given edges (a
-        component's or a block's) below the current node, with the root
-        edge FORWARD in both modes: with none of the edges assigned yet
-        the BACKWARD subtree holds exactly the reversals of the FORWARD
+    def branch(self, part: int, depth: int, first_only: bool) -> int:
+        """Number of semi-transitive orientations of the edges in the mask
+        part (a component's or a block's) below the current node, with the
+        root edge FORWARD in both modes: with none of the edges assigned
+        yet the BACKWARD subtree holds exactly the reversals of the FORWARD
         one, so a count doubles this.  With first_only the walk stops at
-        the first one, leaving it in self.dirs (and its frames open)."""
+        the first one, leaving it in the masks.  Each node keeps the three
+        ints it started from and restores them after each child."""
         stats = self.stats
         stats.nodes += 1
-        e = next((i for i in edges if self.dirs[i] is None), None)
-        if e is None:
+        placed = self.fwd | self.bwd
+        free = part & ~placed
+        if not free:
             return int(self.leaf_ok())
+        e = (free & -free).bit_length() - 1
+        # every edge placed after e itself was forced
+        mark = placed.bit_count() + 1
+        node = self.fwd, self.bwd, self.closure
         found = 0
-        trail = self.trail
         for d in (FORWARD,) if depth == 0 else (FORWARD, BACKWARD):
-            mark = len(trail)
-            ok = self.assign([(e, d)])
-            # every edge placed after e itself was forced
-            stats.propagations += max(len(trail) - mark - 1, 0)
+            ok = self.propagate([(e, d)]) is None
+            forced = (self.fwd | self.bwd).bit_count() - mark
+            if forced > 0:
+                stats.propagations += forced
             if ok:
-                found += self.branch(edges, depth + 1, first_only)
+                found += self.branch(part, depth + 1, first_only)
                 if found and first_only:
                     return found
-            self.retract()
+            self.fwd, self.bwd, self.closure = node
         return found
+
+
+def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
+    """Fixpoint of the four-cycle forcing rule over a partial orientation.
+
+    Once two legs of a 4-cycle with at most one chord go one way round,
+    every unassigned leg is forced the other way.  Returns a Lemma1Cycle
+    conflict if some cycle ends up with three legs going one way round.
+    Sound on every graph: 4-cycles with both chords are not indexed.  The
+    search's own propagate runs it, with no closure: o may be cyclic.
+    """
+    if o.base != g:
+        raise OutOfRangeError("orientation does not belong to this graph")
+    s = _Searcher(g, SearchStats())
+    s.closure = None
+    cycle = s.propagate([(e, d) for e, d in enumerate(o.dirs) if d is not None])
+    if cycle is not None:
+        return Conflict("Lemma1Cycle", cycle)
+    return Orientation(g, tuple(s.dirs))
 
 
 def _blocks(g: Graph) -> list[list[int]]:
@@ -501,18 +537,21 @@ def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searc
     _blocks takes 21 us a call against 1.6 us for _components (2-core
     Xeon VM, Python 3.11), and deciding them all by blocks took 20-30 %
     longer."""
+    if g.n > SEARCH_MAX_N:
+        raise TooLargeError(
+            f"orientation search supports n <= {SEARCH_MAX_N}, got {g.n}")
     start = time.perf_counter()
     searcher = _Searcher(g, stats)
     if first_only:
         comps = [c for c in _components(g) if c & c - 1]   # two or more vertices
-        parts: list[Sequence[int]] = [range(len(g.edges))] if len(comps) < 2 else [
-            [i for i, (u, _) in enumerate(g.edges) if c >> u & 1] for c in comps]
+        parts = [(1 << len(g.edges)) - 1] if len(comps) < 2 else [
+            sum(1 << i for i, (u, _) in enumerate(g.edges) if c >> u & 1) for c in comps]
         factor = 1
     else:
-        parts, factor = _blocks(g), 2
+        parts, factor = [sum(1 << e for e in block) for block in _blocks(g)], 2
     found = 1
-    for edges in parts:
-        found *= factor * searcher.branch(edges, 0, first_only)
+    for part in parts:
+        found *= factor * searcher.branch(part, 0, first_only)
         if not found:
             break
     stats.wall_time_s += time.perf_counter() - start

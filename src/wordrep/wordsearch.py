@@ -34,17 +34,19 @@ transitive orientations and word-representable graphs", DAM 2016).  So
 when x first appears, every edge from x to a letter not yet seen must
 point out of x; the edges to letters already seen were fixed when those
 appeared.  These arcs go into one _Searcher, the orientation search's
-state, kept for the whole call: its assign places them through the
-four-cycle forcing rule and the closure's acyclicity test.  A conflict
-(a forced arc pointing the other way, a 4-cycle with three legs going one
-way round, or a directed cycle) rejects x; retract undoes the arcs, after
-a rejection or on backtracking.  Each forced arc holds in every
-semi-transitive orientation that extends the arcs in force, so the
-first-occurrence orientation of any representing word extends the
-partial orientation of each of its prefixes: no representing word is
-cut.  That holds for every word, so it holds for the ones starting with
-1 that the cyclic-shift symmetry keeps (each judged by its own first
-occurrences), and the word found is the same lex-least one.
+state, kept for the whole call: its assign skips the ones already in
+force and places the rest through the four-cycle forcing rule and the
+closure's acyclicity test.  A conflict (a forced arc pointing the other
+way, a 4-cycle with three legs going one way round, or a directed cycle)
+rejects x; retract restores the search's two edge masks and closure,
+after a rejection or on backtracking.  The word search never reads
+them.  Each forced arc holds in every semi-transitive orientation that
+extends the arcs in force, so the first-occurrence orientation of any
+representing word extends the partial orientation of each of its
+prefixes: no representing word is cut.  That holds for every word, so
+it holds for the ones starting with 1 that the cyclic-shift symmetry
+keeps (each judged by its own first occurrences), and the word found is
+the same lex-least one.
 
 The prune is off when g has no 4-cycle with at most one chord (Petersen,
 of girth 5, is such a graph): then nothing is ever forced, and arcs that
@@ -98,7 +100,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     # after its first copy x has k - 1 left; with no 4-cycle of at most
     # one chord the orientation prune cuts nothing, and -1 never matches
     first_left = k - 1 if any(st.cycles) else -1
-    dirs, assign, retract = st.dirs, st.assign, st.retract
+    assign, retract = st.assign, st.retract
     # out_arcs[x]: (neighbour y, edge x-y, the direction x -> y)
     out_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     for e, (u, v) in enumerate(g.edges):
@@ -135,11 +137,10 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
                 continue
             if left == first_left:
                 # x's first copy: its edges to unseen letters point out of
-                # x.  An arc already in force is skipped; one forced the
-                # other way is refused, as it closes a cycle.  With no
+                # x.  assign skips an arc already in force and refuses one
+                # forced the other way, as it closes a cycle.  With no
                 # arcs there is nothing to assign or retract.
-                arcs = [(e, d) for y, e, d in out_arcs[x]
-                        if remaining[y] == k and dirs[e] != d]
+                arcs = [(e, d) for y, e, d in out_arcs[x] if remaining[y] == k]
                 if arcs and not assign(arcs):
                     retract()
                     continue

@@ -171,6 +171,51 @@ def ref_four_cycles(g: Graph):
     return sorted(found)
 
 
+def ref_propagate(cycles, dirs, arcs, place):
+    """The four-cycle forcing rule walked leg by leg through a list of
+    directions (dirs[e] is FORWARD, BACKWARD or None), as the search ran
+    it before it held its state in edge masks.  cycles is the search's
+    index: per edge, (ring, minus, legs, cycle) with legs the four
+    (edge, sign) legs in traversal order; the masks are not read.
+
+    Place each (edge, direction) of arcs, then run the rule to fixpoint:
+    once two legs of a cycle go one way round, every free leg is forced
+    the other way.  place(e, d) sets dirs[e] = d and returns False to
+    refuse.  Returns None when all is placed, a cycle with three legs
+    going one way round, or () when place refused."""
+    for e, d in arcs:
+        if not place(e, d):
+            return ()
+    # (edge, forced direction), or (edge, None) for an edge already placed
+    queue = [(e, None) for e, _ in arcs]
+    while queue:
+        e, d = queue.pop()
+        if d is not None:
+            if dirs[e] is not None:
+                continue
+            if not place(e, d):
+                return ()
+        for _ring, _minus, legs, cycle in cycles[e]:
+            free = []
+            ahead = back = 0   # legs going round, and going back
+            for f, sign in legs:
+                x = dirs[f]
+                if x is None:
+                    free.append((f, sign))
+                elif x == sign:
+                    ahead += 1
+                else:
+                    back += 1
+            if ahead > 2 or back > 2:
+                return cycle
+            # the free legs go the other way: back is -sign, round is sign
+            if ahead == 2:
+                queue += [(f, -sign) for f, sign in free]
+            elif back == 2:
+                queue += free
+    return None
+
+
 def ref_blocks(g: Graph):
     """Edge indices of each block, in stored order, blocks by first edge,
     from the definition: two edges share a block iff they lie on a common

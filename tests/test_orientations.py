@@ -1,6 +1,7 @@
 """Acyclicity, shortcut detection, semi-transitivity, the four-cycle
 forcing rule, the search, and the coloring construction."""
 
+import collections
 import itertools
 import random
 import time
@@ -45,6 +46,7 @@ from helpers import (
     ref_four_cycles,
     ref_is_acyclic,
     ref_is_semi_transitive,
+    ref_propagate,
     total_orientations_as_arcs,
 )
 
@@ -202,15 +204,18 @@ def _ref_four_cycles(g):
     """The forcing rule's index rebuilt from the literal quadruple scan:
     cycles with both chords dropped, each listed under its four edges with
     its legs in traversal order, each leg signed +1 when its stored (u < v)
-    direction agrees with the traversal a->b->c->d->a."""
+    direction agrees with the traversal a->b->c->d->a, and with the edge
+    masks of all four legs and of the legs signed -1."""
     by_edge = [[] for _ in g.edges]
     for a, b, c, d in ref_four_cycles(g):
         if g.has_edge(a, c) and g.has_edge(b, d):
             continue
         legs = tuple((g.edge_index[min(x, y), max(x, y)], 1 if x < y else -1)
                      for x, y in ((a, b), (b, c), (c, d), (d, a)))
+        ring = sum(2 ** e for e, _sign in legs)
+        minus = sum(2 ** e for e, sign in legs if sign == -1)
         for e, _sign in legs:
-            by_edge[e].append((legs, (a, b, c, d)))
+            by_edge[e].append((ring, minus, legs, (a, b, c, d)))
     return by_edge
 
 
@@ -253,6 +258,54 @@ def test_lemma1_witnesses_are_sparse_four_cycles():
         assert all(g.has_edge(x, y) for x, y in ring)
         assert not (g.has_edge(a, c) and g.has_edge(b, d))
     assert seen > 50
+
+
+def test_mask_kernel_matches_leg_by_leg_reference():
+    # the search's propagate, on edge masks, against the rule walked leg by
+    # leg through a list (helpers.ref_propagate) on seeded partial
+    # orientations, cyclic ones included: the same result (fixpoint,
+    # conflict cycle or refusal) and the same placements, with no closure
+    # (as lemma1_propagate runs it) and with one (refusing arcs that close
+    # a directed cycle).  A second batch of arcs lands on the first one's
+    # fixpoint and may repeat arcs in force, which propagate skips; the
+    # reference is handed them filtered out.
+    rng = random.Random(1818)
+    outcomes = collections.Counter()
+    for _ in range(1000):
+        g = random_graph(rng, rng.randint(4, 8), rng.choice((0.4, 0.6, 0.8)))
+        m = len(g.edges)
+        batches = [[(e, rng.choice((FORWARD, BACKWARD)))
+                    for e in rng.sample(range(m), rng.randint(0, m // 2))]
+                   for _ in range(2)]
+        for closure in (None, 0):
+            s = _Searcher(g, SearchStats())
+            s.closure = closure
+            dirs = [None] * m
+            trail = []
+
+            def place(e, d):
+                arcs = [g.edges[f] if dirs[f] == FORWARD else g.edges[f][::-1] for f in trail]
+                arcs.append(g.edges[e] if d == FORWARD else g.edges[e][::-1])
+                if closure is not None and not ref_is_acyclic(g.n, arcs):
+                    return False
+                dirs[e] = d
+                trail.append(e)
+                return True
+
+            for batch in batches:
+                if closure is None:   # with no closure nothing refuses an arc against one placed
+                    batch = [(e, d) for e, d in batch if dirs[e] in (None, d)]
+                want = ref_propagate(s.cycles, dirs, [(e, d) for e, d in batch
+                                                      if dirs[e] != d], place)
+                got = s.propagate(batch)
+                assert got == want
+                assert s.fwd & s.bwd == 0 and s.dirs == dirs
+                assert (s.fwd | s.bwd).bit_count() == len(trail)
+                outcomes[closure, "placed" if got is None else "cycle" if got else "refused"] += 1
+                if got is not None:
+                    break
+    # every outcome shows up: refusals only where there is a closure
+    assert min(outcomes.values()) > 20 and len(outcomes) == 5
 
 
 def test_acyclic_orientations_are_the_acyclic_sweep():
@@ -486,9 +539,12 @@ def test_search_counters_locked():
 # the search's reachability closure and its leaf test
 
 def _leaf_test(o):
-    """The search's leaf verdict on the total acyclic orientation o."""
+    """The search's leaf verdict on the total acyclic orientation o: every
+    arc is placed before the forcing rule runs, so the closure is whole
+    even when the rule finds a conflict."""
     s = _Searcher(o.base, SearchStats())
-    assert all(s.place(e, d) for e, d in enumerate(o.dirs))
+    s.propagate(list(enumerate(o.dirs)))
+    assert s.dirs == list(o.dirs)
     return s.leaf_ok()
 
 
@@ -554,31 +610,44 @@ def test_vertex_order_test_is_the_first_witness():
     assert 866 < passed < len(graphs)
 
 
+def _placed_arcs(s):
+    """The arcs the search's two edge masks hold, in stored edge order."""
+    return [(u, v) if s.fwd >> e & 1 else (v, u)
+            for e, (u, v) in enumerate(s.g.edges) if (s.fwd | s.bwd) >> e & 1]
+
+
 def test_searcher_closure_invariant():
-    # seeded assign/retract walks: after every step the search's closure is
-    # the transitive closure of the placed arcs, and place refuses exactly
-    # the arcs that would close a directed cycle
+    # seeded assign/retract walks: after every step no edge is placed both
+    # ways, the dirs view reads the placed arcs, the search's closure is the
+    # transitive closure of the placed arcs, and an assigned arc is refused
+    # exactly when it would close a directed cycle
     rng = random.Random(99)
     refusals = 0
 
     def check(s):
         nonlocal refusals
         g = s.g
-        arcs = [(u, v) if d == FORWARD else (v, u)
-                for (u, v), d in zip(g.edges, s.dirs) if d is not None]
+        assert s.fwd & s.bwd == 0
+        arcs = _placed_arcs(s)
+        assert [(u, v) if d == FORWARD else (v, u)
+                for (u, v), d in zip(g.edges, s.dirs) if d is not None] == arcs
         desc = _ref_closure(g.n, arcs)
         assert s.descendants() == desc
+        state = s.fwd, s.bwd, s.closure
         for e, d in itertools.product(range(len(g.edges)), (FORWARD, BACKWARD)):
             if s.dirs[e] is not None:
                 continue
             u, v = g.edges[e]
             arc = (u, v) if d == FORWARD else (v, u)
-            assert s.assign([])   # an empty frame, for place's arc alone
-            placed = s.place(e, d)
+            s.assign([(e, d)])
+            # the arc is placed before the rule runs, so it is in the masks
+            # unless refused, whatever the rule found after it
+            placed = s.dirs[e] == d
             assert placed == ref_is_acyclic(g.n, arcs + [arc])
+            assert s.descendants() == _ref_closure(g.n, _placed_arcs(s))
             refusals += not placed
             s.retract()
-            assert s.descendants() == desc and s.dirs[e] is None
+            assert (s.fwd, s.bwd, s.closure) == state
 
     for _ in range(40):
         s = _Searcher(random_graph(rng, rng.randint(2, 8), 0.6), SearchStats())

@@ -65,7 +65,7 @@ def test_every_export_has_a_caller_or_is_documented():
 
 SHARED_PRIVATE = {"_bits", "_pairs", "_permutations", "_components", "_Searcher",
                   "_forward_semi_transitive"}
-SEARCH_STATE = {"trail", "closure", "frames", "place"}
+SEARCH_STATE = {"fwd", "bwd", "closure", "frames"}
 
 
 def test_modules_share_only_the_listed_private_names():
