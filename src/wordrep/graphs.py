@@ -245,8 +245,9 @@ def find_proper_coloring(g: Graph, max_colors: int) -> VertexColoring | None:
 # significant bit, so integer order on codes equals lexicographic order on
 # the bit-strings and the orbit minimum is well defined.
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((u, v) for u in range(1, n) for v in range(u + 1, n + 1))
 
 
 def _edge_mask(g: Graph) -> int:
@@ -343,10 +344,14 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
 
     The sweep visits masks in increasing order and skips anything already
     marked as an orbit member, so each representative is its own canonical
-    form by construction.  A class costs one gather-sum over the relabel
-    table (its n! orbit codes), one scatter of those codes into the seen
-    array, and one scan to the next unmarked mask; only that scan, done in
-    C by bytearray.find, passes over all 2^C(n,2) labelled graphs.
+    form by construction.  One row holds the n! orbit codes of the last
+    representative.  A code is the sum of the relabel table's values over
+    the graph's edge slots, so the next representative's codes are that
+    row plus the table rows of the slots it gains, minus those of the
+    slots it loses, updated in place: about 2 of 10.5 edge slots at
+    n = 7.  The row then marks its codes in the seen array in one
+    scatter, and a scan to the next unmarked mask, done in C by
+    bytearray.find, is the only pass over all 2^C(n,2) labelled graphs.
     """
     if n > ENUMERATE_MAX_N:
         raise TooLargeError(
@@ -354,21 +359,28 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
     if n < 1:
         raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
     import numpy as np
+    values = _perm_tables(n)
+    top = len(values) - 1   # mask bit b is slot top - b
     fact = math.factorial(n)
-    seen = bytearray(1 << (n * (n - 1) // 2))
+    seen = bytearray(1 << len(values))
     marks = np.frombuffer(seen, dtype=np.uint8)
-    mask = 0
+    codes = np.zeros(fact, dtype=np.intp)   # intp: the scatter needs no copy
+    last = mask = 0
     while mask != -1:
-        codes = _orbit_codes(n, mask)
+        for bit in _bits(last ^ mask):
+            if mask >> bit & 1:
+                codes += values[top - bit]
+            else:
+                codes -= values[top - bit]
         marks[codes] = 1
-        aut = int((codes == mask).sum())
+        aut = int(np.count_nonzero(codes == mask))
         yield GraphClass(
             _graph_from_mask(n, mask),
             CanonicalForm(n, mask),
             aut,
             fact // aut,
         )
-        mask = seen.find(0, mask + 1)
+        last, mask = mask, seen.find(0, mask + 1)
 
 
 # ---------------------------------------------------------------------------

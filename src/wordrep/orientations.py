@@ -192,27 +192,28 @@ def _four_cycles(g: Graph) -> list[list[tuple]]:
     opposite it, so each pair b < d of common neighbours of a and c above
     a closes one.  When a-c is an edge, pairs with b-d an edge are
     dropped, so no cycle with both chords is visited."""
-    adj = g.adj
+    adj, index = g.adj, g.edge_index
     by_edge: list[list[tuple]] = [[] for _ in g.edges]
-    leg = {}   # (x, y) -> the leg x->y as (edge index, sign)
-    for (u, v), i in g.edge_index.items():
-        leg[u, v] = (i, 1)
-        leg[v, u] = (i, -1)
     for a in g.vertices():
-        above = -1 << a + 1
+        up = adj[a] & -1 << a + 1   # b and d are two of a's neighbours above a
+        if not up & up - 1:
+            continue
         cycles = []   # (b, c, d), found by diagonal, then sorted
         for c in range(a + 1, g.n + 1):
-            common = adj[a] & adj[c] & above
+            common = up & adj[c]
             if common & common - 1:
                 chord = adj[a] >> c & 1
                 for b, d in itertools.combinations(_bits(common), 2):
                     if not (chord and adj[b] >> d & 1):
                         cycles.append((b, c, d))
         for b, c, d in sorted(cycles):
-            ab, bc, cd, da = legs = (leg[a, b], leg[b, c], leg[c, d], leg[d, a])
+            # a is the least vertex, so a->b goes with its stored edge and
+            # d->a against it
+            ab, da = (index[a, b], 1), (index[a, d], -1)
+            bc = (index[b, c], 1) if b < c else (index[c, b], -1)
+            cd = (index[c, d], 1) if c < d else (index[d, c], -1)
+            legs = (ab, bc, cd, da)
             ring = 1 << ab[0] | 1 << bc[0] | 1 << cd[0] | 1 << da[0]
-            # a, the least vertex, leaves along its edge's stored direction
-            # and is entered against it
             minus = (bc[1] < 0) << bc[0] | (cd[1] < 0) << cd[0] | 1 << da[0]
             entry = (ring, minus, legs, (a, b, c, d))
             for e, _ in legs:

@@ -9,6 +9,7 @@ meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import pathlib
 import random
@@ -18,7 +19,14 @@ import numpy as np
 import wordrep
 from wordrep.bundled import GRAPH_NAMES
 from wordrep.cli import main
-from wordrep.graphs import Graph, graph_from_edge_list
+from wordrep.graphs import (
+    CanonicalForm,
+    Graph,
+    GraphClass,
+    _graph_from_mask,
+    _orbit_codes,
+    graph_from_edge_list,
+)
 from wordrep.orientations import BACKWARD, FORWARD, Orientation
 
 
@@ -269,6 +277,22 @@ def brute_canonical(g: Graph):
         if best is None or relabeled < best:
             best = relabeled
     return (g.n, best)
+
+
+def ref_enumerate_graphs(n: int):
+    """The class sweep computed from scratch: every class's n! orbit codes
+    come from one gather-sum over the relabel table, where the package
+    updates the last class's codes by the slots that change."""
+    fact = math.factorial(n)
+    seen = bytearray(1 << math.comb(n, 2))
+    marks = np.frombuffer(seen, dtype=np.uint8)
+    mask = 0
+    while mask != -1:
+        codes = _orbit_codes(n, mask)
+        marks[codes] = 1
+        aut = int((codes == mask).sum())
+        yield GraphClass(_graph_from_mask(n, mask), CanonicalForm(n, mask), aut, fact // aut)
+        mask = seen.find(0, mask + 1)
 
 
 # ---------------------------------------------------------------------------

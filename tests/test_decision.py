@@ -2,9 +2,11 @@
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
+from wordrep import decision, orientations, verify
 from wordrep.bundled import bundled_graph
 from wordrep.census import census
 from wordrep.decision import (
@@ -143,6 +145,41 @@ def test_verify_certificate_confirms_every_n7_refutation():
         d = decide(g)
         assert d.verdict == NON_REPRESENTABLE
         assert verify_certificate(g, d)
+
+
+def _sweeps_per_graph(monkeypatch):
+    """Count acyclic_orientations calls per graph, under the names that
+    verify_certificate and count_semi_transitive_naive look up."""
+    calls = Counter()
+    sweep = orientations.acyclic_orientations
+
+    def counted(g):
+        calls[g] += 1
+        return sweep(g)
+
+    monkeypatch.setattr(decision, "acyclic_orientations", counted)
+    monkeypatch.setattr(orientations, "acyclic_orientations", counted)
+    return calls
+
+
+def test_verify_paper_sweeps_a_once(monkeypatch):
+    # the refutation re-check is the naive count of A being 0, so
+    # orientation-counts reuses it and A's 888 orientations are swept once
+    calls = _sweeps_per_graph(monkeypatch)
+    checks = verify.run_all_checks()
+    assert all(c.passed for c in checks)
+    assert calls[bundled_graph("A")] == 1
+
+
+def test_verify_paper_counts_a_when_refutation_fails(monkeypatch):
+    # with no confirmed refutation to reuse, A is counted for real
+    calls = _sweeps_per_graph(monkeypatch)
+    monkeypatch.setattr(verify, "verify_certificate", lambda g, d: False)
+    checks = {c.name: c for c in verify.run_all_checks()}
+    assert not checks["a-refutation"].passed
+    assert checks["orientation-counts"].passed
+    assert "A: fast=0 naive=0" in checks["orientation-counts"].detail
+    assert calls[bundled_graph("A")] == 1
 
 
 def test_hereditary_closure_n6():

@@ -25,6 +25,7 @@ from helpers import (
     all_graphs,
     brute_canonical,
     random_graph,
+    ref_enumerate_graphs,
 )
 
 K4 = graph_from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
@@ -205,6 +206,13 @@ def test_canonical_key_shape():
 def test_enumerate_class_counts():
     assert [sum(1 for _ in enumerate_graphs(n)) for n in range(1, 8)] == \
         [1, 2, 4, 11, 34, 156, 1044]
+
+
+def test_enumerate_matches_from_scratch_sweep():
+    # the incremental orbit codes give the same classes, in the same order,
+    # with the same representative, form and automorphism count
+    for n in range(1, 8):
+        assert list(enumerate_graphs(n)) == list(ref_enumerate_graphs(n))
 
 
 def test_enumerate_labelled_sizes_sum():
