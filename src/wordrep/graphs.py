@@ -214,27 +214,49 @@ class VertexColoring:
         return all(self.of(u) != self.of(v) for u, v in g.edges)
 
 
-def find_proper_coloring(g: Graph, max_colors: int) -> VertexColoring | None:
-    """Exact backtracking search for a proper coloring with <= max_colors."""
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    color = [0] * (g.n + 1)
+def _color_classes(g: Graph, k: int) -> list[int] | None:
+    """Vertex masks of at most k colour classes covering g, no class
+    holding an edge, or None when there are none.  Backtracking over the
+    vertices by descending degree (ties by label): each joins the first
+    class it has no neighbour in, or the next one tried, and each step may
+    open at most one new class, which kills the colour symmetry."""
+    adj = g.adj
+    degree = [nbrs.bit_count() for nbrs in adj]
+    # a stable sort: reverse=True keeps tied vertices in label order
+    order = sorted(g.vertices(), key=degree.__getitem__, reverse=True)
+    classes: list[int] = []
 
-    def assign(i: int, used: int) -> bool:
+    def place(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        # trying at most one previously-unused color kills color symmetry
-        for c in range(1, min(used + 1, max_colors) + 1):
-            if any(color[w] == c for w in _bits(g.adj[v])):
-                continue
-            color[v] = c
-            if assign(i + 1, max(used, c)):
+        for c in range(len(classes)):
+            held = classes[c]
+            if not adj[v] & held:
+                classes[c] = held | 1 << v
+                if place(i + 1):
+                    return True
+                classes[c] = held
+        if len(classes) < k:
+            classes.append(1 << v)
+            if place(i + 1):
                 return True
-            color[v] = 0
+            classes.pop()
         return False
 
-    if not assign(0, 0):
+    return classes if place(0) else None
+
+
+def find_proper_coloring(g: Graph, max_colors: int) -> VertexColoring | None:
+    """Exact backtracking search for a proper coloring with <= max_colors:
+    colour c + 1 for the vertices of the c-th of _color_classes."""
+    classes = _color_classes(g, max_colors)
+    if classes is None:
         return None
+    color = [0] * (g.n + 1)
+    for c, held in enumerate(classes, 1):
+        for v in _bits(held):
+            color[v] = c
     return VertexColoring(tuple(color[1:]))
 
 
@@ -260,9 +282,15 @@ def _edge_mask(g: Graph) -> int:
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    s = n * (n - 1) // 2
+    """The graph whose code is mask: from its top set bit, MSB-first slot
+    order is pair order, so the edges come out sorted."""
+    top = n * (n - 1) // 2 - 1
     pairs = _pairs(n)
-    edges = [pairs[i] for i in range(s) if mask >> (s - 1 - i) & 1]
+    edges = []
+    while mask:
+        b = mask.bit_length() - 1
+        edges.append(pairs[top - b])
+        mask ^= 1 << b
     return Graph(n, tuple(edges))
 
 

@@ -26,7 +26,6 @@ shortcut unless both chords a-c and b-d are edges.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -178,45 +177,53 @@ def is_semi_transitive(o: Orientation) -> bool:
 # four-cycle rule: a 4-cycle with at most one chord has at most two legs
 # each way round, and exactly two once it is fully oriented (see the module
 # docstring).  A K4-free graph has no 4-cycle with both chords, so there
-# every 4-cycle counts.  Traversal frame per cycle (a,b,c,d): the four legs
-# in cyclic order, each as (edge index, sign), sign +1 when the stored (u<v)
-# direction agrees with the traversal a->b->c->d->a, so a leg goes round
-# exactly when its direction is sign.  The same legs as two edge masks:
-# ring, all four, and minus, the sign -1 ones.
+# every 4-cycle counts.  Traversal frame per cycle (a,b,c,d): a leg's sign
+# is +1 when its stored (u<v) direction agrees with the traversal
+# a->b->c->d->a, -1 when not, so a leg goes round exactly when its
+# direction is its sign.  The legs as two edge masks: ring, all four, and
+# minus, the sign -1 ones.
 
 def _four_cycles(g: Graph) -> list[list[tuple]]:
     """For each edge, the 4-cycles with at most one chord through it as
-    (ring, minus, legs, cycle), legs the cycle's four (edge, sign) legs in
-    traversal order.  Cycles (a, b, c, d) come in lexicographic order,
-    straight from the adjacency masks: a is the smallest vertex and c is
-    opposite it, so each pair b < d of common neighbours of a and c above
-    a closes one.  When a-c is an edge, pairs with b-d an edge are
-    dropped, so no cycle with both chords is visited."""
+    (ring, minus, legs, cycle), legs the cycle's four edge ids in
+    traversal order, each leg's sign read from minus.  Cycles (a, b, c, d)
+    come in lexicographic order, straight from the adjacency masks: a is
+    the smallest vertex and c is opposite it, so each pair b < d of common
+    neighbours of a and c above a closes one.  When a-c is an edge, the
+    ds adjacent to b are dropped, so no cycle with both chords is visited.
+    The bits are walked inline, and an a's cycles, found by c, are sorted
+    only when there are two or more."""
     adj, index = g.adj, g.edge_index
     by_edge: list[list[tuple]] = [[] for _ in g.edges]
     for a in g.vertices():
         up = adj[a] & -1 << a + 1   # b and d are two of a's neighbours above a
         if not up & up - 1:
             continue
-        cycles = []   # (b, c, d), found by diagonal, then sorted
+        cycles = []   # (b, c, d)
         for c in range(a + 1, g.n + 1):
             common = up & adj[c]
-            if common & common - 1:
-                chord = adj[a] >> c & 1
-                for b, d in itertools.combinations(_bits(common), 2):
-                    if not (chord and adj[b] >> d & 1):
-                        cycles.append((b, c, d))
-        for b, c, d in sorted(cycles):
+            chord = adj[a] >> c & 1
+            while common & common - 1:
+                low = common & -common
+                common ^= low
+                b = low.bit_length() - 1
+                ds = common & ~adj[b] if chord else common
+                while ds:
+                    low = ds & -ds
+                    ds ^= low
+                    cycles.append((b, c, low.bit_length() - 1))
+        if len(cycles) > 1:
+            cycles.sort()
+        for b, c, d in cycles:
             # a is the least vertex, so a->b goes with its stored edge and
             # d->a against it
-            ab, da = (index[a, b], 1), (index[a, d], -1)
-            bc = (index[b, c], 1) if b < c else (index[c, b], -1)
-            cd = (index[c, d], 1) if c < d else (index[d, c], -1)
-            legs = (ab, bc, cd, da)
-            ring = 1 << ab[0] | 1 << bc[0] | 1 << cd[0] | 1 << da[0]
-            minus = (bc[1] < 0) << bc[0] | (cd[1] < 0) << cd[0] | 1 << da[0]
-            entry = (ring, minus, legs, (a, b, c, d))
-            for e, _ in legs:
+            ab, da = index[a, b], index[a, d]
+            bc = index[b, c] if b < c else index[c, b]
+            cd = index[c, d] if c < d else index[d, c]
+            legs = ab, bc, cd, da
+            entry = (1 << ab | 1 << bc | 1 << cd | 1 << da,
+                     (b > c) << bc | (d < c) << cd | 1 << da, legs, (a, b, c, d))
+            for e in legs:
                 by_edge[e].append(entry)
     return by_edge
 
@@ -340,7 +347,8 @@ class _Searcher:
         way round, or () on a refusal; the masks and the closure then hold
         what was placed before it.  Legs are counted by popcount, on local
         copies of the masks written back once, and walked only to queue
-        two forced legs in traversal order."""
+        two forced legs in traversal order, each leg's sign read from the
+        cycle's minus mask."""
         cycles, ends, w, row, col = self.cycles, self.g.edges, self.w, self.row, self.col
         fwd, bwd, c = self.fwd, self.bwd, self.closure
         # (edge, direction) to place, or (edge, 0) to scan.  The arcs are
@@ -402,9 +410,9 @@ class _Searcher:
                         continue
                     free = ring ^ on
                     if free & free - 1:   # two free legs: queued in traversal order
-                        for f, sign in legs:
+                        for f in legs:
                             if free >> f & 1:
-                                queue.append((f, way * sign))
+                                queue.append((f, -way if minus >> f & 1 else way))
                     else:
                         queue.append((free.bit_length() - 1, -way if free & minus else way))
             return None

@@ -23,7 +23,6 @@ from wordrep.graphs import (
     CanonicalForm,
     Graph,
     GraphClass,
-    _graph_from_mask,
     _orbit_codes,
     graph_from_edge_list,
 )
@@ -179,18 +178,36 @@ def ref_four_cycles(g: Graph):
     return sorted(found)
 
 
-def ref_propagate(cycles, dirs, arcs, place):
+def ref_cycle_legs(g: Graph):
+    """The forcing rule's cycles from the literal quadruple scan: the
+    4-cycles of ref_four_cycles less those with both chords, each listed
+    under its four edges as (legs, cycle), legs the four (edge, sign) in
+    traversal order, sign +1 when the stored (u < v) direction agrees
+    with the traversal a->b->c->d->a and -1 when not."""
+    by_edge = [[] for _ in g.edges]
+    for a, b, c, d in ref_four_cycles(g):
+        if g.has_edge(a, c) and g.has_edge(b, d):
+            continue
+        legs = tuple((g.edge_index[min(x, y), max(x, y)], 1 if x < y else -1)
+                     for x, y in ((a, b), (b, c), (c, d), (d, a)))
+        for e, _sign in legs:
+            by_edge[e].append((legs, (a, b, c, d)))
+    return by_edge
+
+
+def ref_propagate(g: Graph, dirs, arcs, place):
     """The four-cycle forcing rule walked leg by leg through a list of
     directions (dirs[e] is FORWARD, BACKWARD or None), as the search ran
-    it before it held its state in edge masks.  cycles is the search's
-    index: per edge, (ring, minus, legs, cycle) with legs the four
-    (edge, sign) legs in traversal order; the masks are not read.
+    it before it held its state in edge masks.  The cycles and their
+    signed legs come from ref_cycle_legs, not from the search's index, so
+    no mask is read.
 
     Place each (edge, direction) of arcs, then run the rule to fixpoint:
     once two legs of a cycle go one way round, every free leg is forced
     the other way.  place(e, d) sets dirs[e] = d and returns False to
     refuse.  Returns None when all is placed, a cycle with three legs
     going one way round, or () when place refused."""
+    cycles = ref_cycle_legs(g)
     for e, d in arcs:
         if not place(e, d):
             return ()
@@ -203,7 +220,7 @@ def ref_propagate(cycles, dirs, arcs, place):
                 continue
             if not place(e, d):
                 return ()
-        for _ring, _minus, legs, cycle in cycles[e]:
+        for legs, cycle in cycles[e]:
             free = []
             ahead = back = 0   # legs going round, and going back
             for f, sign in legs:
@@ -266,6 +283,16 @@ def total_orientations_as_arcs(g: Graph):
 
 
 # ---------------------------------------------------------------------------
+# colourings
+
+def ref_colorable(g: Graph, k: int) -> bool:
+    """Generate-and-test: whether some assignment of k colours to the n
+    vertices leaves no edge with both ends one colour."""
+    return any(all(col[u - 1] != col[v - 1] for u, v in g.edges)
+               for col in itertools.product(range(k), repeat=g.n))
+
+
+# ---------------------------------------------------------------------------
 # isomorphism
 
 def brute_canonical(g: Graph):
@@ -282,7 +309,10 @@ def brute_canonical(g: Graph):
 def ref_enumerate_graphs(n: int):
     """The class sweep computed from scratch: every class's n! orbit codes
     come from one gather-sum over the relabel table, where the package
-    updates the last class's codes by the slots that change."""
+    updates the last class's codes by the slots that change, and every
+    representative is built by testing each of the C(n,2) slots of its
+    code, where the package walks the set bits."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
     fact = math.factorial(n)
     seen = bytearray(1 << math.comb(n, 2))
     marks = np.frombuffer(seen, dtype=np.uint8)
@@ -291,7 +321,8 @@ def ref_enumerate_graphs(n: int):
         codes = _orbit_codes(n, mask)
         marks[codes] = 1
         aut = int((codes == mask).sum())
-        yield GraphClass(_graph_from_mask(n, mask), CanonicalForm(n, mask), aut, fact // aut)
+        edges = [p for i, p in enumerate(pairs) if mask >> (len(pairs) - 1 - i) & 1]
+        yield GraphClass(Graph(n, tuple(edges)), CanonicalForm(n, mask), aut, fact // aut)
         mask = seen.find(0, mask + 1)
 
 

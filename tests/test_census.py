@@ -14,10 +14,15 @@ import pytest
 
 from wordrep import REPRESENTABLE, census, decide, entropy_table
 from wordrep.errors import OutOfRangeError, TooLargeError
-from wordrep.graphs import enumerate_graphs, graph_from_edge_list
-from wordrep.orientations import _forward_semi_transitive
+from wordrep.graphs import (
+    _color_classes,
+    enumerate_graphs,
+    find_proper_coloring,
+    graph_from_edge_list,
+)
+from wordrep.orientations import _forward_semi_transitive, is_semi_transitive, orient_by_coloring
 
-from helpers import run_cli
+from helpers import all_graphs, ref_colorable, run_cli
 
 
 def test_small_rows_exact():
@@ -87,6 +92,33 @@ def test_vertex_order_certifies_most_classes():
             for n in range(1, 8)] == [1, 2, 4, 11, 32, 130, 686]
 
 
+def test_certificate_split():
+    # per n = 1..7, the classes the census accepts as 3-colourable, then,
+    # of the rest, those its vertex order 1..n accepts
+    by_coloring, by_order = [], []
+    for n in range(1, 8):
+        graphs = [cls.graph for cls in enumerate_graphs(n)]
+        colored = [g for g in graphs if _color_classes(g, 3) is not None]
+        by_coloring.append(len(colored))
+        by_order.append(sum(_forward_semi_transitive(g) for g in graphs
+                            if _color_classes(g, 3) is None))
+        # the colouring certificate, re-checked by path enumeration
+        for g in colored:
+            assert is_semi_transitive(orient_by_coloring(g, find_proper_coloring(g, 3)))
+    assert by_coloring == [1, 2, 4, 10, 29, 119, 667]
+    assert by_order == [0, 0, 0, 1, 5, 31, 212]
+
+
+def test_three_colourable_labelled_totals():
+    # c_n, the labelled 3-colourable graphs, by orbit-stabilizer over the
+    # classes the colouring accepts, and for n <= 5 by generate-and-test
+    # over every labelled graph
+    c_n = [sum(cls.labelled_size for cls in enumerate_graphs(n)
+               if _color_classes(cls.graph, 3) is not None) for n in range(1, 8)]
+    assert c_n == [1, 2, 8, 63, 958, 27554, 1457047]
+    assert [sum(ref_colorable(g, 3) for g in all_graphs(n)) for n in range(1, 6)] == c_n[:5]
+
+
 def test_census_decides_only_what_the_vertex_order_leaves(monkeypatch):
     calls = []
 
@@ -96,10 +128,10 @@ def test_census_decides_only_what_the_vertex_order_leaves(monkeypatch):
 
     monkeypatch.setattr(sys.modules["wordrep.census"], "decide", counted)
     assert census(7).a_n == 1018
-    assert len(calls) == 1044 - 686 == 358
+    assert len(calls) == 1044 - 667 - 212 == 165
     calls.clear()
     entropy_table(7)
-    assert len(calls) == 386
+    assert len(calls) == 171
 
 
 def test_row_n7():

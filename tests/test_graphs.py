@@ -25,6 +25,7 @@ from helpers import (
     all_graphs,
     brute_canonical,
     random_graph,
+    ref_colorable,
     ref_enumerate_graphs,
 )
 
@@ -155,6 +156,24 @@ def test_proper_coloring_exact():
     even = graph_from_edge_list(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
     c = find_proper_coloring(even, 2)
     assert c is not None and c.is_proper(even)
+    # no colour at all colours nothing, not even a single vertex
+    for g in (graph_from_edge_list(1, []), C4, K4):
+        for k in (0, -1):
+            assert find_proper_coloring(g, k) is None
+
+
+def test_proper_coloring_matches_brute_force():
+    # every labelled graph with n <= 5: a colouring exists exactly when a
+    # generate-and-test over the k^n assignments finds one, and it is
+    # proper, uses colours 1..k and covers every vertex
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for k in range(1, 5):
+                c = find_proper_coloring(g, k)
+                assert (c is not None) == ref_colorable(g, k), (g, k)
+                if c is not None:
+                    assert len(c.color) == n and c.is_proper(g)
+                    assert set(c.color) <= set(range(1, k + 1))
 
 
 def test_canonical_form_relabelings_agree():

@@ -43,6 +43,7 @@ from helpers import (
     enumerate_total_orientations,
     random_graph,
     ref_blocks,
+    ref_cycle_legs,
     ref_four_cycles,
     ref_is_acyclic,
     ref_is_semi_transitive,
@@ -201,22 +202,15 @@ def test_lemma1_statement_on_all_classes():
 
 
 def _ref_four_cycles(g):
-    """The forcing rule's index rebuilt from the literal quadruple scan:
-    cycles with both chords dropped, each listed under its four edges with
-    its legs in traversal order, each leg signed +1 when its stored (u < v)
-    direction agrees with the traversal a->b->c->d->a, and with the edge
-    masks of all four legs and of the legs signed -1."""
-    by_edge = [[] for _ in g.edges]
-    for a, b, c, d in ref_four_cycles(g):
-        if g.has_edge(a, c) and g.has_edge(b, d):
-            continue
-        legs = tuple((g.edge_index[min(x, y), max(x, y)], 1 if x < y else -1)
-                     for x, y in ((a, b), (b, c), (c, d), (d, a)))
-        ring = sum(2 ** e for e, _sign in legs)
-        minus = sum(2 ** e for e, sign in legs if sign == -1)
-        for e, _sign in legs:
-            by_edge[e].append((ring, minus, legs, (a, b, c, d)))
-    return by_edge
+    """The forcing rule's index rebuilt from the literal quadruple scan
+    (helpers.ref_cycle_legs): per edge, each cycle with the edge masks of
+    its four legs and of the legs signed -1, its four edges in traversal
+    order, and the cycle itself."""
+    return [[(sum(2 ** e for e, _sign in legs),
+              sum(2 ** e for e, sign in legs if sign == -1),
+              tuple(e for e, _sign in legs), cycle)
+             for legs, cycle in entries]
+            for entries in ref_cycle_legs(g)]
 
 
 def test_four_cycles_match_quadruple_scan():
@@ -295,8 +289,8 @@ def test_mask_kernel_matches_leg_by_leg_reference():
             for batch in batches:
                 if closure is None:   # with no closure nothing refuses an arc against one placed
                     batch = [(e, d) for e, d in batch if dirs[e] in (None, d)]
-                want = ref_propagate(s.cycles, dirs, [(e, d) for e, d in batch
-                                                      if dirs[e] != d], place)
+                want = ref_propagate(g, dirs, [(e, d) for e, d in batch
+                                               if dirs[e] != d], place)
                 got = s.propagate(batch)
                 assert got == want
                 assert s.fwd & s.bwd == 0 and s.dirs == dirs
