@@ -48,9 +48,8 @@ def verify_certificate(g: Graph, d: Decision) -> bool:
 
     Representable: the witness must be a total semi-transitive orientation
     of g.  NonRepresentable: is_semi_transitive must reject every acyclic
-    orientation (888 for graph A), with no search, propagation or symmetry.
-    They come from the n! vertex orders, so n > 8 raises TooLargeError.
-    """
+    orientation, with no search, propagation or symmetry: 888 for graph A,
+    from acyclic_orientations' walk, so n > 8 raises TooLargeError."""
     if d.verdict == REPRESENTABLE:
         w = d.witness
         return w is not None and w.base == g and w.is_total and is_semi_transitive(w)

@@ -295,18 +295,9 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
 
 
 @functools.cache
-def _permutations(n: int) -> np.ndarray:
-    """The n! permutations of 0..n-1 as int8 rows, itertools order.  Row p
-    relabels v as p[v - 1] + 1, or as a vertex order puts v at position
-    p[v - 1]; _perm_tables and acyclic_orientations share it."""
-    import numpy as np
-    return np.array(list(itertools.permutations(range(n))), np.int8).reshape(-1, n)
-
-
-@functools.cache
 def _perm_tables(n: int) -> np.ndarray:
     """values[s, p] is the MSB-first bit value of the slot that pair s lands
-    on under the p-th permutation, so a relabelled code is a gather-sum.
+    on under permutation p (itertools order), so a relabelled code is a gather-sum.
 
     One C(n,2) x n! table per n, built once: 21 x 5040 (0.4 MB) at n = 7,
     28 x 40320 (4.5 MB) at n = 8.  Codes stay below 2^28 for n <= 8, so
@@ -314,7 +305,7 @@ def _perm_tables(n: int) -> np.ndarray:
     """
     import numpy as np
     pairs = _pairs(n)
-    perms = _permutations(n)
+    perms = np.array(list(itertools.permutations(range(n))), np.int8)   # v -> p[v - 1] + 1
     weight = np.zeros((n, n), dtype=np.int32)   # slot value of each pair
     for i, (u, v) in enumerate(pairs):
         weight[u - 1, v - 1] = weight[v - 1, u - 1] = 1 << (len(pairs) - 1 - i)

@@ -269,10 +269,24 @@ def ref_blocks(g: Graph):
 
 def enumerate_total_orientations(g: Graph):
     """All 2^m total orientations, lexicographic with FORWARD < BACKWARD:
-    the literal generate-and-test sweep the vertex-order route is checked
-    against."""
+    the literal generate-and-test sweep the acyclic orientation walk is
+    checked against."""
     for dirs in itertools.product((FORWARD, BACKWARD), repeat=len(g.edges)):
         yield Orientation(g, dirs)
+
+
+def vertex_order_orientations(g: Graph):
+    """Every acyclic orientation once, lexicographic with FORWARD <
+    BACKWARD, from the n! vertex orders: each acyclic orientation is the
+    one its topological orders induce, so the orders induce all of them
+    and nothing else.  Rows are de-duplicated and sorted by their keys,
+    first edge most significant."""
+    pos = np.array(list(itertools.permutations(range(g.n))), np.int8)
+    # back[p, e]: stored edge e = (u, v) points backward, v is before u in p
+    back = pos[:, [u - 1 for u, _ in g.edges]] > pos[:, [v - 1 for _, v in g.edges]]
+    _, first = np.unique(back @ (1 << np.arange(len(g.edges))[::-1]), return_index=True)
+    for row in np.where(back[first], BACKWARD, FORWARD).tolist():
+        yield Orientation(g, tuple(row))
 
 
 def total_orientations_as_arcs(g: Graph):

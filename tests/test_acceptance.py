@@ -68,10 +68,12 @@ def test_criterion_01_a_refutation(capsys):
                     if is_semi_transitive(o))
     total = 2 ** len(a.edges)
     elapsed = time.perf_counter() - start
-    ok = (verdict == NON_REPRESENTABLE and total == 4096
-          and surviving == 0 and elapsed < 1.0)
+    # the paper's headline: 7 vertices, 12 edges and maximum degree 4
+    shape = (a.n, len(a.edges), a.degree_sequence())
+    ok = (verdict == NON_REPRESENTABLE and total == 4096 and surviving == 0
+          and shape == (7, 12, (3, 3, 3, 4, 4, 3, 4)) and elapsed < 1.0)
     report(capsys, 1, "A-refutation", ok,
-           f"all {total} orientations fail, {elapsed:.3f}s")
+           f"max degree {a.max_degree()}, all {total} orientations fail, {elapsed:.3f}s")
 
 
 def test_criterion_02_bundled_words(capsys):

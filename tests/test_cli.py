@@ -297,13 +297,18 @@ def test_removed_paths_are_usage_errors(capsys, graph_file):
     assert capsys.readouterr().out == ""
 
 
-def _modules_after(*argvs):
-    """Run each argv through main() in one fresh interpreter; return the
-    exit codes and whether numpy was imported."""
+def _modules_after(*argvs, calls=()):
+    """Run each argv through main(), then evaluate each library call, in
+    one fresh interpreter; return the exit codes followed by the calls'
+    values, and whether numpy was imported."""
     script = (
         "import json, sys\n"
+        "import wordrep\n"
+        "from wordrep.bundled import bundled_graph\n"
         "from wordrep.cli import main\n"
+        "from wordrep.orientations import count_semi_transitive_naive\n"
         f"codes = [main(argv) for argv in {list(argvs)!r}]\n"
+        f"codes += [eval(call) for call in {list(calls)!r}]\n"
         "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -312,15 +317,19 @@ def _modules_after(*argvs):
 
 
 def test_search_and_word_commands_never_import_numpy():
-    # numpy costs about 0.15 s of start-up, and only class enumeration,
-    # canonical forms and the vertex-order re-check use it
+    # numpy costs about 0.15 s of start-up, and only class enumeration and
+    # canonical forms use it: the refutation re-check walks the acyclic
+    # orientations in pure Python
     codes, numpy_loaded = _modules_after(
         ["decide", str(DATA / "A.edges")],
         ["count-orientations", str(DATA / "K4.edges")],
         ["find-word", str(DATA / "M.edges")],
         ["check-word", str(DATA / "M.edges"), "--word", "1213423"],
-        ["graph-of-word", "--word", "1213423"])
-    assert codes == [1, 0, 0, 0, 0]
+        ["graph-of-word", "--word", "1213423"],
+        ["verify-paper"],
+        calls=["wordrep.verify_certificate(bundled_graph('A'), wordrep.decide(bundled_graph('A')))",
+               "count_semi_transitive_naive(bundled_graph('K4'))"])
+    assert codes == [1, 0, 0, 0, 0, 0, True, 24]
     assert not numpy_loaded
     # the control: census enumerates classes, so it does load numpy
     assert _modules_after(["census", "3"]) == [[0], True]

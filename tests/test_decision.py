@@ -135,7 +135,7 @@ def test_verify_certificate_too_large():
 
 
 def test_verify_certificate_confirms_every_n7_refutation():
-    # the vertex-order re-check has no edge cap: it also covers the six
+    # the acyclic orientation walk has no edge cap: it also covers the six
     # refutations with 15 or 16 edges
     keys = set(census(7).nonrep_classes)
     graphs = [cls.graph for cls in enumerate_graphs(7) if cls.form.key in keys]

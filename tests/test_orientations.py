@@ -49,6 +49,7 @@ from helpers import (
     ref_is_semi_transitive,
     ref_propagate,
     total_orientations_as_arcs,
+    vertex_order_orientations,
 )
 
 K4 = graph_from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
@@ -303,9 +304,9 @@ def test_mask_kernel_matches_leg_by_leg_reference():
 
 
 def test_acyclic_orientations_are_the_acyclic_sweep():
-    # every acyclic orientation is induced by its topological orders, so the
-    # vertex-order route yields exactly the acyclic members of the 2^m
-    # sweep, once each and in the same order
+    # the walk refuses only arcs that close a cycle and never dead-ends, so
+    # it yields exactly the acyclic members of the 2^m sweep, once each and
+    # in the same order
     from wordrep.graphs import enumerate_graphs
     graphs = [cls.graph for n in range(1, 6) for cls in enumerate_graphs(n)]
     for g in graphs + [bundled_graph("A")]:
@@ -313,6 +314,25 @@ def test_acyclic_orientations_are_the_acyclic_sweep():
                  if ref_is_acyclic(g.n, o.arcs())]
         assert list(acyclic_orientations(g)) == sweep
     assert len(sweep) == 888   # graph A
+
+
+def test_acyclic_orientations_match_the_vertex_orders():
+    # the walk against the n! vertex orders, orientation for orientation
+    # and in order: every class with n <= 6, the refuted classes at n = 7,
+    # K8, seeded random graphs with n = 8 and an edgeless graph
+    from wordrep.census import census
+    from wordrep.graphs import enumerate_graphs
+    graphs = [cls.graph for n in range(1, 7) for cls in enumerate_graphs(n)]
+    assert len(graphs) == 208
+    refuted = set(census(7).nonrep_classes)
+    graphs += [cls.graph for cls in enumerate_graphs(7) if cls.form.key in refuted]
+    assert len(graphs) == 208 + 26
+    rng = random.Random(2108)
+    graphs += [graph_from_edge_list(8, list(itertools.combinations(range(1, 9), 2))),
+               graph_from_edge_list(8, [])]
+    graphs += [random_graph(rng, 8, rng.uniform(0.2, 0.8)) for _ in range(20)]
+    for g in graphs:
+        assert list(acyclic_orientations(g)) == list(vertex_order_orientations(g))
 
 
 def test_acyclic_orientations_too_large():
@@ -451,7 +471,7 @@ def test_count_walks_each_block_once():
 
 
 def test_witness_is_lex_least_on_disjoint_unions():
-    # the first semi-transitive orientation in the vertex-order route's
+    # the first semi-transitive orientation in the acyclic walk's
     # lexicographic order (FORWARD < BACKWARD) is the search's witness,
     # and the count is the number of semi-transitive acyclic orientations
     rng = random.Random(44)

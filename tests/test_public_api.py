@@ -63,7 +63,7 @@ def test_every_export_has_a_caller_or_is_documented():
 # ---------------------------------------------------------------------------
 # the boundaries between modules
 
-SHARED_PRIVATE = {"_bits", "_pairs", "_permutations", "_components", "_Searcher",
+SHARED_PRIVATE = {"_bits", "_pairs", "_components", "_Searcher",
                   "_forward_semi_transitive", "_color_classes"}
 SEARCH_STATE = {"fwd", "bwd", "closure", "frames"}
 
@@ -82,6 +82,23 @@ def test_modules_share_only_the_listed_private_names():
                 state.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert shared <= SHARED_PRIVATE, shared - SHARED_PRIVATE
     assert state == []
+
+
+def test_only_graphs_imports_numpy():
+    # class enumeration and canonical forms are numpy's only users; the
+    # search, the words and every re-check run without it
+    users = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.partition(".")[0] == "numpy" for m in modules):
+                users.add(path.name)
+    assert users == {"graphs.py"}
 
 
 def test_one_error_class_per_decision_a_caller_makes():

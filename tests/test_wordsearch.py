@@ -155,7 +155,7 @@ def test_k_uniform_words_order():
 
 
 def test_word_search_agrees_with_vertex_orders_n6():
-    # refutations are re-checked by the vertex-order route, which shares
+    # refutations are re-checked by the acyclic orientation walk, which shares
     # no code with the forcing rule the word search now prunes by
     found_at = Counter()
     for cls in enumerate_graphs(6):
