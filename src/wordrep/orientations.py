@@ -5,10 +5,11 @@ connected component at a time, one block at a time when counting), and
 the walk over acyclic orientations that re-checks it.
 
 The search holds its partial orientation as two edge masks, FORWARD and
-BACKWARD, and keeps a reachability closure of it, so the forcing rule
-counts a cycle's legs by popcount, acyclicity is a one-bit test per arc
-and semi-transitivity at a leaf is a polynomial mask test (the interval
-lemma, _no_shortcut).  The same test on the vertex order 1..n certifies
+BACKWARD, and keeps a reachability closure of it packed into one int, so
+the forcing rule counts a cycle's legs by popcount, acyclicity is a
+one-bit test per arc and semi-transitivity at a leaf is a few mask tests
+on the packed closure, read in place (the interval lemma, _no_shortcut).
+The same test on the packed closure of the vertex order 1..n certifies
 most small graphs with no search.  find_shortcut and is_semi_transitive
 enumerate directed paths literally instead, as the independent route
 that certificates and counts are re-checked by.
@@ -28,13 +29,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import CyclicInputError, OutOfRangeError, TooLargeError
 from .graphs import CANONICAL_MAX_N, Graph, VertexColoring, _bits, _components
 
 FORWARD = 1
 BACKWARD = -1
+_DIRECTIONS = frozenset((FORWARD, BACKWARD, None))
 
 COUNT_MAX_EDGES = 24
 # K40 branches on at most C(40, 2) = 780 edges, one recursion level each,
@@ -51,6 +53,15 @@ class Orientation:
         if len(self.dirs) != len(self.base.edges):
             raise OutOfRangeError(
                 f"{len(self.dirs)} directions for {len(self.base.edges)} edges")
+        try:
+            valid = _DIRECTIONS.issuperset(self.dirs)
+        except TypeError:   # an unhashable entry
+            valid = False
+        if not valid:
+            i = next(i for i, d in enumerate(self.dirs) if d not in (FORWARD, BACKWARD, None))
+            u, v = self.base.edges[i]
+            raise OutOfRangeError(f"direction {self.dirs[i]!r} of edge {u}-{v} is not "
+                                  "FORWARD (1), BACKWARD (-1) or None")
 
     @property
     def is_total(self) -> bool:
@@ -229,12 +240,24 @@ def _four_cycles(g: Graph) -> list[list[tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# the interval lemma: semi-transitivity from descendant masks, with no path
-# enumeration.  Shared by the search's leaves and the vertex-order test.
+# the interval lemma: semi-transitivity from a packed reachability closure,
+# with no path enumeration.  Shared by the search's leaves and the
+# vertex-order test.
 
-def _no_shortcut(desc: Sequence[int], adj: Sequence[int]) -> bool:
-    """Whether a total acyclic orientation has no shortcut, given desc[v],
-    the mask of v's strict descendants (index 0 unused, 0).
+def _packed_rows(g: Graph, w: int) -> tuple[int, int]:
+    """(adj_rows, non_rows): row v, bits v*w to v*w + w - 1, holds v's
+    neighbours in adj_rows and every other bit of the row in non_rows."""
+    adj_rows = 0
+    for v, mask in enumerate(g.adj):
+        adj_rows |= mask << v * w
+    return adj_rows, ((1 << w * w) - 1) ^ adj_rows
+
+
+def _no_shortcut(c: int, w: int, row: int, col: int, adj_rows: int, non_rows: int) -> bool:
+    """Whether a total acyclic orientation has no shortcut, given c, its
+    reachability closure packed as the search keeps it: row v, bits v*w to
+    v*w + w - 1, holds v's strict descendants; row is one row's mask and
+    col bit 0 of every row.
 
     Arc u->v has a shortcut iff its interval I = {u, v} + {x : u ~> x ~> v}
     holds some x ~> y with x, y non-adjacent.  Proof: u ~> x ~> y ~> v is
@@ -242,46 +265,53 @@ def _no_shortcut(desc: Sequence[int], adj: Sequence[int]) -> bool:
     takes two or more and {x, y} != {u, v}, and it misses the edge x-y;
     conversely a shortcut path, so its non-adjacent pair, lies in I.  In
     an acyclic orientation x ~> y with x, y adjacent is the arc x->y, so
-    the pairs to look for are y in desc[x] & ~adj[x].
+    the pairs to look for are the bits of c & non_rows, row x's far ys.
 
     Grouped by x instead of by arc: x and a far y lie in the interval of
     u->v exactly when x is at or below u and v is at or below y.  So each
-    x with a far y gets one mask, reach[x], of everything at or below its
-    far ys, and each tail u one test of reach[x] against its
-    out-neighbours per x at or below u.  The orientation is total, so u's
-    out-neighbours are adj[u] & desc[u]."""
-    reach = []  # (x's bit, reach[x])
-    for x, below in enumerate(desc):
-        far = below & ~adj[x]
-        if far:
-            r = 0
-            for y in _bits(far):
-                r |= desc[y] | 1 << y
-            reach.append((1 << x, r))
-    for u, below in enumerate(desc):
-        scope, out = below | 1 << u, adj[u] & below
-        for bit, r in reach:
-            if bit & scope and r & out:
-                return False
+    x with a far y gets one mask, reach, of everything at or below its
+    far ys, and one test of reach, copied into every row, against the
+    out-neighbours of the rows at or below which x lies: those with bit
+    x set, and row x.  The orientation is total, so the out-neighbours
+    are c & adj_rows."""
+    far = c & non_rows
+    if not far:
+        return True
+    out = c & adj_rows
+    while far:
+        x = ((far & -far).bit_length() - 1) // w
+        ys = far >> x * w & row
+        far ^= ys << x * w
+        reach = 0
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            reach |= c >> (low.bit_length() - 1) * w & row | low
+        if out & (c >> x & col | 1 << x * w) * row & reach * col:
+            return False
     return True
 
 
 def _forward_semi_transitive(g: Graph) -> bool:
     """Whether the vertex order 1..n, which orients every edge FORWARD, is
-    semi-transitive: its descendant masks in one pass, from n down to 1,
+    semi-transitive: its packed closure in one pass, from n down to 1,
     then _no_shortcut.  All-FORWARD is the least orientation in the
     search's FORWARD-first lexicographic order, and the forcing rule never
     forces an edge against a semi-transitive orientation that extends the
     node, so when this passes it is the witness find_semi_transitive
     returns."""
-    adj = g.adj
-    desc = [0] * (g.n + 1)
+    adj, w = g.adj, g.n + 1
+    row = (1 << w) - 1
+    c = 0
     for v in range(g.n, 0, -1):
         below = above = adj[v] & -1 << v + 1
-        for w in _bits(above):
-            below |= desc[w]
-        desc[v] = below
-    return _no_shortcut(desc, adj)
+        while above:
+            low = above & -above
+            above ^= low
+            below |= c >> (low.bit_length() - 1) * w & row
+        c |= below << v * w
+    adj_rows, non_rows = _packed_rows(g, w)
+    return _no_shortcut(c, w, row, ((1 << w * w) - 1) // row, adj_rows, non_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +340,9 @@ class _Searcher:
     the assign succeeded.  dirs reads the masks as one direction or None
     per edge.
 
-    Shortcut checks run at the leaves only, on the closure, with no path
-    enumeration: the interval lemma of _no_shortcut on the unpacked rows.
+    Shortcut checks run at the leaves only, with no path enumeration: the
+    interval lemma of _no_shortcut on the packed closure as it stands,
+    against the packed adjacency rows, built at the first leaf.
 
     The word search keeps one too: it assigns each word's first-occurrence
     arcs, of which propagate skips those already in force, and retracts
@@ -329,6 +360,7 @@ class _Searcher:
         self.closure: int | None = 0
         self.frames: list[tuple[int, int, int | None]] = []  # (fwd, bwd, closure) per assign
         self.cycles = _four_cycles(g)
+        self.rows: tuple[int, int] | None = None   # _packed_rows, built by leaf_ok
 
     @property
     def dirs(self) -> list[int | None]:
@@ -429,15 +461,14 @@ class _Searcher:
         """Close the last frame, restoring the masks and the closure."""
         self.fwd, self.bwd, self.closure = self.frames.pop()
 
-    def descendants(self) -> list[int]:
-        """The closure unpacked: entry v is the mask of v's descendants."""
-        c, w, row = self.closure, self.w, self.row
-        return [c >> v * w & row for v in range(w)]
-
     def leaf_ok(self) -> bool:
-        """The interval lemma (_no_shortcut) on the closure."""
+        """The interval lemma (_no_shortcut) on the closure, read in place.
+        The packed adjacency rows it needs are built at the first leaf."""
         self.stats.shortcut_checks += 1
-        if _no_shortcut(self.descendants(), self.g.adj):
+        rows = self.rows
+        if rows is None:
+            rows = self.rows = _packed_rows(self.g, self.w)
+        if _no_shortcut(self.closure, self.w, self.row, self.col, rows[0], rows[1]):
             return True
         self.stats.shortcut_conflicts += 1
         return False

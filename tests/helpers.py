@@ -139,6 +139,12 @@ def ref_is_acyclic(n: int, arcs) -> bool:
     return True
 
 
+def unpacked_closure(s) -> list[int]:
+    """An orientation searcher's packed closure as one descendant mask per
+    vertex: entry v is row v, bits v*w to v*w + w - 1 (entry 0 unused)."""
+    return [s.closure >> v * s.w & s.row for v in range(s.w)]
+
+
 def ref_is_semi_transitive(g: Graph, arcs) -> bool:
     arcs = set(arcs)
     if not ref_is_acyclic(g.n, arcs):

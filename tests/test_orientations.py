@@ -49,6 +49,7 @@ from helpers import (
     ref_is_semi_transitive,
     ref_propagate,
     total_orientations_as_arcs,
+    unpacked_closure,
     vertex_order_orientations,
 )
 
@@ -74,6 +75,19 @@ def test_partial_guards():
         orientation_from_arcs(C4, [(1, 3)])
     with pytest.raises(OutOfRangeError, match=r"^edge 1-2 given both directions$"):
         orientation_from_arcs(C4, [(1, 2), (2, 1)])
+
+
+def test_orientation_rejects_bogus_directions():
+    # a direction other than FORWARD, BACKWARD or None would read as an arc
+    # (anything but FORWARD reads as BACKWARD) and pass as total, so a
+    # certificate carrying it could be accepted
+    path = graph_from_edge_list(3, [(1, 2), (2, 3)])
+    for dirs, edge, value in (((7, 0), "1-2", "7"), ((FORWARD, 2), "2-3", "2"),
+                              ((None, "1"), "2-3", "'1'"), ((BACKWARD, [1]), "2-3", r"\[1\]")):
+        with pytest.raises(OutOfRangeError, match=rf"^direction {value} of edge {edge} is not "
+                                                  r"FORWARD \(1\), BACKWARD \(-1\) or None$"):
+            Orientation(path, dirs)
+    assert Orientation(path, (None, BACKWARD)).dirs == (None, BACKWARD)
 
 
 def test_find_shortcut_c4():
@@ -624,6 +638,58 @@ def test_vertex_order_test_is_the_first_witness():
     assert 866 < passed < len(graphs)
 
 
+def test_interval_test_at_the_widest_packing():
+    # n = SEARCH_MAX_N packs the closure in rows of w = 41 bits.  K40 is
+    # searched with its 780 edges FORWARD and one leaf; K40 - {1,40} is a
+    # transitive tournament less one arc, and K40 - {2,39} is not
+    # semi-transitive in vertex order: 1->40 has the non-adjacent pair
+    # 2 ~> 39 in its interval
+    from wordrep.decision import decide
+    k40 = graph_from_edge_list(40, list(itertools.combinations(range(1, 41), 2)))
+    stats = decide(k40).stats
+    assert (stats.nodes, stats.propagations, stats.shortcut_checks,
+            stats.shortcut_conflicts) == (781, 0, 1, 0)
+    less = {e: graph_from_edge_list(40, [f for f in k40.edges if f != e])
+            for e in ((1, 40), (2, 39))}
+    assert _forward_semi_transitive(k40) and _forward_semi_transitive(less[1, 40])
+    assert not _forward_semi_transitive(less[2, 39])
+    assert _leaf_test(increasing(less[1, 40])) and not _leaf_test(increasing(less[2, 39]))
+    # sparse random graphs with n = 30..40 in seeded vertex orders, against
+    # the literal path scan
+    rng = random.Random(4040)
+    passed = 0
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(30, 40), rng.choice((0.05, 0.08, 0.1)))
+        pos = rng.sample(range(g.n), g.n)
+        o = Orientation(g, tuple(
+            FORWARD if pos[u - 1] < pos[v - 1] else BACKWARD for u, v in g.edges))
+        ok = _leaf_test(o)
+        assert ok == (find_shortcut(o) is None)
+        assert _forward_semi_transitive(g) == is_semi_transitive(increasing(g))
+        passed += ok
+    assert 0 < passed < 60
+
+
+def test_packed_rows_are_built_at_the_first_leaf(monkeypatch):
+    # the leaf test's packed adjacency rows are built once per searcher, at
+    # its first leaf: a refutation with no leaf and the word search, which
+    # never reaches one, never build them
+    from wordrep import orientations
+    from wordrep.decision import decide
+    from wordrep.wordsearch import find_word
+    builds = []
+    packed_rows = orientations._packed_rows
+    monkeypatch.setattr(orientations, "_packed_rows",
+                        lambda g, w: builds.append(g) or packed_rows(g, w))
+    assert decide(bundled_graph("A")).stats.shortcut_checks == 0
+    for name in ("A", "M", "K4", "C5"):
+        find_word(bundled_graph(name), 3)
+    assert builds == []
+    stats = SearchStats()
+    assert count_semi_transitive(C4, stats) == 6
+    assert stats.shortcut_checks > 1 and builds == [C4]
+
+
 def _placed_arcs(s):
     """The arcs the search's two edge masks hold, in stored edge order."""
     return [(u, v) if s.fwd >> e & 1 else (v, u)
@@ -646,7 +712,7 @@ def test_searcher_closure_invariant():
         assert [(u, v) if d == FORWARD else (v, u)
                 for (u, v), d in zip(g.edges, s.dirs) if d is not None] == arcs
         desc = _ref_closure(g.n, arcs)
-        assert s.descendants() == desc
+        assert unpacked_closure(s) == desc
         state = s.fwd, s.bwd, s.closure
         for e, d in itertools.product(range(len(g.edges)), (FORWARD, BACKWARD)):
             if s.dirs[e] is not None:
@@ -658,7 +724,7 @@ def test_searcher_closure_invariant():
             # unless refused, whatever the rule found after it
             placed = s.dirs[e] == d
             assert placed == ref_is_acyclic(g.n, arcs + [arc])
-            assert s.descendants() == _ref_closure(g.n, _placed_arcs(s))
+            assert unpacked_closure(s) == _ref_closure(g.n, _placed_arcs(s))
             refusals += not placed
             s.retract()
             assert (s.fwd, s.bwd, s.closure) == state
