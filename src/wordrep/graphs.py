@@ -23,6 +23,9 @@ if TYPE_CHECKING:   # the functions that use numpy import it themselves
 
 CANONICAL_MAX_N = 8
 ENUMERATE_MAX_N = 7
+# proper colouring and the isomorphism test recurse one level per vertex,
+# under Python's default limit of 1000 frames with room for their callers
+BACKTRACK_MAX_N = 500
 
 
 @dataclass(frozen=True)
@@ -250,6 +253,8 @@ def _color_classes(g: Graph, k: int) -> list[int] | None:
 def find_proper_coloring(g: Graph, max_colors: int) -> VertexColoring | None:
     """Exact backtracking search for a proper coloring with <= max_colors:
     colour c + 1 for the vertices of the c-th of _color_classes."""
+    if g.n > BACKTRACK_MAX_N:
+        raise TooLargeError(f"proper colouring supports n <= {BACKTRACK_MAX_N}, got {g.n}")
     classes = _color_classes(g, max_colors)
     if classes is None:
         return None
@@ -406,6 +411,9 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
 # explicit isomorphism search (any n, used where canonical_form is capped)
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
+    if max(g.n, h.n) > BACKTRACK_MAX_N:
+        raise TooLargeError(
+            f"isomorphism test supports n <= {BACKTRACK_MAX_N}, got {max(g.n, h.n)}")
     if g.n != h.n or len(g.edges) != len(h.edges):
         return False
     if sorted(g.degree_sequence()) != sorted(h.degree_sequence()):

@@ -4,11 +4,12 @@ rule, the backtracking search for a semi-transitive orientation (one
 connected component at a time, one block at a time when counting), and
 the walk over acyclic orientations that re-checks it.
 
-The search holds its partial orientation as two edge masks, FORWARD and
-BACKWARD, and keeps a reachability closure of it packed into one int, so
-the forcing rule counts a cycle's legs by popcount, acyclicity is a
-one-bit test per arc and semi-transitivity at a leaf is a few mask tests
-on the packed closure, read in place (the interval lemma, _no_shortcut).
+The search's state is three ints, passed down as values: two edge masks
+of the partial orientation, FORWARD and BACKWARD, and its reachability
+closure packed into one int.  So the forcing rule counts a cycle's legs
+by popcount, acyclicity is a one-bit test per arc, semi-transitivity at
+a leaf is a few mask tests on the packed closure, read in place (the
+interval lemma, _no_shortcut), and backtracking undoes nothing.
 The same test on the packed closure of the vertex order 1..n certifies
 most small graphs with no search.  find_shortcut and is_semi_transitive
 enumerate directed paths literally instead, as the independent route
@@ -160,13 +161,11 @@ def find_shortcut(o: Orientation) -> Conflict | None:
 def _shortcut_dfs(out, into, h, path, on_path, closed) -> tuple[int, ...] | None:
     """closed: every pair of the path so far is an arc in path order, so
     the path closed by h misses none exactly when each of its vertices
-    has an arc into h."""
+    has an arc into h.  The orientation is acyclic: no walk revisits."""
     for w in _bits(out[path[-1]]):
         if w == h:
             if len(path) >= 3 and not (closed and on_path & ~into[h] == 0):
                 return tuple(path) + (h,)
-            continue
-        if on_path >> w & 1:
             continue
         path.append(w)
         hit = _shortcut_dfs(out, into, h, path, on_path | 1 << w,
@@ -323,186 +322,167 @@ class _Searcher:
     fixpoint, on every graph: the rule skips only 4-cycles with both chords,
     where it is unsound.
 
-    The partial orientation is two edge masks: bit e of fwd is set when
-    edge e is placed FORWARD, of bwd when BACKWARD.  Beside them the
-    search keeps the reachability closure of the arcs placed so far,
-    packed into one int: row v, bits v*w to v*w + w - 1 with w = n + 1,
-    holds v's strict descendants.  Arc t->h closes a directed cycle
-    exactly when h already reaches t, a one-bit test.  Once it is placed,
-    t and every ancestor of t also reach h and all h reaches; one product
-    of the rows holding t (as their lowest bits) with that set writes it
-    into each of them, with no carry between rows.  A closure of None
-    skips the test, for partial orientations that may be cyclic.
-
-    The state is three immutable ints, so saving it is keeping them and
-    undoing is restoring them: branch keeps its node's in a local, and
-    assign opens a frame with them that retract closes, whether or not
-    the assign succeeded.  dirs reads the masks as one direction or None
-    per edge.
+    A node's state is three ints, (fwd, bwd, c), handed down as values, so
+    each node keeps the state it was handed and backtracking restores
+    nothing.  Bit e of fwd is set when edge e is placed FORWARD, of bwd
+    when BACKWARD.  c is the reachability closure of the arcs placed so
+    far, packed into one int: row v, bits v*w to v*w + w - 1 with
+    w = n + 1, holds v's strict descendants.  Arc t->h closes a directed
+    cycle exactly when h already reaches t, a one-bit test.  Once it is
+    placed, t and every ancestor of t also reach h and all h reaches; one
+    product of the rows holding t (as their lowest bits) with that set
+    writes it into each of them, with no carry between rows.  A closure of
+    None skips the test, for partial orientations that may be cyclic.
 
     Shortcut checks run at the leaves only, with no path enumeration: the
     interval lemma of _no_shortcut on the packed closure as it stands,
     against the packed adjacency rows, built at the first leaf.
 
-    The word search keeps one too: it assigns each word's first-occurrence
-    arcs, of which propagate skips those already in force, and retracts
-    them when it backtracks.  lemma1_propagate runs propagate on one with
-    no closure."""
+    The word search threads states through its own recursion, propagating
+    each word's first-occurrence arcs, of which propagate skips those
+    already in force.  lemma1_propagate propagates with no closure."""
 
     def __init__(self, g: Graph, stats: SearchStats):
         self.g = g
         self.stats = stats
-        self.fwd = self.bwd = 0
         self.w = g.n + 1
         self.row = (1 << self.w) - 1
         # bit 0 of every row: picks out the rows that hold a given vertex
         self.col = ((1 << self.w * self.w) - 1) // self.row
-        self.closure: int | None = 0
-        self.frames: list[tuple[int, int, int | None]] = []  # (fwd, bwd, closure) per assign
         self.cycles = _four_cycles(g)
         self.rows: tuple[int, int] | None = None   # _packed_rows, built by leaf_ok
+        self.found = (0, 0, 0)   # the state of the last leaf that passed
 
-    @property
-    def dirs(self) -> list[int | None]:
-        """The partial orientation, one direction or None per edge."""
-        fwd, bwd = self.fwd, self.bwd
+    def dirs(self, fwd: int, bwd: int) -> list[int | None]:
+        """The partial orientation in two edge masks, one direction or None per edge."""
         return [FORWARD if fwd >> e & 1 else BACKWARD if bwd >> e & 1 else None
                 for e in range(len(self.g.edges))]
 
-    def propagate(self, arcs: list[tuple[int, int]]) -> tuple[int, ...] | None:
-        """Place each (edge, direction) of arcs, then run the four-cycle
-        rule to fixpoint: once two legs of a cycle go one way round, every
-        free leg is forced the other way.  An arc already in force is
-        skipped; a placement that closes a directed cycle is refused.
+    def propagate(self, fwd: int, bwd: int, c: int | None, arcs: list[tuple[int, int]]
+                  ) -> tuple[tuple[int, ...] | None, int, int, int | None]:
+        """Place each (edge, direction) of arcs on the state (fwd, bwd, c),
+        then run the four-cycle rule to fixpoint: once two legs of a cycle
+        go one way round, every free leg is forced the other way.  An arc
+        already in force is skipped; a placement that closes a directed
+        cycle is refused.
 
-        Returns None when all is placed, a cycle with three legs going one
-        way round, or () on a refusal; the masks and the closure then hold
-        what was placed before it.  Legs are counted by popcount, on local
-        copies of the masks written back once, and walked only to queue
-        two forced legs in traversal order, each leg's sign read from the
-        cycle's minus mask."""
+        Returns (outcome, fwd, bwd, c).  The outcome is None when all is
+        placed, a cycle with three legs going one way round, or () on a
+        refusal; the state returned then holds what was placed before it.
+        Legs are counted by popcount, and walked only to queue two forced
+        legs in traversal order, each leg's sign read from the cycle's
+        minus mask."""
         cycles, ends, w, row, col = self.cycles, self.g.edges, self.w, self.row, self.col
-        fwd, bwd, c = self.fwd, self.bwd, self.closure
+        start = fwd | bwd
         # (edge, direction) to place, or (edge, 0) to scan.  The arcs are
         # all placed, in order, before any is scanned: once the last one
         # is, the queue is empty, and the others placed here go in, to be
         # scanned after it from the end.
         queue = arcs[::-1]
         fresh = len(arcs)   # arcs still to place
-        try:
-            while queue:
-                e, d = queue.pop()
-                if d:
-                    bit = 1 << e
+        while queue:
+            e, d = queue.pop()
+            if d:
+                bit = 1 << e
+                if d == FORWARD:
+                    held = fwd & bit
+                    t, h = ends[e]
+                else:
+                    held = bwd & bit
+                    h, t = ends[e]
+                # an arc in force is not placed again.  A forced edge
+                # placed the other way since it was queued gave the
+                # queuing cycle three legs one way round, which returned.
+                if not held:
+                    if c is not None:
+                        if c >> h * w + t & 1:
+                            return (), fwd, bwd, c
+                        c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
                     if d == FORWARD:
-                        held = fwd & bit
-                        t, h = ends[e]
+                        fwd |= bit
                     else:
-                        held = bwd & bit
-                        h, t = ends[e]
-                    # an arc in force is not placed again.  A forced edge
-                    # placed the other way since it was queued gave the
-                    # queuing cycle three legs one way round, which returned.
-                    if not held:
-                        if c is not None:
-                            if c >> h * w + t & 1:
-                                return ()
-                            c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
-                        if d == FORWARD:
-                            fwd |= bit
-                        else:
-                            bwd |= bit
+                        bwd |= bit
+                if fresh:
+                    fresh -= 1
                     if fresh:
-                        fresh -= 1
-                        if fresh:
-                            continue
-                        new = (fwd | bwd) & ~(self.fwd | self.bwd) & ~bit
-                        if new:
-                            queue = [(a, 0) for a, _ in arcs if new >> a & 1]
-                    if held:
                         continue
-                placed = fwd | bwd
-                for ring, minus, legs, cycle in cycles[e]:
-                    on = placed & ring
-                    # legs going round: FORWARD ones of sign +1, BACKWARD of -1
-                    ahead = (on & (fwd ^ minus)).bit_count()
-                    if on == ring:   # all four placed: two each way, or three one way
-                        if ahead != 2:
-                            return cycle
-                        continue
-                    back = on.bit_count() - ahead
-                    # the free legs go the other way: back is -sign, round is sign
-                    if ahead == 2:
-                        way = -1
-                    elif back == 2:
-                        way = 1
-                    elif ahead > 2 or back > 2:
-                        return cycle
-                    else:
-                        continue
-                    free = ring ^ on
-                    if free & free - 1:   # two free legs: queued in traversal order
-                        for f in legs:
-                            if free >> f & 1:
-                                queue.append((f, -way if minus >> f & 1 else way))
-                    else:
-                        queue.append((free.bit_length() - 1, -way if free & minus else way))
-            return None
-        finally:
-            self.fwd, self.bwd, self.closure = fwd, bwd, c
+                    new = (fwd | bwd) & ~start & ~bit
+                    if new:
+                        queue = [(a, 0) for a, _ in arcs if new >> a & 1]
+                if held:
+                    continue
+            placed = fwd | bwd
+            for ring, minus, legs, cycle in cycles[e]:
+                on = placed & ring
+                # legs going round: FORWARD ones of sign +1, BACKWARD of -1
+                ahead = (on & (fwd ^ minus)).bit_count()
+                if on == ring:   # all four placed: two each way, or three one way
+                    if ahead != 2:
+                        return cycle, fwd, bwd, c
+                    continue
+                back = on.bit_count() - ahead
+                # the free legs go the other way: back is -sign, round is sign
+                if ahead == 2:
+                    way = -1
+                elif back == 2:
+                    way = 1
+                elif ahead > 2 or back > 2:
+                    return cycle, fwd, bwd, c
+                else:
+                    continue
+                free = ring ^ on
+                if free & free - 1:   # two free legs: queued in traversal order
+                    for f in legs:
+                        if free >> f & 1:
+                            queue.append((f, -way if minus >> f & 1 else way))
+                else:
+                    queue.append((free.bit_length() - 1, -way if free & minus else way))
+        return None, fwd, bwd, c
 
-    def assign(self, arcs: list[tuple[int, int]]) -> bool:
-        """Open a frame, place each (edge, direction) of arcs and propagate;
-        False on conflict.  Either way, retract undoes it."""
-        self.frames.append((self.fwd, self.bwd, self.closure))
-        return self.propagate(arcs) is None
-
-    def retract(self) -> None:
-        """Close the last frame, restoring the masks and the closure."""
-        self.fwd, self.bwd, self.closure = self.frames.pop()
-
-    def leaf_ok(self) -> bool:
-        """The interval lemma (_no_shortcut) on the closure, read in place.
-        The packed adjacency rows it needs are built at the first leaf."""
+    def leaf_ok(self, c: int) -> bool:
+        """The interval lemma (_no_shortcut) on the closure c, read in
+        place.  The packed adjacency rows it needs are built at the first
+        leaf."""
         self.stats.shortcut_checks += 1
         rows = self.rows
         if rows is None:
             rows = self.rows = _packed_rows(self.g, self.w)
-        if _no_shortcut(self.closure, self.w, self.row, self.col, rows[0], rows[1]):
+        if _no_shortcut(c, self.w, self.row, self.col, rows[0], rows[1]):
             return True
         self.stats.shortcut_conflicts += 1
         return False
 
-    def branch(self, part: int, depth: int, first_only: bool) -> int:
+    def branch(self, part: int, root: bool, first_only: bool, fwd: int, bwd: int, c: int) -> int:
         """Number of semi-transitive orientations of the edges in the mask
-        part (a component's or a block's) below the current node, with the
-        root edge FORWARD in both modes: with none of the edges assigned
-        yet the BACKWARD subtree holds exactly the reversals of the FORWARD
-        one, so a count doubles this.  With first_only the walk stops at
-        the first one, leaving it in the masks.  Each node keeps the three
-        ints it started from and restores them after each child."""
+        part (a component's or a block's) below the node (fwd, bwd, c),
+        with the root edge FORWARD in both modes: with none of the edges
+        assigned yet the BACKWARD subtree holds exactly the reversals of
+        the FORWARD one, so a count doubles this.  Each child gets the
+        state propagate returned.  Each leaf that passes is kept in found;
+        with first_only the walk stops at the first one."""
         stats = self.stats
         stats.nodes += 1
-        placed = self.fwd | self.bwd
+        placed = fwd | bwd
         free = part & ~placed
         if not free:
-            return int(self.leaf_ok())
+            if not self.leaf_ok(c):
+                return 0
+            self.found = fwd, bwd, c
+            return 1
         e = (free & -free).bit_length() - 1
         # every edge placed after e itself was forced
         mark = placed.bit_count() + 1
-        node = self.fwd, self.bwd, self.closure
-        found = 0
-        for d in (FORWARD,) if depth == 0 else (FORWARD, BACKWARD):
-            ok = self.propagate([(e, d)]) is None
-            forced = (self.fwd | self.bwd).bit_count() - mark
+        count = 0
+        for d in (FORWARD,) if root else (FORWARD, BACKWARD):
+            outcome, f, b, cc = self.propagate(fwd, bwd, c, [(e, d)])
+            forced = (f | b).bit_count() - mark
             if forced > 0:
                 stats.propagations += forced
-            if ok:
-                found += self.branch(part, depth + 1, first_only)
-                if found and first_only:
-                    return found
-            self.fwd, self.bwd, self.closure = node
-        return found
+            if outcome is None:
+                count += self.branch(part, False, first_only, f, b, cc)
+                if count and first_only:
+                    return count
+        return count
 
 
 def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
@@ -517,11 +497,11 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
     if o.base != g:
         raise OutOfRangeError("orientation does not belong to this graph")
     s = _Searcher(g, SearchStats())
-    s.closure = None
-    cycle = s.propagate([(e, d) for e, d in enumerate(o.dirs) if d is not None])
+    cycle, fwd, bwd, _ = s.propagate(
+        0, 0, None, [(e, d) for e, d in enumerate(o.dirs) if d is not None])
     if cycle is not None:
         return Conflict("Lemma1Cycle", cycle)
-    return Orientation(g, tuple(s.dirs))
+    return Orientation(g, tuple(s.dirs(fwd, bwd)))
 
 
 def _blocks(g: Graph) -> list[list[int]]:
@@ -568,11 +548,11 @@ def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searc
     edge): a directed cycle, and a shortcut with the edge it skips, lie on
     one cycle of g, so in one block, and g's orientations are the
     products of its blocks' ones.  Each block counts twice its FORWARD
-    root subtree.  Finding, they are the components with an edge (every
-    edge at once when there are fewer than two): each found component
-    keeps its arcs, and the witness is the product of the components'
-    FORWARD-first witnesses, which is the FORWARD-first witness of g, as
-    its edge order interleaves theirs.  Finding splits no further, as
+    root subtree, from no arc placed.  Finding, they are the components
+    with an edge (every edge at once when there are fewer than two): each
+    starts from the leaf the last one was found at, and the witness is
+    the product of the components' FORWARD-first witnesses, which is the
+    FORWARD-first witness of g, as its edge order interleaves theirs.  Finding splits no further, as
     the decisions are mostly tiny: over the census classes with n <= 7,
     _blocks takes 21 us a call against 1.6 us for _components (2-core
     Xeon VM, Python 3.11), and deciding them all by blocks took 20-30 %
@@ -591,7 +571,8 @@ def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searc
         parts, factor = [sum(1 << e for e in block) for block in _blocks(g)], 2
     found = 1
     for part in parts:
-        found *= factor * searcher.branch(part, 0, first_only)
+        state = searcher.found if first_only else (0, 0, 0)
+        found *= factor * searcher.branch(part, True, first_only, *state)
         if not found:
             break
     stats.wall_time_s += time.perf_counter() - start
@@ -604,7 +585,7 @@ def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientat
     Deterministic: the witness is the one the sequential FORWARD-first
     lexicographic search reaches first (its reversal is equally valid)."""
     found, searcher = _search(g, stats if stats is not None else SearchStats(), True)
-    return Orientation(g, tuple(searcher.dirs)) if found else None
+    return Orientation(g, tuple(searcher.dirs(*searcher.found[:2]))) if found else None
 
 
 def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:

@@ -33,20 +33,20 @@ orientation is semi-transitive (Halldorsson, Kitaev & Pyatkin, "Semi-
 transitive orientations and word-representable graphs", DAM 2016).  So
 when x first appears, every edge from x to a letter not yet seen must
 point out of x; the edges to letters already seen were fixed when those
-appeared.  These arcs go into one _Searcher, the orientation search's
-state, kept for the whole call: its assign skips the ones already in
-force and places the rest through the four-cycle forcing rule and the
-closure's acyclicity test.  A conflict (a forced arc pointing the other
-way, a 4-cycle with three legs going one way round, or a directed cycle)
-rejects x; retract restores the search's two edge masks and closure,
-after a rejection or on backtracking.  The word search never reads
-them.  Each forced arc holds in every semi-transitive orientation that
-extends the arcs in force, so the first-occurrence orientation of any
-representing word extends the partial orientation of each of its
-prefixes: no representing word is cut.  That holds for every word, so
-it holds for the ones starting with 1 that the cyclic-shift symmetry
-keeps (each judged by its own first occurrences), and the word found is
-the same lex-least one.
+appeared.  These arcs go to the propagate of one _Searcher, kept for
+the whole call, with the orientation search's state at the prefix,
+which search hands on beside its other per-prefix values and never
+reads.  propagate skips the arcs already in force and places the rest
+through the four-cycle forcing rule and the closure's acyclicity test.
+A conflict (a forced arc pointing the other way, a 4-cycle with three
+legs going one way round, or a directed cycle) rejects x; otherwise the
+state it returns is the child's.  Each forced arc holds in every
+semi-transitive orientation that extends the arcs in force, so the
+first-occurrence orientation of any representing word extends the
+partial orientation of each of its prefixes: no representing word is
+cut.  That holds for every word, so it holds for the ones starting with
+1 that the cyclic-shift symmetry keeps (each judged by its own first
+occurrences), and the word found is the same lex-least one.
 
 The prune is off when g has no 4-cycle with at most one chord (Petersen,
 of girth 5, is such a graph): then nothing is ever forced, and arcs that
@@ -100,7 +100,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     # after its first copy x has k - 1 left; with no 4-cycle of at most
     # one chord the orientation prune cuts nothing, and -1 never matches
     first_left = k - 1 if any(st.cycles) else -1
-    assign, retract = st.assign, st.retract
+    propagate = st.propagate
     # out_arcs[x]: (neighbour y, edge x-y, the direction x -> y)
     out_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     for e, (u, v) in enumerate(g.edges):
@@ -109,7 +109,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     word: list[int] = []
     count = 0   # nodes; one add to the caller's list at the end is cheaper
 
-    def search(wait: list[int], broken: list[int], rem2: int) -> bool:
+    def search(wait: list[int], broken: list[int], rem2: int, state: tuple) -> bool:
         # the lists belong to the caller: children get copies
         nonlocal count
         count += 1
@@ -135,30 +135,30 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
                     fresh ^= low
             if not left and non[x] & ~child_broken[x] & ~child_rem2:
                 continue
+            child_state = state
             if left == first_left:
                 # x's first copy: its edges to unseen letters point out of
-                # x.  assign skips an arc already in force and refuses one
-                # forced the other way, as it closes a cycle.  With no
-                # arcs there is nothing to assign or retract.
+                # x.  propagate skips an arc already in force and refuses
+                # one forced the other way, as it closes a cycle.
                 arcs = [(e, d) for y, e, d in out_arcs[x] if remaining[y] == k]
-                if arcs and not assign(arcs):
-                    retract()
-                    continue
+                if arcs:
+                    result = propagate(*state, arcs)
+                    if result[0] is not None:
+                        continue
+                    child_state = result[1:]
             not_x = ~bx
             child_wait = [w & not_x for w in wait]
             # every other letter, less the non-neighbours broken with x
             child_wait[x] = full & not_x & ~child_broken[x]
             remaining[x] = left
             word.append(x)
-            if search(child_wait, child_broken, child_rem2):
+            if search(child_wait, child_broken, child_rem2, child_state):
                 return True
             word.pop()
             remaining[x] = left + 1
-            if left == first_left and arcs:
-                retract()
         return False
 
-    found = search([0] * (n + 1), [0] * (n + 1), rem2)
+    found = search([0] * (n + 1), [0] * (n + 1), rem2, (0, 0, 0))
     nodes[0] += count
     return Word(tuple(word)) if found else None
 

@@ -288,7 +288,7 @@ def test_mask_kernel_matches_leg_by_leg_reference():
                    for _ in range(2)]
         for closure in (None, 0):
             s = _Searcher(g, SearchStats())
-            s.closure = closure
+            state = 0, 0, closure
             dirs = [None] * m
             trail = []
 
@@ -306,10 +306,11 @@ def test_mask_kernel_matches_leg_by_leg_reference():
                     batch = [(e, d) for e, d in batch if dirs[e] in (None, d)]
                 want = ref_propagate(g, dirs, [(e, d) for e, d in batch
                                                if dirs[e] != d], place)
-                got = s.propagate(batch)
+                got, *state = s.propagate(*state, batch)
+                fwd, bwd, _ = state
                 assert got == want
-                assert s.fwd & s.bwd == 0 and s.dirs == dirs
-                assert (s.fwd | s.bwd).bit_count() == len(trail)
+                assert fwd & bwd == 0 and s.dirs(fwd, bwd) == dirs
+                assert (fwd | bwd).bit_count() == len(trail)
                 outcomes[closure, "placed" if got is None else "cycle" if got else "refused"] += 1
                 if got is not None:
                     break
@@ -571,9 +572,9 @@ def _leaf_test(o):
     arc is placed before the forcing rule runs, so the closure is whole
     even when the rule finds a conflict."""
     s = _Searcher(o.base, SearchStats())
-    s.propagate(list(enumerate(o.dirs)))
-    assert s.dirs == list(o.dirs)
-    return s.leaf_ok()
+    _, fwd, bwd, c = s.propagate(0, 0, 0, list(enumerate(o.dirs)))
+    assert s.dirs(fwd, bwd) == list(o.dirs)
+    return s.leaf_ok(c)
 
 
 def _ref_closure(n, arcs):
@@ -690,59 +691,91 @@ def test_packed_rows_are_built_at_the_first_leaf(monkeypatch):
     assert stats.shortcut_checks > 1 and builds == [C4]
 
 
-def _placed_arcs(s):
-    """The arcs the search's two edge masks hold, in stored edge order."""
-    return [(u, v) if s.fwd >> e & 1 else (v, u)
-            for e, (u, v) in enumerate(s.g.edges) if (s.fwd | s.bwd) >> e & 1]
+def _placed_arcs(g, fwd, bwd):
+    """The arcs two edge masks of the search hold, in stored edge order."""
+    return [(u, v) if fwd >> e & 1 else (v, u)
+            for e, (u, v) in enumerate(g.edges) if (fwd | bwd) >> e & 1]
 
 
 def test_searcher_closure_invariant():
-    # seeded assign/retract walks: after every step no edge is placed both
-    # ways, the dirs view reads the placed arcs, the search's closure is the
-    # transitive closure of the placed arcs, and an assigned arc is refused
-    # exactly when it would close a directed cycle
+    # seeded walks over a stack of search states: in every state no edge
+    # is placed both ways, the dirs view reads the placed arcs, the
+    # closure is the transitive closure of the placed arcs, an arc
+    # propagated from it is refused exactly when it would close a directed
+    # cycle, and propagate leaves the searcher as it was
     rng = random.Random(99)
     refusals = 0
 
-    def check(s):
+    def check(s, state):
         nonlocal refusals
         g = s.g
-        assert s.fwd & s.bwd == 0
-        arcs = _placed_arcs(s)
+        fwd, bwd, c = state
+        assert fwd & bwd == 0
+        arcs = _placed_arcs(g, fwd, bwd)
+        dirs = s.dirs(fwd, bwd)
         assert [(u, v) if d == FORWARD else (v, u)
-                for (u, v), d in zip(g.edges, s.dirs) if d is not None] == arcs
+                for (u, v), d in zip(g.edges, dirs) if d is not None] == arcs
         desc = _ref_closure(g.n, arcs)
-        assert unpacked_closure(s) == desc
-        state = s.fwd, s.bwd, s.closure
+        assert unpacked_closure(s, c) == desc
+        before = dict(vars(s))
         for e, d in itertools.product(range(len(g.edges)), (FORWARD, BACKWARD)):
-            if s.dirs[e] is not None:
+            if dirs[e] is not None:
                 continue
             u, v = g.edges[e]
             arc = (u, v) if d == FORWARD else (v, u)
-            s.assign([(e, d)])
+            _, f, b, cc = s.propagate(fwd, bwd, c, [(e, d)])
             # the arc is placed before the rule runs, so it is in the masks
             # unless refused, whatever the rule found after it
-            placed = s.dirs[e] == d
+            placed = s.dirs(f, b)[e] == d
             assert placed == ref_is_acyclic(g.n, arcs + [arc])
-            assert unpacked_closure(s) == _ref_closure(g.n, _placed_arcs(s))
+            assert unpacked_closure(s, cc) == _ref_closure(g.n, _placed_arcs(g, f, b))
             refusals += not placed
-            s.retract()
-            assert (s.fwd, s.bwd, s.closure) == state
+            assert vars(s) == before
 
     for _ in range(40):
         s = _Searcher(random_graph(rng, rng.randint(2, 8), 0.6), SearchStats())
+        stack = [(0, 0, 0)]   # the root, then one state per propagate kept
         for _ in range(40):
-            free = [e for e, d in enumerate(s.dirs) if d is None]
-            if free and (not s.frames or rng.random() < 0.7):
-                ok = s.assign([(rng.choice(free), rng.choice((FORWARD, BACKWARD)))])
-                check(s)
-                if not ok:
-                    s.retract()
-            elif s.frames:
-                for _ in range(rng.randrange(len(s.frames)), len(s.frames)):
-                    s.retract()
-            check(s)
+            free = [e for e, d in enumerate(s.dirs(*stack[-1][:2])) if d is None]
+            if free and (len(stack) == 1 or rng.random() < 0.7):
+                outcome, *state = s.propagate(
+                    *stack[-1], [(rng.choice(free), rng.choice((FORWARD, BACKWARD)))])
+                check(s, state)
+                if outcome is None:
+                    stack.append(tuple(state))
+            elif len(stack) > 1:
+                del stack[1 + rng.randrange(len(stack) - 1):]
+            check(s, stack[-1])
     assert refusals > 100
+
+
+def test_propagate_is_a_function_of_its_state():
+    # the search hands one state to each child in turn: propagating the
+    # same arcs from the same state twice gives the same 4-tuple, right
+    # after a sibling propagate that was refused or hit a conflict too
+    rng = random.Random(2323)
+    siblings = collections.Counter()
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(4, 8), rng.choice((0.4, 0.6, 0.8)))
+        s = _Searcher(g, SearchStats())
+        m = len(g.edges)
+        if m < 3:
+            continue
+
+        def arcs():
+            return [(e, rng.choice((FORWARD, BACKWARD)))
+                    for e in rng.sample(range(m), rng.randint(1, m // 3))]
+
+        for closure in (None, 0):
+            outcome, *state = s.propagate(0, 0, closure, arcs())
+            if outcome is not None:
+                continue
+            batch = arcs()
+            first = s.propagate(*state, batch)
+            sibling = s.propagate(*state, arcs())
+            assert s.propagate(*state, batch) == first
+            siblings["placed" if sibling[0] is None else "cycle" if sibling[0] else "refused"] += 1
+    assert min(siblings.values()) > 20 and len(siblings) == 3
 
 
 def test_orient_by_coloring_triangle():

@@ -15,12 +15,14 @@ from wordrep import (
     NON_REPRESENTABLE,
     Decision,
     SearchStats,
+    are_isomorphic,
     canonical_form,
     count_semi_transitive,
     decide,
     entropy_table,
     enumerate_graphs,
     find_k_uniform_word,
+    find_proper_coloring,
     graph_from_edge_list,
     verify_certificate,
 )
@@ -70,8 +72,8 @@ SEARCH_STATE = {"fwd", "bwd", "closure", "frames"}
 
 def test_modules_share_only_the_listed_private_names():
     # a private name crosses modules only from this list, and only
-    # orientations.py touches _Searcher's undo state: every other module
-    # drives the search through assign and retract
+    # orientations.py touches _Searcher's search state: other modules hand
+    # states back to propagate untouched
     shared, state = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -111,6 +113,7 @@ def test_one_error_class_per_decision_a_caller_makes():
 
 G9 = graph_from_edge_list(9, [])
 M25 = graph_from_edge_list(8, list(itertools.combinations(range(1, 9), 2))[:25])
+P1200 = graph_from_edge_list(1200, [(v, v + 1) for v in range(1, 1200)])
 
 
 # one case per row of the README's "Size caps" table
@@ -124,6 +127,8 @@ M25 = graph_from_edge_list(8, list(itertools.combinations(range(1, 9), 2))[:25])
     pytest.param(lambda: verify_certificate(G9, Decision(NON_REPRESENTABLE, None, SearchStats())),
                  id="refutation-recheck"),
     pytest.param(lambda: find_k_uniform_word(graph_from_edge_list(11, []), 3), id="word-search"),
+    pytest.param(lambda: find_proper_coloring(P1200, 2), id="proper-coloring"),
+    pytest.param(lambda: are_isomorphic(P1200, P1200), id="isomorphism"),
 ])
 def test_every_size_cap_raises_too_large(call):
     with pytest.raises(errors.TooLargeError):
