@@ -49,9 +49,7 @@ def census(n: int) -> SpeedRow:
     class changes no output."""
     a_n = b_n = 0
     nonrep = []
-    # enumerate every class before deciding any: interleaving the orbit
-    # sweep with the searches made the n = 2..7 table about 6 % slower
-    for cls in list(enumerate_graphs(n)):
+    for cls in enumerate_graphs(n):
         g = cls.graph
         if (_color_classes(g, 3) is not None or _forward_semi_transitive(g)
                 or decide(g).verdict == REPRESENTABLE):

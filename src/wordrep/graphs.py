@@ -23,8 +23,9 @@ if TYPE_CHECKING:   # the functions that use numpy import it themselves
 
 CANONICAL_MAX_N = 8
 ENUMERATE_MAX_N = 7
-# proper colouring and the isomorphism test recurse one level per vertex,
-# under Python's default limit of 1000 frames with room for their callers
+# proper colouring, the isomorphism test and the shortcut scan recurse one
+# level per vertex, under Python's default limit of 1000 frames with room
+# for their callers
 BACKTRACK_MAX_N = 500
 
 
@@ -376,19 +377,43 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
     n = 7.  The row then marks its codes in the seen array in one
     scatter, and a scan to the next unmarked mask, done in C by
     bytearray.find, is the only pass over all 2^C(n,2) labelled graphs.
+
+    Complementing commutes with relabelling, so the complement of a class
+    with m edges is a class with the same |Aut|, whose orbit codes are
+    full ^ the class's, and whose canonical code is full ^ their maximum.
+    So only masks with at most C(n,2) / 2 set slots are swept: the others
+    are marked seen before the sweep starts, and each swept class with
+    2m < C(n,2) also lists its complement.  The whole sweep runs before
+    the first class is yielded, which then come out sorted by code.
     """
     if n > ENUMERATE_MAX_N:
         raise TooLargeError(
             f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
     if n < 1:
         raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
+    fact = math.factorial(n)
+    for code, aut in _class_codes(n):
+        yield GraphClass(_graph_from_mask(n, code), CanonicalForm(n, code), aut, fact // aut)
+
+
+def _class_codes(n: int) -> list[tuple[int, int]]:
+    """(canonical code, |Aut|) of every class on n vertices, sorted: the
+    orbit sweep of enumerate_graphs, whose seen array is freed on return."""
     import numpy as np
     values = _perm_tables(n)
-    top = len(values) - 1   # mask bit b is slot top - b
-    fact = math.factorial(n)
-    seen = bytearray(1 << len(values))
-    marks = np.frombuffer(seen, dtype=np.uint8)
-    codes = np.zeros(fact, dtype=np.intp)   # intp: the scatter needs no copy
+    s = len(values)
+    top, full = s - 1, (1 << s) - 1   # mask bit b is slot top - b
+    seen = bytearray(1 << s)
+    marks = np.frombuffer(seen, dtype=np.bool_)
+    # seen[mask] = popcount(mask) > half, as the popcount of the high
+    # s - half bits > half - that of the low half bits: one broadcast
+    # comparison of two half-width tables, written straight into seen
+    half = s // 2
+    counts = np.array([b.bit_count() for b in range(1 << s - half)], np.intp)
+    np.greater(counts[:, None], half - counts[None, :1 << half],
+               out=marks.reshape(1 << s - half, 1 << half))
+    codes = np.zeros(math.factorial(n), dtype=np.intp)   # intp: the scatter needs no copy
+    found = []
     last = mask = 0
     while mask != -1:
         for bit in _bits(last ^ mask):
@@ -396,15 +421,13 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
                 codes += values[top - bit]
             else:
                 codes -= values[top - bit]
-        marks[codes] = 1
+        marks[codes] = True
         aut = int(np.count_nonzero(codes == mask))
-        yield GraphClass(
-            _graph_from_mask(n, mask),
-            CanonicalForm(n, mask),
-            aut,
-            fact // aut,
-        )
+        found.append((mask, aut))
+        if 2 * mask.bit_count() < s:
+            found.append((full ^ int(codes.max()), aut))
         last, mask = mask, seen.find(0, mask + 1)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

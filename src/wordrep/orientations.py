@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CyclicInputError, OutOfRangeError, TooLargeError
-from .graphs import CANONICAL_MAX_N, Graph, VertexColoring, _bits, _components
+from .graphs import BACKTRACK_MAX_N, CANONICAL_MAX_N, Graph, VertexColoring, _bits, _components
 
 FORWARD = 1
 BACKWARD = -1
@@ -119,9 +119,12 @@ def _require_total(o: Orientation) -> None:
             f"operation needs a total orientation ({unassigned} edges unassigned)")
 
 
-def _acyclic(out: list[int]) -> bool:
-    """Whether the arcs in the out-masks close no directed cycle: peel the
-    sinks of what is left until nothing is, or no sink is."""
+def _descendants(out: list[int]) -> list[int] | None:
+    """Each vertex's descendants under the arcs in the out-masks, or None
+    when the arcs close a directed cycle: peel the sinks of what is left
+    until nothing is, or no sink is.  A vertex is peeled after all its
+    heads, so its descendants are theirs plus the heads themselves."""
+    desc = [0] * len(out)
     left = sum(1 << v for v, mask in enumerate(out) if mask)
     while left:
         sinks = 0
@@ -129,9 +132,14 @@ def _acyclic(out: list[int]) -> bool:
             if not out[v] & left:
                 sinks |= 1 << v
         if not sinks:
-            return False
+            return None
+        for v in _bits(sinks):
+            reach = out[v]
+            for w in _bits(out[v]):
+                reach |= desc[w]
+            desc[v] = reach
         left ^= sinks
-    return True
+    return desc
 
 
 def find_shortcut(o: Orientation) -> Conflict | None:
@@ -140,8 +148,14 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     Scans stored edges in order; for each arc t->h enumerates every simple
     directed path t ~> h with at least 3 edges (neighbors in ascending
     order) and checks that all inner pairs are edges oriented forward along
-    the path.
+    the path.  The walk steps only to vertices that reach h, read from the
+    descendants the acyclicity test leaves, so it lists the same paths in
+    the same order and skips only dead ends.  The walk recurses once per
+    path vertex, so n > BACKTRACK_MAX_N (500) raises TooLargeError.
     """
+    if o.base.n > BACKTRACK_MAX_N:
+        raise TooLargeError(
+            f"shortcut detection supports n <= {BACKTRACK_MAX_N}, got {o.base.n}")
     _require_total(o)
     arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
     out = [0] * (o.base.n + 1)
@@ -149,16 +163,17 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     for t, h in arcs:
         out[t] |= 1 << h
         into[h] |= 1 << t
-    if not _acyclic(out):
+    desc = _descendants(out)
+    if desc is None:
         raise CyclicInputError("shortcut detection needs an acyclic orientation")
     for t, h in arcs:
-        hit = _shortcut_dfs(out, into, h, [t], 1 << t, True)
+        hit = _shortcut_dfs(out, into, desc, h, [t], 1 << t, True)
         if hit is not None:
             return Conflict("Shortcut", hit)
     return None
 
 
-def _shortcut_dfs(out, into, h, path, on_path, closed) -> tuple[int, ...] | None:
+def _shortcut_dfs(out, into, desc, h, path, on_path, closed) -> tuple[int, ...] | None:
     """closed: every pair of the path so far is an arc in path order, so
     the path closed by h misses none exactly when each of its vertices
     has an arc into h.  The orientation is acyclic: no walk revisits."""
@@ -167,8 +182,10 @@ def _shortcut_dfs(out, into, h, path, on_path, closed) -> tuple[int, ...] | None
             if len(path) >= 3 and not (closed and on_path & ~into[h] == 0):
                 return tuple(path) + (h,)
             continue
+        if not desc[w] >> h & 1:
+            continue
         path.append(w)
-        hit = _shortcut_dfs(out, into, h, path, on_path | 1 << w,
+        hit = _shortcut_dfs(out, into, desc, h, path, on_path | 1 << w,
                             closed and on_path & ~into[w] == 0)
         path.pop()
         if hit is not None:

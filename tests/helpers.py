@@ -19,14 +19,16 @@ import numpy as np
 import wordrep
 from wordrep.bundled import GRAPH_NAMES
 from wordrep.cli import main
+from wordrep.errors import CyclicInputError
 from wordrep.graphs import (
     CanonicalForm,
     Graph,
     GraphClass,
+    _bits,
     _orbit_codes,
     graph_from_edge_list,
 )
-from wordrep.orientations import BACKWARD, FORWARD, Orientation
+from wordrep.orientations import BACKWARD, FORWARD, Conflict, Orientation
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,40 @@ def ref_is_acyclic(n: int, arcs) -> bool:
         verts -= sources
         arcs = {(u, v) for (u, v) in arcs if u in verts and v in verts}
     return True
+
+
+def ref_find_shortcut(o: Orientation):
+    """find_shortcut with no pruning: for each arc t->h in stored order,
+    every directed path from t is walked until it reaches h or a sink,
+    and the first path of three or more arcs that misses an inner pair
+    arc is the witness."""
+    arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
+    if not ref_is_acyclic(o.base.n, arcs):
+        raise CyclicInputError("shortcut detection needs an acyclic orientation")
+    out = [0] * (o.base.n + 1)
+    into = [0] * (o.base.n + 1)
+    for t, h in arcs:
+        out[t] |= 1 << h
+        into[h] |= 1 << t
+
+    def dfs(h, path, on_path, closed):
+        for w in _bits(out[path[-1]]):
+            if w == h:
+                if len(path) >= 3 and not (closed and on_path & ~into[h] == 0):
+                    return tuple(path) + (h,)
+                continue
+            path.append(w)
+            hit = dfs(h, path, on_path | 1 << w, closed and on_path & ~into[w] == 0)
+            path.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    for t, h in arcs:
+        hit = dfs(h, [t], 1 << t, True)
+        if hit is not None:
+            return Conflict("Shortcut", hit)
+    return None
 
 
 def unpacked_closure(s, c) -> list[int]:

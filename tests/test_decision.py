@@ -123,9 +123,30 @@ def test_verify_certificate_rejects_bad_witness():
 
 
 def test_verify_certificate_rejects_false_refutation():
+    # every class with n <= 5 is representable, so some orientation with
+    # the first edge FORWARD passes; the five edgeless ones have no first
+    # edge, and their one orientation must still be checked
     claim = Decision(NON_REPRESENTABLE, None, SearchStats())
-    for g in (complete(6), complete(8), bundled_graph("M")):
+    graphs = [cls.graph for n in range(1, 6) for cls in enumerate_graphs(n)]
+    assert sum(not g.edges for g in graphs) == 5
+    for g in graphs + [complete(6), complete(8), bundled_graph("M")]:
         assert not verify_certificate(g, claim)
+
+
+def test_verify_certificate_checks_half_of_a(monkeypatch):
+    # reversing every arc keeps semi-transitivity, so the refutation
+    # re-check tests only the orientations with the first edge FORWARD
+    calls = Counter()
+    check = decision.is_semi_transitive
+
+    def counted(o):
+        calls[o.dirs[0]] += 1
+        return check(o)
+
+    monkeypatch.setattr(decision, "is_semi_transitive", counted)
+    a = bundled_graph("A")
+    assert verify_certificate(a, decide(a))
+    assert calls == {FORWARD: 444}
 
 
 def test_verify_certificate_too_large():

@@ -234,6 +234,18 @@ def test_enumerate_matches_from_scratch_sweep():
         assert list(enumerate_graphs(n)) == list(ref_enumerate_graphs(n))
 
 
+def test_enumerate_closed_under_complement():
+    # the sweep lists the complements of the classes it sweeps without
+    # sweeping them: each must be a listed class with the same |Aut|
+    for n in range(1, 8):
+        classes = {cls.form.code: cls for cls in enumerate_graphs(n)}
+        for cls in classes.values():
+            g = cls.graph
+            rest = [p for p in itertools.combinations(g.vertices(), 2) if not g.has_edge(*p)]
+            twin = classes[canonical_form(graph_from_edge_list(n, rest)).code]
+            assert twin.aut_size == cls.aut_size
+
+
 def test_enumerate_labelled_sizes_sum():
     for n in range(1, 8):
         total = sum(c.labelled_size for c in enumerate_graphs(n))

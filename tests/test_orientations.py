@@ -9,9 +9,11 @@ import time
 import pytest
 
 from wordrep.bundled import bundled_graph
+from wordrep.census import census
 from wordrep.errors import CyclicInputError, OutOfRangeError, TooLargeError
 from wordrep.graphs import (
     VertexColoring,
+    enumerate_graphs,
     find_proper_coloring,
     graph_from_edge_list,
 )
@@ -44,6 +46,7 @@ from helpers import (
     random_graph,
     ref_blocks,
     ref_cycle_legs,
+    ref_find_shortcut,
     ref_four_cycles,
     ref_is_acyclic,
     ref_is_semi_transitive,
@@ -822,6 +825,22 @@ def test_orientation_format_round_trip():
     assert format_orientation(o) == "4 4\n1 2 >\n1 4 >\n3 2 >\n3 4 >\n"
     with pytest.raises(OutOfRangeError, match=r"^operation needs a total orientation "):
         format_orientation(orientation_from_arcs(C4, [(1, 2)]))
+
+
+def test_find_shortcut_matches_unpruned_dfs():
+    # the walk skips only vertices that cannot reach the arc's head, so it
+    # finds the same first witness, or none, as the walk that skips nothing:
+    # on every acyclic orientation of every class with n <= 6, and of the
+    # 26 refutations at n = 7
+    keys = set(census(7).nonrep_classes)
+    graphs = [cls.graph for n in range(1, 7) for cls in enumerate_graphs(n)]
+    graphs += [cls.graph for cls in enumerate_graphs(7) if cls.form.key in keys]
+    checked = 0
+    for g in graphs:
+        for o in acyclic_orientations(g):
+            assert find_shortcut(o) == ref_find_shortcut(o)
+            checked += 1
+    assert checked == 21_188 + 28_584
 
 
 def test_conflict_witnesses_are_genuine():

@@ -27,7 +27,7 @@ from wordrep import (
     verify_certificate,
 )
 from wordrep import errors
-from wordrep.orientations import count_semi_transitive_naive
+from wordrep.orientations import FORWARD, Orientation, count_semi_transitive_naive, is_semi_transitive
 
 PACKAGE = pathlib.Path(wordrep.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -86,6 +86,35 @@ def test_modules_share_only_the_listed_private_names():
     assert state == []
 
 
+RECHECK_ROUTE = {"verify_certificate", "acyclic_orientations", "is_semi_transitive",
+                 "find_shortcut"}
+SEARCH_NAMES = {"_Searcher", "propagate", "_no_shortcut", "_packed_rows", "_four_cycles",
+                "_forward_semi_transitive"}
+
+
+def test_recheck_route_shares_no_code_with_the_search():
+    # the certificate re-check is independent only while no function on its
+    # route, nor any module-level function one of them names, names the search
+    defs = {}
+    for name in ("decision.py", "orientations.py", "graphs.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        defs.update((node.name, node) for node in tree.body
+                    if isinstance(node, ast.FunctionDef))
+    route, named, todo = set(), set(), sorted(RECHECK_ROUTE)
+    while todo:
+        fn = todo.pop()
+        if fn in route:
+            continue
+        route.add(fn)
+        for node in ast.walk(defs[fn]):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                ident = node.id if isinstance(node, ast.Name) else node.attr
+                named.add(ident)
+                todo += [ident] if ident in defs else []
+    assert {"_shortcut_dfs", "_descendants", "_require_total"} <= route
+    assert named & SEARCH_NAMES == set()
+
+
 def test_only_graphs_imports_numpy():
     # class enumeration and canonical forms are numpy's only users; the
     # search, the words and every re-check run without it
@@ -114,6 +143,8 @@ def test_one_error_class_per_decision_a_caller_makes():
 G9 = graph_from_edge_list(9, [])
 M25 = graph_from_edge_list(8, list(itertools.combinations(range(1, 9), 2))[:25])
 P1200 = graph_from_edge_list(1200, [(v, v + 1) for v in range(1, 1200)])
+# 1 -> 2 -> ... -> 1200 plus the arc 1 -> 1200, every edge FORWARD
+C1200 = Orientation(graph_from_edge_list(1200, P1200.edges + ((1, 1200),)), (FORWARD,) * 1200)
 
 
 # one case per row of the README's "Size caps" table
@@ -129,6 +160,7 @@ P1200 = graph_from_edge_list(1200, [(v, v + 1) for v in range(1, 1200)])
     pytest.param(lambda: find_k_uniform_word(graph_from_edge_list(11, []), 3), id="word-search"),
     pytest.param(lambda: find_proper_coloring(P1200, 2), id="proper-coloring"),
     pytest.param(lambda: are_isomorphic(P1200, P1200), id="isomorphism"),
+    pytest.param(lambda: is_semi_transitive(C1200), id="shortcut-scan"),
 ])
 def test_every_size_cap_raises_too_large(call):
     with pytest.raises(errors.TooLargeError):
