@@ -6,16 +6,14 @@ orientation search and packages the outcome with its search statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
 
 from .graphs import Graph
 from .orientations import (
-    BACKWARD,
     Orientation,
     SearchStats,
-    acyclic_orientations,
     find_semi_transitive,
     is_semi_transitive,
+    semi_transitive_orientations,
 )
 
 REPRESENTABLE = "Representable"
@@ -49,15 +47,14 @@ def verify_certificate(g: Graph, d: Decision) -> bool:
     """Independent re-check of a decision.
 
     Representable: the witness must be a total semi-transitive orientation
-    of g.  NonRepresentable: is_semi_transitive must reject every acyclic
-    orientation, with no search or propagation.  Reversing every arc keeps
-    an orientation acyclic and semi-transitive, and acyclic_orientations
-    lists all those with the first edge FORWARD before any with it
-    BACKWARD, so the first half stands for all: 444 of graph A's 888.  An
-    edgeless graph's one orientation is checked.  n > 8 raises
-    TooLargeError, from the walk."""
+    of g.  NonRepresentable: semi_transitive_orientations must yield
+    nothing, with no search or propagation.  It walks the acyclic
+    orientations with the first edge FORWARD, which by reversal stand for
+    all, and cuts a branch at its first placed shortcut: 219 nodes for
+    graph A, whose 444 such orientations each hold a shortcut.  An edgeless
+    graph's one orientation is yielded.  n > 8 raises TooLargeError, from
+    the walk."""
     if d.verdict == REPRESENTABLE:
         w = d.witness
         return w is not None and w.base == g and w.is_total and is_semi_transitive(w)
-    first_forward = takewhile(lambda o: o.dirs[:1] != (BACKWARD,), acyclic_orientations(g))
-    return not any(map(is_semi_transitive, first_forward))
+    return next(semi_transitive_orientations(g), None) is None

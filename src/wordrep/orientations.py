@@ -2,7 +2,8 @@
 acyclicity, shortcut detection, semi-transitivity, the four-cycle forcing
 rule, the backtracking search for a semi-transitive orientation (one
 connected component at a time, one block at a time when counting), and
-the walk over acyclic orientations that re-checks it.
+the walk over acyclic orientations, cut at the first placed shortcut,
+that re-checks it.
 
 The search's state is three ints, passed down as values: two edge masks
 of the partial orientation, FORWARD and BACKWARD, and its reachability
@@ -11,9 +12,10 @@ by popcount, acyclicity is a one-bit test per arc, semi-transitivity at
 a leaf is a few mask tests on the packed closure, read in place (the
 interval lemma, _no_shortcut), and backtracking undoes nothing.
 The same test on the packed closure of the vertex order 1..n certifies
-most small graphs with no search.  find_shortcut and is_semi_transitive
-enumerate directed paths literally instead, as the independent route
-that certificates and counts are re-checked by.
+most small graphs with no search.  find_shortcut, is_semi_transitive and
+the walk semi_transitive_orientations enumerate directed paths literally
+instead, as the independent route that certificates and counts are
+re-checked by.
 
 An orientation assigns each stored edge (u, v), u < v, one of FORWARD
 (u -> v), BACKWARD (v -> u) or None (unassigned).  A total acyclic
@@ -147,10 +149,11 @@ def find_shortcut(o: Orientation) -> Conflict | None:
 
     Scans stored edges in order; for each arc t->h enumerates every simple
     directed path t ~> h with at least 3 edges (neighbors in ascending
-    order) and checks that all inner pairs are edges oriented forward along
-    the path.  The walk steps only to vertices that reach h, read from the
-    descendants the acyclicity test leaves, so it lists the same paths in
-    the same order and skips only dead ends.  The walk recurses once per
+    order) and checks that all its pairs are adjacent, which in an acyclic
+    orientation makes each an arc pointing along the path.  The walk steps
+    only to vertices that reach h, read from the descendants the
+    acyclicity test leaves, so it lists the same paths in the same order
+    and skips only dead ends.  The walk recurses once per
     path vertex, so n > BACKTRACK_MAX_N (500) raises TooLargeError.
     """
     if o.base.n > BACKTRACK_MAX_N:
@@ -159,34 +162,42 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     _require_total(o)
     arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
     out = [0] * (o.base.n + 1)
-    into = [0] * (o.base.n + 1)
     for t, h in arcs:
         out[t] |= 1 << h
-        into[h] |= 1 << t
     desc = _descendants(out)
     if desc is None:
         raise CyclicInputError("shortcut detection needs an acyclic orientation")
     for t, h in arcs:
-        hit = _shortcut_dfs(out, into, desc, h, [t], 1 << t, True)
+        hit = _shortcut_dfs(out, o.base.adj, desc, h, [t], 1 << t, True)
         if hit is not None:
             return Conflict("Shortcut", hit)
     return None
 
 
-def _shortcut_dfs(out, into, desc, h, path, on_path, closed) -> tuple[int, ...] | None:
-    """closed: every pair of the path so far is an arc in path order, so
-    the path closed by h misses none exactly when each of its vertices
-    has an arc into h.  The orientation is acyclic: no walk revisits."""
-    for w in _bits(out[path[-1]]):
+def _shortcut_dfs(out, adj, desc, h, path, on_path, closed) -> tuple[int, ...] | None:
+    """A path from path[-1] to h over the arcs in out, extending path, with
+    at least 3 arcs and a non-adjacent pair, or None.  closed: every pair
+    of the path so far is adjacent, so the path closed by h has none
+    exactly when each of its vertices is adjacent to h.  The arcs are
+    acyclic, so no walk revisits, and along a directed path an adjacent
+    pair is an arc pointing along it: adjacency masks stand in for in-arc
+    masks, for a total orientation (find_shortcut) and a partial one
+    (semi_transitive_orientations) alike.  desc holds each vertex's
+    descendants; only vertices that reach h are stepped to."""
+    step = out[path[-1]]
+    while step:
+        low = step & -step
+        step ^= low
+        w = low.bit_length() - 1
         if w == h:
-            if len(path) >= 3 and not (closed and on_path & ~into[h] == 0):
+            if len(path) >= 3 and not (closed and on_path & ~adj[h] == 0):
                 return tuple(path) + (h,)
             continue
         if not desc[w] >> h & 1:
             continue
         path.append(w)
-        hit = _shortcut_dfs(out, into, desc, h, path, on_path | 1 << w,
-                            closed and on_path & ~into[w] == 0)
+        hit = _shortcut_dfs(out, adj, desc, h, path, on_path | 1 << w,
+                            closed and on_path & ~adj[w] == 0)
         path.pop()
         if hit is not None:
             return hit
@@ -616,42 +627,87 @@ def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:
     return _search(g, stats if stats is not None else SearchStats(), False)[0]
 
 
-def acyclic_orientations(g: Graph) -> Iterator[Orientation]:
-    """Every acyclic orientation of g once, lexicographic (all-FORWARD first),
-    with no search: edge by edge in stored order, FORWARD before BACKWARD, an
-    arc is refused when its head reaches its tail.  No branch dies: an acyclic
-    partial orientation extends to a total one along a topological order.  At
-    most n! come out, so n <= 8.  closure holds at bit x * n the row x reaches;
-    placing t->h ORs row h into each row holding t: their col bits times it."""
-    n, last = g.n, len(g.edges) - 1
-    if n > CANONICAL_MAX_N:
-        raise TooLargeError(f"acyclic orientation walk supports n <= {CANONICAL_MAX_N}, got {n}")
-    col, row = sum(1 << x * n for x in range(n)), (1 << n) - 1
-    steps = [((FORWARD, 1 << (v - 1) * n + u - 1, u - 1, (v - 1) * n),
-              (BACKWARD, 1 << (u - 1) * n + v - 1, v - 1, (u - 1) * n)) for u, v in g.edges]
-    leaves = [] if steps else [()]
+def semi_transitive_orientations(g: Graph) -> Iterator[Orientation]:
+    """Every semi-transitive orientation of g with its first stored edge
+    FORWARD, lazily and in lexicographic order (all-FORWARD first); an
+    edgeless g has one, with no arcs.  Reversing every arc keeps an
+    orientation semi-transitive, so these are half of all of them.
 
-    def extend(i: int, closure: int, dirs: tuple[int, ...]) -> None:
-        for d, refused, t, h in steps[i]:   # h: the head's row offset
-            if closure & refused:
-                continue
-            if i == last:
-                leaves.append(dirs + (d,))
-            else:
-                extend(i + 1, closure | (closure >> t & col) * (closure >> h & row), dirs + (d,))
+    No search and no propagation: a walk edge by edge in stored order,
+    FORWARD before BACKWARD, with the first edge FORWARD only.  An arc is
+    refused when its head already reaches its tail, and a branch is cut as
+    soon as its placed arcs hold a literal shortcut, found by
+    _shortcut_dfs on the placed arcs against g's adjacency.  It rests on
+    three lemmas:
 
-    if steps:
-        extend(0, sum(1 << x * (n + 1) for x in range(n)), ())   # x reaches x
-    yield from (Orientation(g, dirs) for dirs in leaves)
+    1. Placed arcs only grow down a branch, so a placed shortcut is a
+       shortcut of every total orientation below it: a cut loses nothing.
+    2. Along a directed path of an acyclic orientation, an adjacent pair
+       is an arc pointing along the path.  So adjacency masks can stand in
+       for in-arc masks, and a shortcut is a path with a non-adjacent pair.
+    3. Every shortcut has a last-placed arc, and it is found at that arc's
+       node.  That arc t->h is the skipped arc u->v or lies on the path
+       u ~> v, so u is t or an ancestor of t and v is h or a descendant of
+       h, and each placed arc u->v of that kind is scanned once t->h is.
+
+    So a leaf, a total orientation, is reached exactly when it is acyclic
+    and semi-transitive.  Each is induced by a vertex order, so there are
+    at most n! / 2 leaves, and n <= 8."""
+    if g.n > CANONICAL_MAX_N:
+        raise TooLargeError(
+            f"semi-transitive orientation walk supports n <= {CANONICAL_MAX_N}, got {g.n}")
+    if not g.edges:
+        yield Orientation(g, ())
+        return
+    yield from _walk(g, 0, [0] * (g.n + 1), [0] * (g.n + 1), ())
+
+
+def _walk(g: Graph, i: int, out: list[int], desc: list[int], dirs: tuple[int, ...]
+          ) -> Iterator[Orientation]:
+    """One node of semi_transitive_orientations: edges 0..i-1 placed as
+    dirs, out and desc their out-arcs and descendants per vertex.  Each
+    child gets its own copies of both."""
+    u, v = g.edges[i]
+    for d, t, h in ((FORWARD, u, v), (BACKWARD, v, u)) if i else ((FORWARD, u, v),):
+        if desc[h] >> t & 1:
+            continue
+        below = desc[h] | 1 << h
+        ups = [x for x, reach in enumerate(desc) if reach >> t & 1]
+        ups.append(t)
+        out_, desc_ = out[:], desc[:]
+        out_[t] |= 1 << h
+        for x in ups:
+            desc_[x] |= below
+        if _placed_shortcut(out_, g.adj, desc_, ups, below):
+            continue
+        if i == len(g.edges) - 1:
+            yield Orientation(g, dirs + (d,))
+        else:
+            yield from _walk(g, i + 1, out_, desc_, dirs + (d,))
+
+
+def _placed_shortcut(out, adj, desc, ups, below) -> bool:
+    """Whether some arc x->y, x in ups and y in the mask below, is skipped
+    by a path of the arcs in out that misses an edge of adj."""
+    for x in ups:
+        heads = out[x] & below
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            if _shortcut_dfs(out, adj, desc, low.bit_length() - 1, [x], 1 << x, True):
+                return True
+    return False
 
 
 def count_semi_transitive_naive(g: Graph) -> int:
-    """Plain generate-and-test over acyclic_orientations: no search, no
-    propagation and no pruning; the anchor the fast counter must match."""
+    """Twice the number of orientations semi_transitive_orientations
+    yields, or 1 for an edgeless g: no search, no propagation and no
+    forcing; the anchor the fast counter must match."""
     if len(g.edges) > COUNT_MAX_EDGES:
         raise TooLargeError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
-    return sum(map(is_semi_transitive, acyclic_orientations(g)))
+    found = sum(1 for _ in semi_transitive_orientations(g))
+    return 2 * found if g.edges else found
 
 
 # ---------------------------------------------------------------------------

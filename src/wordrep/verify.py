@@ -99,10 +99,10 @@ def _check_case_replay() -> list[CheckResult]:
 
 def _check_counts(a_refuted: bool) -> list[CheckResult]:
     """Fast and naive orientation counts of K4, C4 and A.  a_refuted: the
-    a-refutation check passed, so verify_certificate has already found no
-    acyclic orientation of A semi-transitive (the half with the first edge
-    FORWARD, and by reversal the rest), which is the naive count of A
-    being 0; the sweep runs again only when it did not."""
+    a-refutation check passed, so verify_certificate has already run the
+    walk the naive count runs, semi_transitive_orientations of A, and it
+    yielded nothing: that is the naive count of A being 0.  A is walked
+    again only when the check did not pass."""
     got = {}
     ok = True
     for name, expected in (("K4", 24), ("C4", 6), ("A", 0)):

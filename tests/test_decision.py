@@ -1,6 +1,7 @@
 """The top-level decision procedure and its certificates."""
 
 import json
+import random
 import time
 from collections import Counter
 
@@ -29,7 +30,7 @@ from wordrep.orientations import (
     is_semi_transitive,
 )
 
-from helpers import run_cli
+from helpers import random_graph, run_cli
 
 
 def complete(n):
@@ -135,18 +136,21 @@ def test_verify_certificate_rejects_false_refutation():
 
 def test_verify_certificate_checks_half_of_a(monkeypatch):
     # reversing every arc keeps semi-transitivity, so the refutation
-    # re-check tests only the orientations with the first edge FORWARD
-    calls = Counter()
-    check = decision.is_semi_transitive
+    # re-check walks only the orientations with the first edge FORWARD,
+    # and cuts each branch at its first placed shortcut: 219 nodes, where
+    # generate-and-test tests 444 orientations
+    nodes = []
+    walk = orientations._walk
 
-    def counted(o):
-        calls[o.dirs[0]] += 1
-        return check(o)
+    def counted(g, i, out, desc, dirs):
+        nodes.append(dirs)
+        return walk(g, i, out, desc, dirs)
 
-    monkeypatch.setattr(decision, "is_semi_transitive", counted)
+    monkeypatch.setattr(orientations, "_walk", counted)
     a = bundled_graph("A")
     assert verify_certificate(a, decide(a))
-    assert calls == {FORWARD: 444}
+    assert len(nodes) == 219
+    assert nodes[0] == () and all(dirs[0] == FORWARD for dirs in nodes[1:])
 
 
 def test_verify_certificate_too_large():
@@ -168,25 +172,44 @@ def test_verify_certificate_confirms_every_n7_refutation():
         assert verify_certificate(g, d)
 
 
-def _sweeps_per_graph(monkeypatch):
-    """Count acyclic_orientations calls per graph, under the names that
-    verify_certificate and count_semi_transitive_naive look up."""
+def test_refutation_recheck_agrees_with_decide():
+    # a claimed refutation is confirmed exactly when the search refutes:
+    # on every class with n <= 7 (the 27 refutations among them) and on
+    # seeded random 8-vertex graphs of both verdicts
+    claim = Decision(NON_REPRESENTABLE, None, SearchStats())
+    graphs = [cls.graph for n in range(1, 8) for cls in enumerate_graphs(n)]
+    assert len(graphs) == 1252
+    rng = random.Random(25)
+    graphs += [random_graph(rng, 8, rng.uniform(0.55, 0.85)) for _ in range(60)]
+    verdicts = Counter()
+    for g in graphs:
+        refuted = decide(g).verdict == NON_REPRESENTABLE
+        assert verify_certificate(g, claim) == refuted
+        verdicts[g.n == 8, refuted] += 1
+    assert verdicts[False, True] == 27
+    assert verdicts[True, True] == 11 and verdicts[True, False] == 49
+
+
+def _walks_per_graph(monkeypatch):
+    """Count semi_transitive_orientations calls per graph, under the names
+    that verify_certificate and count_semi_transitive_naive look up."""
     calls = Counter()
-    sweep = orientations.acyclic_orientations
+    walk = orientations.semi_transitive_orientations
 
     def counted(g):
         calls[g] += 1
-        return sweep(g)
+        return walk(g)
 
-    monkeypatch.setattr(decision, "acyclic_orientations", counted)
-    monkeypatch.setattr(orientations, "acyclic_orientations", counted)
+    monkeypatch.setattr(decision, "semi_transitive_orientations", counted)
+    monkeypatch.setattr(orientations, "semi_transitive_orientations", counted)
     return calls
 
 
 def test_verify_paper_sweeps_a_once(monkeypatch):
-    # the refutation re-check is the naive count of A being 0, so
-    # orientation-counts reuses it and A's 888 orientations are swept once
-    calls = _sweeps_per_graph(monkeypatch)
+    # the refutation re-check is the naive count of A being 0, the same
+    # walk finding no survivor, so orientation-counts reuses it and A is
+    # walked once
+    calls = _walks_per_graph(monkeypatch)
     checks = verify.run_all_checks()
     assert all(c.passed for c in checks)
     assert calls[bundled_graph("A")] == 1
@@ -194,7 +217,7 @@ def test_verify_paper_sweeps_a_once(monkeypatch):
 
 def test_verify_paper_counts_a_when_refutation_fails(monkeypatch):
     # with no confirmed refutation to reuse, A is counted for real
-    calls = _sweeps_per_graph(monkeypatch)
+    calls = _walks_per_graph(monkeypatch)
     monkeypatch.setattr(verify, "verify_certificate", lambda g, d: False)
     checks = {c.name: c for c in verify.run_all_checks()}
     assert not checks["a-refutation"].passed

@@ -28,7 +28,6 @@ from wordrep.orientations import (
     _forward_semi_transitive,
     _four_cycles,
     _Searcher,
-    acyclic_orientations,
     count_semi_transitive,
     count_semi_transitive_naive,
     find_semi_transitive,
@@ -38,11 +37,14 @@ from wordrep.orientations import (
     lemma1_propagate,
     orient_by_coloring,
     orientation_from_arcs,
+    semi_transitive_orientations,
 )
 
 from helpers import (
+    acyclic_orientations,
     all_graphs,
     enumerate_total_orientations,
+    generate_and_test_count,
     random_graph,
     ref_blocks,
     ref_cycle_legs,
@@ -356,6 +358,25 @@ def test_acyclic_orientations_match_the_vertex_orders():
 def test_acyclic_orientations_too_large():
     with pytest.raises(TooLargeError):
         next(acyclic_orientations(graph_from_edge_list(9, [(1, 2)])))
+
+
+def test_walk_is_generate_and_test():
+    # the walk cuts a branch at its first placed shortcut, so it yields
+    # exactly the semi-transitive acyclic orientations with the first edge
+    # FORWARD, in order, and the naive count is twice as many: every class
+    # with n <= 6 and K4, C4, M and A against plain generate-and-test
+    graphs = [cls.graph for n in range(1, 7) for cls in enumerate_graphs(n)]
+    assert len(graphs) == 208
+    counts = []
+    for g in graphs + [K4, C4, bundled_graph("M"), bundled_graph("A")]:
+        passing = [o for o in acyclic_orientations(g)
+                   if o.dirs[:1] != (BACKWARD,) and is_semi_transitive(o)]
+        assert list(semi_transitive_orientations(g)) == passing
+        counts.append(count_semi_transitive_naive(g))
+        assert counts[-1] == generate_and_test_count(g)
+    assert sum(counts[:208]) == 7292 and counts[208:] == [24, 6, 12, 0]
+    with pytest.raises(TooLargeError):
+        next(semi_transitive_orientations(graph_from_edge_list(9, [])))
 
 
 def test_lemma1_soundness_random():

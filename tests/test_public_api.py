@@ -86,8 +86,8 @@ def test_modules_share_only_the_listed_private_names():
     assert state == []
 
 
-RECHECK_ROUTE = {"verify_certificate", "acyclic_orientations", "is_semi_transitive",
-                 "find_shortcut"}
+RECHECK_ROUTE = {"verify_certificate", "semi_transitive_orientations", "is_semi_transitive",
+                 "find_shortcut", "count_semi_transitive_naive"}
 SEARCH_NAMES = {"_Searcher", "propagate", "_no_shortcut", "_packed_rows", "_four_cycles",
                 "_forward_semi_transitive"}
 
@@ -111,7 +111,7 @@ def test_recheck_route_shares_no_code_with_the_search():
                 ident = node.id if isinstance(node, ast.Name) else node.attr
                 named.add(ident)
                 todo += [ident] if ident in defs else []
-    assert {"_shortcut_dfs", "_descendants", "_require_total"} <= route
+    assert {"_shortcut_dfs", "_descendants", "_require_total", "_walk"} <= route
     assert named & SEARCH_NAMES == set()
 
 

@@ -10,11 +10,12 @@ import pytest
 from wordrep.bundled import bundled_graph
 from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import enumerate_graphs, graph_from_edge_list
-from wordrep.orientations import acyclic_orientations, is_semi_transitive
+from wordrep.orientations import is_semi_transitive
 from wordrep.words import Word, graph_of_word, represents, uniformity
 from wordrep.wordsearch import find_k_uniform_word, find_word
 
 from helpers import (
+    acyclic_orientations,
     all_graphs,
     k_uniform_words,
     lex_min_2_uniform_word,
