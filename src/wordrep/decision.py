@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import OutOfRangeError
 from .graphs import Graph
 from .orientations import (
     Orientation,
@@ -53,8 +54,11 @@ def verify_certificate(g: Graph, d: Decision) -> bool:
     all, and cuts a branch at its first placed shortcut: 219 nodes for
     graph A, whose 444 such orientations each hold a shortcut.  An edgeless
     graph's one orientation is yielded.  n > 8 raises TooLargeError, from
-    the walk."""
+    the walk.  Any other verdict raises OutOfRangeError."""
     if d.verdict == REPRESENTABLE:
         w = d.witness
         return w is not None and w.base == g and w.is_total and is_semi_transitive(w)
+    if d.verdict != NON_REPRESENTABLE:
+        raise OutOfRangeError(f"verdict {d.verdict!r} is neither {REPRESENTABLE!r} "
+                              f"nor {NON_REPRESENTABLE!r}")
     return next(semi_transitive_orientations(g), None) is None

@@ -17,6 +17,13 @@ the walk semi_transitive_orientations enumerate directed paths literally
 instead, as the independent route that certificates and counts are
 re-checked by.
 
+Each route grows reachability by one rule.  The search's is the packed
+row update in _Searcher.propagate: placing t->h ORs h and all h reaches
+into the rows of t and of every ancestor of t, one product; the
+vertex-order test builds its closure with the same update.  The
+re-check route's is _place, the same step on one descendant mask per
+vertex, which find_shortcut and the walk both add their arcs by.
+
 An orientation assigns each stored edge (u, v), u < v, one of FORWARD
 (u -> v), BACKWARD (v -> u) or None (unassigned).  A total acyclic
 orientation is semi-transitive when no directed path v1...vk (k >= 4)
@@ -121,52 +128,29 @@ def _require_total(o: Orientation) -> None:
             f"operation needs a total orientation ({unassigned} edges unassigned)")
 
 
-def _descendants(out: list[int]) -> list[int] | None:
-    """Each vertex's descendants under the arcs in the out-masks, or None
-    when the arcs close a directed cycle: peel the sinks of what is left
-    until nothing is, or no sink is.  A vertex is peeled after all its
-    heads, so its descendants are theirs plus the heads themselves."""
-    desc = [0] * len(out)
-    left = sum(1 << v for v, mask in enumerate(out) if mask)
-    while left:
-        sinks = 0
-        for v in _bits(left):
-            if not out[v] & left:
-                sinks |= 1 << v
-        if not sinks:
-            return None
-        for v in _bits(sinks):
-            reach = out[v]
-            for w in _bits(out[v]):
-                reach |= desc[w]
-            desc[v] = reach
-        left ^= sinks
-    return desc
-
-
 def find_shortcut(o: Orientation) -> Conflict | None:
     """First shortcut in deterministic order, or None.
 
     Scans stored edges in order; for each arc t->h enumerates every simple
     directed path t ~> h with at least 3 edges (neighbors in ascending
     order) and checks that all its pairs are adjacent, which in an acyclic
-    orientation makes each an arc pointing along the path.  The walk steps
-    only to vertices that reach h, read from the descendants the
-    acyclicity test leaves, so it lists the same paths in the same order
-    and skips only dead ends.  The walk recurses once per
-    path vertex, so n > BACKTRACK_MAX_N (500) raises TooLargeError.
+    orientation makes each an arc pointing along the path.  The arcs are
+    first placed in stored order by _place, the walk's arc step, which
+    grows each vertex's descendants and refuses an arc that closes a
+    directed cycle (CyclicInputError).  The walk steps only to vertices
+    that reach h, read from those descendants, so it lists the same paths
+    in the same order and skips only dead ends.  The walk recurses once
+    per path vertex, so n > BACKTRACK_MAX_N (500) raises TooLargeError.
     """
     if o.base.n > BACKTRACK_MAX_N:
         raise TooLargeError(
             f"shortcut detection supports n <= {BACKTRACK_MAX_N}, got {o.base.n}")
     _require_total(o)
     arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
-    out = [0] * (o.base.n + 1)
+    out, desc = [0] * (o.base.n + 1), [0] * (o.base.n + 1)
     for t, h in arcs:
-        out[t] |= 1 << h
-    desc = _descendants(out)
-    if desc is None:
-        raise CyclicInputError("shortcut detection needs an acyclic orientation")
+        if _place(out, desc, t, h) is None:
+            raise CyclicInputError("shortcut detection needs an acyclic orientation")
     for t, h in arcs:
         hit = _shortcut_dfs(out, o.base.adj, desc, h, [t], 1 << t, True)
         if hit is not None:
@@ -321,22 +305,20 @@ def _no_shortcut(c: int, w: int, row: int, col: int, adj_rows: int, non_rows: in
 
 def _forward_semi_transitive(g: Graph) -> bool:
     """Whether the vertex order 1..n, which orients every edge FORWARD, is
-    semi-transitive: its packed closure in one pass, from n down to 1,
-    then _no_shortcut.  All-FORWARD is the least orientation in the
-    search's FORWARD-first lexicographic order, and the forcing rule never
-    forces an edge against a semi-transitive orientation that extends the
-    node, so when this passes it is the witness find_semi_transitive
-    returns."""
-    adj, w = g.adj, g.n + 1
+    semi-transitive: its packed closure, then _no_shortcut.  The closure
+    is built by the search's row update (_Searcher.propagate) over the
+    edges in reverse stored order: each edge (t, h) has h > t, so h's row
+    is complete before t's, and no ancestor of t is placed yet, so only
+    row t takes h and all h reaches.  All-FORWARD is the least
+    orientation in the search's FORWARD-first lexicographic order, and the
+    forcing rule never forces an edge against a semi-transitive
+    orientation that extends the node, so when this passes it is the
+    witness find_semi_transitive returns."""
+    w = g.n + 1
     row = (1 << w) - 1
     c = 0
-    for v in range(g.n, 0, -1):
-        below = above = adj[v] & -1 << v + 1
-        while above:
-            low = above & -above
-            above ^= low
-            below |= c >> (low.bit_length() - 1) * w & row
-        c |= below << v * w
+    for t, h in reversed(g.edges):
+        c |= (c >> h * w & row | 1 << h) << t * w
     adj_rows, non_rows = _packed_rows(g, w)
     return _no_shortcut(c, w, row, ((1 << w * w) - 1) // row, adj_rows, non_rows)
 
@@ -634,8 +616,9 @@ def semi_transitive_orientations(g: Graph) -> Iterator[Orientation]:
     orientation semi-transitive, so these are half of all of them.
 
     No search and no propagation: a walk edge by edge in stored order,
-    FORWARD before BACKWARD, with the first edge FORWARD only.  An arc is
-    refused when its head already reaches its tail, and a branch is cut as
+    FORWARD before BACKWARD, with the first edge FORWARD only.  Each arc
+    is placed by _place, which refuses it when its head already reaches
+    its tail and otherwise grows the descendants, and a branch is cut as
     soon as its placed arcs hold a literal shortcut, found by
     _shortcut_dfs on the placed arcs against g's adjacency.  It rests on
     three lemmas:
@@ -656,34 +639,40 @@ def semi_transitive_orientations(g: Graph) -> Iterator[Orientation]:
     if g.n > CANONICAL_MAX_N:
         raise TooLargeError(
             f"semi-transitive orientation walk supports n <= {CANONICAL_MAX_N}, got {g.n}")
-    if not g.edges:
-        yield Orientation(g, ())
-        return
     yield from _walk(g, 0, [0] * (g.n + 1), [0] * (g.n + 1), ())
 
 
 def _walk(g: Graph, i: int, out: list[int], desc: list[int], dirs: tuple[int, ...]
           ) -> Iterator[Orientation]:
     """One node of semi_transitive_orientations: edges 0..i-1 placed as
-    dirs, out and desc their out-arcs and descendants per vertex.  Each
-    child gets its own copies of both."""
+    dirs, out and desc their out-arcs and descendants per vertex; a leaf
+    once i is the number of edges.  Each child gets its own copies of
+    both, with edge i placed by _place."""
+    if i == len(g.edges):
+        yield Orientation(g, dirs)
+        return
     u, v = g.edges[i]
     for d, t, h in ((FORWARD, u, v), (BACKWARD, v, u)) if i else ((FORWARD, u, v),):
-        if desc[h] >> t & 1:
-            continue
-        below = desc[h] | 1 << h
-        ups = [x for x, reach in enumerate(desc) if reach >> t & 1]
-        ups.append(t)
         out_, desc_ = out[:], desc[:]
-        out_[t] |= 1 << h
-        for x in ups:
-            desc_[x] |= below
-        if _placed_shortcut(out_, g.adj, desc_, ups, below):
-            continue
-        if i == len(g.edges) - 1:
-            yield Orientation(g, dirs + (d,))
-        else:
+        placed = _place(out_, desc_, t, h)
+        if placed is not None and not _placed_shortcut(out_, g.adj, desc_, *placed):
             yield from _walk(g, i + 1, out_, desc_, dirs + (d,))
+
+
+def _place(out: list[int], desc: list[int], t: int, h: int) -> tuple[list[int], int] | None:
+    """Add the arc t->h to out, and desc[h] with h to the descendants of t
+    and of every ancestor of t, in place; None, with nothing added, when h
+    already reaches t.  Returns (ups, below): t with its ancestors, and
+    the mask of h and its descendants."""
+    if desc[h] >> t & 1:
+        return None
+    below = desc[h] | 1 << h
+    ups = [x for x, reach in enumerate(desc) if reach >> t & 1]
+    ups.append(t)
+    out[t] |= 1 << h
+    for x in ups:
+        desc[x] |= below
+    return ups, below
 
 
 def _placed_shortcut(out, adj, desc, ups, below) -> bool:

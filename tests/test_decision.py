@@ -17,7 +17,7 @@ from wordrep.decision import (
     decide,
     verify_certificate,
 )
-from wordrep.errors import TooLargeError
+from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import delete_vertex, enumerate_graphs, graph_from_edge_list
 from wordrep.orientations import (
     BACKWARD,
@@ -151,6 +151,15 @@ def test_verify_certificate_checks_half_of_a(monkeypatch):
     assert verify_certificate(a, decide(a))
     assert len(nodes) == 219
     assert nodes[0] == () and all(dirs[0] == FORWARD for dirs in nodes[1:])
+
+
+def test_verify_certificate_rejects_unknown_verdict():
+    # only the two verdicts decide emits are certified; any other one, a
+    # misspelt verdict or None, is not read as a refutation of A
+    a = bundled_graph("A")
+    for verdict in ("representable", "nonrepresentable", None, ""):
+        with pytest.raises(OutOfRangeError, match=f"^verdict {verdict!r} is neither "):
+            verify_certificate(a, Decision(verdict, None, SearchStats()))
 
 
 def test_verify_certificate_too_large():

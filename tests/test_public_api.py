@@ -111,7 +111,7 @@ def test_recheck_route_shares_no_code_with_the_search():
                 ident = node.id if isinstance(node, ast.Name) else node.attr
                 named.add(ident)
                 todo += [ident] if ident in defs else []
-    assert {"_shortcut_dfs", "_descendants", "_require_total", "_walk"} <= route
+    assert {"_shortcut_dfs", "_place", "_require_total", "_walk"} <= route
     assert named & SEARCH_NAMES == set()
 
 
