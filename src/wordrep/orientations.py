@@ -21,8 +21,9 @@ Each route grows reachability by one rule.  The search's is the packed
 row update in _Searcher.propagate: placing t->h ORs h and all h reaches
 into the rows of t and of every ancestor of t, one product; the
 vertex-order test builds its closure with the same update.  The
-re-check route's is _place, the same step on one descendant mask per
-vertex, which find_shortcut and the walk both add their arcs by.
+re-check route's is _place, the same step on one descendant and one
+ancestor mask per vertex, which find_shortcut and the walk both add
+their arcs by.
 
 An orientation assigns each stored edge (u, v), u < v, one of FORWARD
 (u -> v), BACKWARD (v -> u) or None (unassigned).  A total acyclic
@@ -63,14 +64,13 @@ class Orientation:
         if len(self.dirs) != len(self.base.edges):
             raise OutOfRangeError(
                 f"{len(self.dirs)} directions for {len(self.base.edges)} edges")
-        try:
-            valid = _DIRECTIONS.issuperset(self.dirs)
-        except TypeError:   # an unhashable entry
-            valid = False
-        if not valid:
-            i = next(i for i, d in enumerate(self.dirs) if d not in (FORWARD, BACKWARD, None))
-            u, v = self.base.edges[i]
-            raise OutOfRangeError(f"direction {self.dirs[i]!r} of edge {u}-{v} is not "
+        for (u, v), d in zip(self.base.edges, self.dirs):
+            try:
+                if d in _DIRECTIONS:
+                    continue
+            except TypeError:   # an unhashable entry is no direction
+                pass
+            raise OutOfRangeError(f"direction {d!r} of edge {u}-{v} is not "
                                   "FORWARD (1), BACKWARD (-1) or None")
 
     @property
@@ -136,8 +136,8 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     order) and checks that all its pairs are adjacent, which in an acyclic
     orientation makes each an arc pointing along the path.  The arcs are
     first placed in stored order by _place, the walk's arc step, which
-    grows each vertex's descendants and refuses an arc that closes a
-    directed cycle (CyclicInputError).  The walk steps only to vertices
+    grows each vertex's descendant and ancestor masks and refuses an arc
+    that closes a directed cycle (CyclicInputError).  The walk steps only to vertices
     that reach h, read from those descendants, so it lists the same paths
     in the same order and skips only dead ends.  The walk recurses once
     per path vertex, so n > BACKTRACK_MAX_N (500) raises TooLargeError.
@@ -147,9 +147,9 @@ def find_shortcut(o: Orientation) -> Conflict | None:
             f"shortcut detection supports n <= {BACKTRACK_MAX_N}, got {o.base.n}")
     _require_total(o)
     arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
-    out, desc = [0] * (o.base.n + 1), [0] * (o.base.n + 1)
+    out, desc, anc = [0] * (o.base.n + 1), [0] * (o.base.n + 1), [0] * (o.base.n + 1)
     for t, h in arcs:
-        if _place(out, desc, t, h) is None:
+        if _place(out, desc, anc, t, h) is None:
             raise CyclicInputError("shortcut detection needs an acyclic orientation")
     for t, h in arcs:
         hit = _shortcut_dfs(out, o.base.adj, desc, h, [t], 1 << t, True)
@@ -514,59 +514,57 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
     return Orientation(g, tuple(s.dirs(fwd, bwd)))
 
 
-def _blocks(g: Graph) -> list[list[int]]:
-    """Edge indices of each block (biconnected component) of g, in stored
-    order, blocks by first edge.  One depth-first search: an edge joins
-    the stack when first seen, and the edges stacked since a tree edge
-    v-w form a block once w's subtree has no edge above v."""
+def _blocks(g: Graph) -> list[int]:
+    """Each block (biconnected component) of g as an edge mask, by lowest
+    edge.  One depth-first search: each subtree hands up its edges not yet
+    in a block, and those of w's, with the tree edge v-w, form a block
+    once w's subtree has no edge above v."""
     adj, index = g.adj, g.edge_index
     depth = [0] * (g.n + 1)   # 0: not yet visited
-    stack: list[int] = []
-    blocks: list[list[int]] = []
+    blocks: list[int] = []
 
-    def visit(v: int, d: int) -> int:
+    def visit(v: int, d: int) -> tuple[int, int]:
         """Search below v at depth d; the least depth an edge from v's
-        subtree reaches."""
+        subtree reaches, and the subtree's edges not yet in a block."""
         depth[v] = low = d
+        edges = 0
         for w in _bits(adj[v]):
-            e = index[(v, w) if v < w else (w, v)]
+            e = 1 << index[(v, w) if v < w else (w, v)]
             if not depth[w]:
-                mark = len(stack)
-                stack.append(e)
-                below = visit(w, d + 1)
+                below, up = visit(w, d + 1)
                 if below < d:
                     low = min(low, below)
+                    edges |= up | e
                 else:
-                    blocks.append(sorted(stack[mark:]))
-                    del stack[mark:]
+                    blocks.append(up | e)
             elif depth[w] < d - 1:   # back edge to an ancestor above the parent
-                stack.append(e)
+                edges |= e
                 low = min(low, depth[w])
-        return low
+        return low, edges
 
     for v in g.vertices():
         if adj[v] and not depth[v]:
             visit(v, 1)
-    return sorted(blocks)
+    return sorted(blocks, key=lambda b: b & -b)
 
 
 def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searcher]:
     """The number of semi-transitive orientations of g, as a product of
     independent searches run in turn; a factor of 0 ends the search.
 
-    Counting, the factors are the blocks (in the order of their first
-    edge): a directed cycle, and a shortcut with the edge it skips, lie on
+    Counting, the factors are the blocks, as _blocks' edge masks by lowest
+    edge: a directed cycle, and a shortcut with the edge it skips, lie on
     one cycle of g, so in one block, and g's orientations are the
     products of its blocks' ones.  Each block counts twice its FORWARD
     root subtree, from no arc placed.  Finding, they are the components
     with an edge (every edge at once when there are fewer than two): each
     starts from the leaf the last one was found at, and the witness is
     the product of the components' FORWARD-first witnesses, which is the
-    FORWARD-first witness of g, as its edge order interleaves theirs.  Finding splits no further, as
-    the decisions are mostly tiny: over the census classes with n <= 7,
-    _blocks takes 21 us a call against 1.6 us for _components (2-core
-    Xeon VM, Python 3.11), and deciding them all by blocks took 20-30 %
-    longer."""
+    FORWARD-first witness of g, as its edge order interleaves theirs.
+    Finding splits no further, as the decisions are mostly tiny: over the
+    census classes with n <= 7, _blocks takes 21 us a call against 1.6 us
+    for _components (2-core Xeon VM, Python 3.11), and deciding them all
+    by blocks took 20-30 % longer."""
     if g.n > SEARCH_MAX_N:
         raise TooLargeError(
             f"orientation search supports n <= {SEARCH_MAX_N}, got {g.n}")
@@ -578,7 +576,7 @@ def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searc
             sum(1 << i for i, (u, _) in enumerate(g.edges) if c >> u & 1) for c in comps]
         factor = 1
     else:
-        parts, factor = [sum(1 << e for e in block) for block in _blocks(g)], 2
+        parts, factor = _blocks(g), 2
     found = 1
     for part in parts:
         state = searcher.found if first_only else (0, 0, 0)
@@ -618,10 +616,10 @@ def semi_transitive_orientations(g: Graph) -> Iterator[Orientation]:
     No search and no propagation: a walk edge by edge in stored order,
     FORWARD before BACKWARD, with the first edge FORWARD only.  Each arc
     is placed by _place, which refuses it when its head already reaches
-    its tail and otherwise grows the descendants, and a branch is cut as
-    soon as its placed arcs hold a literal shortcut, found by
-    _shortcut_dfs on the placed arcs against g's adjacency.  It rests on
-    three lemmas:
+    its tail and otherwise grows the descendant and ancestor masks, and a
+    branch is cut as soon as its placed arcs hold a literal shortcut,
+    found by _shortcut_dfs on the placed arcs against g's adjacency.  It
+    rests on three lemmas:
 
     1. Placed arcs only grow down a branch, so a placed shortcut is a
        shortcut of every total orientation below it: a cut loses nothing.
@@ -639,46 +637,47 @@ def semi_transitive_orientations(g: Graph) -> Iterator[Orientation]:
     if g.n > CANONICAL_MAX_N:
         raise TooLargeError(
             f"semi-transitive orientation walk supports n <= {CANONICAL_MAX_N}, got {g.n}")
-    yield from _walk(g, 0, [0] * (g.n + 1), [0] * (g.n + 1), ())
+    yield from _walk(g, 0, [0] * (g.n + 1), [0] * (g.n + 1), [0] * (g.n + 1), ())
 
 
-def _walk(g: Graph, i: int, out: list[int], desc: list[int], dirs: tuple[int, ...]
-          ) -> Iterator[Orientation]:
+def _walk(g: Graph, i: int, out, desc, anc, dirs: tuple[int, ...]) -> Iterator[Orientation]:
     """One node of semi_transitive_orientations: edges 0..i-1 placed as
-    dirs, out and desc their out-arcs and descendants per vertex; a leaf
-    once i is the number of edges.  Each child gets its own copies of
-    both, with edge i placed by _place."""
+    dirs, out, desc and anc their out-arcs, descendants and ancestors per
+    vertex, as masks; a leaf once i is the number of edges.  Each child
+    gets its own copies of all three, with edge i placed by _place."""
     if i == len(g.edges):
         yield Orientation(g, dirs)
         return
     u, v = g.edges[i]
     for d, t, h in ((FORWARD, u, v), (BACKWARD, v, u)) if i else ((FORWARD, u, v),):
-        out_, desc_ = out[:], desc[:]
-        placed = _place(out_, desc_, t, h)
+        out_, desc_, anc_ = out[:], desc[:], anc[:]
+        placed = _place(out_, desc_, anc_, t, h)
         if placed is not None and not _placed_shortcut(out_, g.adj, desc_, *placed):
-            yield from _walk(g, i + 1, out_, desc_, dirs + (d,))
+            yield from _walk(g, i + 1, out_, desc_, anc_, dirs + (d,))
 
 
-def _place(out: list[int], desc: list[int], t: int, h: int) -> tuple[list[int], int] | None:
-    """Add the arc t->h to out, and desc[h] with h to the descendants of t
-    and of every ancestor of t, in place; None, with nothing added, when h
-    already reaches t.  Returns (ups, below): t with its ancestors, and
-    the mask of h and its descendants."""
+def _place(out, desc, anc, t: int, h: int) -> tuple[int, int] | None:
+    """Add the arc t->h to out, the mask below of h and its descendants
+    to desc of each x in the mask ups of t and its ancestors, and ups to
+    anc of each y in below, in place; None, with nothing added, when h
+    already reaches t.  Returns (ups, below)."""
     if desc[h] >> t & 1:
         return None
-    below = desc[h] | 1 << h
-    ups = [x for x, reach in enumerate(desc) if reach >> t & 1]
-    ups.append(t)
+    ups, below = anc[t] | 1 << t, desc[h] | 1 << h
     out[t] |= 1 << h
-    for x in ups:
-        desc[x] |= below
+    for rest, grow, add in ((ups, desc, below), (below, anc, ups)):
+        while rest:
+            grow[(rest & -rest).bit_length() - 1] |= add
+            rest &= rest - 1
     return ups, below
 
 
 def _placed_shortcut(out, adj, desc, ups, below) -> bool:
-    """Whether some arc x->y, x in ups and y in the mask below, is skipped
-    by a path of the arcs in out that misses an edge of adj."""
-    for x in ups:
+    """Whether some arc x->y, x in the mask ups and y in the mask below,
+    is skipped by a path of the arcs in out that misses an edge of adj."""
+    while ups:
+        x = (ups & -ups).bit_length() - 1
+        ups &= ups - 1
         heads = out[x] & below
         while heads:
             low = heads & -heads

@@ -11,8 +11,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import OutOfRangeError, ParseError
-from .graphs import Graph, _pairs
+from .errors import OutOfRangeError, ParseError, TooLargeError
+from .graphs import Graph
+
+# the graph of a word over n letters has up to C(n, 2) edges
+ALPHABET_MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,9 @@ def graph_of_word(w: Word) -> Graph:
             shown += f", ... ({absent} in all)"
         raise OutOfRangeError(
             f"alphabet must be 1..{n}; missing {shown}")
+    if n > ALPHABET_MAX_N:
+        raise TooLargeError(
+            f"graph of a word supports alphabets of at most {ALPHABET_MAX_N} letters, got {n}")
     # one pass; since[x] masks the letters seen since the last x (-1, all
     # of them, before the first x).  A repeated x breaks its pair with each
     # letter outside since[x]; a pair alternates iff neither letter broke it.
@@ -61,7 +67,8 @@ def graph_of_word(w: Word) -> Graph:
         since[x] = 0
     # ok[x][y] == "1" iff y is in kept[x]
     ok = [format(k % (2 << n), f"0{n + 1}b")[::-1] for k in kept]
-    return Graph(n, tuple([(x, y) for x, y in _pairs(n) if ok[x][y] == ok[y][x] == "1"]))
+    return Graph(n, tuple([(x, y) for x in range(1, n) for y in range(x + 1, n + 1)
+                           if ok[x][y] == ok[y][x] == "1"]))
 
 
 def represents(w: Word, g: Graph) -> bool:

@@ -144,6 +144,19 @@ def test_graph_of_word_json(capsys):
     assert json.loads(out) == {"n": 1, "edges": []}
 
 
+def test_word_alphabet_cap(capsys, tmp_path):
+    # one command-line argument holds a word over some 22,000 letters, whose
+    # graph has about 2.4 * 10^8 edges; past 1,000 letters both commands
+    # that build a word's graph fail with one error line and exit 2
+    word = " ".join(map(str, range(1, 1002)))
+    path = tmp_path / "empty.edges"
+    path.write_text("1001 0\n")
+    for argv in (("graph-of-word", "--word", word), ("check-word", str(path), "--word", word)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: graph of a word supports alphabets of at most 1000 letters, got 1001\n"
+
+
 def test_count_orientations(capsys, graph_file):
     code, out, _ = run(capsys, "count-orientations", graph_file("K4"))
     assert (code, out) == (0, "24\n")

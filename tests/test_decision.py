@@ -142,9 +142,9 @@ def test_verify_certificate_checks_half_of_a(monkeypatch):
     nodes = []
     walk = orientations._walk
 
-    def counted(g, i, out, desc, dirs):
-        nodes.append(dirs)
-        return walk(g, i, out, desc, dirs)
+    def counted(g, i, *state):   # state: out, desc, anc, dirs
+        nodes.append(state[-1])
+        return walk(g, i, *state)
 
     monkeypatch.setattr(orientations, "_walk", counted)
     a = bundled_graph("A")

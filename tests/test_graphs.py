@@ -38,7 +38,7 @@ def test_construction_normalizes():
     g = graph_from_edge_list(4, [(3, 2), (2, 3), (4, 2), (1, 2)])
     assert g.edges == ((1, 2), (2, 3), (2, 4))
     assert g.has_edge(2, 3) and g.has_edge(3, 2)
-    assert not g.has_edge(1, 3)
+    assert not g.has_edge(1, 3) and not g.has_edge(2, 2)
     assert g.degree_sequence() == (1, 3, 1, 1)
 
 
@@ -70,6 +70,8 @@ def test_construction_errors():
         graph_from_edge_list(3, [(2, 2)])
     with pytest.raises(OutOfRangeError):
         graph_from_edge_list(0, [])
+    with pytest.raises(OutOfRangeError, match=r"^no bundled graph 'B'; choose from A, M, "):
+        bundled_graph("B")
 
 
 def test_connectivity_and_completeness():
@@ -295,6 +297,8 @@ def test_enumerate_representatives_are_canonical():
 def test_enumerate_too_large():
     with pytest.raises(TooLargeError):
         list(enumerate_graphs(8))
+    with pytest.raises(OutOfRangeError, match=r"^vertex count must be >= 1, got 0$"):
+        list(enumerate_graphs(0))
 
 
 def test_are_isomorphic():

@@ -6,6 +6,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from wordrep.bundled import bundled_graph
@@ -80,18 +81,24 @@ def test_partial_guards():
         orientation_from_arcs(C4, [(1, 3)])
     with pytest.raises(OutOfRangeError, match=r"^edge 1-2 given both directions$"):
         orientation_from_arcs(C4, [(1, 2), (2, 1)])
+    with pytest.raises(OutOfRangeError, match=r"^edge 1-4 is unassigned$"):
+        partial.arc(1)
 
 
 def test_orientation_rejects_bogus_directions():
     # a direction other than FORWARD, BACKWARD or None would read as an arc
     # (anything but FORWARD reads as BACKWARD) and pass as total, so a
-    # certificate carrying it could be accepted
+    # certificate carrying it could be accepted.  An array equal to 1
+    # elementwise is unhashable, so it is no direction either
     path = graph_from_edge_list(3, [(1, 2), (2, 3)])
     for dirs, edge, value in (((7, 0), "1-2", "7"), ((FORWARD, 2), "2-3", "2"),
-                              ((None, "1"), "2-3", "'1'"), ((BACKWARD, [1]), "2-3", r"\[1\]")):
+                              ((None, "1"), "2-3", "'1'"), ((BACKWARD, [1]), "2-3", r"\[1\]"),
+                              ((np.array([1]), FORWARD), "1-2", r"array\(\[1\]\)")):
         with pytest.raises(OutOfRangeError, match=rf"^direction {value} of edge {edge} is not "
                                                   r"FORWARD \(1\), BACKWARD \(-1\) or None$"):
             Orientation(path, dirs)
+    with pytest.raises(OutOfRangeError, match=r"^1 directions for 2 edges$"):
+        Orientation(path, (FORWARD,))
     assert Orientation(path, (None, BACKWARD)).dirs == (None, BACKWARD)
 
 
@@ -170,6 +177,8 @@ def test_lemma1_trigger_conflict():
     result = lemma1_propagate(C4, o)
     assert isinstance(result, Conflict) and result.kind == "Lemma1Cycle"
     assert result.witness == (1, 2, 3, 4)
+    with pytest.raises(OutOfRangeError, match=r"^orientation does not belong to this graph$"):
+        lemma1_propagate(K4, o)
 
 
 def test_lemma1_empty_is_fixed_point():
@@ -454,7 +463,7 @@ def test_blocks_match_the_cycle_definition():
     assert sum(len(g.edges) == 0 for g in graphs) > 5
     assert sum(len(_blocks(g)) > 1 for g in graphs) > 80
     for g in graphs + [bundled_graph("A"), K4]:
-        assert _blocks(g) == ref_blocks(g)
+        assert _blocks(g) == [sum(1 << e for e in block) for block in ref_blocks(g)]
 
 
 BOWTIE = graph_from_edge_list(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])

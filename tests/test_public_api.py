@@ -24,7 +24,9 @@ from wordrep import (
     find_k_uniform_word,
     find_proper_coloring,
     graph_from_edge_list,
+    graph_of_word,
     verify_certificate,
+    word_from_letters,
 )
 from wordrep import errors
 from wordrep.orientations import FORWARD, Orientation, count_semi_transitive_naive, is_semi_transitive
@@ -65,9 +67,9 @@ def test_every_export_has_a_caller_or_is_documented():
 # ---------------------------------------------------------------------------
 # the boundaries between modules
 
-SHARED_PRIVATE = {"_bits", "_pairs", "_components", "_Searcher",
+SHARED_PRIVATE = {"_bits", "_components", "_Searcher",
                   "_forward_semi_transitive", "_color_classes"}
-SEARCH_STATE = {"fwd", "bwd", "closure", "frames"}
+SEARCH_STATE = {"found", "rows"}
 
 
 def test_modules_share_only_the_listed_private_names():
@@ -161,6 +163,7 @@ C1200 = Orientation(graph_from_edge_list(1200, P1200.edges + ((1, 1200),)), (FOR
     pytest.param(lambda: find_proper_coloring(P1200, 2), id="proper-coloring"),
     pytest.param(lambda: are_isomorphic(P1200, P1200), id="isomorphism"),
     pytest.param(lambda: is_semi_transitive(C1200), id="shortcut-scan"),
+    pytest.param(lambda: graph_of_word(word_from_letters(range(1, 1002))), id="graph-of-word"),
 ])
 def test_every_size_cap_raises_too_large(call):
     with pytest.raises(errors.TooLargeError):

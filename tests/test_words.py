@@ -119,6 +119,9 @@ def test_word_construction_errors():
         word_from_letters(())
     with pytest.raises(OutOfRangeError):
         word_from_letters((1, 0))
+    # A is a bundled graph but has no bundled word
+    with pytest.raises(OutOfRangeError, match=r"^no bundled word 'A'; choose from M, K4, petersen$"):
+        bundled_word("A")
 
 
 def test_reversal_preserves_graph():
@@ -166,6 +169,7 @@ def test_deletion_matches_vertex_deletion():
 def test_parse_decimal_tokens():
     assert parse_word("1 2 13 4").letters == (1, 2, 13, 4)
     assert parse_word("1,2,13,4").letters == (1, 2, 13, 4)
+    assert parse_word("1,2,").letters == parse_word(",1 ,2").letters == (1, 2)
     assert parse_word("  7 ").letters == (7,)
     assert parse_word("10 10").letters == (10, 10)
 
