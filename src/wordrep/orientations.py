@@ -352,15 +352,15 @@ class _Searcher:
     each word's first-occurrence arcs, of which propagate skips those
     already in force.  lemma1_propagate propagates with no closure."""
 
-    def __init__(self, g: Graph, stats: SearchStats):
+    def __init__(self, g: Graph, stats: SearchStats | None = None):
         self.g = g
-        self.stats = stats
+        self.stats = stats if stats is not None else SearchStats()
         self.w = g.n + 1
         self.row = (1 << self.w) - 1
         # bit 0 of every row: picks out the rows that hold a given vertex
         self.col = ((1 << self.w * self.w) - 1) // self.row
         self.cycles = _four_cycles(g)
-        self.rows: tuple[int, int] | None = None   # _packed_rows, built by leaf_ok
+        self.rows: tuple[int, int] | None = None   # _packed_rows, built at the first leaf
         self.found = (0, 0, 0)   # the state of the last leaf that passed
 
     def dirs(self, fwd: int, bwd: int) -> list[int | None]:
@@ -449,33 +449,27 @@ class _Searcher:
                     queue.append((free.bit_length() - 1, -way if free & minus else way))
         return None, fwd, bwd, c
 
-    def leaf_ok(self, c: int) -> bool:
-        """The interval lemma (_no_shortcut) on the closure c, read in
-        place.  The packed adjacency rows it needs are built at the first
-        leaf."""
-        self.stats.shortcut_checks += 1
-        rows = self.rows
-        if rows is None:
-            rows = self.rows = _packed_rows(self.g, self.w)
-        if _no_shortcut(c, self.w, self.row, self.col, rows[0], rows[1]):
-            return True
-        self.stats.shortcut_conflicts += 1
-        return False
-
-    def branch(self, part: int, root: bool, first_only: bool, fwd: int, bwd: int, c: int) -> int:
+    def branch(self, part: int, first_only: bool, fwd: int, bwd: int, c: int) -> int:
         """Number of semi-transitive orientations of the edges in the mask
         part (a component's or a block's) below the node (fwd, bwd, c),
-        with the root edge FORWARD in both modes: with none of the edges
-        assigned yet the BACKWARD subtree holds exactly the reversals of
-        the FORWARD one, so a count doubles this.  Each child gets the
-        state propagate returned.  Each leaf that passes is kept in found;
-        with first_only the walk stops at the first one."""
+        with part's first edge FORWARD: no placed or forced arc crosses
+        parts, so the node with none of part's edges placed is its root,
+        the one node that tries FORWARD alone, as the BACKWARD subtree
+        there holds exactly the reversals of the FORWARD one.  Each child
+        gets the state propagate returned.  Each leaf that passes the
+        shortcut check is kept in found; with first_only the walk stops at
+        the first one."""
         stats = self.stats
         stats.nodes += 1
         placed = fwd | bwd
         free = part & ~placed
         if not free:
-            if not self.leaf_ok(c):
+            stats.shortcut_checks += 1
+            rows = self.rows
+            if rows is None:
+                rows = self.rows = _packed_rows(self.g, self.w)
+            if not _no_shortcut(c, self.w, self.row, self.col, rows[0], rows[1]):
+                stats.shortcut_conflicts += 1
                 return 0
             self.found = fwd, bwd, c
             return 1
@@ -483,13 +477,13 @@ class _Searcher:
         # every edge placed after e itself was forced
         mark = placed.bit_count() + 1
         count = 0
-        for d in (FORWARD,) if root else (FORWARD, BACKWARD):
+        for d in (FORWARD,) if free == part else (FORWARD, BACKWARD):
             outcome, f, b, cc = self.propagate(fwd, bwd, c, [(e, d)])
             forced = (f | b).bit_count() - mark
             if forced > 0:
                 stats.propagations += forced
             if outcome is None:
-                count += self.branch(part, False, first_only, f, b, cc)
+                count += self.branch(part, first_only, f, b, cc)
                 if count and first_only:
                     return count
         return count
@@ -506,7 +500,7 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
     """
     if o.base != g:
         raise OutOfRangeError("orientation does not belong to this graph")
-    s = _Searcher(g, SearchStats())
+    s = _Searcher(g)
     cycle, fwd, bwd, _ = s.propagate(
         0, 0, None, [(e, d) for e, d in enumerate(o.dirs) if d is not None])
     if cycle is not None:
@@ -548,23 +542,25 @@ def _blocks(g: Graph) -> list[int]:
     return sorted(blocks, key=lambda b: b & -b)
 
 
-def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searcher]:
+def _search(g: Graph, stats: SearchStats | None, first_only: bool) -> tuple[int, _Searcher]:
     """The number of semi-transitive orientations of g, as a product of
-    independent searches run in turn; a factor of 0 ends the search.
+    independent searches run in turn, each twice its FORWARD root
+    subtree; a factor of 0 ends the search.
 
     Counting, the factors are the blocks, as _blocks' edge masks by lowest
     edge: a directed cycle, and a shortcut with the edge it skips, lie on
     one cycle of g, so in one block, and g's orientations are the
-    products of its blocks' ones.  Each block counts twice its FORWARD
-    root subtree, from no arc placed.  Finding, they are the components
-    with an edge (every edge at once when there are fewer than two): each
-    starts from the leaf the last one was found at, and the witness is
-    the product of the components' FORWARD-first witnesses, which is the
-    FORWARD-first witness of g, as its edge order interleaves theirs.
-    Finding splits no further, as the decisions are mostly tiny: over the
-    census classes with n <= 7, _blocks takes 21 us a call against 1.6 us
-    for _components (2-core Xeon VM, Python 3.11), and deciding them all
-    by blocks took 20-30 % longer."""
+    products of its blocks' ones.  Each block starts from no arc placed.
+    Finding, they are the components with an edge (every edge at once
+    when there are fewer than two), and only whether the product is
+    nonzero matters: each starts from the leaf the last one was found at,
+    and the witness is the product of the components' FORWARD-first
+    witnesses, which is the FORWARD-first witness of g, as its edge order
+    interleaves theirs.  Finding splits no further, as the decisions are
+    mostly tiny: on the seed-0 benchmark `decide` and `count` inputs,
+    _blocks takes about 15 times as long as _components, 12-15 us a graph
+    against 0.8-1.0 us (in process, min of 30 passes; 2-core Xeon VM,
+    Python 3.11)."""
     if g.n > SEARCH_MAX_N:
         raise TooLargeError(
             f"orientation search supports n <= {SEARCH_MAX_N}, got {g.n}")
@@ -574,16 +570,15 @@ def _search(g: Graph, stats: SearchStats, first_only: bool) -> tuple[int, _Searc
         comps = [c for c in _components(g) if c & c - 1]   # two or more vertices
         parts = [(1 << len(g.edges)) - 1] if len(comps) < 2 else [
             sum(1 << i for i, (u, _) in enumerate(g.edges) if c >> u & 1) for c in comps]
-        factor = 1
     else:
-        parts, factor = _blocks(g), 2
+        parts = _blocks(g)
     found = 1
     for part in parts:
         state = searcher.found if first_only else (0, 0, 0)
-        found *= factor * searcher.branch(part, True, first_only, *state)
+        found *= 2 * searcher.branch(part, first_only, *state)
         if not found:
             break
-    stats.wall_time_s += time.perf_counter() - start
+    searcher.stats.wall_time_s += time.perf_counter() - start
     return found, searcher
 
 
@@ -592,7 +587,7 @@ def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientat
 
     Deterministic: the witness is the one the sequential FORWARD-first
     lexicographic search reaches first (its reversal is equally valid)."""
-    found, searcher = _search(g, stats if stats is not None else SearchStats(), True)
+    found, searcher = _search(g, stats, True)
     return Orientation(g, tuple(searcher.dirs(*searcher.found[:2]))) if found else None
 
 
@@ -604,7 +599,7 @@ def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:
     if len(g.edges) > COUNT_MAX_EDGES:
         raise TooLargeError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
-    return _search(g, stats if stats is not None else SearchStats(), False)[0]
+    return _search(g, stats, False)[0]
 
 
 def semi_transitive_orientations(g: Graph) -> Iterator[Orientation]:

@@ -6,6 +6,7 @@ from the word leaves xyxy... or yxyx...
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -22,6 +23,17 @@ ALPHABET_MAX_N = 1000
 class Word:
     letters: tuple[int, ...]
 
+    def __post_init__(self):
+        try:   # integer types such as numpy's pass; floats and strings do not
+            letters = tuple(map(operator.index, self.letters))
+        except TypeError as e:
+            raise OutOfRangeError(f"letters are positive integers: {e}") from None
+        if not letters:
+            raise OutOfRangeError("a word must be nonempty")
+        if min(letters) < 1:
+            raise OutOfRangeError(f"letters are positive integers, got {min(letters)}")
+        object.__setattr__(self, "letters", letters)
+
     @cached_property
     def alphabet(self) -> frozenset[int]:
         return frozenset(self.letters)
@@ -31,13 +43,7 @@ class Word:
 
 
 def word_from_letters(letters) -> Word:
-    letters = tuple(letters)
-    if not letters:
-        raise OutOfRangeError("a word must be nonempty")
-    for x in letters:
-        if x < 1:
-            raise OutOfRangeError(f"letters are positive integers, got {x}")
-    return Word(letters)
+    return Word(tuple(letters))
 
 
 def graph_of_word(w: Word) -> Graph:

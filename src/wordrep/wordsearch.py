@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 from .errors import OutOfRangeError, TooLargeError
 from .graphs import Graph
-from .orientations import BACKWARD, FORWARD, SearchStats, _Searcher
+from .orientations import BACKWARD, FORWARD, _Searcher
 from .words import Word
 
 SEARCH_MAX_LETTERS = 30
@@ -96,7 +96,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
         return None   # with one copy each, a non-edge can never repeat
 
     remaining = [k] * (n + 1)
-    st = _Searcher(g, SearchStats())
+    st = _Searcher(g)
     # after its first copy x has k - 1 left; with no 4-cycle of at most
     # one chord the orientation prune cuts nothing, and -1 never matches
     first_left = k - 1 if any(st.cycles) else -1

@@ -23,11 +23,13 @@ from wordrep.orientations import (
     BACKWARD,
     FORWARD,
     SEARCH_MAX_N,
+    Conflict,
     Orientation,
     SearchStats,
     count_semi_transitive,
     find_semi_transitive,
     is_semi_transitive,
+    semi_transitive_orientations,
 )
 
 from helpers import random_graph, run_cli
@@ -184,7 +186,9 @@ def test_verify_certificate_confirms_every_n7_refutation():
 def test_refutation_recheck_agrees_with_decide():
     # a claimed refutation is confirmed exactly when the search refutes:
     # on every class with n <= 7 (the 27 refutations among them) and on
-    # seeded random 8-vertex graphs of both verdicts
+    # seeded random 8-vertex graphs of both verdicts.  Each witness is the
+    # walk's first yield: the FORWARD-first search's witness is the
+    # lexicographically least semi-transitive orientation, as is that yield
     claim = Decision(NON_REPRESENTABLE, None, SearchStats())
     graphs = [cls.graph for n in range(1, 8) for cls in enumerate_graphs(n)]
     assert len(graphs) == 1252
@@ -192,8 +196,10 @@ def test_refutation_recheck_agrees_with_decide():
     graphs += [random_graph(rng, 8, rng.uniform(0.55, 0.85)) for _ in range(60)]
     verdicts = Counter()
     for g in graphs:
-        refuted = decide(g).verdict == NON_REPRESENTABLE
+        d = decide(g)
+        refuted = d.verdict == NON_REPRESENTABLE
         assert verify_certificate(g, claim) == refuted
+        assert d.witness == next(semi_transitive_orientations(g), None)
         verdicts[g.n == 8, refuted] += 1
     assert verdicts[False, True] == 27
     assert verdicts[True, True] == 11 and verdicts[True, False] == 49
@@ -233,6 +239,19 @@ def test_verify_paper_counts_a_when_refutation_fails(monkeypatch):
     assert checks["orientation-counts"].passed
     assert "A: fast=0 naive=0" in checks["orientation-counts"].detail
     assert calls[bundled_graph("A")] == 1
+
+
+def test_verify_paper_fails_on_a_replay_conflict(monkeypatch, capsys):
+    # a forcing conflict in the replay of A's case fails that row, and
+    # verify-paper exits 1
+    monkeypatch.setattr(verify, "lemma1_propagate",
+                        lambda g, o: Conflict("Lemma1Cycle", (1, 2, 3, 4)))
+    checks = {c.name: c for c in verify.run_all_checks()}
+    replay = checks["a-case-replay"]
+    assert not replay.passed
+    assert replay.detail == "unexpected conflict on cycle (1, 2, 3, 4)"
+    code, out = run_cli(capsys, "verify-paper")
+    assert code == 1 and "unexpected conflict on cycle (1, 2, 3, 4)" in out
 
 
 def test_hereditary_closure_n6():

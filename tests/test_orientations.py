@@ -283,6 +283,7 @@ def test_lemma1_witnesses_are_sparse_four_cycles():
     assert seen > 50
 
 
+@pytest.mark.slow
 def test_mask_kernel_matches_leg_by_leg_reference():
     # the search's propagate, on edge masks, against the rule walked leg by
     # leg through a list (helpers.ref_propagate) on seeded partial
@@ -345,6 +346,7 @@ def test_acyclic_orientations_are_the_acyclic_sweep():
     assert len(sweep) == 888   # graph A
 
 
+@pytest.mark.slow
 def test_acyclic_orientations_match_the_vertex_orders():
     # the walk against the n! vertex orders, orientation for orientation
     # and in order: every class with n <= 6, the refuted classes at n = 7,
@@ -369,6 +371,7 @@ def test_acyclic_orientations_too_large():
         next(acyclic_orientations(graph_from_edge_list(9, [(1, 2)])))
 
 
+@pytest.mark.slow
 def test_walk_is_generate_and_test():
     # the walk cuts a branch at its first placed shortcut, so it yields
     # exactly the semi-transitive acyclic orientations with the first edge
@@ -601,13 +604,14 @@ def test_search_counters_locked():
 # the search's reachability closure and its leaf test
 
 def _leaf_test(o):
-    """The search's leaf verdict on the total acyclic orientation o: every
+    """The search's leaf verdict on the total acyclic orientation o, read
+    through branch on the full edge mask, where no edge is free: every
     arc is placed before the forcing rule runs, so the closure is whole
     even when the rule finds a conflict."""
-    s = _Searcher(o.base, SearchStats())
+    s = _Searcher(o.base)
     _, fwd, bwd, c = s.propagate(0, 0, 0, list(enumerate(o.dirs)))
     assert s.dirs(fwd, bwd) == list(o.dirs)
-    return s.leaf_ok(c)
+    return s.branch((1 << len(o.dirs)) - 1, True, fwd, bwd, c) == 1
 
 
 def _ref_closure(n, arcs):
@@ -626,6 +630,7 @@ def _ref_closure(n, arcs):
     return desc
 
 
+@pytest.mark.slow
 def test_leaf_test_is_semi_transitivity():
     # the closure's interval test against the literal path scan: every
     # acyclic orientation of every class with n <= 6 and of graph A, and
@@ -730,6 +735,7 @@ def _placed_arcs(g, fwd, bwd):
             for e, (u, v) in enumerate(g.edges) if (fwd | bwd) >> e & 1]
 
 
+@pytest.mark.slow
 def test_searcher_closure_invariant():
     # seeded walks over a stack of search states: in every state no edge
     # is placed both ways, the dirs view reads the placed arcs, the
@@ -857,6 +863,7 @@ def test_orientation_format_round_trip():
         format_orientation(orientation_from_arcs(C4, [(1, 2)]))
 
 
+@pytest.mark.slow
 def test_find_shortcut_matches_unpruned_dfs():
     # the walk skips only vertices that cannot reach the arc's head, so it
     # finds the same first witness, or none, as the walk that skips nothing:

@@ -3,6 +3,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from wordrep.bundled import bundled_word
@@ -119,6 +120,18 @@ def test_word_construction_errors():
         word_from_letters(())
     with pytest.raises(OutOfRangeError):
         word_from_letters((1, 0))
+    # Word holds the guards itself, so a Word built directly skips none
+    with pytest.raises(OutOfRangeError, match=r"^a word must be nonempty$"):
+        graph_of_word(Word(()))
+    with pytest.raises(OutOfRangeError, match=r"^letters are positive integers, got 0$"):
+        graph_of_word(Word((0,)))
+    # letters are read as integers: floats and strings fail, numpy's ints pass
+    with pytest.raises(OutOfRangeError, match=r"^letters are positive integers: 'float'"):
+        word_from_letters((1.5,))
+    with pytest.raises(OutOfRangeError, match=r"^letters are positive integers: 'str'"):
+        word_from_letters(("a",))
+    w = word_from_letters(np.array([2, 1], dtype=np.int64))
+    assert w == Word((2, 1)) and all(type(x) is int for x in w.letters)
     # A is a bundled graph but has no bundled word
     with pytest.raises(OutOfRangeError, match=r"^no bundled word 'A'; choose from M, K4, petersen$"):
         bundled_word("A")

@@ -121,6 +121,7 @@ def test_search_equals_generate_and_test_longer_words():
             assert got is not None and got.letters == expected
 
 
+@pytest.mark.slow
 def test_wheel_has_no_2_uniform_word():
     # the full 12-letter enumeration agrees with the pruned search; the
     # vectorised oracle tests all 7,484,400 words in about 1 s, where the
