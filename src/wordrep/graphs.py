@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
@@ -93,12 +94,27 @@ def _components(g: Graph) -> list[int]:
     return comps
 
 
+def _integer(x, what: str) -> int:
+    """x read with operator.index: integer types such as numpy's pass and
+    come back as int; floats, strings and None do not."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise OutOfRangeError(f"{what} must be an integer, got {x!r}") from None
+
+
 def graph_from_edge_list(n: int, pairs) -> Graph:
-    """Validate, normalize (u < v), dedupe and sort the edge list."""
+    """Validate, normalize (u < v), dedupe and sort the edge list.  n and
+    each endpoint are read with operator.index, as by _integer."""
+    n = _integer(n, "vertex count")
     if n < 1:
         raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
     seen = set()
-    for u, v in pairs:
+    for pair in pairs:
+        try:
+            u, v = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise OutOfRangeError(f"an edge is two integer endpoints, got {pair!r}") from None
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise OutOfRangeError(f"edge endpoint out of range 1..{n}: ({u}, {v})")
         if u == v:
@@ -109,6 +125,7 @@ def graph_from_edge_list(n: int, pairs) -> Graph:
 
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove v and relabel v+1..n down by one to keep labels contiguous."""
+    v = _integer(v, "vertex")
     if not (1 <= v <= g.n):
         raise OutOfRangeError(f"vertex {v} not in 1..{g.n}")
     if g.n == 1:

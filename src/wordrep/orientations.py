@@ -361,7 +361,7 @@ class _Searcher:
         self.col = ((1 << self.w * self.w) - 1) // self.row
         self.cycles = _four_cycles(g)
         self.rows: tuple[int, int] | None = None   # _packed_rows, built at the first leaf
-        self.found = (0, 0, 0)   # the state of the last leaf that passed
+        self.found = (0, 0)   # finding: fwd and bwd of each part's passing leaf, ORed
 
     def dirs(self, fwd: int, bwd: int) -> list[int | None]:
         """The partial orientation in two edge masks, one direction or None per edge."""
@@ -456,9 +456,9 @@ class _Searcher:
         parts, so the node with none of part's edges placed is its root,
         the one node that tries FORWARD alone, as the BACKWARD subtree
         there holds exactly the reversals of the FORWARD one.  Each child
-        gets the state propagate returned.  Each leaf that passes the
-        shortcut check is kept in found; with first_only the walk stops at
-        the first one."""
+        gets the state propagate returned.  With first_only the walk stops
+        at the first leaf that passes the shortcut check, and ORs its arcs
+        into found."""
         stats = self.stats
         stats.nodes += 1
         placed = fwd | bwd
@@ -471,7 +471,8 @@ class _Searcher:
             if not _no_shortcut(c, self.w, self.row, self.col, rows[0], rows[1]):
                 stats.shortcut_conflicts += 1
                 return 0
-            self.found = fwd, bwd, c
+            if first_only:
+                self.found = self.found[0] | fwd, self.found[1] | bwd
             return 1
         e = (free & -free).bit_length() - 1
         # every edge placed after e itself was forced
@@ -545,22 +546,24 @@ def _blocks(g: Graph) -> list[int]:
 def _search(g: Graph, stats: SearchStats | None, first_only: bool) -> tuple[int, _Searcher]:
     """The number of semi-transitive orientations of g, as a product of
     independent searches run in turn, each twice its FORWARD root
-    subtree; a factor of 0 ends the search.
+    subtree; a factor of 0 ends the search.  Every part starts from no
+    arc placed, in both modes: no placed or forced arc, directed cycle or
+    shortcut crosses parts, so each part's search is the same from any
+    state the others leave.
 
-    Counting, the factors are the blocks, as _blocks' edge masks by lowest
+    Counting, the parts are the blocks, as _blocks' edge masks by lowest
     edge: a directed cycle, and a shortcut with the edge it skips, lie on
     one cycle of g, so in one block, and g's orientations are the
-    products of its blocks' ones.  Each block starts from no arc placed.
-    Finding, they are the components with an edge (every edge at once
-    when there are fewer than two), and only whether the product is
-    nonzero matters: each starts from the leaf the last one was found at,
-    and the witness is the product of the components' FORWARD-first
-    witnesses, which is the FORWARD-first witness of g, as its edge order
-    interleaves theirs.  Finding splits no further, as the decisions are
-    mostly tiny: on the seed-0 benchmark `decide` and `count` inputs,
-    _blocks takes about 15 times as long as _components, 12-15 us a graph
-    against 0.8-1.0 us (in process, min of 30 passes; 2-core Xeon VM,
-    Python 3.11)."""
+    products of its blocks' ones.  Finding, they are the components with
+    an edge (every edge at once when there are fewer than two), only
+    whether the product is nonzero matters, and each part's first passing
+    leaf is ORed into found: the witness is the product of the
+    components' FORWARD-first witnesses, which is the FORWARD-first
+    witness of g, as its edge order interleaves theirs.  Finding splits
+    no further, as the decisions are mostly tiny: over the 171 seed-0
+    benchmark `decide` inputs, _blocks takes 12.4 us a graph against
+    1.3 us for the component partition above (in process, min of 30
+    passes; 2-core Xeon VM, Python 3.11)."""
     if g.n > SEARCH_MAX_N:
         raise TooLargeError(
             f"orientation search supports n <= {SEARCH_MAX_N}, got {g.n}")
@@ -574,8 +577,7 @@ def _search(g: Graph, stats: SearchStats | None, first_only: bool) -> tuple[int,
         parts = _blocks(g)
     found = 1
     for part in parts:
-        state = searcher.found if first_only else (0, 0, 0)
-        found *= 2 * searcher.branch(part, first_only, *state)
+        found *= 2 * searcher.branch(part, first_only, 0, 0, 0)
         if not found:
             break
     searcher.stats.wall_time_s += time.perf_counter() - start
@@ -588,7 +590,7 @@ def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientat
     Deterministic: the witness is the one the sequential FORWARD-first
     lexicographic search reaches first (its reversal is equally valid)."""
     found, searcher = _search(g, stats, True)
-    return Orientation(g, tuple(searcher.dirs(*searcher.found[:2]))) if found else None
+    return Orientation(g, tuple(searcher.dirs(*searcher.found))) if found else None
 
 
 def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:

@@ -4,7 +4,9 @@ isomorphism, and class enumeration."""
 import itertools
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from wordrep.bundled import bundled_graph
@@ -70,6 +72,21 @@ def test_construction_errors():
         graph_from_edge_list(3, [(2, 2)])
     with pytest.raises(OutOfRangeError):
         graph_from_edge_list(0, [])
+    # n, endpoints and deleted vertices are integers: numpy's pass and are
+    # stored as int, a bool is its int value, anything else is refused by name
+    for pair in ((1, 2.5), (1, "2"), (1, None), (1, 2, 3), 5):
+        with pytest.raises(OutOfRangeError, match=r"^an edge is two integer endpoints, "
+                                                  rf"got {re.escape(repr(pair))}$"):
+            graph_from_edge_list(3, [pair])
+    for n in (2.5, "3", None):
+        with pytest.raises(OutOfRangeError, match=r"^vertex count must be an integer, got "):
+            graph_from_edge_list(n, [])
+    p3 = graph_from_edge_list(np.int64(3), [(True, np.int32(2)), (np.uint8(2), 3)])
+    assert p3 == graph_from_edge_list(3, [(1, 2), (2, 3)])
+    assert all(type(x) is int for x in (p3.n, *itertools.chain(*p3.edges)))
+    with pytest.raises(OutOfRangeError, match=r"^vertex must be an integer, got 1\.5$"):
+        delete_vertex(p3, 1.5)
+    assert delete_vertex(p3, np.int64(1)).edges == ((1, 2),)
     with pytest.raises(OutOfRangeError, match=r"^no bundled graph 'B'; choose from A, M, "):
         bundled_graph("B")
 

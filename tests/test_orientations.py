@@ -3,6 +3,7 @@ forcing rule, the search, and the coloring construction."""
 
 import collections
 import itertools
+import math
 import random
 import time
 
@@ -455,6 +456,37 @@ def test_components_are_searched_in_turn():
     # the path's 32 arcs and its leaf, then A's 17 nodes
     assert stats.nodes == 33 + 17
     assert count_semi_transitive(_disjoint_union(C4, C4, K3)) == 6 * 6 * 6 == 216
+
+
+def test_every_part_starts_from_the_empty_state(monkeypatch):
+    # find and count root every part's search at (0, 0, 0), whatever the
+    # parts before it left; only finding records a leaf, ORed into found
+    from wordrep.orientations import _search
+    parts = (bundled_graph("M"), C5, K4)
+    g = _disjoint_union(*parts)
+    total = math.prod(map(count_semi_transitive_naive, parts))
+    roots, depth = [], [0]
+    branch = _Searcher.branch
+
+    def spy(self, part, first_only, *state):
+        if not depth[0]:
+            roots.append((first_only, state))
+        depth[0] += 1
+        try:
+            return branch(self, part, first_only, *state)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_Searcher, "branch", spy)
+    o = find_semi_transitive(g)
+    assert o is not None and is_semi_transitive(o)
+    assert len(o.dirs) == len(g.edges) and None not in o.dirs
+    assert roots == [(True, (0, 0, 0))] * 3
+    roots.clear()
+    count, searcher = _search(g, None, False)
+    assert count == total
+    assert roots == [(False, (0, 0, 0))] * len(_blocks(g)) and len(roots) > 3
+    assert searcher.found == (0, 0)
 
 
 def test_blocks_match_the_cycle_definition():
