@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .decision import REPRESENTABLE, decide
 from .errors import OutOfRangeError, TooLargeError
-from .graphs import ENUMERATE_MAX_N, _color_classes, enumerate_graphs
+from .graphs import ENUMERATE_MAX_N, _color_classes, _integer, enumerate_graphs
 from .orientations import _forward_semi_transitive
 
 
@@ -46,7 +46,9 @@ def census(n: int) -> SpeedRow:
     FORWARD) is semi-transitive is representable too: 212 more at n = 7.
     decide searches only what is left, 171 of the 1,251 classes for
     n = 2..7.  No witness is emitted, so which certificate accepts a
-    class changes no output."""
+    class changes no output.  A non-integer n raises OutOfRangeError
+    (_integer)."""
+    n = _integer(n, "vertex count")
     a_n = b_n = 0
     nonrep = []
     for cls in enumerate_graphs(n):
@@ -62,7 +64,9 @@ def census(n: int) -> SpeedRow:
 
 def entropy_table(n_max: int, long_ok: bool = False) -> list[SpeedRow]:
     """Rows for n = 2..n_max, 2 <= n_max <= ENUMERATE_MAX_N (7).  long_ok
-    does nothing; it stays only because perfbench/worker.py passes it."""
+    does nothing; it stays only because perfbench/worker.py passes it.
+    A non-integer n_max raises OutOfRangeError (_integer)."""
+    n_max = _integer(n_max, "n_max")
     if n_max < 2:
         raise OutOfRangeError(f"entropy table needs n >= 2, got {n_max}")
     if n_max > ENUMERATE_MAX_N:

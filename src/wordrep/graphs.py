@@ -402,7 +402,9 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
     are marked seen before the sweep starts, and each swept class with
     2m < C(n,2) also lists its complement.  The whole sweep runs before
     the first class is yielded, which then come out sorted by code.
+    A non-integer n raises OutOfRangeError (_integer).
     """
+    n = _integer(n, "vertex count")
     if n > ENUMERATE_MAX_N:
         raise TooLargeError(
             f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")

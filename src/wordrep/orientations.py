@@ -99,6 +99,14 @@ class Conflict:
 
 @dataclass
 class SearchStats:
+    """Counters of the orientation search, summed over every search that
+    is handed the object.  nodes: calls of _Searcher.branch, each part's
+    root and the leaves included.  propagations: arcs placed by the
+    forcing rule, the branching arc not counted, those placed before a
+    conflict ends the branch included; so it depends on the order the
+    rule reads its cycles in, as no answer and no other counter does.
+    shortcut_checks: leaves tested for a shortcut; shortcut_conflicts:
+    those that have one.  wall_time_s: time spent searching."""
     nodes: int = 0
     propagations: int = 0
     shortcut_checks: int = 0
@@ -242,10 +250,9 @@ def _four_cycles(g: Graph) -> list[list[tuple]]:
             ab, da = index[a, b], index[a, d]
             bc = index[b, c] if b < c else index[c, b]
             cd = index[c, d] if c < d else index[d, c]
-            legs = ab, bc, cd, da
             entry = (1 << ab | 1 << bc | 1 << cd | 1 << da,
-                     (b > c) << bc | (d < c) << cd | 1 << da, legs, (a, b, c, d))
-            for e in legs:
+                     (b > c) << bc | (d < c) << cd | 1 << da, (a, b, c, d))
+            for e in (ab, bc, cd, da):
                 by_edge[e].append(entry)
     return by_edge
 
@@ -343,14 +350,20 @@ class _Searcher:
     product of the rows holding t (as their lowest bits) with that set
     writes it into each of them, with no carry between rows.  A closure of
     None skips the test, for partial orientations that may be cyclic.
+    Arcs reach propagate the same way, as two edge masks, FORWARD and
+    BACKWARD, and the forcing rule's work list is a third: the placed
+    edges whose cycles are still unread.
 
     Shortcut checks run at the leaves only, with no path enumeration: the
     interval lemma of _no_shortcut on the packed closure as it stands,
     against the packed adjacency rows, built at the first leaf.
 
-    The word search threads states through its own recursion, propagating
-    each word's first-occurrence arcs, of which propagate skips those
-    already in force.  lemma1_propagate propagates with no closure."""
+    branch propagates one arc, the lowest free edge of its part either
+    way.  The word search threads states through its own recursion,
+    propagating the edges from each letter's first copy to the letters
+    not yet seen, of which propagate skips the arcs already in force.
+    lemma1_propagate propagates a whole partial orientation with no
+    closure."""
 
     def __init__(self, g: Graph, stats: SearchStats | None = None):
         self.g = g
@@ -368,61 +381,50 @@ class _Searcher:
         return [FORWARD if fwd >> e & 1 else BACKWARD if bwd >> e & 1 else None
                 for e in range(len(self.g.edges))]
 
-    def propagate(self, fwd: int, bwd: int, c: int | None, arcs: list[tuple[int, int]]
+    def propagate(self, fwd: int, bwd: int, c: int | None, to_fwd: int, to_bwd: int
                   ) -> tuple[tuple[int, ...] | None, int, int, int | None]:
-        """Place each (edge, direction) of arcs on the state (fwd, bwd, c),
-        then run the four-cycle rule to fixpoint: once two legs of a cycle
-        go one way round, every free leg is forced the other way.  An arc
-        already in force is skipped; a placement that closes a directed
-        cycle is refused.
+        """Place the arcs of the edge masks to_fwd (FORWARD) and to_bwd
+        (BACKWARD) on the state (fwd, bwd, c), lowest edge first, then run
+        the four-cycle rule to fixpoint: once two legs of a cycle go one
+        way round, every free leg is forced the other way.  An arc already
+        in force is skipped; a placement that closes a directed cycle is
+        refused.
+
+        The rule reads the cycles of each edge of scan, the placed edges
+        whose cycles are still unread, lowest edge first.  The free legs a
+        cycle forces are placed at once, lowest edge first, by the same
+        test and row update, and join scan; the edge's other cycles are
+        read after them.  Each forced arc holds in every orientation that
+        extends the state and obeys the rule, so whether the rule reaches
+        a fixpoint, and which, does not depend on that order; which cycle
+        or refusal ends a failing run, and how much is placed before it,
+        does.
 
         Returns (outcome, fwd, bwd, c).  The outcome is None when all is
         placed, a cycle with three legs going one way round, or () on a
         refusal; the state returned then holds what was placed before it.
-        Legs are counted by popcount, and walked only to queue two forced
-        legs in traversal order, each leg's sign read from the cycle's
-        minus mask."""
+        Legs are counted by popcount, and the free legs walked by bit,
+        each one's direction read from the cycle's minus mask."""
         cycles, ends, w, row, col = self.cycles, self.g.edges, self.w, self.row, self.col
-        start = fwd | bwd
-        # (edge, direction) to place, or (edge, 0) to scan.  The arcs are
-        # all placed, in order, before any is scanned: once the last one
-        # is, the queue is empty, and the others placed here go in, to be
-        # scanned after it from the end.
-        queue = arcs[::-1]
-        fresh = len(arcs)   # arcs still to place
-        while queue:
-            e, d = queue.pop()
-            if d:
-                bit = 1 << e
-                if d == FORWARD:
-                    held = fwd & bit
-                    t, h = ends[e]
-                else:
-                    held = bwd & bit
-                    h, t = ends[e]
-                # an arc in force is not placed again.  A forced edge
-                # placed the other way since it was queued gave the
-                # queuing cycle three legs one way round, which returned.
-                if not held:
-                    if c is not None:
-                        if c >> h * w + t & 1:
-                            return (), fwd, bwd, c
-                        c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
-                    if d == FORWARD:
-                        fwd |= bit
-                    else:
-                        bwd |= bit
-                if fresh:
-                    fresh -= 1
-                    if fresh:
-                        continue
-                    new = (fwd | bwd) & ~start & ~bit
-                    if new:
-                        queue = [(a, 0) for a, _ in arcs if new >> a & 1]
-                if held:
-                    continue
-            placed = fwd | bwd
-            for ring, minus, legs, cycle in cycles[e]:
+        scan = new = to_fwd & ~fwd | to_bwd & ~bwd   # the arcs to place
+        while new:
+            bit = new & -new
+            new ^= bit
+            if to_fwd & bit:
+                t, h = ends[bit.bit_length() - 1]
+            else:
+                h, t = ends[bit.bit_length() - 1]
+            if c is not None:
+                if c >> h * w + t & 1:
+                    return (), fwd, bwd, c
+                c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
+            fwd |= to_fwd & bit
+            bwd |= to_bwd & bit
+        placed = fwd | bwd
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            for ring, minus, cycle in cycles[bit.bit_length() - 1]:
                 on = placed & ring
                 # legs going round: FORWARD ones of sign +1, BACKWARD of -1
                 ahead = (on & (fwd ^ minus)).bit_count()
@@ -431,22 +433,38 @@ class _Searcher:
                         return cycle, fwd, bwd, c
                     continue
                 back = on.bit_count() - ahead
-                # the free legs go the other way: back is -sign, round is sign
+                # the free legs go the other way, FORWARD where ups has
+                # their bit: sign -1 (minus) when they go back, +1 round
                 if ahead == 2:
-                    way = -1
+                    ups = minus
                 elif back == 2:
-                    way = 1
+                    ups = ~minus
                 elif ahead > 2 or back > 2:
                     return cycle, fwd, bwd, c
                 else:
                     continue
-                free = ring ^ on
-                if free & free - 1:   # two free legs: queued in traversal order
-                    for f in legs:
-                        if free >> f & 1:
-                            queue.append((f, -way if minus >> f & 1 else way))
-                else:
-                    queue.append((free.bit_length() - 1, -way if free & minus else way))
+                new = ring ^ on
+                scan |= new
+                placed |= new
+                # the placement above, inline: leaving this loop to place
+                # the legs there and then resuming it made perfbench's
+                # count wall_s about 5 % slower (seed 0; 2-core Xeon VM,
+                # Python 3.11)
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    if ups & bit:
+                        t, h = ends[bit.bit_length() - 1]
+                    else:
+                        h, t = ends[bit.bit_length() - 1]
+                    if c is not None:
+                        if c >> h * w + t & 1:
+                            return (), fwd, bwd, c
+                        c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
+                    if ups & bit:
+                        fwd |= bit
+                    else:
+                        bwd |= bit
         return None, fwd, bwd, c
 
     def branch(self, part: int, first_only: bool, fwd: int, bwd: int, c: int) -> int:
@@ -474,12 +492,12 @@ class _Searcher:
             if first_only:
                 self.found = self.found[0] | fwd, self.found[1] | bwd
             return 1
-        e = (free & -free).bit_length() - 1
-        # every edge placed after e itself was forced
+        low = free & -free
+        # every edge placed after low itself was forced
         mark = placed.bit_count() + 1
         count = 0
-        for d in (FORWARD,) if free == part else (FORWARD, BACKWARD):
-            outcome, f, b, cc = self.propagate(fwd, bwd, c, [(e, d)])
+        for up, down in ((low, 0),) if free == part else ((low, 0), (0, low)):
+            outcome, f, b, cc = self.propagate(fwd, bwd, c, up, down)
             forced = (f | b).bit_count() - mark
             if forced > 0:
                 stats.propagations += forced
@@ -502,8 +520,9 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
     if o.base != g:
         raise OutOfRangeError("orientation does not belong to this graph")
     s = _Searcher(g)
-    cycle, fwd, bwd, _ = s.propagate(
-        0, 0, None, [(e, d) for e, d in enumerate(o.dirs) if d is not None])
+    fwd = sum(1 << e for e, d in enumerate(o.dirs) if d == FORWARD)
+    bwd = sum(1 << e for e, d in enumerate(o.dirs) if d == BACKWARD)
+    cycle, fwd, bwd, _ = s.propagate(0, 0, None, fwd, bwd)
     if cycle is not None:
         return Conflict("Lemma1Cycle", cycle)
     return Orientation(g, tuple(s.dirs(fwd, bwd)))

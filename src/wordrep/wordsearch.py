@@ -33,11 +33,14 @@ orientation is semi-transitive (Halldorsson, Kitaev & Pyatkin, "Semi-
 transitive orientations and word-representable graphs", DAM 2016).  So
 when x first appears, every edge from x to a letter not yet seen must
 point out of x; the edges to letters already seen were fixed when those
-appeared.  These arcs go to the propagate of one _Searcher, kept for
-the whole call, with the orientation search's state at the prefix,
-which search hands on beside its other per-prefix values and never
-reads.  propagate skips the arcs already in force and places the rest
-through the four-cycle forcing rule and the closure's acyclicity test.
+appeared.  As edge masks, these arcs are inc[x] & ~seen, x's edges less
+those of the letters already seen, FORWARD where they go to a larger
+letter (up[x]) and BACKWARD elsewhere.  They go to the propagate of one
+_Searcher, kept for the whole call, with the orientation search's state
+at the prefix, which search hands on beside seen and its other
+per-prefix values and never reads.  propagate skips the arcs already in
+force and places the rest through the four-cycle forcing rule and the
+closure's acyclicity test.
 A conflict (a forced arc pointing the other way, a 4-cycle with three
 legs going one way round, or a directed cycle) rejects x; otherwise the
 state it returns is the child's.  Each forced arc holds in every
@@ -59,8 +62,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OutOfRangeError, TooLargeError
-from .graphs import Graph
-from .orientations import BACKWARD, FORWARD, _Searcher
+from .graphs import Graph, _integer
+from .orientations import _Searcher
 from .words import Word
 
 SEARCH_MAX_LETTERS = 30
@@ -76,7 +79,9 @@ class WordSearchResult:
 
 def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None) -> Word | None:
     """First k-uniform representing word in the deterministic order, or
-    None when no k-uniform word represents g."""
+    None when no k-uniform word represents g.  A non-integer k raises
+    OutOfRangeError (_integer)."""
+    k = _integer(k, "multiplicity")
     if k < 1:
         raise OutOfRangeError(f"multiplicity must be >= 1, got {k}")
     if g.n * k > SEARCH_MAX_LETTERS:
@@ -101,16 +106,19 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     # one chord the orientation prune cuts nothing, and -1 never matches
     first_left = k - 1 if any(st.cycles) else -1
     propagate = st.propagate
-    # out_arcs[x]: (neighbour y, edge x-y, the direction x -> y)
-    out_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    # inc[x]: x's edges, as an edge mask; up[x]: those to a larger letter,
+    # which point out of x FORWARD
+    inc, up = [0] * (n + 1), [0] * (n + 1)
     for e, (u, v) in enumerate(g.edges):
-        out_arcs[u].append((v, e, FORWARD))
-        out_arcs[v].append((u, e, BACKWARD))
+        inc[u] |= 1 << e
+        inc[v] |= 1 << e
+        up[u] |= 1 << e
     word: list[int] = []
     count = 0   # nodes; one add to the caller's list at the end is cheaper
 
-    def search(wait: list[int], broken: list[int], rem2: int, state: tuple) -> bool:
-        # the lists belong to the caller: children get copies
+    def search(wait: list[int], broken: list[int], rem2: int, state: tuple, seen: int) -> bool:
+        # the lists belong to the caller: children get copies.  seen: the
+        # edges of the letters already in the word, as an edge mask
         nonlocal count
         count += 1
         if len(word) == length:
@@ -135,36 +143,39 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
                     fresh ^= low
             if not left and non[x] & ~child_broken[x] & ~child_rem2:
                 continue
-            child_state = state
+            child_state, child_seen = state, seen
             if left == first_left:
                 # x's first copy: its edges to unseen letters point out of
                 # x.  propagate skips an arc already in force and refuses
                 # one forced the other way, as it closes a cycle.
-                arcs = [(e, d) for y, e, d in out_arcs[x] if remaining[y] == k]
+                arcs = inc[x] & ~seen
                 if arcs:
-                    result = propagate(*state, arcs)
+                    result = propagate(*state, arcs & up[x], arcs & ~up[x])
                     if result[0] is not None:
                         continue
                     child_state = result[1:]
+                child_seen = seen | inc[x]
             not_x = ~bx
             child_wait = [w & not_x for w in wait]
             # every other letter, less the non-neighbours broken with x
             child_wait[x] = full & not_x & ~child_broken[x]
             remaining[x] = left
             word.append(x)
-            if search(child_wait, child_broken, child_rem2, child_state):
+            if search(child_wait, child_broken, child_rem2, child_state, child_seen):
                 return True
             word.pop()
             remaining[x] = left + 1
         return False
 
-    found = search([0] * (n + 1), [0] * (n + 1), rem2, (0, 0, 0))
+    found = search([0] * (n + 1), [0] * (n + 1), rem2, (0, 0, 0), 0)
     nodes[0] += count
     return Word(tuple(word)) if found else None
 
 
 def find_word(g: Graph, k_max: int = DEFAULT_K_MAX) -> WordSearchResult:
-    """Iterate k = 1..k_max, returning the first success."""
+    """Iterate k = 1..k_max, returning the first success.  A non-integer
+    k_max raises OutOfRangeError (_integer)."""
+    k_max = _integer(k_max, "k_max")
     if k_max < 1:
         raise OutOfRangeError(f"k_max must be >= 1, got {k_max}")
     counter = [0]

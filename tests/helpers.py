@@ -238,32 +238,46 @@ def ref_cycle_legs(g: Graph):
     return by_edge
 
 
-def ref_propagate(g: Graph, dirs, arcs, place):
+def arc_masks(arcs) -> tuple[int, int]:
+    """(edge, direction) pairs as the search's two edge masks: the edges
+    to place FORWARD, and those to place BACKWARD."""
+    arcs = list(arcs)
+    return (sum(1 << e for e, d in arcs if d == FORWARD),
+            sum(1 << e for e, d in arcs if d == BACKWARD))
+
+
+def ref_propagate(g: Graph, dirs, arcs, place, rng: random.Random | None = None):
     """The four-cycle forcing rule walked leg by leg through a list of
     directions (dirs[e] is FORWARD, BACKWARD or None), as the search ran
     it before it held its state in edge masks.  The cycles and their
     signed legs come from ref_cycle_legs, not from the search's index, so
     no mask is read.
 
-    Place each (edge, direction) of arcs, then run the rule to fixpoint:
-    once two legs of a cycle go one way round, every free leg is forced
-    the other way.  place(e, d) sets dirs[e] = d and returns False to
-    refuse.  Returns None when all is placed, a cycle with three legs
-    going one way round, or () when place refused."""
+    Place each (edge, direction) of arcs, then run the rule to fixpoint
+    over the set of placed edges whose cycles are unread: once two legs
+    of a cycle go one way round, every free leg is forced the other way
+    and placed at once, and joins the set.  place(e, d) sets dirs[e] = d
+    and returns False to refuse.  Returns None when all is placed, a
+    cycle with three legs going one way round, or () when place refused.
+
+    The pending work (the arcs to place, the edges whose cycles to read
+    next, each cycle's forced legs) is taken lowest edge first, as the
+    search takes it, or, given rng, in a shuffled order, with each edge's
+    cycles shuffled too."""
     cycles = ref_cycle_legs(g)
-    for e, d in arcs:
+
+    def order(pending):
+        return rng.sample(sorted(pending), len(pending)) if rng else sorted(pending)
+
+    unread = set()
+    for e, d in order(arcs):
         if not place(e, d):
             return ()
-    # (edge, forced direction), or (edge, None) for an edge already placed
-    queue = [(e, None) for e, _ in arcs]
-    while queue:
-        e, d = queue.pop()
-        if d is not None:
-            if dirs[e] is not None:
-                continue
-            if not place(e, d):
-                return ()
-        for legs, cycle in cycles[e]:
+        unread.add(e)
+    while unread:
+        e = order(unread)[0]
+        unread.remove(e)
+        for legs, cycle in order(cycles[e]) if rng else cycles[e]:
             free = []
             ahead = back = 0   # legs going round, and going back
             for f, sign in legs:
@@ -277,10 +291,11 @@ def ref_propagate(g: Graph, dirs, arcs, place):
             if ahead > 2 or back > 2:
                 return cycle
             # the free legs go the other way: back is -sign, round is sign
-            if ahead == 2:
-                queue += [(f, -sign) for f, sign in free]
-            elif back == 2:
-                queue += free
+            if ahead == 2 or back == 2:
+                for f, sign in order(free):
+                    if not place(f, -sign if ahead == 2 else sign):
+                        return ()
+                    unread.add(f)
     return None
 
 

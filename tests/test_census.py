@@ -10,6 +10,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from wordrep import REPRESENTABLE, census, decide, entropy_table
@@ -157,6 +158,18 @@ def test_entropy_table_needs_a_row():
         with pytest.raises(OutOfRangeError):
             entropy_table(n_max)
     assert [r.n for r in entropy_table(2)] == [2]
+
+
+def test_sizes_are_integers():
+    # n and n_max are read with operator.index: a float or a string is out
+    # of range, not a TypeError, and a numpy integer comes back as int
+    for call, size, what in ((census, 5.0, "vertex count"), (entropy_table, 7.0, "n_max"),
+                             (entropy_table, "7", "n_max"), (census, None, "vertex count")):
+        with pytest.raises(OutOfRangeError, match=rf"^{what} must be an integer, got "):
+            call(size)
+    row = census(np.int64(4))
+    assert row == census(4) and type(row.n) is int
+    assert [type(r.n) for r in entropy_table(np.int8(3))] == [int, int]
 
 
 def test_entropy_never_increases():

@@ -316,6 +316,10 @@ def test_enumerate_too_large():
         list(enumerate_graphs(8))
     with pytest.raises(OutOfRangeError, match=r"^vertex count must be >= 1, got 0$"):
         list(enumerate_graphs(0))
+    with pytest.raises(OutOfRangeError, match=r"^vertex count must be an integer, got 4\.0$"):
+        list(enumerate_graphs(4.0))
+    assert [cls.form for cls in enumerate_graphs(np.int64(4))] == \
+        [cls.form for cls in enumerate_graphs(4)]
 
 
 def test_are_isomorphic():

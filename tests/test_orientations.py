@@ -45,6 +45,7 @@ from wordrep.orientations import (
 from helpers import (
     acyclic_orientations,
     all_graphs,
+    arc_masks,
     enumerate_total_orientations,
     generate_and_test_count,
     random_graph,
@@ -234,18 +235,16 @@ def test_lemma1_statement_on_all_classes():
 def _ref_four_cycles(g):
     """The forcing rule's index rebuilt from the literal quadruple scan
     (helpers.ref_cycle_legs): per edge, each cycle with the edge masks of
-    its four legs and of the legs signed -1, its four edges in traversal
-    order, and the cycle itself."""
+    its four legs and of the legs signed -1, and the cycle itself."""
     return [[(sum(2 ** e for e, _sign in legs),
-              sum(2 ** e for e, sign in legs if sign == -1),
-              tuple(e for e, _sign in legs), cycle)
+              sum(2 ** e for e, sign in legs if sign == -1), cycle)
              for legs, cycle in entries]
             for entries in ref_cycle_legs(g)]
 
 
 def test_four_cycles_match_quadruple_scan():
-    # same cycles in the same order: the order fixes the propagation queue
-    # and with it the search's counters
+    # same cycles in the same order: the order fixes the order the forcing
+    # rule reads them in, and with it the search's propagations counter
     from wordrep.graphs import enumerate_graphs
     rng = random.Random(1405)
     graphs = [g for n in range(1, 6) for g in all_graphs(n)]
@@ -291,9 +290,10 @@ def test_mask_kernel_matches_leg_by_leg_reference():
     # orientations, cyclic ones included: the same result (fixpoint,
     # conflict cycle or refusal) and the same placements, with no closure
     # (as lemma1_propagate runs it) and with one (refusing arcs that close
-    # a directed cycle).  A second batch of arcs lands on the first one's
-    # fixpoint and may repeat arcs in force, which propagate skips; the
-    # reference is handed them filtered out.
+    # a directed cycle), both taking their pending work lowest edge first.
+    # A second batch of arcs lands on the first one's fixpoint and may
+    # repeat arcs in force, which propagate skips; the reference is handed
+    # them filtered out.
     rng = random.Random(1818)
     outcomes = collections.Counter()
     for _ in range(1000):
@@ -322,7 +322,7 @@ def test_mask_kernel_matches_leg_by_leg_reference():
                     batch = [(e, d) for e, d in batch if dirs[e] in (None, d)]
                 want = ref_propagate(g, dirs, [(e, d) for e, d in batch
                                                if dirs[e] != d], place)
-                got, *state = s.propagate(*state, batch)
+                got, *state = s.propagate(*state, *arc_masks(batch))
                 fwd, bwd, _ = state
                 assert got == want
                 assert fwd & bwd == 0 and s.dirs(fwd, bwd) == dirs
@@ -332,6 +332,43 @@ def test_mask_kernel_matches_leg_by_leg_reference():
                     break
     # every outcome shows up: refusals only where there is a closure
     assert min(outcomes.values()) > 20 and len(outcomes) == 5
+
+
+def test_forcing_fixpoint_is_order_independent():
+    # the rule's answer does not depend on the order its pending work is
+    # taken in: on seeded batches, with no closure and with one, the
+    # reference taking its arcs to place, edges to read and forced legs in
+    # shuffled orders reaches a fixpoint exactly when propagate does, and
+    # the same masks; a failure may end on another cycle or a refusal
+    rng = random.Random(3107)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(4, 8), rng.choice((0.4, 0.6, 0.8)))
+        m = len(g.edges)
+        batch = [(e, rng.choice((FORWARD, BACKWARD)))
+                 for e in rng.sample(range(m), rng.randint(0, m // 2))]
+        for closure in (None, 0):
+            s = _Searcher(g)
+            got, fwd, bwd, _ = s.propagate(0, 0, closure, *arc_masks(batch))
+            outcomes[closure, got is None] += 1
+            for _ in range(4):
+                dirs = [None] * m
+
+                def place(e, d):
+                    trial = dirs[:e] + [d] + dirs[e + 1:]
+                    arcs = [g.edges[f] if x == FORWARD else g.edges[f][::-1]
+                            for f, x in enumerate(trial) if x is not None]
+                    if closure is not None and not ref_is_acyclic(g.n, arcs):
+                        return False
+                    dirs[e] = d
+                    return True
+
+                want = ref_propagate(g, dirs, batch, place, rng)
+                assert (want is None) == (got is None)
+                if got is None:
+                    assert dirs == s.dirs(fwd, bwd)
+    # both answers show up, with a closure and without
+    assert min(outcomes.values()) > 20 and len(outcomes) == 4
 
 
 def test_acyclic_orientations_are_the_acyclic_sweep():
@@ -608,7 +645,7 @@ def test_search_counters_locked():
 
     from wordrep.decision import decide
     from wordrep.graphs import enumerate_graphs
-    assert counters(decide(bundled_graph("A")).stats) == (17, 71, 0, 0)
+    assert counters(decide(bundled_graph("A")).stats) == (17, 66, 0, 0)
     stats = SearchStats()
     total = sum(count_semi_transitive(cls.graph, stats) for cls in enumerate_graphs(6))
     # searching the components in turn moved these from (17574, 5844,
@@ -619,15 +656,18 @@ def test_search_counters_locked():
     # propagations 5828 -> 5816 here and 5249 -> 5271 below.  Counting
     # block by block, each from its root edge FORWARD only (the BACKWARD
     # half is the reversals, and blocks multiply), moved them from
-    # (17288, 5816, 6533, 110)
-    assert (total, counters(stats)) == (6533, (6400, 2475, 2331, 50))
+    # (17288, 5816, 6533, 110).  Placing each forced leg at once, before
+    # the next cycle is read, moved propagations from 71 (A), 2475 and
+    # 5271 below: a failing branch places another number of arcs before
+    # its conflict, and every other counter stays
+    assert (total, counters(stats)) == (6533, (6400, 2487, 2331, 50))
     runs = [(len(cls.graph.edges) == 21, decide(cls.graph))
             for cls in enumerate_graphs(7)]
     assert sum(d.witness is None for _, d in runs) == 26
     # one more node and leaf check for each further component with an edge
     # (from 8936 and 1017)
     assert tuple(map(sum, zip(*(counters(d.stats) for k7, d in runs if not k7)))) == \
-        (8987, 5271, 1068, 0)
+        (8987, 5349, 1068, 0)
     # K7 is searched like any graph: its 21 edges FORWARD, one leaf
     assert [counters(d.stats) for k7, d in runs if k7] == [(22, 0, 1, 0)]
 
@@ -641,7 +681,7 @@ def _leaf_test(o):
     arc is placed before the forcing rule runs, so the closure is whole
     even when the rule finds a conflict."""
     s = _Searcher(o.base)
-    _, fwd, bwd, c = s.propagate(0, 0, 0, list(enumerate(o.dirs)))
+    _, fwd, bwd, c = s.propagate(0, 0, 0, *arc_masks(enumerate(o.dirs)))
     assert s.dirs(fwd, bwd) == list(o.dirs)
     return s.branch((1 << len(o.dirs)) - 1, True, fwd, bwd, c) == 1
 
@@ -794,7 +834,7 @@ def test_searcher_closure_invariant():
                 continue
             u, v = g.edges[e]
             arc = (u, v) if d == FORWARD else (v, u)
-            _, f, b, cc = s.propagate(fwd, bwd, c, [(e, d)])
+            _, f, b, cc = s.propagate(fwd, bwd, c, *arc_masks([(e, d)]))
             # the arc is placed before the rule runs, so it is in the masks
             # unless refused, whatever the rule found after it
             placed = s.dirs(f, b)[e] == d
@@ -809,8 +849,8 @@ def test_searcher_closure_invariant():
         for _ in range(40):
             free = [e for e, d in enumerate(s.dirs(*stack[-1][:2])) if d is None]
             if free and (len(stack) == 1 or rng.random() < 0.7):
-                outcome, *state = s.propagate(
-                    *stack[-1], [(rng.choice(free), rng.choice((FORWARD, BACKWARD)))])
+                outcome, *state = s.propagate(*stack[-1], *arc_masks(
+                    [(rng.choice(free), rng.choice((FORWARD, BACKWARD)))]))
                 check(s, state)
                 if outcome is None:
                     stack.append(tuple(state))
@@ -834,17 +874,17 @@ def test_propagate_is_a_function_of_its_state():
             continue
 
         def arcs():
-            return [(e, rng.choice((FORWARD, BACKWARD)))
-                    for e in rng.sample(range(m), rng.randint(1, m // 3))]
+            return arc_masks([(e, rng.choice((FORWARD, BACKWARD)))
+                              for e in rng.sample(range(m), rng.randint(1, m // 3))])
 
         for closure in (None, 0):
-            outcome, *state = s.propagate(0, 0, closure, arcs())
+            outcome, *state = s.propagate(0, 0, closure, *arcs())
             if outcome is not None:
                 continue
             batch = arcs()
-            first = s.propagate(*state, batch)
-            sibling = s.propagate(*state, arcs())
-            assert s.propagate(*state, batch) == first
+            first = s.propagate(*state, *batch)
+            sibling = s.propagate(*state, *arcs())
+            assert s.propagate(*state, *batch) == first
             siblings["placed" if sibling[0] is None else "cycle" if sibling[0] else "refused"] += 1
     assert min(siblings.values()) > 20 and len(siblings) == 3
 

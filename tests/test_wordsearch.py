@@ -68,6 +68,15 @@ def test_guards():
         find_word(K4, 0)
     with pytest.raises(OutOfRangeError):
         find_word(K4, k_max=0)
+    # sizes are read with operator.index: floats and strings are out of
+    # range, numpy integers pass
+    for k in (2.0, "2", None):
+        with pytest.raises(OutOfRangeError, match=r"^k_max must be an integer, got "):
+            find_word(M, k)
+        with pytest.raises(OutOfRangeError, match=r"^multiplicity must be an integer, got "):
+            find_k_uniform_word(M, k)
+    assert find_word(M, np.int64(2)) == find_word(M, 2)
+    assert find_k_uniform_word(M, np.int64(2)) == find_k_uniform_word(M, 2)
 
 
 def test_deterministic():
