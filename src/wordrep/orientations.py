@@ -93,7 +93,7 @@ class Orientation:
 
 @dataclass(frozen=True)
 class Conflict:
-    kind: str  # Shortcut | Lemma1Cycle
+    kind: str  # Shortcut | Lemma1Cycle | DirectedCycle
     witness: tuple[int, ...]
 
 
@@ -348,8 +348,7 @@ class _Searcher:
     cycle exactly when h already reaches t, a one-bit test.  Once it is
     placed, t and every ancestor of t also reach h and all h reaches; one
     product of the rows holding t (as their lowest bits) with that set
-    writes it into each of them, with no carry between rows.  A closure of
-    None skips the test, for partial orientations that may be cyclic.
+    writes it into each of them, with no carry between rows.
     Arcs reach propagate the same way, as two edge masks, FORWARD and
     BACKWARD, and the forcing rule's work list is a third: the placed
     edges whose cycles are still unread.
@@ -362,8 +361,8 @@ class _Searcher:
     way.  The word search threads states through its own recursion,
     propagating the edges from each letter's first copy to the letters
     not yet seen, of which propagate skips the arcs already in force.
-    lemma1_propagate propagates a whole partial orientation with no
-    closure."""
+    lemma1_propagate runs the same step from the root state on a whole
+    partial orientation."""
 
     def __init__(self, g: Graph, stats: SearchStats | None = None):
         self.g = g
@@ -381,8 +380,8 @@ class _Searcher:
         return [FORWARD if fwd >> e & 1 else BACKWARD if bwd >> e & 1 else None
                 for e in range(len(self.g.edges))]
 
-    def propagate(self, fwd: int, bwd: int, c: int | None, to_fwd: int, to_bwd: int
-                  ) -> tuple[tuple[int, ...] | None, int, int, int | None]:
+    def propagate(self, fwd: int, bwd: int, c: int, to_fwd: int, to_bwd: int
+                  ) -> tuple[tuple[int, ...] | None, int, int, int]:
         """Place the arcs of the edge masks to_fwd (FORWARD) and to_bwd
         (BACKWARD) on the state (fwd, bwd, c), lowest edge first, then run
         the four-cycle rule to fixpoint: once two legs of a cycle go one
@@ -401,8 +400,9 @@ class _Searcher:
         does.
 
         Returns (outcome, fwd, bwd, c).  The outcome is None when all is
-        placed, a cycle with three legs going one way round, or () on a
-        refusal; the state returned then holds what was placed before it.
+        placed, a cycle with three legs going one way round, or the
+        refused arc (t, h); the state returned then holds what was placed
+        before it.
         Legs are counted by popcount, and the free legs walked by bit,
         each one's direction read from the cycle's minus mask."""
         cycles, ends, w, row, col = self.cycles, self.g.edges, self.w, self.row, self.col
@@ -414,10 +414,9 @@ class _Searcher:
                 t, h = ends[bit.bit_length() - 1]
             else:
                 h, t = ends[bit.bit_length() - 1]
-            if c is not None:
-                if c >> h * w + t & 1:
-                    return (), fwd, bwd, c
-                c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
+            if c >> h * w + t & 1:
+                return (t, h), fwd, bwd, c
+            c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
             fwd |= to_fwd & bit
             bwd |= to_bwd & bit
         placed = fwd | bwd
@@ -457,10 +456,9 @@ class _Searcher:
                         t, h = ends[bit.bit_length() - 1]
                     else:
                         h, t = ends[bit.bit_length() - 1]
-                    if c is not None:
-                        if c >> h * w + t & 1:
-                            return (), fwd, bwd, c
-                        c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
+                    if c >> h * w + t & 1:
+                        return (t, h), fwd, bwd, c
+                    c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
                     if ups & bit:
                         fwd |= bit
                     else:
@@ -513,19 +511,22 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
 
     Once two legs of a 4-cycle with at most one chord go one way round,
     every unassigned leg is forced the other way.  Returns a Lemma1Cycle
-    conflict if some cycle ends up with three legs going one way round.
-    Sound on every graph: 4-cycles with both chords are not indexed.  The
-    search's own propagate runs it, with no closure: o may be cyclic.
+    conflict if some cycle ends up with three legs going one way round,
+    and a DirectedCycle conflict naming the arc (t, h), of o or forced,
+    that would close a directed cycle, as h already reaches t.  Sound on
+    every graph: 4-cycles with both chords are not indexed.  It is the
+    search's node step, _Searcher.propagate, from the root state, so a
+    fixpoint returned is acyclic.
     """
     if o.base != g:
         raise OutOfRangeError("orientation does not belong to this graph")
     s = _Searcher(g)
     fwd = sum(1 << e for e, d in enumerate(o.dirs) if d == FORWARD)
     bwd = sum(1 << e for e, d in enumerate(o.dirs) if d == BACKWARD)
-    cycle, fwd, bwd, _ = s.propagate(0, 0, None, fwd, bwd)
-    if cycle is not None:
-        return Conflict("Lemma1Cycle", cycle)
-    return Orientation(g, tuple(s.dirs(fwd, bwd)))
+    outcome, fwd, bwd, _ = s.propagate(0, 0, 0, fwd, bwd)
+    if outcome is None:
+        return Orientation(g, tuple(s.dirs(fwd, bwd)))
+    return Conflict("Lemma1Cycle" if len(outcome) == 4 else "DirectedCycle", outcome)
 
 
 def _blocks(g: Graph) -> list[int]:

@@ -78,7 +78,8 @@ def _check_refutation() -> list[CheckResult]:
     detail = (
         f"search nodes={s.nodes} propagations={s.propagations} "
         f"leaf_checks={s.shortcut_checks} leaf_conflicts={s.shortcut_conflicts}; "
-        f"re-check over the orientations of all {a.n}! vertex orders "
+        "re-check by the walk over acyclic orientations with the first edge "
+        "FORWARD, cut at its first placed shortcut, "
         f"{'confirms' if confirmed else 'FAILED'}")
     return [CheckResult("a-refutation", refuted and confirmed, detail)]
 
@@ -89,7 +90,7 @@ def _check_case_replay() -> list[CheckResult]:
     result = lemma1_propagate(a, start)
     if isinstance(result, Conflict):
         return [CheckResult("a-case-replay", False,
-                            f"unexpected conflict on cycle {result.witness}")]
+                            f"unexpected {result.kind} conflict {result.witness}")]
     forced = set(result.arcs()) - set(start.arcs())
     expected = {(5, 2), (6, 5)}
     return [CheckResult(

@@ -258,7 +258,8 @@ def ref_propagate(g: Graph, dirs, arcs, place, rng: random.Random | None = None)
     of a cycle go one way round, every free leg is forced the other way
     and placed at once, and joins the set.  place(e, d) sets dirs[e] = d
     and returns False to refuse.  Returns None when all is placed, a
-    cycle with three legs going one way round, or () when place refused.
+    cycle with three legs going one way round, or the arc (tail, head)
+    that place refused.
 
     The pending work (the arcs to place, the edges whose cycles to read
     next, each cycle's forced legs) is taken lowest edge first, as the
@@ -266,13 +267,16 @@ def ref_propagate(g: Graph, dirs, arcs, place, rng: random.Random | None = None)
     cycles shuffled too."""
     cycles = ref_cycle_legs(g)
 
+    def arc(e, d):
+        return g.edges[e] if d == FORWARD else g.edges[e][::-1]
+
     def order(pending):
         return rng.sample(sorted(pending), len(pending)) if rng else sorted(pending)
 
     unread = set()
     for e, d in order(arcs):
         if not place(e, d):
-            return ()
+            return arc(e, d)
         unread.add(e)
     while unread:
         e = order(unread)[0]
@@ -293,8 +297,9 @@ def ref_propagate(g: Graph, dirs, arcs, place, rng: random.Random | None = None)
             # the free legs go the other way: back is -sign, round is sign
             if ahead == 2 or back == 2:
                 for f, sign in order(free):
-                    if not place(f, -sign if ahead == 2 else sign):
-                        return ()
+                    d = -sign if ahead == 2 else sign
+                    if not place(f, d):
+                        return arc(f, d)
                     unread.add(f)
     return None
 

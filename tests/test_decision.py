@@ -249,9 +249,9 @@ def test_verify_paper_fails_on_a_replay_conflict(monkeypatch, capsys):
     checks = {c.name: c for c in verify.run_all_checks()}
     replay = checks["a-case-replay"]
     assert not replay.passed
-    assert replay.detail == "unexpected conflict on cycle (1, 2, 3, 4)"
+    assert replay.detail == "unexpected Lemma1Cycle conflict (1, 2, 3, 4)"
     code, out = run_cli(capsys, "verify-paper")
-    assert code == 1 and "unexpected conflict on cycle (1, 2, 3, 4)" in out
+    assert code == 1 and "unexpected Lemma1Cycle conflict (1, 2, 3, 4)" in out
 
 
 def test_hereditary_closure_n6():

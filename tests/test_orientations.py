@@ -262,10 +262,11 @@ def test_four_cycles_match_quadruple_scan():
 
 
 def test_lemma1_witnesses_are_sparse_four_cycles():
-    # on seeded random partial orientations every Lemma1Cycle names a
-    # 4-cycle of g with at most one chord
+    # on seeded random partial orientations, cyclic ones included, every
+    # Lemma1Cycle names a 4-cycle of g with at most one chord, and every
+    # DirectedCycle the arc of an edge of g
     rng = random.Random(7141)
-    seen = 0
+    seen = collections.Counter()
     for _ in range(600):
         g = random_graph(rng, rng.randint(4, 8), rng.choice((0.4, 0.6, 0.8)))
         arcs = [(u, v) if rng.random() < 0.5 else (v, u)
@@ -273,14 +274,55 @@ def test_lemma1_witnesses_are_sparse_four_cycles():
         result = lemma1_propagate(g, orientation_from_arcs(g, arcs))
         if isinstance(result, Orientation):
             continue
-        seen += 1
+        seen[result.kind] += 1
+        if result.kind == "DirectedCycle":
+            assert len(result.witness) == 2 and g.has_edge(*result.witness)
+            continue
         assert result.kind == "Lemma1Cycle"
         a, b, c, d = cycle = result.witness
         assert len(set(cycle)) == 4
         ring = [(a, b), (b, c), (c, d), (d, a)]
         assert all(g.has_edge(x, y) for x, y in ring)
         assert not (g.has_edge(a, c) and g.has_edge(b, d))
-    assert seen > 50
+    assert seen["Lemma1Cycle"] > 50 and seen["DirectedCycle"] > 0
+
+
+def test_lemma1_refuses_a_directed_cycle():
+    # lemma1_propagate is the search's node step, closure included: a
+    # forced arc whose head already reaches its tail ends the run.  Here
+    # 2->5 and 5->6 go one way round the chordless 4-cycle 2-3-6-5, which
+    # forces 2->3 and 3->6, and 3->6 would close 1->3->6->1
+    g = graph_from_edge_list(6, [(1, 3), (1, 6), (2, 3), (2, 5), (3, 6), (4, 5), (5, 6)])
+    start = orientation_from_arcs(g, [(1, 3), (6, 1), (2, 5), (5, 4), (5, 6)])
+    assert lemma1_propagate(g, start) == Conflict("DirectedCycle", (3, 6))
+    # an arc of the start itself: 1->2 and 3->1 placed, 2->3 is refused
+    cyclic = orientation_from_arcs(K3, [(1, 2), (2, 3), (3, 1)])
+    assert lemma1_propagate(K3, cyclic) == Conflict("DirectedCycle", (2, 3))
+
+
+def test_lemma1_fixpoints_are_acyclic():
+    # from seeded acyclic partial orientations (a random subset of the
+    # arcs of a random vertex order), every fixpoint extends the start and
+    # is acyclic, and every refusal names the forced arc of an edge of g
+    # the start leaves free
+    rng = random.Random(3206)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        g = random_graph(rng, rng.randint(4, 8), rng.choice((0.4, 0.6, 0.8)))
+        rank = {v: i for i, v in enumerate(rng.sample(range(1, g.n + 1), g.n))}
+        arcs = [(u, v) if rank[u] < rank[v] else (v, u)
+                for u, v in g.edges if rng.random() < 0.5]
+        result = lemma1_propagate(g, orientation_from_arcs(g, arcs))
+        if isinstance(result, Orientation):
+            kinds["fixpoint"] += 1
+            assert set(arcs) <= set(result.arcs())
+            assert ref_is_acyclic(g.n, result.arcs())
+        else:
+            kinds[result.kind] += 1
+            if result.kind == "DirectedCycle":
+                assert len(result.witness) == 2 and g.has_edge(*result.witness)
+                assert not {result.witness, result.witness[::-1]} & set(arcs)
+    assert len(kinds) == 3 and kinds["DirectedCycle"] > 10
 
 
 @pytest.mark.slow
@@ -288,12 +330,11 @@ def test_mask_kernel_matches_leg_by_leg_reference():
     # the search's propagate, on edge masks, against the rule walked leg by
     # leg through a list (helpers.ref_propagate) on seeded partial
     # orientations, cyclic ones included: the same result (fixpoint,
-    # conflict cycle or refusal) and the same placements, with no closure
-    # (as lemma1_propagate runs it) and with one (refusing arcs that close
-    # a directed cycle), both taking their pending work lowest edge first.
-    # A second batch of arcs lands on the first one's fixpoint and may
-    # repeat arcs in force, which propagate skips; the reference is handed
-    # them filtered out.
+    # conflict cycle or refused arc) and the same placements, both
+    # refusing arcs that close a directed cycle and taking their pending
+    # work lowest edge first.  A second batch of arcs lands on the first
+    # one's fixpoint and may repeat arcs in force, which propagate skips;
+    # the reference is handed them filtered out.
     rng = random.Random(1818)
     outcomes = collections.Counter()
     for _ in range(1000):
@@ -302,73 +343,69 @@ def test_mask_kernel_matches_leg_by_leg_reference():
         batches = [[(e, rng.choice((FORWARD, BACKWARD)))
                     for e in rng.sample(range(m), rng.randint(0, m // 2))]
                    for _ in range(2)]
-        for closure in (None, 0):
-            s = _Searcher(g, SearchStats())
-            state = 0, 0, closure
-            dirs = [None] * m
-            trail = []
+        s = _Searcher(g, SearchStats())
+        state = 0, 0, 0
+        dirs = [None] * m
+        trail = []
 
-            def place(e, d):
-                arcs = [g.edges[f] if dirs[f] == FORWARD else g.edges[f][::-1] for f in trail]
-                arcs.append(g.edges[e] if d == FORWARD else g.edges[e][::-1])
-                if closure is not None and not ref_is_acyclic(g.n, arcs):
-                    return False
-                dirs[e] = d
-                trail.append(e)
-                return True
+        def place(e, d):
+            arcs = [g.edges[f] if dirs[f] == FORWARD else g.edges[f][::-1] for f in trail]
+            arcs.append(g.edges[e] if d == FORWARD else g.edges[e][::-1])
+            if not ref_is_acyclic(g.n, arcs):
+                return False
+            dirs[e] = d
+            trail.append(e)
+            return True
 
-            for batch in batches:
-                if closure is None:   # with no closure nothing refuses an arc against one placed
-                    batch = [(e, d) for e, d in batch if dirs[e] in (None, d)]
-                want = ref_propagate(g, dirs, [(e, d) for e, d in batch
-                                               if dirs[e] != d], place)
-                got, *state = s.propagate(*state, *arc_masks(batch))
-                fwd, bwd, _ = state
-                assert got == want
-                assert fwd & bwd == 0 and s.dirs(fwd, bwd) == dirs
-                assert (fwd | bwd).bit_count() == len(trail)
-                outcomes[closure, "placed" if got is None else "cycle" if got else "refused"] += 1
-                if got is not None:
-                    break
-    # every outcome shows up: refusals only where there is a closure
-    assert min(outcomes.values()) > 20 and len(outcomes) == 5
+        for batch in batches:
+            want = ref_propagate(g, dirs, [(e, d) for e, d in batch
+                                           if dirs[e] != d], place)
+            got, *state = s.propagate(*state, *arc_masks(batch))
+            fwd, bwd, _ = state
+            assert got == want
+            assert fwd & bwd == 0 and s.dirs(fwd, bwd) == dirs
+            assert (fwd | bwd).bit_count() == len(trail)
+            outcomes[len(got or ())] += 1
+            if got is not None:
+                break
+    # every outcome shows up: placed (0), refused arc (2), conflict cycle (4)
+    assert min(outcomes.values()) > 20 and len(outcomes) == 3
 
 
 def test_forcing_fixpoint_is_order_independent():
     # the rule's answer does not depend on the order its pending work is
-    # taken in: on seeded batches, with no closure and with one, the
-    # reference taking its arcs to place, edges to read and forced legs in
-    # shuffled orders reaches a fixpoint exactly when propagate does, and
-    # the same masks; a failure may end on another cycle or a refusal
+    # taken in: on seeded batches the reference taking its arcs to place,
+    # edges to read and forced legs in shuffled orders reaches a fixpoint
+    # exactly when propagate does, and the same masks; a failure may end
+    # on another cycle or a refusal
     rng = random.Random(3107)
     outcomes = collections.Counter()
-    for _ in range(300):
+    for _ in range(600):
         g = random_graph(rng, rng.randint(4, 8), rng.choice((0.4, 0.6, 0.8)))
         m = len(g.edges)
         batch = [(e, rng.choice((FORWARD, BACKWARD)))
                  for e in rng.sample(range(m), rng.randint(0, m // 2))]
-        for closure in (None, 0):
-            s = _Searcher(g)
-            got, fwd, bwd, _ = s.propagate(0, 0, closure, *arc_masks(batch))
-            outcomes[closure, got is None] += 1
-            for _ in range(4):
-                dirs = [None] * m
+        s = _Searcher(g)
+        got, fwd, bwd, _ = s.propagate(0, 0, 0, *arc_masks(batch))
+        outcomes[len(got or ())] += 1
+        for _ in range(4):
+            dirs = [None] * m
 
-                def place(e, d):
-                    trial = dirs[:e] + [d] + dirs[e + 1:]
-                    arcs = [g.edges[f] if x == FORWARD else g.edges[f][::-1]
-                            for f, x in enumerate(trial) if x is not None]
-                    if closure is not None and not ref_is_acyclic(g.n, arcs):
-                        return False
-                    dirs[e] = d
-                    return True
+            def place(e, d):
+                trial = dirs[:e] + [d] + dirs[e + 1:]
+                arcs = [g.edges[f] if x == FORWARD else g.edges[f][::-1]
+                        for f, x in enumerate(trial) if x is not None]
+                if not ref_is_acyclic(g.n, arcs):
+                    return False
+                dirs[e] = d
+                return True
 
-                want = ref_propagate(g, dirs, batch, place, rng)
-                assert (want is None) == (got is None)
-                if got is None:
-                    assert dirs == s.dirs(fwd, bwd)
-    # both answers show up, with a closure and without
-    assert min(outcomes.values()) > 20 and len(outcomes) == 4
+            want = ref_propagate(g, dirs, batch, place, rng)
+            assert (want is None) == (got is None)
+            if got is None:
+                assert dirs == s.dirs(fwd, bwd)
+    # every outcome shows up: placed (0), refused arc (2), conflict cycle (4)
+    assert min(outcomes.values()) > 20 and len(outcomes) == 3
 
 
 def test_acyclic_orientations_are_the_acyclic_sweep():
@@ -866,7 +903,7 @@ def test_propagate_is_a_function_of_its_state():
     # after a sibling propagate that was refused or hit a conflict too
     rng = random.Random(2323)
     siblings = collections.Counter()
-    for _ in range(400):
+    for _ in range(800):
         g = random_graph(rng, rng.randint(4, 8), rng.choice((0.4, 0.6, 0.8)))
         s = _Searcher(g, SearchStats())
         m = len(g.edges)
@@ -877,15 +914,15 @@ def test_propagate_is_a_function_of_its_state():
             return arc_masks([(e, rng.choice((FORWARD, BACKWARD)))
                               for e in rng.sample(range(m), rng.randint(1, m // 3))])
 
-        for closure in (None, 0):
-            outcome, *state = s.propagate(0, 0, closure, *arcs())
-            if outcome is not None:
-                continue
-            batch = arcs()
-            first = s.propagate(*state, *batch)
-            sibling = s.propagate(*state, *arcs())
-            assert s.propagate(*state, *batch) == first
-            siblings["placed" if sibling[0] is None else "cycle" if sibling[0] else "refused"] += 1
+        outcome, *state = s.propagate(0, 0, 0, *arcs())
+        if outcome is not None:
+            continue
+        batch = arcs()
+        first = s.propagate(*state, *batch)
+        sibling = s.propagate(*state, *arcs())
+        assert s.propagate(*state, *batch) == first
+        siblings[len(sibling[0] or ())] += 1
+    # placed (0), refused arc (2) and conflict cycle (4) siblings all show up
     assert min(siblings.values()) > 20 and len(siblings) == 3
 
 
