@@ -142,6 +142,17 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 # edge-list text format: first significant line "n m", then m lines "u v";
 # full-line "#" comments and blank lines allowed anywhere
 
+def _decimal(token: str, line: int | None = None, column: int | None = None) -> int:
+    """A token of ASCII digits as an int.  int() refuses more digits than
+    sys.get_int_max_str_digits() (4,300 by default) with a ValueError;
+    that is a ParseError here, at the given place."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"integer of {len(token)} digits is too long",
+                         line=line, column=column) from None
+
+
 def parse_edge_list(text: str) -> Graph:
     header = None
     pairs: list[tuple[int, int]] = []
@@ -161,7 +172,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) != 2:
             raise ParseError(f"expected two integers per line, got {len(tokens)}",
                              line=lineno)
-        a, b = int(tokens[0]), int(tokens[1])
+        a, b = _decimal(tokens[0], lineno), _decimal(tokens[1], lineno)
         if header is None:
             header = (a, b)
             m_expected = b

@@ -213,18 +213,19 @@ def is_semi_transitive(o: Orientation) -> bool:
 # direction is its sign.  The legs as two edge masks: ring, all four, and
 # minus, the sign -1 ones.
 
-def _four_cycles(g: Graph) -> list[list[tuple]]:
-    """For each edge, the 4-cycles with at most one chord through it as
-    (ring, minus, legs, cycle), legs the cycle's four edge ids in
-    traversal order, each leg's sign read from minus.  Cycles (a, b, c, d)
-    come in lexicographic order, straight from the adjacency masks: a is
-    the smallest vertex and c is opposite it, so each pair b < d of common
-    neighbours of a and c above a closes one.  When a-c is an edge, the
-    ds adjacent to b are dropped, so no cycle with both chords is visited.
-    The bits are walked inline, and an a's cycles, found by c, are sorted
-    only when there are two or more."""
+def _four_cycles(g: Graph) -> tuple[list[tuple], list[int]]:
+    """The 4-cycles with at most one chord as one flat table of
+    (ring, minus, cycle) entries, a cycle's id its place in the table,
+    and for each edge the mask of the ids of the cycles through it.
+    Cycles (a, b, c, d) come in lexicographic order, straight from the
+    adjacency masks: a is the smallest vertex and c is opposite it, so
+    each pair b < d of common neighbours of a and c above a closes one.
+    When a-c is an edge, the ds adjacent to b are dropped, so no cycle
+    with both chords is visited.  The bits are walked inline, and an a's
+    cycles, found by c, are sorted only when there are two or more."""
     adj, index = g.adj, g.edge_index
-    by_edge: list[list[tuple]] = [[] for _ in g.edges]
+    table: list[tuple] = []
+    through = [0] * len(g.edges)
     for a in g.vertices():
         up = adj[a] & -1 << a + 1   # b and d are two of a's neighbours above a
         if not up & up - 1:
@@ -250,11 +251,12 @@ def _four_cycles(g: Graph) -> list[list[tuple]]:
             ab, da = index[a, b], index[a, d]
             bc = index[b, c] if b < c else index[c, b]
             cd = index[c, d] if c < d else index[d, c]
-            entry = (1 << ab | 1 << bc | 1 << cd | 1 << da,
-                     (b > c) << bc | (d < c) << cd | 1 << da, (a, b, c, d))
+            bit = 1 << len(table)
             for e in (ab, bc, cd, da):
-                by_edge[e].append(entry)
-    return by_edge
+                through[e] |= bit
+            table.append((1 << ab | 1 << bc | 1 << cd | 1 << da,
+                          (b > c) << bc | (d < c) << cd | 1 << da, (a, b, c, d)))
+    return table, through
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +352,10 @@ class _Searcher:
     product of the rows holding t (as their lowest bits) with that set
     writes it into each of them, with no carry between rows.
     Arcs reach propagate the same way, as two edge masks, FORWARD and
-    BACKWARD, and the forcing rule's work list is a third: the placed
-    edges whose cycles are still unread.
+    BACKWARD.  The forcing rule reads its cycles from cycles, the flat
+    table of _four_cycles, and its work list is a mask of cycle ids: the
+    cycles an arc has been placed on since they were last read, each
+    edge's ids kept in through.
 
     Shortcut checks run at the leaves only, with no path enumeration: the
     interval lemma of _no_shortcut on the packed closure as it stands,
@@ -371,7 +375,7 @@ class _Searcher:
         self.row = (1 << self.w) - 1
         # bit 0 of every row: picks out the rows that hold a given vertex
         self.col = ((1 << self.w * self.w) - 1) // self.row
-        self.cycles = _four_cycles(g)
+        self.cycles, self.through = _four_cycles(g)
         self.rows: tuple[int, int] | None = None   # _packed_rows, built at the first leaf
         self.found = (0, 0)   # finding: fwd and bwd of each part's passing leaf, ORed
 
@@ -389,15 +393,16 @@ class _Searcher:
         in force is skipped; a placement that closes a directed cycle is
         refused.
 
-        The rule reads the cycles of each edge of scan, the placed edges
-        whose cycles are still unread, lowest edge first.  The free legs a
-        cycle forces are placed at once, lowest edge first, by the same
-        test and row update, and join scan; the edge's other cycles are
-        read after them.  Each forced arc holds in every orientation that
-        extends the state and obeys the rule, so whether the rule reaches
-        a fixpoint, and which, does not depend on that order; which cycle
-        or refusal ends a failing run, and how much is placed before it,
-        does.
+        The work list is dirty, a mask of cycle ids: each placed arc,
+        given or forced, ORs in its edge's mask of cycles, and the rule
+        reads the lowest dirty cycle next.  The free legs a cycle forces
+        leave the reading loop for the placement loop of the given arcs,
+        lowest edge first, and the cycle's own bit, set again by its legs,
+        is cleared: it now holds two legs each way.  Each forced arc holds
+        in every orientation that extends the state and obeys the rule,
+        so whether the rule reaches a fixpoint, and which, does not depend
+        on the reading order; which cycle or refusal ends a failing run,
+        and how much is placed before it, does.
 
         Returns (outcome, fwd, bwd, c).  The outcome is None when all is
         placed, a cycle with three legs going one way round, or the
@@ -405,25 +410,34 @@ class _Searcher:
         before it.
         Legs are counted by popcount, and the free legs walked by bit,
         each one's direction read from the cycle's minus mask."""
-        cycles, ends, w, row, col = self.cycles, self.g.edges, self.w, self.row, self.col
-        scan = new = to_fwd & ~fwd | to_bwd & ~bwd   # the arcs to place
-        while new:
-            bit = new & -new
-            new ^= bit
-            if to_fwd & bit:
-                t, h = ends[bit.bit_length() - 1]
-            else:
-                h, t = ends[bit.bit_length() - 1]
-            if c >> h * w + t & 1:
-                return (t, h), fwd, bwd, c
-            c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
-            fwd |= to_fwd & bit
-            bwd |= to_bwd & bit
-        placed = fwd | bwd
-        while scan:
-            bit = scan & -scan
-            scan ^= bit
-            for ring, minus, cycle in cycles[bit.bit_length() - 1]:
+        cycles, through, ends = self.cycles, self.through, self.g.edges
+        w, row, col = self.w, self.row, self.col
+        new = to_fwd & ~fwd | to_bwd & ~bwd   # the arcs to place
+        ups = to_fwd   # those of new to place FORWARD
+        dirty = low = 0
+        while True:
+            while new:
+                bit = new & -new
+                new ^= bit
+                e = bit.bit_length() - 1
+                if ups & bit:
+                    t, h = ends[e]
+                else:
+                    h, t = ends[e]
+                if c >> h * w + t & 1:
+                    return (t, h), fwd, bwd, c
+                c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
+                if ups & bit:
+                    fwd |= bit
+                else:
+                    bwd |= bit
+                dirty |= through[e]
+            dirty &= ~low   # the cycle that forced new: two legs each way
+            placed = fwd | bwd
+            while dirty:
+                low = dirty & -dirty
+                dirty ^= low
+                ring, minus, cycle = cycles[low.bit_length() - 1]
                 on = placed & ring
                 # legs going round: FORWARD ones of sign +1, BACKWARD of -1
                 ahead = (on & (fwd ^ minus)).bit_count()
@@ -443,27 +457,9 @@ class _Searcher:
                 else:
                     continue
                 new = ring ^ on
-                scan |= new
-                placed |= new
-                # the placement above, inline: leaving this loop to place
-                # the legs there and then resuming it made perfbench's
-                # count wall_s about 5 % slower (seed 0; 2-core Xeon VM,
-                # Python 3.11)
-                while new:
-                    bit = new & -new
-                    new ^= bit
-                    if ups & bit:
-                        t, h = ends[bit.bit_length() - 1]
-                    else:
-                        h, t = ends[bit.bit_length() - 1]
-                    if c >> h * w + t & 1:
-                        return (t, h), fwd, bwd, c
-                    c |= (c >> t & col | 1 << t * w) * (c >> h * w & row | 1 << h)
-                    if ups & bit:
-                        fwd |= bit
-                    else:
-                        bwd |= bit
-        return None, fwd, bwd, c
+                break
+            else:
+                return None, fwd, bwd, c
 
     def branch(self, part: int, first_only: bool, fwd: int, bwd: int, c: int) -> int:
         """Number of semi-transitive orientations of the edges in the mask
@@ -707,11 +703,18 @@ def _placed_shortcut(out, adj, desc, ups, below) -> bool:
 def count_semi_transitive_naive(g: Graph) -> int:
     """Twice the number of orientations semi_transitive_orientations
     yields, or 1 for an edgeless g: no search, no propagation and no
-    forcing; the anchor the fast counter must match."""
+    forcing; the anchor the fast counter must match.  It runs the same
+    walk without its n <= 8 cap, so it is capped as the fast counter is,
+    at COUNT_MAX_EDGES (24) edges, and at n <= BACKTRACK_MAX_N (500), as
+    find_shortcut is, since both grow a mask list per vertex and recurse
+    along directed paths."""
     if len(g.edges) > COUNT_MAX_EDGES:
         raise TooLargeError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
-    found = sum(1 for _ in semi_transitive_orientations(g))
+    if g.n > BACKTRACK_MAX_N:
+        raise TooLargeError(
+            f"naive orientation count supports n <= {BACKTRACK_MAX_N}, got {g.n}")
+    found = sum(1 for _ in _walk(g, 0, [0] * (g.n + 1), [0] * (g.n + 1), [0] * (g.n + 1), ()))
     return 2 * found if g.edges else found
 
 

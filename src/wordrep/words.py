@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import OutOfRangeError, ParseError, TooLargeError
-from .graphs import Graph
+from .graphs import Graph, _decimal
 
 # the graph of a word over n letters has up to C(n, 2) edges
 ALPHABET_MAX_N = 1000
@@ -123,7 +123,7 @@ def parse_word(text: str) -> Word:
                 continue
             if not (tok.isascii() and tok.isdigit()):
                 raise ParseError(f"not a decimal letter: {tok!r}")
-            val = int(tok)
+            val = _decimal(tok)
             if val < 1:
                 raise ParseError(f"letters are positive integers, got {tok}")
             letters.append(val)
@@ -144,7 +144,7 @@ def parse_word(text: str) -> Word:
                 " (write multi-digit letters as '(10)' or space-separated)",
                 column=pos + 1)
         if m.group(1) is not None:
-            val = int(m.group(1))
+            val = _decimal(m.group(1), column=pos + 1)
             if val < 1:
                 raise ParseError("letters are positive integers, got (0)",
                                  column=pos + 1)

@@ -39,8 +39,9 @@ letter (up[x]) and BACKWARD elsewhere.  They go to the propagate of one
 _Searcher, kept for the whole call, with the orientation search's state
 at the prefix, which search hands on beside seen and its other
 per-prefix values and never reads.  propagate skips the arcs already in
-force and places the rest through the four-cycle forcing rule and the
-closure's acyclicity test.
+force and places the rest through the closure's acyclicity test and the
+four-cycle forcing rule, whose work list is a mask of cycle ids: the
+cycles an arc has been placed on since they were last read.
 A conflict (a forced arc pointing the other way, a 4-cycle with three
 legs going one way round, or a directed cycle) rejects x; otherwise the
 state it returns is the child's.  Each forced arc holds in every
@@ -52,9 +53,10 @@ cut.  That holds for every word, so it holds for the ones starting with
 occurrences), and the word found is the same lex-least one.
 
 The prune is off when g has no 4-cycle with at most one chord (Petersen,
-of girth 5, is such a graph): then nothing is ever forced, and arcs that
-all point from an earlier first copy to a later one follow one order and
-cannot close a cycle, so it would cut nothing and only cost time.
+of girth 5, is such a graph), so the _Searcher's table of cycles is
+empty: then nothing is ever forced, and arcs that all point from an
+earlier first copy to a later one follow one order and cannot close a
+cycle, so it would cut nothing and only cost time.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     st = _Searcher(g)
     # after its first copy x has k - 1 left; with no 4-cycle of at most
     # one chord the orientation prune cuts nothing, and -1 never matches
-    first_left = k - 1 if any(st.cycles) else -1
+    first_left = k - 1 if st.cycles else -1
     propagate = st.propagate
     # inc[x]: x's edges, as an edge mask; up[x]: those to a larger letter,
     # which point out of x FORWARD

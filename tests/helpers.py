@@ -223,19 +223,18 @@ def ref_four_cycles(g: Graph):
 
 def ref_cycle_legs(g: Graph):
     """The forcing rule's cycles from the literal quadruple scan: the
-    4-cycles of ref_four_cycles less those with both chords, each listed
-    under its four edges as (legs, cycle), legs the four (edge, sign) in
-    traversal order, sign +1 when the stored (u < v) direction agrees
+    4-cycles of ref_four_cycles less those with both chords, in
+    lexicographic order, each as (legs, cycle), legs the four (edge, sign)
+    in traversal order, sign +1 when the stored (u < v) direction agrees
     with the traversal a->b->c->d->a and -1 when not."""
-    by_edge = [[] for _ in g.edges]
+    cycles = []
     for a, b, c, d in ref_four_cycles(g):
         if g.has_edge(a, c) and g.has_edge(b, d):
             continue
         legs = tuple((g.edge_index[min(x, y), max(x, y)], 1 if x < y else -1)
                      for x, y in ((a, b), (b, c), (c, d), (d, a)))
-        for e, _sign in legs:
-            by_edge[e].append((legs, (a, b, c, d)))
-    return by_edge
+        cycles.append((legs, (a, b, c, d)))
+    return cycles
 
 
 def arc_masks(arcs) -> tuple[int, int]:
@@ -254,17 +253,18 @@ def ref_propagate(g: Graph, dirs, arcs, place, rng: random.Random | None = None)
     no mask is read.
 
     Place each (edge, direction) of arcs, then run the rule to fixpoint
-    over the set of placed edges whose cycles are unread: once two legs
-    of a cycle go one way round, every free leg is forced the other way
-    and placed at once, and joins the set.  place(e, d) sets dirs[e] = d
-    and returns False to refuse.  Returns None when all is placed, a
-    cycle with three legs going one way round, or the arc (tail, head)
-    that place refused.
+    over the set of dirty cycles, those with a leg placed since they were
+    last read: once two legs of a cycle go one way round, every free leg
+    is forced the other way and placed at once, and dirties its cycles,
+    the one that forced it included.  place(e, d) sets dirs[e] = d and
+    returns False to refuse.  Returns None when all is placed, a cycle
+    with three legs going one way round, or the arc (tail, head) that
+    place refused.
 
-    The pending work (the arcs to place, the edges whose cycles to read
-    next, each cycle's forced legs) is taken lowest edge first, as the
-    search takes it, or, given rng, in a shuffled order, with each edge's
-    cycles shuffled too."""
+    The pending work (the arcs to place, the dirty cycles, each cycle's
+    forced legs) is taken lowest first, edges by index and cycles in
+    lexicographic order, as the search takes it, or, given rng, in a
+    shuffled order."""
     cycles = ref_cycle_legs(g)
 
     def arc(e, d):
@@ -273,34 +273,38 @@ def ref_propagate(g: Graph, dirs, arcs, place, rng: random.Random | None = None)
     def order(pending):
         return rng.sample(sorted(pending), len(pending)) if rng else sorted(pending)
 
-    unread = set()
+    through = [[] for _ in g.edges]   # each edge's cycle ids
+    for i, (legs, _) in enumerate(cycles):
+        for e, _sign in legs:
+            through[e].append(i)
+    dirty = set()
     for e, d in order(arcs):
         if not place(e, d):
             return arc(e, d)
-        unread.add(e)
-    while unread:
-        e = order(unread)[0]
-        unread.remove(e)
-        for legs, cycle in order(cycles[e]) if rng else cycles[e]:
-            free = []
-            ahead = back = 0   # legs going round, and going back
-            for f, sign in legs:
-                x = dirs[f]
-                if x is None:
-                    free.append((f, sign))
-                elif x == sign:
-                    ahead += 1
-                else:
-                    back += 1
-            if ahead > 2 or back > 2:
-                return cycle
-            # the free legs go the other way: back is -sign, round is sign
-            if ahead == 2 or back == 2:
-                for f, sign in order(free):
-                    d = -sign if ahead == 2 else sign
-                    if not place(f, d):
-                        return arc(f, d)
-                    unread.add(f)
+        dirty.update(through[e])
+    while dirty:
+        i = order(dirty)[0]
+        dirty.remove(i)
+        legs, cycle = cycles[i]
+        free = []
+        ahead = back = 0   # legs going round, and going back
+        for f, sign in legs:
+            x = dirs[f]
+            if x is None:
+                free.append((f, sign))
+            elif x == sign:
+                ahead += 1
+            else:
+                back += 1
+        if ahead > 2 or back > 2:
+            return cycle
+        # the free legs go the other way: back is -sign, round is sign
+        if ahead == 2 or back == 2:
+            for f, sign in order(free):
+                d = -sign if ahead == 2 else sign
+                if not place(f, d):
+                    return arc(f, d)
+                dirty.update(through[f])
     return None
 
 

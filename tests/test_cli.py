@@ -291,6 +291,29 @@ def test_non_ascii_digits_are_parse_errors(tmp_path):
     assert proc.stderr.count("error:") == len(argvs)
 
 
+# int() refuses more than 4,300 digits (sys.get_int_max_str_digits) with a
+# ValueError, which once escaped main as a traceback and exit code 1
+HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "huge.edges"],
+    ["check-word", "huge.edges", "--word", f"1 {HUGE}"],
+    ["check-word", "huge.edges", "--word", f"1({HUGE})"],
+    ["graph-of-word", "--word", f"1 {HUGE}"],
+    ["graph-of-word", "--word", f"1({HUGE})"],
+], ids=["decide", "check-word-spaced", "check-word-compact",
+        "graph-of-word-spaced", "graph-of-word-compact"])
+def test_overlong_integers_are_parse_errors(capsys, tmp_path, argv):
+    path = tmp_path / "huge.edges"
+    path.write_text(f"{HUGE} 0\n" if argv[0] == "decide" else "2 1\n1 2\n")
+    argv = [str(path) if a == "huge.edges" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: integer of 5001 digits is too long")
+    assert err.count("\n") == 1
+
+
 def test_unknown_arguments():
     with pytest.raises(SystemExit) as exc:
         main(["decide", "--bogus"])

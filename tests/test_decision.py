@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from wordrep import decision, orientations, verify
+from wordrep import orientations, verify
 from wordrep.bundled import bundled_graph
 from wordrep.census import census
 from wordrep.decision import (
@@ -206,17 +206,18 @@ def test_refutation_recheck_agrees_with_decide():
 
 
 def _walks_per_graph(monkeypatch):
-    """Count semi_transitive_orientations calls per graph, under the names
-    that verify_certificate and count_semi_transitive_naive look up."""
+    """Count walks per graph at their root node, orientations._walk with
+    no edge placed: semi_transitive_orientations, which verify_certificate
+    runs, starts there, and so does count_semi_transitive_naive, which
+    runs the walk without its n <= 8 cap."""
     calls = Counter()
-    walk = orientations.semi_transitive_orientations
+    walk = orientations._walk
 
-    def counted(g):
-        calls[g] += 1
-        return walk(g)
+    def counted(g, i, *rest):
+        calls[g] += i == 0
+        return walk(g, i, *rest)
 
-    monkeypatch.setattr(decision, "semi_transitive_orientations", counted)
-    monkeypatch.setattr(orientations, "semi_transitive_orientations", counted)
+    monkeypatch.setattr(orientations, "_walk", counted)
     return calls
 
 

@@ -234,17 +234,26 @@ def test_lemma1_statement_on_all_classes():
 
 def _ref_four_cycles(g):
     """The forcing rule's index rebuilt from the literal quadruple scan
-    (helpers.ref_cycle_legs): per edge, each cycle with the edge masks of
-    its four legs and of the legs signed -1, and the cycle itself."""
-    return [[(sum(2 ** e for e, _sign in legs),
+    (helpers.ref_cycle_legs): the flat table, each cycle with the edge
+    masks of its four legs and of the legs signed -1, and the cycle
+    itself; and per edge the mask of the ids of the cycles that pass
+    along it, read from their vertices."""
+    entries = ref_cycle_legs(g)
+    table = [(sum(2 ** e for e, _sign in legs),
               sum(2 ** e for e, sign in legs if sign == -1), cycle)
              for legs, cycle in entries]
-            for entries in ref_cycle_legs(g)]
+    through = [0] * len(g.edges)
+    for i, (_, (a, b, c, d)) in enumerate(entries):
+        for x, y in ((a, b), (b, c), (c, d), (d, a)):
+            through[g.edges.index((min(x, y), max(x, y)))] += 2 ** i
+    return table, through
 
 
 def test_four_cycles_match_quadruple_scan():
-    # same cycles in the same order: the order fixes the order the forcing
-    # rule reads them in, and with it the search's propagations counter
+    # same cycles in the same order: a cycle's place in the table is its
+    # id, the forcing rule reads the lowest dirty id first, and that order
+    # fixes the search's propagations counter.  Each edge's mask names
+    # exactly the cycles through the edge.
     from wordrep.graphs import enumerate_graphs
     rng = random.Random(1405)
     graphs = [g for n in range(1, 6) for g in all_graphs(n)]
@@ -254,11 +263,12 @@ def test_four_cycles_match_quadruple_scan():
     graphs.append(bundled_graph("A"))
     for g in graphs:
         assert _four_cycles(g) == _ref_four_cycles(g)
-    # one entry per edge of each cycle: 6 cycles of A, 24 entries
-    assert sum(map(len, _four_cycles(bundled_graph("A")))) == 24
+    # 6 cycles of A, 4 edges each
+    table, through = _four_cycles(bundled_graph("A"))
+    assert len(table) == 6 and sum(m.bit_count() for m in through) == 24
     # every 4-cycle of K20 has both chords
     k20 = graph_from_edge_list(20, list(itertools.combinations(range(1, 21), 2)))
-    assert not any(_four_cycles(k20))
+    assert _four_cycles(k20) == ([], [0] * 190)
 
 
 def test_lemma1_witnesses_are_sparse_four_cycles():
@@ -332,9 +342,10 @@ def test_mask_kernel_matches_leg_by_leg_reference():
     # orientations, cyclic ones included: the same result (fixpoint,
     # conflict cycle or refused arc) and the same placements, both
     # refusing arcs that close a directed cycle and taking their pending
-    # work lowest edge first.  A second batch of arcs lands on the first
-    # one's fixpoint and may repeat arcs in force, which propagate skips;
-    # the reference is handed them filtered out.
+    # work lowest first: arcs by edge, dirty cycles by id, which is the
+    # reference's lexicographic order.  A second batch of arcs lands on
+    # the first one's fixpoint and may repeat arcs in force, which
+    # propagate skips; the reference is handed them filtered out.
     rng = random.Random(1818)
     outcomes = collections.Counter()
     for _ in range(1000):
@@ -595,6 +606,26 @@ def test_count_is_a_product_over_blocks(g, count):
     assert count_semi_transitive(g) == count_semi_transitive_naive(g) == count
 
 
+def test_naive_count_past_eight_vertices():
+    # the naive count is capped by edges, as the fast one is, not by the
+    # walk's n <= 8: it re-checks the 1,320 that count-orientations prints
+    # for Petersen, and seeded graphs with n = 9..12 and m <= 16, their
+    # edges among 6..n of the vertices, refuted ones included
+    petersen = bundled_graph("petersen")
+    assert count_semi_transitive_naive(petersen) == count_semi_transitive(petersen) == 1320
+    rng = random.Random(913)
+    zeros = 0
+    for _ in range(40):
+        n = rng.randint(9, 12)
+        core = rng.sample(range(1, n + 1), rng.randint(6, n))
+        pairs = list(itertools.combinations(sorted(core), 2))
+        g = graph_from_edge_list(n, rng.sample(pairs, min(len(pairs), rng.randint(10, 16))))
+        count = count_semi_transitive(g)
+        assert count_semi_transitive_naive(g) == count
+        zeros += count == 0
+    assert zeros == 3
+
+
 def test_two_to_the_blocks_divides_every_count():
     # reversing one block of a semi-transitive orientation keeps it so
     rng = random.Random(16)
@@ -682,7 +713,7 @@ def test_search_counters_locked():
 
     from wordrep.decision import decide
     from wordrep.graphs import enumerate_graphs
-    assert counters(decide(bundled_graph("A")).stats) == (17, 66, 0, 0)
+    assert counters(decide(bundled_graph("A")).stats) == (17, 70, 0, 0)
     stats = SearchStats()
     total = sum(count_semi_transitive(cls.graph, stats) for cls in enumerate_graphs(6))
     # searching the components in turn moved these from (17574, 5844,
@@ -696,7 +727,10 @@ def test_search_counters_locked():
     # (17288, 5816, 6533, 110).  Placing each forced leg at once, before
     # the next cycle is read, moved propagations from 71 (A), 2475 and
     # 5271 below: a failing branch places another number of arcs before
-    # its conflict, and every other counter stays
+    # its conflict, and every other counter stays.  Reading the lowest
+    # dirty cycle next, from a mask of cycle ids, instead of the cycles of
+    # the lowest unread edge, moved propagations from 66 (A) and 5349
+    # below, for the same reason; 2487 here did not move
     assert (total, counters(stats)) == (6533, (6400, 2487, 2331, 50))
     runs = [(len(cls.graph.edges) == 21, decide(cls.graph))
             for cls in enumerate_graphs(7)]
@@ -704,7 +738,7 @@ def test_search_counters_locked():
     # one more node and leaf check for each further component with an edge
     # (from 8936 and 1017)
     assert tuple(map(sum, zip(*(counters(d.stats) for k7, d in runs if not k7)))) == \
-        (8987, 5349, 1068, 0)
+        (8987, 5372, 1068, 0)
     # K7 is searched like any graph: its 21 edges FORWARD, one leaf
     assert [counters(d.stats) for k7, d in runs if k7] == [(22, 0, 1, 0)]
 

@@ -68,7 +68,7 @@ def test_every_export_has_a_caller_or_is_documented():
 # the boundaries between modules
 
 SHARED_PRIVATE = {"_bits", "_components", "_Searcher",
-                  "_forward_semi_transitive", "_color_classes", "_integer"}
+                  "_forward_semi_transitive", "_color_classes", "_integer", "_decimal"}
 SEARCH_STATE = {"found", "rows"}
 
 
@@ -157,6 +157,8 @@ C1200 = Orientation(graph_from_edge_list(1200, P1200.edges + ((1, 1200),)), (FOR
     pytest.param(lambda: decide(graph_from_edge_list(41, [])), id="orientation-search"),
     pytest.param(lambda: count_semi_transitive(M25), id="count"),
     pytest.param(lambda: count_semi_transitive_naive(M25), id="count-naive"),
+    pytest.param(lambda: count_semi_transitive_naive(graph_from_edge_list(501, [])),
+                 id="count-naive-vertices"),
     pytest.param(lambda: verify_certificate(G9, Decision(NON_REPRESENTABLE, None, SearchStats())),
                  id="refutation-recheck"),
     pytest.param(lambda: find_k_uniform_word(graph_from_edge_list(11, []), 3), id="word-search"),
