@@ -64,7 +64,12 @@ class Orientation:
         if len(self.dirs) != len(self.base.edges):
             raise OutOfRangeError(
                 f"{len(self.dirs)} directions for {len(self.base.edges)} edges")
-        for (u, v), d in zip(self.base.edges, self.dirs):
+        try:   # an unhashable entry is no direction
+            if _DIRECTIONS.issuperset(self.dirs):
+                return
+        except TypeError:
+            pass
+        for (u, v), d in zip(self.base.edges, self.dirs):   # name the first bad one
             try:
                 if d in _DIRECTIONS:
                     continue
@@ -213,6 +218,17 @@ def is_semi_transitive(o: Orientation) -> bool:
 # direction is its sign.  The legs as two edge masks: ring, all four, and
 # minus, the sign -1 ones.
 
+def _edge_ids(g: Graph) -> list[int]:
+    """Each edge's place in g.edges, at u * (n + 1) + v and at
+    v * (n + 1) + u of one flat list, so a look-up needs no ordered pair;
+    (n + 1)^2 entries, 1,681 at SEARCH_MAX_N."""
+    w = g.n + 1
+    ids = [0] * (w * w)
+    for i, (u, v) in enumerate(g.edges):
+        ids[u * w + v] = ids[v * w + u] = i
+    return ids
+
+
 def _four_cycles(g: Graph) -> tuple[list[tuple], list[int]]:
     """The 4-cycles with at most one chord as one flat table of
     (ring, minus, cycle) entries, a cycle's id its place in the table,
@@ -222,8 +238,9 @@ def _four_cycles(g: Graph) -> tuple[list[tuple], list[int]]:
     each pair b < d of common neighbours of a and c above a closes one.
     When a-c is an edge, the ds adjacent to b are dropped, so no cycle
     with both chords is visited.  The bits are walked inline, and an a's
-    cycles, found by c, are sorted only when there are two or more."""
-    adj, index = g.adj, g.edge_index
+    cycles, found by c, are sorted only when there are two or more.  The
+    legs' edge ids come from the flat list of _edge_ids."""
+    adj, ids, w = g.adj, _edge_ids(g), g.n + 1
     table: list[tuple] = []
     through = [0] * len(g.edges)
     for a in g.vertices():
@@ -248,12 +265,12 @@ def _four_cycles(g: Graph) -> tuple[list[tuple], list[int]]:
         for b, c, d in cycles:
             # a is the least vertex, so a->b goes with its stored edge and
             # d->a against it
-            ab, da = index[a, b], index[a, d]
-            bc = index[b, c] if b < c else index[c, b]
-            cd = index[c, d] if c < d else index[d, c]
+            ab, bc, cd, da = ids[a * w + b], ids[b * w + c], ids[c * w + d], ids[d * w + a]
             bit = 1 << len(table)
-            for e in (ab, bc, cd, da):
-                through[e] |= bit
+            through[ab] |= bit
+            through[bc] |= bit
+            through[cd] |= bit
+            through[da] |= bit
             table.append((1 << ab | 1 << bc | 1 << cd | 1 << da,
                           (b > c) << bc | (d < c) << cd | 1 << da, (a, b, c, d)))
     return table, through
@@ -380,9 +397,17 @@ class _Searcher:
         self.found = (0, 0)   # finding: fwd and bwd of each part's passing leaf, ORed
 
     def dirs(self, fwd: int, bwd: int) -> list[int | None]:
-        """The partial orientation in two edge masks, one direction or None per edge."""
-        return [FORWARD if fwd >> e & 1 else BACKWARD if bwd >> e & 1 else None
-                for e in range(len(self.g.edges))]
+        """The partial orientation in two edge masks, one direction or None
+        per edge, read from their binary digits, edge 0 first; the bit
+        above the last edge keeps one digit per edge, none when there are
+        no edges.  A total one is read from fwd alone."""
+        m = len(self.g.edges)
+        ups = format(fwd | 1 << m, "b")[:0:-1]
+        if fwd | bwd == (1 << m) - 1:
+            return [FORWARD if u == "1" else BACKWARD for u in ups]
+        downs = format(bwd | 1 << m, "b")[:0:-1]
+        return [FORWARD if u == "1" else BACKWARD if d == "1" else None
+                for u, d in zip(ups, downs)]
 
     def propagate(self, fwd: int, bwd: int, c: int, to_fwd: int, to_bwd: int
                   ) -> tuple[tuple[int, ...] | None, int, int, int]:
@@ -512,8 +537,13 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
     that would close a directed cycle, as h already reaches t.  Sound on
     every graph: 4-cycles with both chords are not indexed.  It is the
     search's node step, _Searcher.propagate, from the root state, so a
-    fixpoint returned is acyclic.
+    fixpoint returned is acyclic.  Its packed closure grows as n^2 bits
+    however few the edges, so n > SEARCH_MAX_N (40) raises TooLargeError,
+    as the search does.
     """
+    if g.n > SEARCH_MAX_N:
+        raise TooLargeError(
+            f"four-cycle propagation supports n <= {SEARCH_MAX_N}, got {g.n}")
     if o.base != g:
         raise OutOfRangeError("orientation does not belong to this graph")
     s = _Searcher(g)
@@ -529,8 +559,9 @@ def _blocks(g: Graph) -> list[int]:
     """Each block (biconnected component) of g as an edge mask, by lowest
     edge.  One depth-first search: each subtree hands up its edges not yet
     in a block, and those of w's, with the tree edge v-w, form a block
-    once w's subtree has no edge above v."""
-    adj, index = g.adj, g.edge_index
+    once w's subtree has no edge above v.  Edge ids come from the flat
+    list of _edge_ids."""
+    adj, ids, stride = g.adj, _edge_ids(g), g.n + 1
     depth = [0] * (g.n + 1)   # 0: not yet visited
     blocks: list[int] = []
 
@@ -538,9 +569,9 @@ def _blocks(g: Graph) -> list[int]:
         """Search below v at depth d; the least depth an edge from v's
         subtree reaches, and the subtree's edges not yet in a block."""
         depth[v] = low = d
-        edges = 0
+        edges, at = 0, v * stride
         for w in _bits(adj[v]):
-            e = 1 << index[(v, w) if v < w else (w, v)]
+            e = 1 << ids[at + w]
             if not depth[w]:
                 below, up = visit(w, d + 1)
                 if below < d:

@@ -125,6 +125,14 @@ def test_verify_certificate_rejects_bad_witness():
     assert not verify_certificate(k4, other_graph)
 
 
+def test_edgeless_graphs_have_the_empty_witness():
+    for n in (1, 3):
+        g = graph_from_edge_list(n, [])
+        d = decide(g)
+        assert d.verdict == REPRESENTABLE and d.witness.dirs == ()
+        assert verify_certificate(g, d)
+
+
 def test_verify_certificate_rejects_false_refutation():
     # every class with n <= 5 is representable, so some orientation with
     # the first edge FORWARD passes; the five edgeless ones have no first

@@ -194,6 +194,33 @@ def test_lemma1_empty_is_fixed_point():
     assert lemma1_propagate(K4, o) == o
 
 
+def test_lemma1_keeps_unforced_edges_unassigned():
+    # on C4 plus the pendant edge 4-5, 1->2 and 2->3 force 4->3 and 1->4;
+    # the pendant edge is on no 4-cycle and stays None
+    g = graph_from_edge_list(5, C4.edges + ((4, 5),))
+    result = lemma1_propagate(g, orientation_from_arcs(g, [(1, 2), (2, 3)]))
+    assert result.dirs == (FORWARD, FORWARD, FORWARD, BACKWARD, None)
+    path = graph_from_edge_list(3, [(1, 2), (2, 3)])
+    o = Orientation(path, (None, BACKWARD))
+    assert lemma1_propagate(path, o) == o
+
+
+def test_searches_build_no_edge_dict():
+    # every search looks its edge ids up in a flat list (_edge_ids), so
+    # none builds the graph's edge_index dict
+    from wordrep.decision import decide
+    from wordrep.wordsearch import find_word
+    calls = (decide, count_semi_transitive, find_word,
+             lambda g: lemma1_propagate(g, Orientation(g, (None,) * len(g.edges))))
+    for call in calls:
+        for source in (C4, DIAMOND, K4, bundled_graph("A")):
+            if call is find_word and source.n > 4:
+                continue   # A's refutation up to k = 3 is a slow word search
+            g = graph_from_edge_list(source.n, source.edges)
+            call(g)
+            assert "adj" in vars(g) and "edge_index" not in vars(g)
+
+
 def test_lemma1_forcing_on_c4():
     # arcs 1->2, 2->3 block both runs through them: 3->4 would finish
     # 1->2->3->4 and 4->1 would finish 4->1->2->3; one chord (the diamond's
@@ -386,9 +413,9 @@ def test_mask_kernel_matches_leg_by_leg_reference():
 def test_forcing_fixpoint_is_order_independent():
     # the rule's answer does not depend on the order its pending work is
     # taken in: on seeded batches the reference taking its arcs to place,
-    # edges to read and forced legs in shuffled orders reaches a fixpoint
-    # exactly when propagate does, and the same masks; a failure may end
-    # on another cycle or a refusal
+    # dirty cycles to read and forced legs in shuffled orders reaches a
+    # fixpoint exactly when propagate does, and the same masks; a failure
+    # may end on another cycle or a refusal
     rng = random.Random(3107)
     outcomes = collections.Counter()
     for _ in range(600):

@@ -29,7 +29,13 @@ from wordrep import (
     word_from_letters,
 )
 from wordrep import errors
-from wordrep.orientations import FORWARD, Orientation, count_semi_transitive_naive, is_semi_transitive
+from wordrep.orientations import (
+    FORWARD,
+    Orientation,
+    count_semi_transitive_naive,
+    is_semi_transitive,
+    lemma1_propagate,
+)
 
 PACKAGE = pathlib.Path(wordrep.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -143,6 +149,7 @@ def test_one_error_class_per_decision_a_caller_makes():
 
 
 G9 = graph_from_edge_list(9, [])
+G41 = graph_from_edge_list(41, [])
 M25 = graph_from_edge_list(8, list(itertools.combinations(range(1, 9), 2))[:25])
 P1200 = graph_from_edge_list(1200, [(v, v + 1) for v in range(1, 1200)])
 # 1 -> 2 -> ... -> 1200 plus the arc 1 -> 1200, every edge FORWARD
@@ -155,6 +162,7 @@ C1200 = Orientation(graph_from_edge_list(1200, P1200.edges + ((1, 1200),)), (FOR
     pytest.param(lambda: list(enumerate_graphs(8)), id="enumerate-graphs"),
     pytest.param(lambda: entropy_table(8), id="entropy-table"),
     pytest.param(lambda: decide(graph_from_edge_list(41, [])), id="orientation-search"),
+    pytest.param(lambda: lemma1_propagate(G41, Orientation(G41, ())), id="four-cycle-propagation"),
     pytest.param(lambda: count_semi_transitive(M25), id="count"),
     pytest.param(lambda: count_semi_transitive_naive(M25), id="count-naive"),
     pytest.param(lambda: count_semi_transitive_naive(graph_from_edge_list(501, [])),
