@@ -367,6 +367,54 @@ def _perm_tables(n: int) -> np.ndarray:
     return weight[perms[:, us].T, perms[:, vs].T]
 
 
+@functools.cache
+def _three_class_codes(n: int) -> np.ndarray:
+    """Codes of the disjoint unions of three nonempty cliques covering
+    1..n, the pairs that a 3-colouring leaves inside its classes: one per
+    partition of 1..n into three blocks, 301 at n = 7, 90 at n = 6, only
+    0 at n = 3 and none for n <= 2.  Built once per n from Python ints,
+    one clique code per vertex set OR-ed per partition (0.17 ms at n = 7);
+    int32 holds them for n <= 8, as in _perm_tables."""
+    import numpy as np
+    s = n * (n - 1) // 2
+    slot = {p: 1 << (s - 1 - i) for i, p in enumerate(_pairs(n))}
+    # clique[S], bit i of S standing for vertex i + 1: the pairs of S are
+    # those of S less its least vertex, those of S less its top vertex,
+    # and the pair of those two
+    clique = [0] * (1 << n)
+    for S in range(1, 1 << n):
+        low, top = S & -S, 1 << S.bit_length() - 1
+        if low != top:
+            clique[S] = (clique[S ^ low] | clique[S ^ top]
+                         | slot[low.bit_length(), top.bit_length()])
+    # blocks a (holding vertex 1), b (holding the least vertex a leaves)
+    # and c, the rest: each partition once
+    full, codes = (1 << n) - 1, []
+    for a in range(1, full, 2):
+        rest = full ^ a
+        least = rest & -rest
+        b = rest   # b runs down the proper subsets of rest, kept if holding least
+        while b:
+            b = b - 1 & rest
+            if b & least:
+                codes.append(clique[a] | clique[b] | clique[rest ^ b])
+    return np.array(codes, np.int32)
+
+
+def _three_colourable(n: int, codes: list[int]) -> list[bool]:
+    """For each graph code on n vertices, whether the graph is
+    3-colourable: whether the code shares no bit with some code of
+    _three_class_codes(n), all in one broadcast AND.  Three nonempty
+    classes lose nothing for n >= 3, since a colouring that leaves a
+    class empty can split a larger one; every graph on n <= 2 vertices
+    is 3-colourable."""
+    if n <= 2:
+        return [True] * len(codes)
+    import numpy as np
+    masks = _three_class_codes(n)
+    return ((np.array(codes, np.int32)[:, None] & masks).min(axis=1) == 0).tolist()
+
+
 def _orbit_codes(n: int, mask: int) -> np.ndarray:
     """Codes of all n! relabelings of the graph encoded by mask: the sum,
     per permutation, of the slot values its edges land on."""

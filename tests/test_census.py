@@ -16,7 +16,7 @@ import pytest
 from wordrep import REPRESENTABLE, census, decide, entropy_table
 from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import (
-    _color_classes,
+    _three_colourable,
     enumerate_graphs,
     find_proper_coloring,
     graph_from_edge_list,
@@ -98,11 +98,12 @@ def test_certificate_split():
     # of the rest, those its vertex order 1..n accepts
     by_coloring, by_order = [], []
     for n in range(1, 8):
-        graphs = [cls.graph for cls in enumerate_graphs(n)]
-        colored = [g for g in graphs if _color_classes(g, 3) is not None]
+        classes = list(enumerate_graphs(n))
+        accepted = _three_colourable(n, [cls.form.code for cls in classes])
+        colored = [cls.graph for cls, ok in zip(classes, accepted) if ok]
         by_coloring.append(len(colored))
-        by_order.append(sum(_forward_semi_transitive(g) for g in graphs
-                            if _color_classes(g, 3) is None))
+        by_order.append(sum(_forward_semi_transitive(cls.graph)
+                            for cls, ok in zip(classes, accepted) if not ok))
         # the colouring certificate, re-checked by path enumeration
         for g in colored:
             assert is_semi_transitive(orient_by_coloring(g, find_proper_coloring(g, 3)))
@@ -112,10 +113,13 @@ def test_certificate_split():
 
 def test_three_colourable_labelled_totals():
     # c_n, the labelled 3-colourable graphs, by orbit-stabilizer over the
-    # classes the colouring accepts, and for n <= 5 by generate-and-test
-    # over every labelled graph
-    c_n = [sum(cls.labelled_size for cls in enumerate_graphs(n)
-               if _color_classes(cls.graph, 3) is not None) for n in range(1, 8)]
+    # classes the census's colouring test accepts, and for n <= 5 by
+    # generate-and-test over every labelled graph
+    c_n = []
+    for n in range(1, 8):
+        classes = list(enumerate_graphs(n))
+        accepted = _three_colourable(n, [cls.form.code for cls in classes])
+        c_n.append(sum(cls.labelled_size for cls, ok in zip(classes, accepted) if ok))
     assert c_n == [1, 2, 8, 63, 958, 27554, 1457047]
     assert [sum(ref_colorable(g, 3) for g in all_graphs(n)) for n in range(1, 6)] == c_n[:5]
 

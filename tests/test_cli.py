@@ -70,6 +70,8 @@ def test_decide_golden_json(capsys, graph_file):
 # the run's stderr and its stdout must be empty; any other file holds the
 # stdout and its stderr must be empty.
 GOLDEN_RUNS = [
+    ("census_7_table.json", 0, ["census", "7", "--table", "--json"]),
+    ("census_7_table.txt", 0, ["census", "7", "--table"]),
     ("census_6_table.json", 0, ["census", "6", "--table", "--json"]),
     ("census_6_table.txt", 0, ["census", "6", "--table"]),
     ("census_5.txt", 0, ["census", "5"]),

@@ -13,6 +13,9 @@ import pytest
 from wordrep.bundled import bundled_graph
 from wordrep.errors import OutOfRangeError, ParseError, TooLargeError
 from wordrep.graphs import (
+    _color_classes,
+    _three_class_codes,
+    _three_colourable,
     canonical_form,
     are_isomorphic,
     delete_vertex,
@@ -209,6 +212,43 @@ def test_proper_coloring_matches_brute_force():
                 if c is not None:
                     assert len(c.color) == n and c.is_proper(g)
                     assert set(c.color) <= set(range(1, k + 1))
+
+
+def _code(n, edges):
+    # MSB-first upper-triangle code: pair (1, 2) is the top slot
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return sum(1 << len(pairs) - 1 - pairs.index(e) for e in edges)
+
+
+def test_three_class_codes_are_the_three_colourings():
+    # one code per partition of 1..n into three nonempty blocks, the
+    # Stirling numbers S(n, 3): the pairs that a colouring using all three
+    # colours leaves inside its classes, by generate-and-test over 3^n
+    for n in range(1, 8):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        want = {_code(n, [(u, v) for u, v in pairs if col[u - 1] == col[v - 1]])
+                for col in itertools.product(range(3), repeat=n) if len(set(col)) == 3}
+        got = _three_class_codes(n).tolist()
+        assert len(got) == len(set(got)) and set(got) == want, n
+    assert [len(_three_class_codes(n)) for n in range(1, 8)] == [0, 0, 1, 6, 25, 90, 301]
+    assert _three_class_codes(3).tolist() == [0]
+
+
+def test_three_colourable_codes_match_the_backtracking():
+    # the census's test from class codes alone: against _color_classes on
+    # every class with n <= 7, and against generate-and-test on every
+    # labelled graph with n <= 5
+    total = 0
+    for n in range(1, 8):
+        classes = list(enumerate_graphs(n))
+        assert _three_colourable(n, [cls.form.code for cls in classes]) == [
+            _color_classes(cls.graph, 3) is not None for cls in classes], n
+        total += len(classes)
+    assert total == 1252
+    for n in range(1, 6):
+        graphs = list(all_graphs(n))
+        assert _three_colourable(n, [_code(n, g.edges) for g in graphs]) == [
+            ref_colorable(g, 3) for g in graphs], n
 
 
 def test_canonical_form_relabelings_agree():

@@ -74,7 +74,7 @@ def test_every_export_has_a_caller_or_is_documented():
 # the boundaries between modules
 
 SHARED_PRIVATE = {"_bits", "_components", "_Searcher",
-                  "_forward_semi_transitive", "_color_classes", "_integer", "_decimal"}
+                  "_forward_semi_transitive", "_three_colourable", "_integer", "_decimal"}
 SEARCH_STATE = {"found", "rows"}
 
 
