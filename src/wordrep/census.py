@@ -1,8 +1,9 @@
 """Speed of the word-representable class at small n: the labelled count
 b_n, the unlabelled count a_n, and the entropy log2(b_n)/C(n,2).
 
-The census walks one representative per isomorphism class and decides
-each; labelled totals come from orbit-stabilizer (a class on n vertices
+The census walks one representative per isomorphism class and settles
+each, by a certificate, by heredity from the row below or by a search;
+labelled totals come from orbit-stabilizer (a class on n vertices
 has n!/|Aut| labelled copies), so nothing ever enumerates all 2^C(n,2)
 labelled graphs.
 """
@@ -15,7 +16,15 @@ from dataclasses import dataclass
 
 from .decision import REPRESENTABLE, decide
 from .errors import OutOfRangeError, TooLargeError
-from .graphs import ENUMERATE_MAX_N, _integer, _three_colourable, enumerate_graphs
+from .graphs import (
+    ENUMERATE_MAX_N,
+    GraphClass,
+    _deletion_codes,
+    _integer,
+    _orbit_codes,
+    _three_colourable,
+    enumerate_graphs,
+)
 from .orientations import _forward_semi_transitive
 
 
@@ -37,48 +46,83 @@ def _entropy(n: int, b_n: int) -> float | None:
 
 def census(n: int) -> SpeedRow:
     """Exact counts for vertex count n <= ENUMERATE_MAX_N (7): one verdict
-    per isomorphism class, never one per labelled graph.
+    per isomorphism class, never one per labelled graph.  The row is the
+    last of one pass over n = 1..n (_rows), so the rows below it are
+    counted too.  Three certificates come before any search.
 
-    Two certificates come before any search.  A 3-colourable class is
-    representable: orienting each edge from the lower colour class to the
-    higher leaves no directed path of three arcs, so no shortcut
-    (orient_by_coloring), which holds for 667 of the 1,044 classes at
-    n = 7.  The test reads only the class codes: a graph is 3-colourable
-    when its code shares no bit with that of some union of three cliques
-    covering 1..n (_three_colourable), so these classes build no
-    adjacency and never backtrack.  It runs on 64 classes at a time,
-    which keeps its broadcast AND to 64 x 301 codes at n = 7 and moved
-    the benchmark's peak RSS less than one AND over all 1,044.  Of the
-    rest, a class whose vertex order 1..n (every edge FORWARD) is
+    A 3-colourable class is representable: orienting each edge from the
+    lower colour class to the higher leaves no directed path of three
+    arcs, so no shortcut (orient_by_coloring), which holds for 667 of the
+    1,044 classes at n = 7.  The test reads only the class codes: a graph
+    is 3-colourable when its code shares no bit with that of some union
+    of three cliques covering 1..n (_three_colourable), so these classes
+    build no Graph and never backtrack.  It runs on 64 classes at a time,
+    which keeps its broadcast AND to 64 x 301 codes at n = 7 and moved the
+    benchmark's peak RSS less than one AND over all 1,044.
+
+    Representability is hereditary: deleting a vertex's letters from a
+    word that represents a graph represents the graph less that vertex.
+    So a class is refuted, with no Graph and no search, when one of its
+    one-vertex deletions (_deletion_codes) is a labelled code of a class
+    refuted in the row below: 16 classes at n = 7, each holding a 5-wheel.
+    Each row hands the next the labelled codes of its refuted classes,
+    W5's 72 after n = 6, and the last row hands on nothing.
+
+    Of the rest, a class whose vertex order 1..n (every edge FORWARD) is
     semi-transitive is representable too: 212 more at n = 7.  decide
-    searches only what is left, 171 of the 1,251 classes for n = 2..7.
-    No witness is emitted, so which certificate accepts a class changes
-    no output.  A non-integer n raises OutOfRangeError (_integer)."""
+    searches only what is left, 149 of the 1,044 classes at n = 7 and 155
+    of the 1,252 for n = 1..7.  No witness is emitted, so which
+    certificate settles a class changes no output.  A non-integer n
+    raises OutOfRangeError (_integer)."""
     n = _integer(n, "vertex count")
-    a_n = b_n = 0
-    nonrep = []
-    classes = enumerate_graphs(n)
-    while chunk := list(itertools.islice(classes, 64)):
-        coloured = _three_colourable(n, [cls.form.code for cls in chunk])
-        for cls, certified in zip(chunk, coloured):
-            g = cls.graph
-            if certified or _forward_semi_transitive(g) or decide(g).verdict == REPRESENTABLE:
-                a_n += 1
-                b_n += cls.labelled_size
-            else:
-                nonrep.append(cls.form.key)
-    return SpeedRow(n, a_n, b_n, _entropy(n, b_n), tuple(sorted(nonrep)))
+    if n > ENUMERATE_MAX_N:
+        raise TooLargeError(f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
+    if n < 1:
+        raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
+    return _rows(n)[-1]
+
+
+def _rows(n_max: int) -> list[SpeedRow]:
+    """The census rows n = 1..n_max, in one pass (see census)."""
+    rows, refuted = [], set()
+    for n in range(1, n_max + 1):
+        a_n = b_n = 0
+        nonrep = []
+        classes = enumerate_graphs(n)
+        while chunk := list(itertools.islice(classes, 64)):
+            coloured = _three_colourable(n, [cls.form.code for cls in chunk])
+            for cls, certified in zip(chunk, coloured):
+                if certified or _representable(cls, refuted):
+                    a_n += 1
+                    b_n += cls.labelled_size
+                else:
+                    nonrep.append(cls.form)
+        rows.append(SpeedRow(n, a_n, b_n, _entropy(n, b_n),
+                             tuple(sorted(form.key for form in nonrep))))
+        if n < n_max:
+            refuted = set().union(*(_orbit_codes(n, form.code).tolist() for form in nonrep))
+    return rows
+
+
+def _representable(cls: GraphClass, refuted: set[int]) -> bool:
+    """A class that is not 3-colourable: refuted by heredity when one of
+    its deletions is in refuted, the labelled codes of the refuted
+    classes one vertex smaller; else by the vertex order or decide."""
+    if refuted and not refuted.isdisjoint(_deletion_codes(cls.form.n, cls.form.code)):
+        return False
+    g = cls.graph
+    return _forward_semi_transitive(g) or decide(g).verdict == REPRESENTABLE
 
 
 def entropy_table(n_max: int, long_ok: bool = False) -> list[SpeedRow]:
-    """Rows for n = 2..n_max, 2 <= n_max <= ENUMERATE_MAX_N (7).  long_ok
-    does nothing; it stays only because perfbench/worker.py passes it.
-    A non-integer n_max raises OutOfRangeError (_integer)."""
+    """Rows for n = 2..n_max, 2 <= n_max <= ENUMERATE_MAX_N (7), from one
+    pass of _rows.  long_ok does nothing; it stays only because
+    perfbench/worker.py passes it.  A non-integer n_max raises
+    OutOfRangeError (_integer)."""
     n_max = _integer(n_max, "n_max")
     if n_max < 2:
         raise OutOfRangeError(f"entropy table needs n >= 2, got {n_max}")
     if n_max > ENUMERATE_MAX_N:
         raise TooLargeError(
             f"entropy table supports n <= {ENUMERATE_MAX_N}, got {n_max}")
-    return [census(n) for n in range(2, n_max + 1)]
-
+    return _rows(n_max)[1:]

@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -416,12 +417,51 @@ def _three_colourable(n: int, codes: list[int]) -> list[bool]:
 
 
 def _orbit_codes(n: int, mask: int) -> np.ndarray:
-    """Codes of all n! relabelings of the graph encoded by mask: the sum,
-    per permutation, of the slot values its edges land on."""
+    """Codes of all n! relabelings of the graph encoded by mask: per
+    permutation, the OR of the slot values its edges land on, which are
+    distinct powers of two, so the OR is their sum.  The census takes
+    these every pass, and numpy's int32 add, which runs nowhere else on
+    its path, faulted in 64 KB more of numpy's code than its int32
+    bitwise loops, which are in already."""
+    import numpy as np
     values = _perm_tables(n)
     s = len(values)
     edge_slots = [i for i in range(s) if mask >> (s - 1 - i) & 1]
-    return values[edge_slots].sum(axis=0, dtype=values.dtype)
+    return np.bitwise_or.reduce(values[edge_slots], axis=0)
+
+
+@functools.cache
+def _deletion_tables(n: int) -> list[list[int]]:
+    """tables[k][x] packs the codes that the graph of code bits x << 8k
+    leaves after each one-vertex deletion, that of deleting v in the
+    32-bit field v - 1.  Deleting a vertex keeps the other pairs in their
+    order, so a code's deletions are the OR of its bytes' entries."""
+    s = n * (n - 1) // 2
+    w = s - (n - 1)   # C(n-1, 2) < 32 for n <= 9
+    pairs, slot = _pairs(n), {p: i for i, p in enumerate(_pairs(n - 1))}
+    single = []   # the entry of code bit b, the pair in slot s - 1 - b
+    for a, b in reversed(pairs):
+        single.append(sum(1 << 32 * (v - 1) + w - 1 - slot[a - (a > v), b - (b > v)]
+                          for v in range(1, n + 1) if v != a and v != b))
+    tables = []
+    for low in range(0, s, 8):
+        table = [0]
+        for x in range(1, 1 << min(8, s - low)):
+            bit = x & -x
+            table.append(table[x ^ bit] | single[low + bit.bit_length() - 1])
+        tables.append(table)
+    return tables
+
+
+def _deletion_codes(n: int, code: int) -> list[int]:
+    """The codes, on n - 1 vertices, of the graph of code less vertex v,
+    relabelled v+1..n down by one as by delete_vertex, for v = 1..n: the
+    fields of _deletion_tables, read out as 32-bit ints in C."""
+    packed = 0
+    for table in _deletion_tables(n):
+        packed |= table[code & 255]
+        code >>= 8
+    return memoryview(packed.to_bytes(4 * n, sys.byteorder)).cast("I").tolist()
 
 
 @dataclass(frozen=True)
@@ -451,10 +491,16 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 @dataclass(frozen=True)
 class GraphClass:
-    graph: Graph              # representative, already canonically labelled
     form: CanonicalForm
     aut_size: int
     labelled_size: int        # n! / |Aut|, orbit-stabilizer
+
+    @_cached
+    def graph(self) -> Graph:
+        """The representative, already canonically labelled, built from
+        the code on first read: the census reads none of the 3-colourable
+        classes' graphs."""
+        return _graph_from_mask(self.form.n, self.form.code)
 
 
 def enumerate_graphs(n: int) -> Iterator[GraphClass]:
@@ -488,7 +534,7 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
         raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
     fact = math.factorial(n)
     for code, aut in _class_codes(n):
-        yield GraphClass(_graph_from_mask(n, code), CanonicalForm(n, code), aut, fact // aut)
+        yield GraphClass(CanonicalForm(n, code), aut, fact // aut)
 
 
 def _class_codes(n: int) -> list[tuple[int, int]]:
@@ -498,15 +544,21 @@ def _class_codes(n: int) -> list[tuple[int, int]]:
     values = _perm_tables(n)
     s = len(values)
     top, full = s - 1, (1 << s) - 1   # mask bit b is slot top - b
+    # seen[mask] = popcount(mask) > half, as the popcount of the low half
+    # bits > half - that of the high s - half bits: each run of 2^half
+    # masks sharing their high bits is one of only s - half + 1 distinct
+    # rows, a translate of the low halves' popcount bytes, copied in row
+    # by row (a join of all 2^(s - half) rows at once holds a buffer
+    # record per row, 160 KB beside seen at n = 7)
+    half, width = s // 2, 1 << s // 2
+    low = bytes(b.bit_count() for b in range(width))
+    rows = [low.translate(bytes(p > half - h for p in range(256)))
+            for h in range(s - half + 1)]
     seen = bytearray(1 << s)
+    with memoryview(seen) as view:
+        for high, start in enumerate(range(0, 1 << s, width)):
+            view[start:start + width] = rows[high.bit_count()]
     marks = np.frombuffer(seen, dtype=np.bool_)
-    # seen[mask] = popcount(mask) > half, as the popcount of the high
-    # s - half bits > half - that of the low half bits: one broadcast
-    # comparison of two half-width tables, written straight into seen
-    half = s // 2
-    counts = np.array([b.bit_count() for b in range(1 << s - half)], np.intp)
-    np.greater(counts[:, None], half - counts[None, :1 << half],
-               out=marks.reshape(1 << s - half, 1 << half))
     codes = np.zeros(math.factorial(n), dtype=np.intp)   # intp: the scatter needs no copy
     found = []
     last = mask = 0

@@ -84,6 +84,18 @@ def _check_refutation() -> list[CheckResult]:
     return [CheckResult("a-refutation", refuted and confirmed, detail)]
 
 
+def _check_max_degree() -> list[CheckResult]:
+    """The paper's headline: A has max degree 4, so a graph of max degree
+    4 need not be representable, where every graph of max degree 3 is.
+    The census refutes one other class of max degree 4 at n = 7,
+    7:03ef71, with 13 edges."""
+    a = bundled_graph("A")
+    return [CheckResult(
+        "a-max-degree", a.max_degree() == 4,
+        f"A has max degree {a.max_degree()}, degrees {a.degree_sequence()}; "
+        "7:03ef71 is the other refuted class with max degree 4 at n = 7")]
+
+
 def _check_case_replay() -> list[CheckResult]:
     a = bundled_graph("A")
     start = orientation_from_arcs(a, [(1, 2), (6, 1)])
@@ -125,6 +137,7 @@ def run_all_checks() -> list[CheckResult]:
     checks.extend(_check_petersen())
     refutation = _check_refutation()
     checks.extend(refutation)
+    checks.extend(_check_max_degree())
     checks.extend(_check_case_replay())
     checks.extend(_check_counts(refutation[0].passed))
     return checks

@@ -426,11 +426,11 @@ def brute_canonical(g: Graph):
 
 
 def ref_enumerate_graphs(n: int):
-    """The class sweep computed from scratch: every class's n! orbit codes
-    come from one gather-sum over the relabel table, where the package
-    updates the last class's codes by the slots that change, and every
-    representative is built by testing each of the C(n,2) slots of its
-    code, where the package walks the set bits."""
+    """The class sweep computed from scratch, as (class, representative)
+    pairs: every class's n! orbit codes come from one gather-sum over the
+    relabel table, where the package updates the last class's codes by the
+    slots that change, and every representative is built by testing each
+    of the C(n,2) slots of its code, where the package walks the set bits."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     fact = math.factorial(n)
     seen = bytearray(1 << math.comb(n, 2))
@@ -441,7 +441,7 @@ def ref_enumerate_graphs(n: int):
         marks[codes] = 1
         aut = int((codes == mask).sum())
         edges = [p for i, p in enumerate(pairs) if mask >> (len(pairs) - 1 - i) & 1]
-        yield GraphClass(Graph(n, tuple(edges)), CanonicalForm(n, mask), aut, fact // aut)
+        yield GraphClass(CanonicalForm(n, mask), aut, fact // aut), Graph(n, tuple(edges))
         mask = seen.find(0, mask + 1)
 
 

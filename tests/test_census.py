@@ -13,10 +13,14 @@ import sys
 import numpy as np
 import pytest
 
-from wordrep import REPRESENTABLE, census, decide, entropy_table
+from wordrep import NON_REPRESENTABLE, REPRESENTABLE, census, decide, entropy_table
+from wordrep.bundled import bundled_graph
 from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import (
+    _graph_from_mask,
     _three_colourable,
+    canonical_form,
+    delete_vertex,
     enumerate_graphs,
     find_proper_coloring,
     graph_from_edge_list,
@@ -122,6 +126,8 @@ def test_three_colourable_labelled_totals():
         c_n.append(sum(cls.labelled_size for cls, ok in zip(classes, accepted) if ok))
     assert c_n == [1, 2, 8, 63, 958, 27554, 1457047]
     assert [sum(ref_colorable(g, 3) for g in all_graphs(n)) for n in range(1, 6)] == c_n[:5]
+    # 3-colourable graphs are representable
+    assert all(c <= row.b_n for c, row in zip(c_n, [census(1)] + entropy_table(7)))
 
 
 def test_census_decides_only_what_the_vertex_order_leaves(monkeypatch):
@@ -133,10 +139,66 @@ def test_census_decides_only_what_the_vertex_order_leaves(monkeypatch):
 
     monkeypatch.setattr(sys.modules["wordrep.census"], "decide", counted)
     assert census(7).a_n == 1018
-    assert len(calls) == 1044 - 667 - 212 == 165
+    # census(7) runs the rows below it too: 6 searches for n <= 6, and at
+    # n = 7 what the colouring, heredity and the vertex order leave
+    assert calls.count(7) == 1044 - 667 - 16 - 212 == 149
+    assert len(calls) == 6 + 149
     calls.clear()
     entropy_table(7)
-    assert len(calls) == 171
+    assert len(calls) == 155
+
+
+def test_census_builds_graphs_only_where_it_certifies_or_searches(monkeypatch):
+    # the 831 3-colourable classes for n = 2..7 and the 16 refuted by
+    # heredity build no Graph: 1,251 - 831 - 16 = 404
+    built = []
+
+    def counted(n, code):
+        built.append(n)
+        return _graph_from_mask(n, code)
+
+    monkeypatch.setattr(sys.modules["wordrep.graphs"], "_graph_from_mask", counted)
+    entropy_table(7)
+    assert len(built) == 1251 - 831 - 16 == 404
+
+
+def test_heredity_refutes_the_non_minimal_classes(monkeypatch):
+    # the refuted classes that reach decide, against those refuted by
+    # heredity: a class is minimal when every one-vertex deletion is
+    # representable, and only the minimal ones are searched
+    searched = []
+
+    def recorded(g):
+        searched.append(canonical_form(g).key)
+        return decide(g)
+
+    monkeypatch.setattr(sys.modules["wordrep.census"], "decide", recorded)
+    rows = entropy_table(7)
+    monkeypatch.undo()
+    assert rows[4].nonrep_classes == ("6:1eeb",)
+    refuted = set(rows[5].nonrep_classes)
+    by_heredity = refuted - set(searched)
+    assert len(refuted) == 26 and len(by_heredity) == 16
+    graphs = {key: _graph_from_mask(7, int(key[2:], 16)) for key in refuted}
+    minimal = {key for key, g in graphs.items()
+               if all(decide(delete_vertex(g, v)).verdict == REPRESENTABLE
+                      for v in g.vertices())}
+    assert refuted - by_heredity == minimal and len(minimal) == 10
+    for key in by_heredity:
+        g = graphs[key]
+        assert decide(g).verdict == NON_REPRESENTABLE
+        assert any(canonical_form(delete_vertex(g, v)).key == "6:1eeb" for v in g.vertices())
+    # W5 is minimal: every graph on 5 vertices is representable
+    w5 = _graph_from_mask(6, 0x1eeb)
+    assert all(decide(delete_vertex(w5, v)).verdict == REPRESENTABLE for v in w5.vertices())
+
+
+def test_refuted_classes_of_max_degree_4():
+    # the two that verify-paper's a-max-degree row names: A and 7:03ef71
+    refuted = [_graph_from_mask(7, int(key[2:], 16)) for key in census(7).nonrep_classes]
+    assert sorted(canonical_form(g).key for g in refuted if g.max_degree() == 4) == \
+        [canonical_form(bundled_graph("A")).key, "7:03ef71"] == ["7:03af74", "7:03ef71"]
+    assert min(g.max_degree() for g in refuted) == 4
 
 
 def test_row_n7():

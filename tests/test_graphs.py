@@ -14,6 +14,9 @@ from wordrep.bundled import bundled_graph
 from wordrep.errors import OutOfRangeError, ParseError, TooLargeError
 from wordrep.graphs import (
     _color_classes,
+    _deletion_codes,
+    _edge_mask,
+    _graph_from_mask,
     _three_class_codes,
     _three_colourable,
     canonical_form,
@@ -306,7 +309,30 @@ def test_enumerate_matches_from_scratch_sweep():
     # the incremental orbit codes give the same classes, in the same order,
     # with the same representative, form and automorphism count
     for n in range(1, 8):
-        assert list(enumerate_graphs(n)) == list(ref_enumerate_graphs(n))
+        assert [(cls, cls.graph) for cls in enumerate_graphs(n)] == \
+            list(ref_enumerate_graphs(n))
+
+
+def test_class_representatives_are_built_on_first_read():
+    # a class holds its code; its graph is built on the first read and the
+    # same object comes back after
+    for n in range(1, 8):
+        for cls in enumerate_graphs(n):
+            assert "graph" not in vars(cls)
+            g = cls.graph
+            assert g == _graph_from_mask(n, cls.form.code)
+            assert cls.graph is g
+
+
+def test_deletion_codes_match_delete_vertex():
+    # the code of g - v for each v, against delete_vertex on the graph
+    rng = random.Random(11)
+    for n in range(2, 9):
+        for _ in range(40):
+            g = random_graph(rng, n)
+            assert _deletion_codes(n, _edge_mask(g)) == \
+                [_edge_mask(delete_vertex(g, v)) for v in g.vertices()]
+    assert _deletion_codes(1, 0) == [0]
 
 
 def test_enumerate_closed_under_complement():

@@ -73,8 +73,9 @@ def test_every_export_has_a_caller_or_is_documented():
 # ---------------------------------------------------------------------------
 # the boundaries between modules
 
-SHARED_PRIVATE = {"_bits", "_components", "_Searcher",
-                  "_forward_semi_transitive", "_three_colourable", "_integer", "_decimal"}
+SHARED_PRIVATE = {"_bits", "_components", "_Searcher", "_forward_semi_transitive",
+                  "_three_colourable", "_deletion_codes", "_orbit_codes", "_integer",
+                  "_decimal"}
 SEARCH_STATE = {"found", "rows"}
 
 
