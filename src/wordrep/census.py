@@ -20,6 +20,7 @@ from .graphs import (
     ENUMERATE_MAX_N,
     GraphClass,
     _deletion_codes,
+    _enumerable_n,
     _integer,
     _orbit_codes,
     _three_colourable,
@@ -72,14 +73,9 @@ def census(n: int) -> SpeedRow:
     semi-transitive is representable too: 212 more at n = 7.  decide
     searches only what is left, 149 of the 1,044 classes at n = 7 and 155
     of the 1,252 for n = 1..7.  No witness is emitted, so which
-    certificate settles a class changes no output.  A non-integer n
-    raises OutOfRangeError (_integer)."""
-    n = _integer(n, "vertex count")
-    if n > ENUMERATE_MAX_N:
-        raise TooLargeError(f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
-    if n < 1:
-        raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
-    return _rows(n)[-1]
+    certificate settles a class changes no output.  n is checked as by
+    enumerate_graphs (_enumerable_n), before the pass starts."""
+    return _rows(_enumerable_n(n))[-1]
 
 
 def _rows(n_max: int) -> list[SpeedRow]:

@@ -503,6 +503,19 @@ class GraphClass:
         return _graph_from_mask(self.form.n, self.form.code)
 
 
+def _enumerable_n(n) -> int:
+    """n as an int, for a class enumeration: 1 <= n <= ENUMERATE_MAX_N,
+    else TooLargeError or OutOfRangeError; a non-integer n raises
+    OutOfRangeError (_integer)."""
+    n = _integer(n, "vertex count")
+    if n > ENUMERATE_MAX_N:
+        raise TooLargeError(
+            f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
+    if n < 1:
+        raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
+    return n
+
+
 def enumerate_graphs(n: int) -> Iterator[GraphClass]:
     """One representative per isomorphism class, ascending canonical code.
 
@@ -524,14 +537,9 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
     are marked seen before the sweep starts, and each swept class with
     2m < C(n,2) also lists its complement.  The whole sweep runs before
     the first class is yielded, which then come out sorted by code.
-    A non-integer n raises OutOfRangeError (_integer).
+    n is checked by _enumerable_n.
     """
-    n = _integer(n, "vertex count")
-    if n > ENUMERATE_MAX_N:
-        raise TooLargeError(
-            f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
-    if n < 1:
-        raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
+    n = _enumerable_n(n)
     fact = math.factorial(n)
     for code, aut in _class_codes(n):
         yield GraphClass(CanonicalForm(n, code), aut, fact // aut)
@@ -549,7 +557,7 @@ def _class_codes(n: int) -> list[tuple[int, int]]:
     # masks sharing their high bits is one of only s - half + 1 distinct
     # rows, a translate of the low halves' popcount bytes, copied in row
     # by row (a join of all 2^(s - half) rows at once holds a buffer
-    # record per row, 160 KB beside seen at n = 7)
+    # record per row, 180 KB beside seen at n = 7)
     half, width = s // 2, 1 << s // 2
     low = bytes(b.bit_count() for b in range(width))
     rows = [low.translate(bytes(p > half - h for p in range(256)))

@@ -87,13 +87,15 @@ def _check_refutation() -> list[CheckResult]:
 def _check_max_degree() -> list[CheckResult]:
     """The paper's headline: A has max degree 4, so a graph of max degree
     4 need not be representable, where every graph of max degree 3 is.
-    The census refutes one other class of max degree 4 at n = 7,
-    7:03ef71, with 13 edges."""
+    The row checks A's degrees only.  The census refutes one other class
+    of max degree 4 at n = 7, 7:03ef71, with 13 edges; the row names it
+    and the test that checks it."""
     a = bundled_graph("A")
     return [CheckResult(
         "a-max-degree", a.max_degree() == 4,
         f"A has max degree {a.max_degree()}, degrees {a.degree_sequence()}; "
-        "7:03ef71 is the other refuted class with max degree 4 at n = 7")]
+        "7:03ef71, the other refuted class of max degree 4 at n = 7, is "
+        "checked by the census tests (test_refuted_classes_of_max_degree_4)")]
 
 
 def _check_case_replay() -> list[CheckResult]:
