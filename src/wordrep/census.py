@@ -23,10 +23,10 @@ from .graphs import (
     _enumerable_n,
     _integer,
     _orbit_codes,
+    _order_semi_transitive,
     _three_colourable,
     enumerate_graphs,
 )
-from .orientations import _forward_semi_transitive
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ def census(n: int) -> SpeedRow:
     """Exact counts for vertex count n <= ENUMERATE_MAX_N (7): one verdict
     per isomorphism class, never one per labelled graph.  The row is the
     last of one pass over n = 1..n (_rows), so the rows below it are
-    counted too.  Three certificates come before any search.
+    counted too.  Every class is settled from its code, by certificates
+    and heredity, before any search.
 
     A 3-colourable class is representable: orienting each edge from the
     lower colour class to the higher leaves no directed path of three
@@ -57,9 +58,14 @@ def census(n: int) -> SpeedRow:
     1,044 classes at n = 7.  The test reads only the class codes: a graph
     is 3-colourable when its code shares no bit with that of some union
     of three cliques covering 1..n (_three_colourable), so these classes
-    build no Graph and never backtrack.  It runs on 64 classes at a time,
-    which keeps its broadcast AND to 64 x 301 codes at n = 7 and moved the
-    benchmark's peak RSS less than one AND over all 1,044.
+    build no Graph and never backtrack.  A class is representable too
+    when some vertex order is semi-transitive (it orients each edge from
+    the earlier vertex to the later).  The order 1..n is tested on the
+    code against the literal definition of a shortcut, one pattern per
+    increasing sequence of four or more vertices (_order_semi_transitive):
+    212 more at n = 7.  Both tests run on 64 classes at a time, which
+    keeps the colouring's broadcast AND to 64 x 301 codes at n = 7 and
+    moved the benchmark's peak RSS less than one AND over all 1,044.
 
     Representability is hereditary: deleting a vertex's letters from a
     word that represents a graph represents the graph less that vertex.
@@ -69,12 +75,15 @@ def census(n: int) -> SpeedRow:
     Each row hands the next the labelled codes of its refuted classes,
     W5's 72 after n = 6, and the last row hands on nothing.
 
-    Of the rest, a class whose vertex order 1..n (every edge FORWARD) is
-    semi-transitive is representable too: 212 more at n = 7.  decide
-    searches only what is left, 149 of the 1,044 classes at n = 7 and 155
-    of the 1,252 for n = 1..7.  No witness is emitted, so which
-    certificate settles a class changes no output.  n is checked as by
-    enumerate_graphs (_enumerable_n), before the pass starts."""
+    Of the rest, one class at a time, the (n - 2)! vertex orders that
+    put 1 and 2 first are tested the same way, on the class's codes
+    relabelled by the first (n - 2)! permutations (_orbit_codes): they
+    certify 139 more at n = 7, every representable class left.  decide
+    searches only what is left, the 11 minimal refuted classes of the
+    1,252 for n = 1..7: the 5-wheel and 10 at n = 7.  No witness is
+    emitted, so which certificate settles a class changes no output.
+    n is checked as by enumerate_graphs (_enumerable_n), before the pass
+    starts."""
     return _rows(_enumerable_n(n))[-1]
 
 
@@ -86,9 +95,10 @@ def _rows(n_max: int) -> list[SpeedRow]:
         nonrep = []
         classes = enumerate_graphs(n)
         while chunk := list(itertools.islice(classes, 64)):
-            coloured = _three_colourable(n, [cls.form.code for cls in chunk])
-            for cls, certified in zip(chunk, coloured):
-                if certified or _representable(cls, refuted):
+            codes = [cls.form.code for cls in chunk]
+            for cls, coloured, ordered in zip(chunk, _three_colourable(n, codes),
+                                              _order_semi_transitive(n, codes)):
+                if coloured or ordered or _representable(cls, refuted):
                     a_n += 1
                     b_n += cls.labelled_size
                 else:
@@ -101,13 +111,15 @@ def _rows(n_max: int) -> list[SpeedRow]:
 
 
 def _representable(cls: GraphClass, refuted: set[int]) -> bool:
-    """A class that is not 3-colourable: refuted by heredity when one of
-    its deletions is in refuted, the labelled codes of the refuted
-    classes one vertex smaller; else by the vertex order or decide."""
-    if refuted and not refuted.isdisjoint(_deletion_codes(cls.form.n, cls.form.code)):
+    """A class that neither certificate of the chunk settles, so n >= 4:
+    refuted by heredity when one of its deletions is in refuted, the
+    labelled codes of the refuted classes one vertex smaller; else
+    certified by a vertex order that fixes 1 and 2, else by decide."""
+    n, code = cls.form.n, cls.form.code
+    if refuted and not refuted.isdisjoint(_deletion_codes(n, code)):
         return False
-    g = cls.graph
-    return _forward_semi_transitive(g) or decide(g).verdict == REPRESENTABLE
+    return (any(_order_semi_transitive(n, _orbit_codes(n, code, math.factorial(n - 2))))
+            or decide(cls.graph).verdict == REPRESENTABLE)
 
 
 def entropy_table(n_max: int, long_ok: bool = False) -> list[SpeedRow]:

@@ -416,8 +416,41 @@ def _three_colourable(n: int, codes: list[int]) -> list[bool]:
     return ((np.array(codes, np.int32)[:, None] & masks).min(axis=1) == 0).tolist()
 
 
-def _orbit_codes(n: int, mask: int) -> np.ndarray:
-    """Codes of all n! relabelings of the graph encoded by mask: per
+@functools.cache
+def _shortcut_patterns(n: int) -> np.ndarray:
+    """(path, whole) codes, one column per increasing sequence
+    x0 < ... < xk of k >= 3 steps in 1..n: path holds its consecutive
+    pairs and x0-xk, whole every pair of the sequence.  Under the vertex
+    order 1..n a graph holding path is a directed path x0 -> ... -> xk
+    with the arc x0 -> xk, and that arc is a shortcut exactly when the
+    graph misses a pair of whole.  One column per subset of four or more
+    vertices: 1, 6, 22 and 64 at n = 4..7, none for n <= 3; int32 holds
+    them for n <= 8, as in _perm_tables."""
+    import numpy as np
+    s = n * (n - 1) // 2
+    slot = {p: 1 << (s - 1 - i) for i, p in enumerate(_pairs(n))}
+    table = [(sum(map(slot.get, zip(seq, seq[1:]))) + slot[seq[0], seq[-1]],
+              sum(map(slot.get, itertools.combinations(seq, 2))))
+             for k in range(4, n + 1) for seq in itertools.combinations(range(1, n + 1), k)]
+    return np.array(table, np.int32).reshape(-1, 2).T
+
+
+def _order_semi_transitive(n: int, codes: list[int] | np.ndarray) -> list[bool]:
+    """For each graph code on n vertices, whether the vertex order 1..n,
+    which orients every edge FORWARD, is semi-transitive: whether the
+    code holds no path of _shortcut_patterns(n) without all of its whole,
+    in one broadcast AND.  That order is acyclic and its directed paths
+    are the increasing sequences, so this is the literal definition of a
+    shortcut, with no closure and no Graph."""
+    import numpy as np
+    path, whole = _shortcut_patterns(n)
+    held = np.asarray(codes, np.int32)[:, None] & whole
+    return (~(((held & path) == path) & (held != whole)).any(axis=1)).tolist()
+
+
+def _orbit_codes(n: int, mask: int, perms: int | None = None) -> np.ndarray:
+    """Codes of the relabelings of the graph encoded by mask under the
+    first perms permutations in itertools order, all n! by default: per
     permutation, the OR of the slot values its edges land on, which are
     distinct powers of two, so the OR is their sum.  The census takes
     these every pass, and numpy's int32 add, which runs nowhere else on
@@ -427,7 +460,7 @@ def _orbit_codes(n: int, mask: int) -> np.ndarray:
     values = _perm_tables(n)
     s = len(values)
     edge_slots = [i for i in range(s) if mask >> (s - 1 - i) & 1]
-    return np.bitwise_or.reduce(values[edge_slots], axis=0)
+    return np.bitwise_or.reduce(values[edge_slots, :perms], axis=0)
 
 
 @functools.cache

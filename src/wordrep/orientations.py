@@ -11,16 +11,15 @@ closure packed into one int.  So the forcing rule counts a cycle's legs
 by popcount, acyclicity is a one-bit test per arc, semi-transitivity at
 a leaf is a few mask tests on the packed closure, read in place (the
 interval lemma, _no_shortcut), and backtracking undoes nothing.
-The same test on the packed closure of the vertex order 1..n certifies
-most small graphs with no search.  find_shortcut, is_semi_transitive and
-the walk semi_transitive_orientations enumerate directed paths literally
-instead, as the independent route that certificates and counts are
-re-checked by.
+find_shortcut, is_semi_transitive and the walk
+semi_transitive_orientations enumerate directed paths literally instead,
+as the independent route that certificates and counts are re-checked by.
+The census certifies most small graphs with no search and no Graph, by
+vertex orders tested on their codes (graphs._order_semi_transitive).
 
 Each route grows reachability by one rule.  The search's is the packed
 row update in _Searcher.propagate: placing t->h ORs h and all h reaches
-into the rows of t and of every ancestor of t, one product; the
-vertex-order test builds its closure with the same update.  The
+into the rows of t and of every ancestor of t, one product.  The
 re-check route's is _place, the same step on one descendant and one
 ancestor mask per vertex, which find_shortcut and the walk both add
 their arcs by.
@@ -278,8 +277,7 @@ def _four_cycles(g: Graph) -> tuple[list[tuple], list[int]]:
 
 # ---------------------------------------------------------------------------
 # the interval lemma: semi-transitivity from a packed reachability closure,
-# with no path enumeration.  Shared by the search's leaves and the
-# vertex-order test.
+# with no path enumeration, at the search's leaves.
 
 def _packed_rows(g: Graph, w: int) -> tuple[int, int]:
     """(adj_rows, non_rows): row v, bits v*w to v*w + w - 1, holds v's
@@ -327,26 +325,6 @@ def _no_shortcut(c: int, w: int, row: int, col: int, adj_rows: int, non_rows: in
         if out & (c >> x & col | 1 << x * w) * row & reach * col:
             return False
     return True
-
-
-def _forward_semi_transitive(g: Graph) -> bool:
-    """Whether the vertex order 1..n, which orients every edge FORWARD, is
-    semi-transitive: its packed closure, then _no_shortcut.  The closure
-    is built by the search's row update (_Searcher.propagate) over the
-    edges in reverse stored order: each edge (t, h) has h > t, so h's row
-    is complete before t's, and no ancestor of t is placed yet, so only
-    row t takes h and all h reaches.  All-FORWARD is the least
-    orientation in the search's FORWARD-first lexicographic order, and the
-    forcing rule never forces an edge against a semi-transitive
-    orientation that extends the node, so when this passes it is the
-    witness find_semi_transitive returns."""
-    w = g.n + 1
-    row = (1 << w) - 1
-    c = 0
-    for t, h in reversed(g.edges):
-        c |= (c >> h * w & row | 1 << h) << t * w
-    adj_rows, non_rows = _packed_rows(g, w)
-    return _no_shortcut(c, w, row, ((1 << w * w) - 1) // row, adj_rows, non_rows)
 
 
 # ---------------------------------------------------------------------------

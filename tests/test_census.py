@@ -18,6 +18,7 @@ from wordrep.bundled import bundled_graph
 from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import (
     _graph_from_mask,
+    _order_semi_transitive,
     _three_colourable,
     canonical_form,
     delete_vertex,
@@ -25,7 +26,7 @@ from wordrep.graphs import (
     find_proper_coloring,
     graph_from_edge_list,
 )
-from wordrep.orientations import _forward_semi_transitive, is_semi_transitive, orient_by_coloring
+from wordrep.orientations import is_semi_transitive, orient_by_coloring
 
 from helpers import all_graphs, ref_colorable, run_cli
 
@@ -93,7 +94,7 @@ def test_census_capped_at_n7(monkeypatch):
 
 def test_vertex_order_certifies_most_classes():
     # classes whose vertex order 1..n (every edge FORWARD) is semi-transitive
-    assert [sum(_forward_semi_transitive(cls.graph) for cls in enumerate_graphs(n))
+    assert [sum(_order_semi_transitive(n, [cls.form.code for cls in enumerate_graphs(n)]))
             for n in range(1, 8)] == [1, 2, 4, 11, 32, 130, 686]
 
 
@@ -103,11 +104,12 @@ def test_certificate_split():
     by_coloring, by_order = [], []
     for n in range(1, 8):
         classes = list(enumerate_graphs(n))
-        accepted = _three_colourable(n, [cls.form.code for cls in classes])
+        codes = [cls.form.code for cls in classes]
+        accepted = _three_colourable(n, codes)
         colored = [cls.graph for cls, ok in zip(classes, accepted) if ok]
         by_coloring.append(len(colored))
-        by_order.append(sum(_forward_semi_transitive(cls.graph)
-                            for cls, ok in zip(classes, accepted) if not ok))
+        by_order.append(sum(ordered and not ok for ok, ordered
+                            in zip(accepted, _order_semi_transitive(n, codes))))
         # the colouring certificate, re-checked by path enumeration
         for g in colored:
             assert is_semi_transitive(orient_by_coloring(g, find_proper_coloring(g, 3)))
@@ -139,18 +141,19 @@ def test_census_decides_only_what_the_vertex_order_leaves(monkeypatch):
 
     monkeypatch.setattr(sys.modules["wordrep.census"], "decide", counted)
     assert census(7).a_n == 1018
-    # census(7) runs the rows below it too: 6 searches for n <= 6, and at
-    # n = 7 what the colouring, heredity and the vertex order leave
-    assert calls.count(7) == 1044 - 667 - 16 - 212 == 149
-    assert len(calls) == 6 + 149
+    # census(7) runs the rows below it too: 1 search for n <= 6, and at
+    # n = 7 what the colouring, the order 1..n, heredity and the orders
+    # that put 1 and 2 first leave: the 10 minimal refuted classes
+    assert calls.count(7) == 1044 - 667 - 212 - 16 - 139 == 10
+    assert len(calls) == 1 + 10
     calls.clear()
     entropy_table(7)
-    assert len(calls) == 155
+    assert len(calls) == 11
 
 
 def test_census_builds_graphs_only_where_it_certifies_or_searches(monkeypatch):
-    # the 831 3-colourable classes for n = 2..7 and the 16 refuted by
-    # heredity build no Graph: 1,251 - 831 - 16 = 404
+    # only the 11 searched classes build a Graph: the other 1,240 for
+    # n = 2..7 are settled from their codes
     built = []
 
     def counted(n, code):
@@ -159,13 +162,14 @@ def test_census_builds_graphs_only_where_it_certifies_or_searches(monkeypatch):
 
     monkeypatch.setattr(sys.modules["wordrep.graphs"], "_graph_from_mask", counted)
     entropy_table(7)
-    assert len(built) == 1251 - 831 - 16 == 404
+    assert len(built) == 11
 
 
 def test_heredity_refutes_the_non_minimal_classes(monkeypatch):
     # the refuted classes that reach decide, against those refuted by
     # heredity: a class is minimal when every one-vertex deletion is
-    # representable, and only the minimal ones are searched
+    # representable, and only the minimal ones are searched, since the
+    # vertex orders certify every representable class
     searched = []
 
     def recorded(g):
@@ -184,6 +188,7 @@ def test_heredity_refutes_the_non_minimal_classes(monkeypatch):
                if all(decide(delete_vertex(g, v)).verdict == REPRESENTABLE
                       for v in g.vertices())}
     assert refuted - by_heredity == minimal and len(minimal) == 10
+    assert searched == ["6:1eeb", *sorted(minimal)]
     for key in by_heredity:
         g = graphs[key]
         assert decide(g).verdict == NON_REPRESENTABLE

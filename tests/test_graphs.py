@@ -17,6 +17,8 @@ from wordrep.graphs import (
     _deletion_codes,
     _edge_mask,
     _graph_from_mask,
+    _order_semi_transitive,
+    _shortcut_patterns,
     _three_class_codes,
     _three_colourable,
     canonical_form,
@@ -29,6 +31,7 @@ from wordrep.graphs import (
     is_k4_free,
     parse_edge_list,
 )
+from wordrep.orientations import FORWARD, Orientation, is_semi_transitive
 
 from helpers import (
     all_graphs,
@@ -252,6 +255,48 @@ def test_three_colourable_codes_match_the_backtracking():
         graphs = list(all_graphs(n))
         assert _three_colourable(n, [_code(n, g.edges) for g in graphs]) == [
             ref_colorable(g, 3) for g in graphs], n
+
+
+def _patterns(n, sizes, closed=True):
+    """The (path, whole) table from itertools, one column per increasing
+    sequence with one of the given sizes; closed=False leaves x0-xk out
+    of path."""
+    table = [(_code(n, list(zip(seq, seq[1:])) + [(seq[0], seq[-1])] * closed),
+              _code(n, itertools.combinations(seq, 2)))
+             for k in sizes for seq in itertools.combinations(range(1, n + 1), k)]
+    return np.array(table, np.int32).reshape(-1, 2).T
+
+
+def test_order_test_is_the_definition_of_a_shortcut(monkeypatch):
+    # the census's vertex-order test from codes alone, against the literal
+    # path scan of the order 1..n (every edge FORWARD) on every labelled
+    # graph with n <= 5, every class with n <= 7 and seeded graphs with
+    # n = 8; one pattern per subset of four or more vertices
+    rng = random.Random(3708)
+    cases = {n: list(all_graphs(n)) for n in range(1, 6)}
+    cases.update((n, [cls.graph for cls in enumerate_graphs(n)]) for n in (6, 7))
+    cases[8] = [random_graph(rng, 8, rng.choice((0.3, 0.5, 0.7))) for _ in range(300)]
+    want = {n: [is_semi_transitive(Orientation(g, (FORWARD,) * len(g.edges))) for g in gs]
+            for n, gs in cases.items()}
+    codes = {n: [_code(n, g.edges) for g in gs] for n, gs in cases.items()}
+
+    def exact():
+        return all(_order_semi_transitive(n, codes[n]) == want[n] for n in cases)
+
+    assert exact()
+    assert [len(_shortcut_patterns(n)[0]) for n in range(1, 9)] == [
+        2 ** n - 1 - n - math.comb(n, 2) - math.comb(n, 3) for n in range(1, 9)] == [
+        0, 0, 0, 1, 6, 22, 64, 163]
+    for n in range(1, 9):
+        got, ref = _shortcut_patterns(n), _patterns(n, range(4, n + 1))
+        assert sorted(zip(*got.tolist())) == sorted(zip(*ref.tolist())), n
+    # a test that skips longer paths misses C5's 1->5, and one whose
+    # pattern lacks x0-xk flags the plain path 1-2-3-4
+    for mutant in (lambda n: _patterns(n, [4]), lambda n: _patterns(n, range(4, n + 1), False)):
+        monkeypatch.setattr("wordrep.graphs._shortcut_patterns", mutant)
+        assert not exact()
+    monkeypatch.undo()
+    assert exact()
 
 
 def test_canonical_form_relabelings_agree():

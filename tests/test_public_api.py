@@ -73,7 +73,7 @@ def test_every_export_has_a_caller_or_is_documented():
 # ---------------------------------------------------------------------------
 # the boundaries between modules
 
-SHARED_PRIVATE = {"_bits", "_components", "_Searcher", "_forward_semi_transitive",
+SHARED_PRIVATE = {"_bits", "_components", "_Searcher", "_order_semi_transitive",
                   "_three_colourable", "_deletion_codes", "_orbit_codes", "_enumerable_n",
                   "_integer", "_decimal"}
 SEARCH_STATE = {"found", "rows"}
@@ -98,7 +98,7 @@ def test_modules_share_only_the_listed_private_names():
 RECHECK_ROUTE = {"verify_certificate", "semi_transitive_orientations", "is_semi_transitive",
                  "find_shortcut", "count_semi_transitive_naive"}
 SEARCH_NAMES = {"_Searcher", "propagate", "_no_shortcut", "_packed_rows", "_four_cycles",
-                "_forward_semi_transitive"}
+                "_order_semi_transitive", "_shortcut_patterns"}
 
 
 def test_recheck_route_shares_no_code_with_the_search():
