@@ -60,12 +60,15 @@ def census(n: int) -> SpeedRow:
     of three cliques covering 1..n (_three_colourable), so these classes
     build no Graph and never backtrack.  A class is representable too
     when some vertex order is semi-transitive (it orients each edge from
-    the earlier vertex to the later).  The order 1..n is tested on the
-    code against the literal definition of a shortcut, one pattern per
-    increasing sequence of four or more vertices (_order_semi_transitive):
-    212 more at n = 7.  Both tests run on 64 classes at a time, which
-    keeps the colouring's broadcast AND to 64 x 301 codes at n = 7 and
-    moved the benchmark's peak RSS less than one AND over all 1,044.
+    the earlier vertex to the later), and every semi-transitive
+    orientation is one of these, by a topological order.  The (n - 4)!
+    orders that keep 1, 2, 3, 4 first are tested on the code against the
+    literal definition of a shortcut, one pattern per sequence of four or
+    more vertices increasing in the order (_order_semi_transitive): 319
+    more at n = 7.  Both tests run on 64 classes at a time, which keeps
+    their broadcast ANDs to 64 x 301 and 64 x 6 x 64 codes at n = 7; the
+    chunked colouring moved the benchmark's peak RSS less than one AND
+    over all 1,044.
 
     Representability is hereditary: deleting a vertex's letters from a
     word that represents a graph represents the graph less that vertex.
@@ -75,15 +78,11 @@ def census(n: int) -> SpeedRow:
     Each row hands the next the labelled codes of its refuted classes,
     W5's 72 after n = 6, and the last row hands on nothing.
 
-    Of the rest, one class at a time, the (n - 2)! vertex orders that
-    put 1 and 2 first are tested the same way, on the class's codes
-    relabelled by the first (n - 2)! permutations (_orbit_codes): they
-    certify 139 more at n = 7, every representable class left.  decide
-    searches only what is left, the 11 minimal refuted classes of the
-    1,252 for n = 1..7: the 5-wheel and 10 at n = 7.  No witness is
-    emitted, so which certificate settles a class changes no output.
-    n is checked as by enumerate_graphs (_enumerable_n), before the pass
-    starts."""
+    decide searches only what is left: 42 classes at n = 7, the 10
+    minimal refuted ones and 32 representable, and 45 of the 1,252 for
+    n = 1..7.  No witness is emitted, so which certificate settles a
+    class changes no output.  n is checked as by enumerate_graphs
+    (_enumerable_n), before the pass starts."""
     return _rows(_enumerable_n(n))[-1]
 
 
@@ -114,12 +113,11 @@ def _representable(cls: GraphClass, refuted: set[int]) -> bool:
     """A class that neither certificate of the chunk settles, so n >= 4:
     refuted by heredity when one of its deletions is in refuted, the
     labelled codes of the refuted classes one vertex smaller; else
-    certified by a vertex order that fixes 1 and 2, else by decide."""
+    settled by decide."""
     n, code = cls.form.n, cls.form.code
     if refuted and not refuted.isdisjoint(_deletion_codes(n, code)):
         return False
-    return (any(_order_semi_transitive(n, _orbit_codes(n, code, math.factorial(n - 2))))
-            or decide(cls.graph).verdict == REPRESENTABLE)
+    return decide(cls.graph).verdict == REPRESENTABLE
 
 
 def entropy_table(n_max: int, long_ok: bool = False) -> list[SpeedRow]:

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -324,13 +323,15 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(1, n) for v in range(u + 1, n + 1))
 
 
+@functools.cache
+def _slot_values(n: int) -> dict[tuple[int, int], int]:
+    """The MSB-first bit value of each pair's slot in a code on n vertices."""
+    pairs = _pairs(n)
+    return {p: 1 << (len(pairs) - 1 - i) for i, p in enumerate(pairs)}
+
+
 def _edge_mask(g: Graph) -> int:
-    s = g.n * (g.n - 1) // 2
-    idx = {p: i for i, p in enumerate(_pairs(g.n))}
-    mask = 0
-    for e in g.edges:
-        mask |= 1 << (s - 1 - idx[e])
-    return mask
+    return sum(map(_slot_values(g.n).__getitem__, g.edges))
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
@@ -359,8 +360,8 @@ def _perm_tables(n: int) -> np.ndarray:
     pairs = _pairs(n)
     perms = np.array(list(itertools.permutations(range(n))), np.int8)   # v -> p[v - 1] + 1
     weight = np.zeros((n, n), dtype=np.int32)   # slot value of each pair
-    for i, (u, v) in enumerate(pairs):
-        weight[u - 1, v - 1] = weight[v - 1, u - 1] = 1 << (len(pairs) - 1 - i)
+    for (u, v), value in _slot_values(n).items():
+        weight[u - 1, v - 1] = weight[v - 1, u - 1] = value
     # index arrays of shape (pairs, n!) give values[s, p] in one gather,
     # and an empty (0, 1) table for n = 1, which has no pairs
     us = [u - 1 for u, _ in pairs]
@@ -377,8 +378,7 @@ def _three_class_codes(n: int) -> np.ndarray:
     one clique code per vertex set OR-ed per partition (0.17 ms at n = 7);
     int32 holds them for n <= 8, as in _perm_tables."""
     import numpy as np
-    s = n * (n - 1) // 2
-    slot = {p: 1 << (s - 1 - i) for i, p in enumerate(_pairs(n))}
+    slot = _slot_values(n)
     # clique[S], bit i of S standing for vertex i + 1: the pairs of S are
     # those of S less its least vertex, those of S less its top vertex,
     # and the pair of those two
@@ -418,83 +418,64 @@ def _three_colourable(n: int, codes: list[int]) -> list[bool]:
 
 @functools.cache
 def _shortcut_patterns(n: int) -> np.ndarray:
-    """(path, whole) codes, one column per increasing sequence
-    x0 < ... < xk of k >= 3 steps in 1..n: path holds its consecutive
-    pairs and x0-xk, whole every pair of the sequence.  Under the vertex
-    order 1..n a graph holding path is a directed path x0 -> ... -> xk
+    """(path, whole) codes, one row per vertex order that keeps 1, 2, 3, 4
+    first ((n - 4)! rows, one for n <= 5) and one column per sequence
+    x0, ..., xk of k >= 3 steps increasing in that order: path holds its
+    consecutive pairs and x0-xk, whole every pair of the sequence.  Under
+    the order a graph holding path is a directed path x0 -> ... -> xk
     with the arc x0 -> xk, and that arc is a shortcut exactly when the
     graph misses a pair of whole.  One column per subset of four or more
-    vertices: 1, 6, 22 and 64 at n = 4..7, none for n <= 3; int32 holds
-    them for n <= 8, as in _perm_tables."""
+    vertices: 1, 6, 22 and 64 at n = 4..7, none for n <= 3.  The rows are
+    the order 1..n's columns relabelled by the first (n - 4)!
+    permutations (_orbit_codes), which fix 1..4, the identity first;
+    int32 holds them for n <= 8, as in _perm_tables."""
     import numpy as np
-    s = n * (n - 1) // 2
-    slot = {p: 1 << (s - 1 - i) for i, p in enumerate(_pairs(n))}
-    table = [(sum(map(slot.get, zip(seq, seq[1:]))) + slot[seq[0], seq[-1]],
-              sum(map(slot.get, itertools.combinations(seq, 2))))
-             for k in range(4, n + 1) for seq in itertools.combinations(range(1, n + 1), k)]
-    return np.array(table, np.int32).reshape(-1, 2).T
+    slot = _slot_values(n)
+    seqs = [seq for k in range(4, n + 1) for seq in itertools.combinations(range(1, n + 1), k)]
+    paths = [sum(map(slot.get, zip(seq, seq[1:]))) + slot[seq[0], seq[-1]] for seq in seqs]
+    wholes = [sum(map(slot.get, itertools.combinations(seq, 2))) for seq in seqs]
+    rows = slice(math.factorial(max(n - 4, 0)))
+    table = [[_orbit_codes(n, code, rows) for code in codes] for codes in (paths, wholes)]
+    return np.array(table, np.int32).reshape(2, len(seqs), rows.stop).transpose(0, 2, 1)
 
 
 def _order_semi_transitive(n: int, codes: list[int] | np.ndarray) -> list[bool]:
-    """For each graph code on n vertices, whether the vertex order 1..n,
-    which orients every edge FORWARD, is semi-transitive: whether the
-    code holds no path of _shortcut_patterns(n) without all of its whole,
-    in one broadcast AND.  That order is acyclic and its directed paths
-    are the increasing sequences, so this is the literal definition of a
-    shortcut, with no closure and no Graph."""
+    """For each graph code on n vertices, whether some vertex order that
+    keeps 1, 2, 3, 4 first, orienting each edge from the earlier vertex
+    to the later, is semi-transitive: whether, for some row of
+    _shortcut_patterns(n), the code holds no path without all of its
+    whole, in one broadcast AND.  An order is acyclic and its directed
+    paths are the sequences increasing in it, so this is the literal
+    definition of a shortcut, with no closure and no Graph."""
     import numpy as np
     path, whole = _shortcut_patterns(n)
-    held = np.asarray(codes, np.int32)[:, None] & whole
-    return (~(((held & path) == path) & (held != whole)).any(axis=1)).tolist()
+    held = np.asarray(codes, np.int32)[:, None, None] & whole
+    return (~(((held & path) == path) & (held != whole)).any(axis=2)).any(axis=1).tolist()
 
 
-def _orbit_codes(n: int, mask: int, perms: int | None = None) -> np.ndarray:
+def _orbit_codes(n: int, mask: int, perms: slice | list[int] = slice(None)) -> np.ndarray:
     """Codes of the relabelings of the graph encoded by mask under the
-    first perms permutations in itertools order, all n! by default: per
-    permutation, the OR of the slot values its edges land on, which are
-    distinct powers of two, so the OR is their sum.  The census takes
-    these every pass, and numpy's int32 add, which runs nowhere else on
-    its path, faulted in 64 KB more of numpy's code than its int32
-    bitwise loops, which are in already."""
+    permutations at index perms of the itertools order, all n! by
+    default: per permutation, the OR of the slot values its edges land
+    on, which are distinct powers of two, so the OR is their sum.  The
+    census takes these every pass, and numpy's int32 add, which runs
+    nowhere else on its path, faulted in 64 KB more of numpy's code than
+    its int32 bitwise loops, which are in already."""
     import numpy as np
     values = _perm_tables(n)
     s = len(values)
     edge_slots = [i for i in range(s) if mask >> (s - 1 - i) & 1]
-    return np.bitwise_or.reduce(values[edge_slots, :perms], axis=0)
-
-
-@functools.cache
-def _deletion_tables(n: int) -> list[list[int]]:
-    """tables[k][x] packs the codes that the graph of code bits x << 8k
-    leaves after each one-vertex deletion, that of deleting v in the
-    32-bit field v - 1.  Deleting a vertex keeps the other pairs in their
-    order, so a code's deletions are the OR of its bytes' entries."""
-    s = n * (n - 1) // 2
-    w = s - (n - 1)   # C(n-1, 2) < 32 for n <= 9
-    pairs, slot = _pairs(n), {p: i for i, p in enumerate(_pairs(n - 1))}
-    single = []   # the entry of code bit b, the pair in slot s - 1 - b
-    for a, b in reversed(pairs):
-        single.append(sum(1 << 32 * (v - 1) + w - 1 - slot[a - (a > v), b - (b > v)]
-                          for v in range(1, n + 1) if v != a and v != b))
-    tables = []
-    for low in range(0, s, 8):
-        table = [0]
-        for x in range(1, 1 << min(8, s - low)):
-            bit = x & -x
-            table.append(table[x ^ bit] | single[low + bit.bit_length() - 1])
-        tables.append(table)
-    return tables
+    return np.bitwise_or.reduce(values[:, perms][edge_slots], axis=0)
 
 
 def _deletion_codes(n: int, code: int) -> list[int]:
     """The codes, on n - 1 vertices, of the graph of code less vertex v,
-    relabelled v+1..n down by one as by delete_vertex, for v = 1..n: the
-    fields of _deletion_tables, read out as 32-bit ints in C."""
-    packed = 0
-    for table in _deletion_tables(n):
-        packed |= table[code & 255]
-        code >>= 8
-    return memoryview(packed.to_bytes(4 * n, sys.byteorder)).cast("I").tolist()
+    relabelled v+1..n down by one as by delete_vertex, for v = 1..n.
+    Moving v to 1 and keeping the rest in order, the permutation of
+    itertools rank (n-1)! + ... + (n-v+1)!, leaves g - v on the low
+    C(n-1, 2) bits."""
+    ranks = itertools.accumulate((math.factorial(n - v) for v in range(1, n)), initial=0)
+    return (_orbit_codes(n, code, list(ranks)) & (1 << math.comb(n - 1, 2)) - 1).tolist()
 
 
 @dataclass(frozen=True)

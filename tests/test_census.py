@@ -93,14 +93,14 @@ def test_census_capped_at_n7(monkeypatch):
 
 
 def test_vertex_order_certifies_most_classes():
-    # classes whose vertex order 1..n (every edge FORWARD) is semi-transitive
+    # classes with a semi-transitive vertex order that keeps 1..4 first
     assert [sum(_order_semi_transitive(n, [cls.form.code for cls in enumerate_graphs(n)]))
-            for n in range(1, 8)] == [1, 2, 4, 11, 32, 130, 686]
+            for n in range(1, 8)] == [1, 2, 4, 11, 32, 147, 967]
 
 
 def test_certificate_split():
     # per n = 1..7, the classes the census accepts as 3-colourable, then,
-    # of the rest, those its vertex order 1..n accepts
+    # of the rest, those its vertex orders that keep 1..4 first accept
     by_coloring, by_order = [], []
     for n in range(1, 8):
         classes = list(enumerate_graphs(n))
@@ -114,7 +114,7 @@ def test_certificate_split():
         for g in colored:
             assert is_semi_transitive(orient_by_coloring(g, find_proper_coloring(g, 3)))
     assert by_coloring == [1, 2, 4, 10, 29, 119, 667]
-    assert by_order == [0, 0, 0, 1, 5, 31, 212]
+    assert by_order == [0, 0, 0, 1, 5, 34, 319]
 
 
 def test_three_colourable_labelled_totals():
@@ -141,18 +141,18 @@ def test_census_decides_only_what_the_vertex_order_leaves(monkeypatch):
 
     monkeypatch.setattr(sys.modules["wordrep.census"], "decide", counted)
     assert census(7).a_n == 1018
-    # census(7) runs the rows below it too: 1 search for n <= 6, and at
-    # n = 7 what the colouring, the order 1..n, heredity and the orders
-    # that put 1 and 2 first leave: the 10 minimal refuted classes
-    assert calls.count(7) == 1044 - 667 - 212 - 16 - 139 == 10
-    assert len(calls) == 1 + 10
+    # census(7) runs the rows below it too: 3 searches for n <= 6, and at
+    # n = 7 what the colouring, the orders that keep 1..4 first and
+    # heredity leave: the 10 minimal refuted classes and 32 representable
+    assert calls.count(7) == 1044 - 667 - 319 - 16 == 42
+    assert len(calls) == 3 + 42
     calls.clear()
     entropy_table(7)
-    assert len(calls) == 11
+    assert len(calls) == 45
 
 
 def test_census_builds_graphs_only_where_it_certifies_or_searches(monkeypatch):
-    # only the 11 searched classes build a Graph: the other 1,240 for
+    # only the 45 searched classes build a Graph: the other 1,206 for
     # n = 2..7 are settled from their codes
     built = []
 
@@ -162,33 +162,36 @@ def test_census_builds_graphs_only_where_it_certifies_or_searches(monkeypatch):
 
     monkeypatch.setattr(sys.modules["wordrep.graphs"], "_graph_from_mask", counted)
     entropy_table(7)
-    assert len(built) == 11
+    assert len(built) == 45
 
 
 def test_heredity_refutes_the_non_minimal_classes(monkeypatch):
     # the refuted classes that reach decide, against those refuted by
     # heredity: a class is minimal when every one-vertex deletion is
-    # representable, and only the minimal ones are searched, since the
-    # vertex orders certify every representable class
-    searched = []
+    # representable, and only the minimal ones are searched; beside them
+    # decide settles the representable classes that no certificate
+    # settles, 2 at n = 6 and 32 at n = 7
+    searched, representable = [], []
 
     def recorded(g):
-        searched.append(canonical_form(g).key)
-        return decide(g)
+        result = decide(g)
+        (representable if result.verdict == REPRESENTABLE else searched).append(canonical_form(g))
+        return result
 
     monkeypatch.setattr(sys.modules["wordrep.census"], "decide", recorded)
     rows = entropy_table(7)
     monkeypatch.undo()
     assert rows[4].nonrep_classes == ("6:1eeb",)
     refuted = set(rows[5].nonrep_classes)
-    by_heredity = refuted - set(searched)
+    by_heredity = refuted - {form.key for form in searched}
     assert len(refuted) == 26 and len(by_heredity) == 16
     graphs = {key: _graph_from_mask(7, int(key[2:], 16)) for key in refuted}
     minimal = {key for key, g in graphs.items()
                if all(decide(delete_vertex(g, v)).verdict == REPRESENTABLE
                       for v in g.vertices())}
     assert refuted - by_heredity == minimal and len(minimal) == 10
-    assert searched == ["6:1eeb", *sorted(minimal)]
+    assert [form.key for form in searched] == ["6:1eeb", *sorted(minimal)]
+    assert [form.n for form in representable] == [6] * 2 + [7] * 32
     for key in by_heredity:
         g = graphs[key]
         assert decide(g).verdict == NON_REPRESENTABLE

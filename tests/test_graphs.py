@@ -31,7 +31,7 @@ from wordrep.graphs import (
     is_k4_free,
     parse_edge_list,
 )
-from wordrep.orientations import FORWARD, Orientation, is_semi_transitive
+from wordrep.orientations import BACKWARD, FORWARD, Orientation, is_semi_transitive
 
 from helpers import (
     all_graphs,
@@ -257,46 +257,64 @@ def test_three_colourable_codes_match_the_backtracking():
             ref_colorable(g, 3) for g in graphs], n
 
 
+def _orders(n):
+    """The vertex orders that keep 1, 2, 3, 4 first, in itertools order."""
+    return [(*range(1, min(n, 4) + 1), *rest) for rest in itertools.permutations(range(5, n + 1))]
+
+
 def _patterns(n, sizes, closed=True):
-    """The (path, whole) table from itertools, one column per increasing
-    sequence with one of the given sizes; closed=False leaves x0-xk out
-    of path."""
-    table = [(_code(n, list(zip(seq, seq[1:])) + [(seq[0], seq[-1])] * closed),
-              _code(n, itertools.combinations(seq, 2)))
-             for k in sizes for seq in itertools.combinations(range(1, n + 1), k)]
-    return np.array(table, np.int32).reshape(-1, 2).T
+    """The (path, whole) table from itertools, one row per order of
+    _orders(n) and one column per sequence increasing in that order with
+    one of the given sizes; closed=False leaves x0-xk out of path."""
+    def code(seqs):
+        return _code(n, [tuple(sorted(e)) for e in seqs])
+    table = [[(code(list(zip(seq, seq[1:])) + [(seq[0], seq[-1])] * closed),
+               code(itertools.combinations(seq, 2)))
+              for k in sizes for seq in itertools.combinations(order, k)]
+             for order in _orders(n)]
+    return np.array(table, np.int32).reshape(len(table), -1, 2).transpose(2, 0, 1)
 
 
 def test_order_test_is_the_definition_of_a_shortcut(monkeypatch):
     # the census's vertex-order test from codes alone, against the literal
-    # path scan of the order 1..n (every edge FORWARD) on every labelled
-    # graph with n <= 5, every class with n <= 7 and seeded graphs with
-    # n = 8; one pattern per subset of four or more vertices
+    # path scan of every order that keeps 1..4 first (each edge from the
+    # earlier vertex to the later) on every labelled graph with n <= 5,
+    # every class with n <= 7 and seeded graphs with n = 8; one pattern
+    # per subset of four or more vertices and order
     rng = random.Random(3708)
     cases = {n: list(all_graphs(n)) for n in range(1, 6)}
     cases.update((n, [cls.graph for cls in enumerate_graphs(n)]) for n in (6, 7))
     cases[8] = [random_graph(rng, 8, rng.choice((0.3, 0.5, 0.7))) for _ in range(300)]
-    want = {n: [is_semi_transitive(Orientation(g, (FORWARD,) * len(g.edges))) for g in gs]
+    positions = {n: [{v: i for i, v in enumerate(order)} for order in _orders(n)] for n in cases}
+    want = {n: [any(is_semi_transitive(Orientation(g, tuple(FORWARD if pos[u] < pos[v] else BACKWARD
+                                                            for u, v in g.edges)))
+                    for pos in positions[n]) for g in gs]
             for n, gs in cases.items()}
     codes = {n: [_code(n, g.edges) for g in gs] for n, gs in cases.items()}
 
-    def exact():
-        return all(_order_semi_transitive(n, codes[n]) == want[n] for n in cases)
+    def exact(n):
+        return _order_semi_transitive(n, codes[n]) == want[n]
 
-    assert exact()
-    assert [len(_shortcut_patterns(n)[0]) for n in range(1, 9)] == [
-        2 ** n - 1 - n - math.comb(n, 2) - math.comb(n, 3) for n in range(1, 9)] == [
-        0, 0, 0, 1, 6, 22, 64, 163]
+    assert all(map(exact, cases))
+    # (orders, patterns): (n - 4)! orders, 2^n - 1 - n - C(n,2) - C(n,3) patterns
+    assert [_shortcut_patterns(n).shape for n in range(1, 9)] == [
+        (2, math.factorial(max(n - 4, 0)), 2 ** n - 1 - n - math.comb(n, 2) - math.comb(n, 3))
+        for n in range(1, 9)] == [
+        (2, 1, 0), (2, 1, 0), (2, 1, 0), (2, 1, 1), (2, 1, 6), (2, 2, 22), (2, 6, 64), (2, 24, 163)]
     for n in range(1, 9):
         got, ref = _shortcut_patterns(n), _patterns(n, range(4, n + 1))
-        assert sorted(zip(*got.tolist())) == sorted(zip(*ref.tolist())), n
+        for got_row, ref_row in zip(got.transpose(1, 2, 0).tolist(), ref.transpose(1, 2, 0).tolist()):
+            assert sorted(map(tuple, got_row)) == sorted(map(tuple, ref_row)), n
     # a test that skips longer paths misses C5's 1->5, and one whose
     # pattern lacks x0-xk flags the plain path 1-2-3-4
     for mutant in (lambda n: _patterns(n, [4]), lambda n: _patterns(n, range(4, n + 1), False)):
         monkeypatch.setattr("wordrep.graphs._shortcut_patterns", mutant)
-        assert not exact()
+        assert not all(map(exact, cases))
+    # the order 1..n alone misses classes that only a later order certifies
+    monkeypatch.setattr("wordrep.graphs._shortcut_patterns", lambda n: _shortcut_patterns(n)[:, :1])
+    assert not exact(6) and not exact(7)
     monkeypatch.undo()
-    assert exact()
+    assert all(map(exact, cases))
 
 
 def test_canonical_form_relabelings_agree():

@@ -827,22 +827,23 @@ def test_leaf_test_is_semi_transitivity():
 
 
 def test_vertex_order_test_is_the_first_witness():
-    # the vertex order 1..n orients every edge FORWARD: the census's test
-    # of it on codes agrees with the literal path scan of that orientation,
-    # and passes exactly when decide's witness is all FORWARD, on every
-    # class with n <= 7 and on seeded random graphs with n = 8, the widest
-    # codes the census's tables hold
+    # the vertex order 1..n orients every edge FORWARD: its literal path
+    # scan passes exactly when decide's witness is all FORWARD, and then
+    # the census's test of the orders that keep 1..4 first passes too, on
+    # every class with n <= 7 and on seeded random graphs with n = 8, the
+    # widest codes the census's tables hold
     from wordrep.decision import decide
     rng = random.Random(1606)
     graphs = [cls.graph for n in range(1, 8) for cls in enumerate_graphs(n)]
     graphs += [random_graph(rng, 8, rng.choice((0.2, 0.35, 0.5, 0.7))) for _ in range(500)]
     passed = 0
     for g in graphs:
-        [ok] = _order_semi_transitive(g.n, [_edge_mask(g)])
-        assert ok == is_semi_transitive(increasing(g))
+        first = is_semi_transitive(increasing(g))
         witness = decide(g).witness
-        assert ok == (witness is not None and witness.dirs == increasing(g).dirs)
-        passed += ok
+        assert first == (witness is not None and witness.dirs == increasing(g).dirs)
+        [ok] = _order_semi_transitive(g.n, [_edge_mask(g)])
+        assert ok or not first
+        passed += first
     # 866 of the classes pass, and some but not all random graphs
     assert 866 < passed < len(graphs)
 
