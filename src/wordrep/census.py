@@ -64,11 +64,13 @@ def census(n: int) -> SpeedRow:
     orientation is one of these, by a topological order.  The (n - 4)!
     orders that keep 1, 2, 3, 4 first are tested on the code against the
     literal definition of a shortcut, one pattern per sequence of four or
-    more vertices increasing in the order (_order_semi_transitive): 319
-    more at n = 7.  Both tests run on 64 classes at a time, which keeps
-    their broadcast ANDs to 64 x 301 and 64 x 6 x 64 codes at n = 7; the
-    chunked colouring moved the benchmark's peak RSS less than one AND
-    over all 1,044.
+    more vertices increasing in the order (_order_semi_transitive), on
+    the classes the colouring leaves: 319 of the 377 left at n = 7, and
+    420 tested for n = 1..7.  Both tests run on chunks of 64 classes,
+    which keeps their broadcast ANDs to 64 x 301 codes for the colouring
+    and at most 58 x 6 x 64 for the orders at n = 7; the chunked
+    colouring moved the benchmark's peak RSS less than one AND over all
+    1,044.
 
     Representability is hereditary: deleting a vertex's letters from a
     word that represents a graph represents the graph less that vertex.
@@ -95,9 +97,12 @@ def _rows(n_max: int) -> list[SpeedRow]:
         classes = enumerate_graphs(n)
         while chunk := list(itertools.islice(classes, 64)):
             codes = [cls.form.code for cls in chunk]
-            for cls, coloured, ordered in zip(chunk, _three_colourable(n, codes),
-                                              _order_semi_transitive(n, codes)):
-                if coloured or ordered or _representable(cls, refuted):
+            settled = _three_colourable(n, codes)
+            left = [i for i, coloured in enumerate(settled) if not coloured]
+            for i, ordered in zip(left, _order_semi_transitive(n, [codes[i] for i in left])):
+                settled[i] = ordered
+            for cls, certified in zip(chunk, settled):
+                if certified or _representable(cls, refuted):
                     a_n += 1
                     b_n += cls.labelled_size
                 else:

@@ -501,7 +501,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism-class enumeration (orbit sweep over all 2^C(n,2) masks)
+# isomorphism-class enumeration (orbit sweep over the masks that a
+# canonical code of at most C(n,2) / 2 edges can be)
 
 @dataclass(frozen=True)
 class GraphClass:
@@ -541,8 +542,10 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
     row plus the table rows of the slots it gains, minus those of the
     slots it loses, updated in place: about 2 of 10.5 edge slots at
     n = 7.  The row then marks its codes in the seen array in one
-    scatter, and a scan to the next unmarked mask, done in C by
-    bytearray.find, is the only pass over all 2^C(n,2) labelled graphs.
+    scatter, and bytearray.find scans, in C, to the next unmarked mask.
+    The seen array holds only the masks below a bound that every swept
+    canonical code lies under (_class_codes), 2^17 of the 2^21 at n = 7,
+    and a row marks only its codes below that bound.
 
     Complementing commutes with relabelling, so the complement of a class
     with m edges is a class with the same |Aut|, whose orbit codes are
@@ -561,27 +564,41 @@ def enumerate_graphs(n: int) -> Iterator[GraphClass]:
 
 def _class_codes(n: int) -> list[tuple[int, int]]:
     """(canonical code, |Aut|) of every class on n vertices, sorted: the
-    orbit sweep of enumerate_graphs, whose seen array is freed on return."""
+    orbit sweep of enumerate_graphs, whose seen array is freed on return.
+
+    A canonical code's top n - 1 bits are vertex 1's row, which the
+    minimum makes 2^delta - 1, delta the least degree: a least-degree
+    vertex comes first and its neighbours last, as in Read's orderly
+    generation.  A swept class has 2m <= 2 * (s // 2) edge ends, so
+    delta <= d = 2 * (s // 2) // n and its code is below
+    limit = 2^(C(n-1, 2) + d): 2^17 of the 2^21 masks at n = 7, 2^12 of
+    2^15 at n = 6.  So seen covers only the masks below limit, and each
+    swept class marks only its orbit codes below it, 352,752 of the
+    2,630,880 it computes at n = 7."""
     import numpy as np
     values = _perm_tables(n)
     s = len(values)
     top, full = s - 1, (1 << s) - 1   # mask bit b is slot top - b
+    limit = 1 << math.comb(n - 1, 2) + 2 * (s // 2) // n
     # seen[mask] = popcount(mask) > half, as the popcount of the low half
     # bits > half - that of the high s - half bits: each run of 2^half
     # masks sharing their high bits is one of only s - half + 1 distinct
     # rows, a translate of the low halves' popcount bytes, copied in row
-    # by row (a join of all 2^(s - half) rows at once holds a buffer
-    # record per row, 180 KB beside seen at n = 7)
+    # by row (a join of the rows builds a bytes as large as seen, which
+    # bytearray then copies)
     half, width = s // 2, 1 << s // 2
     low = bytes(b.bit_count() for b in range(width))
     rows = [low.translate(bytes(p > half - h for p in range(256)))
             for h in range(s - half + 1)]
-    seen = bytearray(1 << s)
+    # (limit is a multiple of width for every n <= ENUMERATE_MAX_N)
+    seen = bytearray(limit)
     with memoryview(seen) as view:
-        for high, start in enumerate(range(0, 1 << s, width)):
+        for high, start in enumerate(range(0, limit, width)):
             view[start:start + width] = rows[high.bit_count()]
     marks = np.frombuffer(seen, dtype=np.bool_)
-    codes = np.zeros(math.factorial(n), dtype=np.intp)   # intp: the scatter needs no copy
+    # int32, as _perm_tables: only the few hundred codes below limit are
+    # cast to intp, by the scatter
+    codes = np.zeros(math.factorial(n), dtype=np.int32)
     found = []
     last = mask = 0
     while mask != -1:
@@ -590,8 +607,9 @@ def _class_codes(n: int) -> list[tuple[int, int]]:
                 codes += values[top - bit]
             else:
                 codes -= values[top - bit]
-        marks[codes] = True
-        aut = int(np.count_nonzero(codes == mask))
+        below = codes[codes < limit]
+        marks[below] = True
+        aut = int(np.count_nonzero(below == mask))
         found.append((mask, aut))
         if 2 * mask.bit_count() < s:
             found.append((full ^ int(codes.max()), aut))

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wordrep import NON_REPRESENTABLE, REPRESENTABLE, census, decide, entropy_ta
 from wordrep.bundled import bundled_graph
 from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import (
+    _class_codes,
     _graph_from_mask,
     _order_semi_transitive,
     _three_colourable,
@@ -115,6 +117,47 @@ def test_certificate_split():
             assert is_semi_transitive(orient_by_coloring(g, find_proper_coloring(g, 3)))
     assert by_coloring == [1, 2, 4, 10, 29, 119, 667]
     assert by_order == [0, 0, 0, 1, 5, 34, 319]
+
+
+def test_census_order_tests_only_what_the_colouring_leaves(monkeypatch):
+    # the vertex orders run once per 64-class chunk, on exactly the codes
+    # the colouring rejects, which no 3-colouring covers
+    received = []
+
+    def spied(n, codes):
+        received.append((n, list(codes)))
+        return _order_semi_transitive(n, codes)
+
+    monkeypatch.setattr(sys.modules["wordrep.census"], "_order_semi_transitive", spied)
+    census(7)
+    for n in range(1, 8):
+        calls = [codes for m, codes in received if m == n]
+        classes = [cls.form.code for cls in enumerate_graphs(n)]
+        assert len(calls) == -(-len(classes) // 64)
+        assert sum(calls, []) == [code for code in classes
+                                  if find_proper_coloring(_graph_from_mask(n, code), 3) is None]
+    assert [sum(len(codes) for m, codes in received if m == n) for n in range(1, 8)] == \
+        [0, 0, 0, 1, 5, 37, 377]
+    received.clear()
+    entropy_table(7)
+    assert sum(len(codes) for _, codes in received) == 420
+
+
+def test_sweep_and_census_stay_small_in_memory():
+    # traced allocations, with every cached table built by a first call:
+    # the class sweep's seen array covers only the masks below its limit
+    # (2^17 bytes at n = 7, not 2^21), so neither peak nears a megabyte
+    def peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: _class_codes(7)) < 512 * 1024
+    assert peak(lambda: entropy_table(7)) < 512 * 1024
 
 
 def test_three_colourable_labelled_totals():

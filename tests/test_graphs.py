@@ -376,6 +376,31 @@ def test_enumerate_matches_from_scratch_sweep():
             list(ref_enumerate_graphs(n))
 
 
+def test_canonical_codes_lie_below_the_sweep_limit():
+    # a canonical code puts a least-degree vertex first and its neighbours
+    # last, so its top n - 1 bits, vertex 1's row, are 2^delta - 1; a class
+    # with 2m <= C(n,2) has delta <= 2 * (C(n,2) // 2) // n, so its code is
+    # below the limit that the class sweep sizes its seen array to
+    cycles = {n: canonical_form(graph_from_edge_list(n, [(v, v % n + 1) for v in range(1, n + 1)]))
+              for n in (6, 7)}
+    for n in range(1, 8):
+        s, rest = math.comb(n, 2), math.comb(n - 1, 2)
+        limit = 1 << rest + 2 * (s // 2) // n
+        swept = []
+        for cls in enumerate_graphs(n):
+            g = cls.graph
+            assert cls.form.code >> rest == (1 << min(g.degree_sequence())) - 1
+            if 2 * len(g.edges) <= s:
+                assert cls.form.code < limit
+                swept.append(cls.form)
+        # the cycle has least degree 2 = d, so no smaller power of two
+        # holds every swept code
+        if n in cycles:
+            assert cycles[n] in swept and cycles[n].code >= limit // 2
+    assert [1 << math.comb(n - 1, 2) + 2 * (math.comb(n, 2) // 2) // n for n in (6, 7)] == \
+        [1 << 12, 1 << 17]
+
+
 def test_class_representatives_are_built_on_first_read():
     # a class holds its code; its graph is built on the first read and the
     # same object comes back after
