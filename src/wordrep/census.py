@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .decision import REPRESENTABLE, decide
-from .errors import OutOfRangeError, TooLargeError
+from .errors import OutOfRangeError
 from .graphs import (
-    ENUMERATE_MAX_N,
     GraphClass,
     _deletion_codes,
     _enumerable_n,
@@ -56,21 +55,21 @@ def census(n: int) -> SpeedRow:
     lower colour class to the higher leaves no directed path of three
     arcs, so no shortcut (orient_by_coloring), which holds for 667 of the
     1,044 classes at n = 7.  The test reads only the class codes: a graph
-    is 3-colourable when its code shares no bit with that of some union
-    of three cliques covering 1..n (_three_colourable), so these classes
-    build no Graph and never backtrack.  A class is representable too
-    when some vertex order is semi-transitive (it orients each edge from
-    the earlier vertex to the later), and every semi-transitive
-    orientation is one of these, by a topological order.  The (n - 4)!
-    orders that keep 1, 2, 3, 4 first are tested on the code against the
-    literal definition of a shortcut, one pattern per sequence of four or
-    more vertices increasing in the order (_order_semi_transitive), on
-    the classes the colouring leaves: 319 of the 377 left at n = 7, and
-    420 tested for n = 1..7.  Both tests run on chunks of 64 classes,
-    which keeps their broadcast ANDs to 64 x 301 codes for the colouring
-    and at most 58 x 6 x 64 for the orders at n = 7; the chunked
-    colouring moved the benchmark's peak RSS less than one AND over all
-    1,044.
+    is 3-colourable when its code shares no bit with the pairs that some
+    colouring of 1..n with at most three colours leaves inside its
+    classes (_three_colourable), so these classes build no Graph and
+    never backtrack.  A class is representable too when some vertex
+    order is semi-transitive (it orients each edge from the earlier
+    vertex to the later), and every semi-transitive orientation is one
+    of these, by a topological order.  The (n - 4)! orders that keep 1,
+    2, 3, 4 first are tested on the code against the literal definition
+    of a shortcut, one pattern per sequence of four or more vertices
+    increasing in the order (_order_semi_transitive), on the classes the
+    colouring leaves: 319 of the 377 left at n = 7, and 420 tested for
+    n = 1..7.  Both tests run on chunks of 64 classes, which keeps their
+    broadcast ANDs to 64 x 365 codes for the colouring and at most
+    58 x 6 x 64 for the orders at n = 7; the chunked colouring moved the
+    benchmark's peak RSS less than one AND over all 1,044.
 
     Representability is hereditary: deleting a vertex's letters from a
     word that represents a graph represents the graph less that vertex.
@@ -128,12 +127,10 @@ def _representable(cls: GraphClass, refuted: set[int]) -> bool:
 def entropy_table(n_max: int, long_ok: bool = False) -> list[SpeedRow]:
     """Rows for n = 2..n_max, 2 <= n_max <= ENUMERATE_MAX_N (7), from one
     pass of _rows.  long_ok does nothing; it stays only because
-    perfbench/worker.py passes it.  A non-integer n_max raises
-    OutOfRangeError (_integer)."""
+    perfbench/worker.py passes it.  A non-integer n_max or n_max < 2
+    raises OutOfRangeError (_integer); past 7 it raises as
+    enumerate_graphs does (_enumerable_n)."""
     n_max = _integer(n_max, "n_max")
     if n_max < 2:
         raise OutOfRangeError(f"entropy table needs n >= 2, got {n_max}")
-    if n_max > ENUMERATE_MAX_N:
-        raise TooLargeError(
-            f"entropy table supports n <= {ENUMERATE_MAX_N}, got {n_max}")
-    return _rows(n_max)[1:]
+    return _rows(_enumerable_n(n_max))[1:]

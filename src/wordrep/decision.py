@@ -53,8 +53,9 @@ def verify_certificate(g: Graph, d: Decision) -> bool:
     orientations with the first edge FORWARD, which by reversal stand for
     all, and cuts a branch at its first placed shortcut: 219 nodes for
     graph A, whose 444 such orientations each hold a shortcut.  An edgeless
-    graph's one orientation is yielded.  n > 8 raises TooLargeError, from
-    the walk.  Any other verdict raises OutOfRangeError."""
+    graph's one orientation is yielded.  Past the walk's caps (more than
+    24 edges with n > 8, or n > 500) it raises TooLargeError.  Any other
+    verdict raises OutOfRangeError."""
     if d.verdict == REPRESENTABLE:
         w = d.witness
         return w is not None and w.base == g and w.is_total and is_semi_transitive(w)

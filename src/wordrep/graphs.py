@@ -312,7 +312,8 @@ def find_proper_coloring(g: Graph, max_colors: int) -> VertexColoring | None:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms by exhaustive permutation minimization
+# canonical forms by exhaustive permutation minimization, and the census's
+# certificates read from codes alone: colourings and vertex orders
 #
 # The upper triangle is packed into an integer with pair (1,2) at the most
 # significant bit, so integer order on codes equals lexicographic order on
@@ -371,46 +372,30 @@ def _perm_tables(n: int) -> np.ndarray:
 
 @functools.cache
 def _three_class_codes(n: int) -> np.ndarray:
-    """Codes of the disjoint unions of three nonempty cliques covering
-    1..n, the pairs that a 3-colouring leaves inside its classes: one per
-    partition of 1..n into three blocks, 301 at n = 7, 90 at n = 6, only
-    0 at n = 3 and none for n <= 2.  Built once per n from Python ints,
-    one clique code per vertex set OR-ed per partition (0.17 ms at n = 7);
-    int32 holds them for n <= 8, as in _perm_tables."""
+    """Codes of the pairs that a colouring of 1..n with at most three
+    colours leaves inside its classes, one per such colouring up to the
+    colours' names, sorted: 1, 2, 5, 14, 41, 122 and 365 for n = 1..7,
+    with 0, one vertex per class, among them for n <= 3.  Vertex 1 takes
+    colour 0 and itertools.product colours the rest; a colouring's code
+    is the OR of the slot values of its monochromatic pairs.  Built once
+    per n (3^6 colourings at n = 7); int32 holds them for n <= 8, as in
+    _perm_tables."""
     import numpy as np
-    slot = _slot_values(n)
-    # clique[S], bit i of S standing for vertex i + 1: the pairs of S are
-    # those of S less its least vertex, those of S less its top vertex,
-    # and the pair of those two
-    clique = [0] * (1 << n)
-    for S in range(1, 1 << n):
-        low, top = S & -S, 1 << S.bit_length() - 1
-        if low != top:
-            clique[S] = (clique[S ^ low] | clique[S ^ top]
-                         | slot[low.bit_length(), top.bit_length()])
-    # blocks a (holding vertex 1), b (holding the least vertex a leaves)
-    # and c, the rest: each partition once
-    full, codes = (1 << n) - 1, []
-    for a in range(1, full, 2):
-        rest = full ^ a
-        least = rest & -rest
-        b = rest   # b runs down the proper subsets of rest, kept if holding least
-        while b:
-            b = b - 1 & rest
-            if b & least:
-                codes.append(clique[a] | clique[b] | clique[rest ^ b])
-    return np.array(codes, np.int32)
+    pairs = _pairs(n)
+    values = np.array(list(_slot_values(n).values()), np.int32)
+    colours = np.array([(0, *rest) for rest in itertools.product(range(3), repeat=n - 1)])
+    us = [u - 1 for u, _ in pairs]
+    vs = [v - 1 for _, v in pairs]
+    same = colours[:, us] == colours[:, vs]
+    codes = np.bitwise_or.reduce(np.where(same, values, 0), axis=1)
+    return np.array(sorted(set(codes.tolist())), np.int32)
 
 
 def _three_colourable(n: int, codes: list[int]) -> list[bool]:
     """For each graph code on n vertices, whether the graph is
     3-colourable: whether the code shares no bit with some code of
-    _three_class_codes(n), all in one broadcast AND.  Three nonempty
-    classes lose nothing for n >= 3, since a colouring that leaves a
-    class empty can split a larger one; every graph on n <= 2 vertices
-    is 3-colourable."""
-    if n <= 2:
-        return [True] * len(codes)
+    _three_class_codes(n), so that some colouring with at most three
+    colours leaves no edge inside a class, all in one broadcast AND."""
     import numpy as np
     masks = _three_class_codes(n)
     return ((np.array(codes, np.int32)[:, None] & masks).min(axis=1) == 0).tolist()
@@ -580,22 +565,18 @@ def _class_codes(n: int) -> list[tuple[int, int]]:
     s = len(values)
     top, full = s - 1, (1 << s) - 1   # mask bit b is slot top - b
     limit = 1 << math.comb(n - 1, 2) + 2 * (s // 2) // n
-    # seen[mask] = popcount(mask) > half, as the popcount of the low half
-    # bits > half - that of the high s - half bits: each run of 2^half
-    # masks sharing their high bits is one of only s - half + 1 distinct
-    # rows, a translate of the low halves' popcount bytes, copied in row
-    # by row (a join of the rows builds a bytes as large as seen, which
-    # bytearray then copies)
-    half, width = s // 2, 1 << s // 2
-    low = bytes(b.bit_count() for b in range(width))
-    rows = [low.translate(bytes(p > half - h for p in range(256)))
-            for h in range(s - half + 1)]
-    # (limit is a multiple of width for every n <= ENUMERATE_MAX_N)
+    # seen[mask] = popcount(mask) > s // 2: read as rows of width masks,
+    # one per value of the high bits, seen gets the popcount of the row's
+    # high bits plus that of the low bits, added into its own bytes and
+    # then compared into the same bytes read as bool (limit is a multiple
+    # of width, and at most width^2, for every n <= ENUMERATE_MAX_N)
+    width = 1 << s // 2
+    pop = np.array([b.bit_count() for b in range(width)], np.uint8)
     seen = bytearray(limit)
-    with memoryview(seen) as view:
-        for high, start in enumerate(range(0, limit, width)):
-            view[start:start + width] = rows[high.bit_count()]
-    marks = np.frombuffer(seen, dtype=np.bool_)
+    counts = np.frombuffer(seen, np.uint8).reshape(-1, width)
+    np.add(pop[:limit // width, None], pop, out=counts)
+    np.greater(counts, s // 2, out=counts.view(np.bool_))
+    marks = np.frombuffer(seen, np.bool_)
     # int32, as _perm_tables: only the few hundred codes below limit are
     # cast to intp, by the scatter
     codes = np.zeros(math.factorial(n), dtype=np.int32)

@@ -1,5 +1,6 @@
 """The top-level decision procedure and its certificates."""
 
+import itertools
 import json
 import random
 import time
@@ -175,7 +176,45 @@ def test_verify_certificate_rejects_unknown_verdict():
 def test_verify_certificate_too_large():
     claim = Decision(NON_REPRESENTABLE, None, SearchStats())
     with pytest.raises(TooLargeError):
-        verify_certificate(graph_from_edge_list(9, [(1, 2)]), claim)
+        verify_certificate(graph_from_edge_list(9, complete(9).edges[:25]), claim)
+
+
+def test_refutation_recheck_past_eight_vertices():
+    # past n = 8 the walk is capped by edges, as the counts are: it confirms
+    # decide's refutations of the odd wheels W9 and W11, of A after a path
+    # of 4 edges and of seeded graphs with n = 9..12 and at most 24 edges,
+    # and it rejects a refutation of the representable Petersen graph
+    claim = Decision(NON_REPRESENTABLE, None, SearchStats())
+
+    def wheel(k):
+        rim = [(v, v + 1) for v in range(2, k + 1)] + [(2, k + 1)]
+        return graph_from_edge_list(k + 1, [(1, v) for v in range(2, k + 2)] + rim)
+
+    a = bundled_graph("A")
+    path_a = graph_from_edge_list(
+        5 + a.n, [(v, v + 1) for v in range(1, 5)] + [(u + 5, v + 5) for u, v in a.edges])
+    graphs = [wheel(9), wheel(11), path_a]
+    rng = random.Random(912)
+    for _ in range(80):
+        n = rng.randint(9, 12)
+        core = sorted(rng.sample(range(1, n + 1), rng.randint(6, 8)))
+        pairs = list(itertools.combinations(core, 2))
+        graphs.append(graph_from_edge_list(n, rng.sample(pairs, min(len(pairs), rng.randint(14, 20)))))
+    refuted = [decide(g).verdict == NON_REPRESENTABLE for g in graphs]
+    assert refuted[:3] == [True] * 3 and sum(refuted[3:]) == 7
+    assert [verify_certificate(g, claim) for g in graphs] == refuted
+    assert not verify_certificate(bundled_graph("petersen"), claim)
+    # an 8-vertex graph with more than 24 edges is the complement of a
+    # graph of at most 3 edges, which has two isolated vertices, so is one
+    # of the 9 classes on 6 vertices padded to 8: decide finds each
+    # complement representable, and the walk, which keeps every n <= 8 in
+    # range, rejects a refutation of each
+    small = [cls.graph for cls in enumerate_graphs(6) if len(cls.graph.edges) <= 3]
+    assert len(small) == 9
+    for h in small:
+        g = graph_from_edge_list(8, [e for e in complete(8).edges if e not in h.edges])
+        assert decide(g).verdict == REPRESENTABLE
+        assert not verify_certificate(g, claim)
 
 
 def test_verify_certificate_confirms_every_n7_refutation():
@@ -217,7 +256,7 @@ def _walks_per_graph(monkeypatch):
     """Count walks per graph at their root node, orientations._walk with
     no edge placed: semi_transitive_orientations, which verify_certificate
     runs, starts there, and so does count_semi_transitive_naive, which
-    runs the walk without its n <= 8 cap."""
+    runs the same walk."""
     calls = Counter()
     walk = orientations._walk
 

@@ -502,7 +502,8 @@ def test_walk_is_generate_and_test():
         assert counts[-1] == generate_and_test_count(g)
     assert sum(counts[:208]) == 7292 and counts[208:] == [24, 6, 12, 0]
     with pytest.raises(TooLargeError):
-        next(semi_transitive_orientations(graph_from_edge_list(9, [])))
+        next(semi_transitive_orientations(
+            graph_from_edge_list(9, list(itertools.combinations(range(1, 10), 2))[:25])))
 
 
 def test_lemma1_soundness_random():
@@ -635,8 +636,8 @@ def test_count_is_a_product_over_blocks(g, count):
 
 
 def test_naive_count_past_eight_vertices():
-    # the naive count is capped by edges, as the fast one is, not by the
-    # walk's n <= 8: it re-checks the 1,320 that count-orientations prints
+    # the naive count is capped by edges, as the fast one is, not by n: it
+    # re-checks the 1,320 that count-orientations prints
     # for Petersen, and seeded graphs with n = 9..12 and m <= 16, their
     # edges among 6..n of the vertices, refuted ones included
     petersen = bundled_graph("petersen")

@@ -150,6 +150,7 @@ def test_one_error_class_per_decision_a_caller_makes():
 
 
 G9 = graph_from_edge_list(9, [])
+N9M25 = graph_from_edge_list(9, list(itertools.combinations(range(1, 10), 2))[:25])
 G41 = graph_from_edge_list(41, [])
 M25 = graph_from_edge_list(8, list(itertools.combinations(range(1, 9), 2))[:25])
 P1200 = graph_from_edge_list(1200, [(v, v + 1) for v in range(1, 1200)])
@@ -157,7 +158,7 @@ P1200 = graph_from_edge_list(1200, [(v, v + 1) for v in range(1, 1200)])
 C1200 = Orientation(graph_from_edge_list(1200, P1200.edges + ((1, 1200),)), (FORWARD,) * 1200)
 
 
-# one case per row of the README's "Size caps" table
+# at least one case per row of the README's "Size caps" table
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: canonical_form(G9), id="canonical-form"),
     pytest.param(lambda: list(enumerate_graphs(8)), id="enumerate-graphs"),
@@ -168,8 +169,11 @@ C1200 = Orientation(graph_from_edge_list(1200, P1200.edges + ((1, 1200),)), (FOR
     pytest.param(lambda: count_semi_transitive_naive(M25), id="count-naive"),
     pytest.param(lambda: count_semi_transitive_naive(graph_from_edge_list(501, [])),
                  id="count-naive-vertices"),
-    pytest.param(lambda: verify_certificate(G9, Decision(NON_REPRESENTABLE, None, SearchStats())),
+    pytest.param(lambda: verify_certificate(N9M25, Decision(NON_REPRESENTABLE, None, SearchStats())),
                  id="refutation-recheck"),
+    pytest.param(lambda: verify_certificate(graph_from_edge_list(501, []),
+                                            Decision(NON_REPRESENTABLE, None, SearchStats())),
+                 id="refutation-recheck-vertices"),
     pytest.param(lambda: find_k_uniform_word(graph_from_edge_list(11, []), 3), id="word-search"),
     pytest.param(lambda: find_proper_coloring(P1200, 2), id="proper-coloring"),
     pytest.param(lambda: are_isomorphic(P1200, P1200), id="isomorphism"),
