@@ -45,7 +45,7 @@ def _entropy(n: int, b_n: int) -> float | None:
 
 
 def census(n: int) -> SpeedRow:
-    """Exact counts for vertex count n <= ENUMERATE_MAX_N (7): one verdict
+    """Exact counts for vertex count n <= CANONICAL_MAX_N (8): one verdict
     per isomorphism class, never one per labelled graph.  The row is the
     last of one pass over n = 1..n (_rows), so the rows below it are
     counted too.  Every class is settled from its code, by certificates
@@ -68,8 +68,11 @@ def census(n: int) -> SpeedRow:
     colouring leaves: 319 of the 377 left at n = 7, and 420 tested for
     n = 1..7.  Both tests run on chunks of 64 classes, which keeps their
     broadcast ANDs to 64 x 365 codes for the colouring and at most
-    58 x 6 x 64 for the orders at n = 7; the chunked colouring moved the
-    benchmark's peak RSS less than one AND over all 1,044.
+    58 x 6 x 64 for the orders at n = 7 (64 x 1,094 and 64 x 24 x 163
+    at n = 8, where one AND over all 12,346 classes would build int32
+    arrays of 54 MB for the colouring and 99 MB for the orders); the
+    chunked colouring moved the benchmark's peak RSS less than one AND
+    over all 1,044.
 
     Representability is hereditary: deleting a vertex's letters from a
     word that represents a graph represents the graph less that vertex.
@@ -81,9 +84,11 @@ def census(n: int) -> SpeedRow:
 
     decide searches only what is left: 42 classes at n = 7, the 10
     minimal refuted ones and 32 representable, and 45 of the 1,252 for
-    n = 1..7.  No witness is emitted, so which certificate settles a
-    class changes no output.  n is checked as by enumerate_graphs
-    (_enumerable_n), before the pass starts."""
+    n = 1..7.  At n = 8 the colouring settles 6,024 of the 12,346
+    classes, the orders 4,808 and heredity 909, and decide searches 605,
+    47 of them refuted.  No witness is emitted, so which certificate
+    settles a class changes no output.  n is checked as by
+    enumerate_graphs (_enumerable_n), before the pass starts."""
     return _rows(_enumerable_n(n))[-1]
 
 
@@ -125,10 +130,10 @@ def _representable(cls: GraphClass, refuted: set[int]) -> bool:
 
 
 def entropy_table(n_max: int, long_ok: bool = False) -> list[SpeedRow]:
-    """Rows for n = 2..n_max, 2 <= n_max <= ENUMERATE_MAX_N (7), from one
+    """Rows for n = 2..n_max, 2 <= n_max <= CANONICAL_MAX_N (8), from one
     pass of _rows.  long_ok does nothing; it stays only because
     perfbench/worker.py passes it.  A non-integer n_max or n_max < 2
-    raises OutOfRangeError (_integer); past 7 it raises as
+    raises OutOfRangeError (_integer); past 8 it raises as
     enumerate_graphs does (_enumerable_n)."""
     n_max = _integer(n_max, "n_max")
     if n_max < 2:

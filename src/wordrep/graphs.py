@@ -22,7 +22,6 @@ if TYPE_CHECKING:   # the functions that use numpy import it themselves
     import numpy as np
 
 CANONICAL_MAX_N = 8
-ENUMERATE_MAX_N = 7
 # proper colouring, the isomorphism test and the shortcut scan recurse one
 # level per vertex, under Python's default limit of 1000 frames with room
 # for their callers
@@ -504,13 +503,13 @@ class GraphClass:
 
 
 def _enumerable_n(n) -> int:
-    """n as an int, for a class enumeration: 1 <= n <= ENUMERATE_MAX_N,
-    else TooLargeError or OutOfRangeError; a non-integer n raises
-    OutOfRangeError (_integer)."""
+    """n as an int, for a class enumeration: 1 <= n <= CANONICAL_MAX_N,
+    the cap of the orbit tables (_perm_tables), else TooLargeError or
+    OutOfRangeError; a non-integer n raises OutOfRangeError (_integer)."""
     n = _integer(n, "vertex count")
-    if n > ENUMERATE_MAX_N:
+    if n > CANONICAL_MAX_N:
         raise TooLargeError(
-            f"class enumeration supports n <= {ENUMERATE_MAX_N}, got {n}")
+            f"class enumeration supports n <= {CANONICAL_MAX_N}, got {n}")
     if n < 1:
         raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
     return n
@@ -556,10 +555,10 @@ def _class_codes(n: int) -> list[tuple[int, int]]:
     vertex comes first and its neighbours last, as in Read's orderly
     generation.  A swept class has 2m <= 2 * (s // 2) edge ends, so
     delta <= d = 2 * (s // 2) // n and its code is below
-    limit = 2^(C(n-1, 2) + d): 2^17 of the 2^21 masks at n = 7, 2^12 of
-    2^15 at n = 6.  So seen covers only the masks below limit, and each
-    swept class marks only its orbit codes below it, 352,752 of the
-    2,630,880 it computes at n = 7."""
+    limit = 2^(C(n-1, 2) + d): 2^24 of the 2^28 masks at n = 8 (16 MiB
+    of seen), 2^17 of 2^21 at n = 7.  So seen covers only the masks
+    below limit, and each swept class marks only its orbit codes below
+    it, 352,752 of the 2,630,880 it computes at n = 7."""
     import numpy as np
     values = _perm_tables(n)
     s = len(values)
@@ -568,8 +567,10 @@ def _class_codes(n: int) -> list[tuple[int, int]]:
     # seen[mask] = popcount(mask) > s // 2: read as rows of width masks,
     # one per value of the high bits, seen gets the popcount of the row's
     # high bits plus that of the low bits, added into its own bytes and
-    # then compared into the same bytes read as bool (limit is a multiple
-    # of width, and at most width^2, for every n <= ENUMERATE_MAX_N)
+    # then compared into the same bytes read as bool.  For every
+    # n <= CANONICAL_MAX_N, limit is a multiple of width and at most
+    # width^2 (2^24 against 2^14 and 2^28 at n = 8), and int32 holds
+    # codes of s <= 28 slots
     width = 1 << s // 2
     pop = np.array([b.bit_count() for b in range(width)], np.uint8)
     seen = bytearray(limit)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .bundled import bundled_graph, bundled_word
 from .decision import NON_REPRESENTABLE, decide, verify_certificate
-from .graphs import are_isomorphic
+from .graphs import Graph, are_isomorphic
 from .orientations import (
     Conflict,
     count_semi_transitive,
@@ -17,7 +17,7 @@ from .orientations import (
     lemma1_propagate,
     orientation_from_arcs,
 )
-from .words import graph_of_word, parse_word, represents, uniformity
+from .words import Word, graph_of_word, parse_word, represents, uniformity
 
 K4_WORDS = ("1234", "3142", "123412", "12341234", "432143214321")
 
@@ -29,9 +29,7 @@ class CheckResult:
     detail: str
 
 
-def _check_m_word() -> list[CheckResult]:
-    m = bundled_graph("M")
-    w = bundled_word("M")
+def _check_m_word(m: Graph, w: Word) -> list[CheckResult]:
     out = [CheckResult("m-word-represents", represents(w, m),
                        "1213423 represents the triangle 2-3-4 plus pendant edge 1-2")]
     gw = graph_of_word(w)
@@ -46,8 +44,7 @@ def _check_m_word() -> list[CheckResult]:
     return out
 
 
-def _check_k4_words() -> list[CheckResult]:
-    k4 = bundled_graph("K4")
+def _check_k4_words(k4: Graph) -> list[CheckResult]:
     bad = [s for s in K4_WORDS if not represents(parse_word(s), k4)]
     return [CheckResult(
         "k4-words", not bad,
@@ -55,8 +52,7 @@ def _check_k4_words() -> list[CheckResult]:
         else "rejected: " + ", ".join(bad))]
 
 
-def _check_petersen() -> list[CheckResult]:
-    w = bundled_word("petersen")
+def _check_petersen(petersen: Graph, w: Word) -> list[CheckResult]:
     out = [CheckResult(
         "petersen-word-uniform",
         len(w) == 30 and uniformity(w) == 3,
@@ -64,13 +60,12 @@ def _check_petersen() -> list[CheckResult]:
     g = graph_of_word(w)
     out.append(CheckResult(
         "petersen-word-graph",
-        are_isomorphic(g, bundled_graph("petersen")),
+        are_isomorphic(g, petersen),
         "graph of the word is isomorphic to the Petersen graph"))
     return out
 
 
-def _check_refutation() -> list[CheckResult]:
-    a = bundled_graph("A")
+def _check_refutation(a: Graph) -> list[CheckResult]:
     d = decide(a)
     refuted = d.verdict == NON_REPRESENTABLE
     confirmed = refuted and verify_certificate(a, d)
@@ -84,13 +79,12 @@ def _check_refutation() -> list[CheckResult]:
     return [CheckResult("a-refutation", refuted and confirmed, detail)]
 
 
-def _check_max_degree() -> list[CheckResult]:
+def _check_max_degree(a: Graph) -> list[CheckResult]:
     """The paper's headline: A has max degree 4, so a graph of max degree
     4 need not be representable, where every graph of max degree 3 is.
     The row checks A's degrees only.  The census refutes one other class
     of max degree 4 at n = 7, 7:03ef71, with 13 edges; the row names it
     and the test that checks it."""
-    a = bundled_graph("A")
     return [CheckResult(
         "a-max-degree", a.max_degree() == 4,
         f"A has max degree {a.max_degree()}, degrees {a.degree_sequence()}; "
@@ -98,8 +92,7 @@ def _check_max_degree() -> list[CheckResult]:
         "checked by the census tests (test_refuted_classes_of_max_degree_4)")]
 
 
-def _check_case_replay() -> list[CheckResult]:
-    a = bundled_graph("A")
+def _check_case_replay(a: Graph) -> list[CheckResult]:
     start = orientation_from_arcs(a, [(1, 2), (6, 1)])
     result = lemma1_propagate(a, start)
     if isinstance(result, Conflict):
@@ -112,16 +105,17 @@ def _check_case_replay() -> list[CheckResult]:
         f"assigning 1->2 and 6->1 forces {sorted(forced)}, expected [(5, 2), (6, 5)]")]
 
 
-def _check_counts(a_refuted: bool) -> list[CheckResult]:
-    """Fast and naive orientation counts of K4, C4 and A.  a_refuted: the
-    a-refutation check passed, so verify_certificate has already run the
-    walk the naive count runs, semi_transitive_orientations of A, and it
-    yielded nothing: that is the naive count of A being 0.  A is walked
-    again only when the check did not pass."""
+def _check_counts(graphs: dict[str, Graph], a_refuted: bool) -> list[CheckResult]:
+    """Fast and naive orientation counts of K4, C4 and A, taken from
+    graphs by name.  a_refuted: the a-refutation check passed, so
+    verify_certificate has already run the walk the naive count runs,
+    semi_transitive_orientations of A, and it yielded nothing: that is
+    the naive count of A being 0.  A is walked again only when the check
+    did not pass."""
     got = {}
     ok = True
     for name, expected in (("K4", 24), ("C4", 6), ("A", 0)):
-        g = bundled_graph(name)
+        g = graphs[name]
         fast = count_semi_transitive(g)
         naive = 0 if name == "A" and a_refuted else count_semi_transitive_naive(g)
         got[name] = (fast, naive)
@@ -133,13 +127,16 @@ def _check_counts(a_refuted: bool) -> list[CheckResult]:
 
 
 def run_all_checks() -> list[CheckResult]:
+    """Every check, in table order; each bundled file is read and parsed
+    once per run."""
+    graphs = {name: bundled_graph(name) for name in ("M", "K4", "C4", "A", "petersen")}
     checks: list[CheckResult] = []
-    checks.extend(_check_m_word())
-    checks.extend(_check_k4_words())
-    checks.extend(_check_petersen())
-    refutation = _check_refutation()
+    checks.extend(_check_m_word(graphs["M"], bundled_word("M")))
+    checks.extend(_check_k4_words(graphs["K4"]))
+    checks.extend(_check_petersen(graphs["petersen"], bundled_word("petersen")))
+    refutation = _check_refutation(graphs["A"])
     checks.extend(refutation)
-    checks.extend(_check_max_degree())
-    checks.extend(_check_case_replay())
-    checks.extend(_check_counts(refutation[0].passed))
+    checks.extend(_check_max_degree(graphs["A"]))
+    checks.extend(_check_case_replay(graphs["A"]))
+    checks.extend(_check_counts(graphs, refutation[0].passed))
     return checks

@@ -1,26 +1,36 @@
-"""Census tests: exact a_n / b_n values, entropy, the n <= 7 cap.
+"""Census tests: exact a_n / b_n values, entropy, the n <= 8 cap.
 
 Constants for n <= 5 follow from every such graph being representable
 (b_n = 2^C(n,2)); the n = 6 and n = 7 rows were frozen after independent
-full labelled sweeps agreed with the orbit-stabilizer totals.
+full labelled sweeps agreed with the orbit-stabilizer totals.  The n = 8
+row is locked as the census first computed it, and its refutations are
+re-checked by the walk and by decide.
 """
 
+import hashlib
 import itertools
 import json
 import math
+import random
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wordrep import NON_REPRESENTABLE, REPRESENTABLE, census, decide, entropy_table
 from wordrep.bundled import bundled_graph
+from wordrep.decision import verify_certificate
 from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import (
+    CANONICAL_MAX_N,
     _class_codes,
+    _deletion_codes,
     _graph_from_mask,
+    _orbit_codes,
     _order_semi_transitive,
+    _perm_tables,
     _three_colourable,
     canonical_form,
     delete_vertex,
@@ -82,16 +92,18 @@ def test_labelled_oracle_n6():
     assert total == 32696
 
 
-def test_census_capped_at_n7(monkeypatch):
-    # the cap is enumerate_graphs's; it must fire before any class is decided
-    def no_decisions(g):
-        raise AssertionError("decided a class past the cap")
+def test_census_capped_at_n8(monkeypatch):
+    # the cap is enumerate_graphs's, the orbit tables' n <= 8; it must
+    # fire before any table is built, any class is swept or decided
+    def refused(*args):
+        raise AssertionError("worked past the cap")
 
-    monkeypatch.setattr(sys.modules["wordrep.census"], "decide", no_decisions)
-    with pytest.raises(TooLargeError):
-        census(8)
-    with pytest.raises(TooLargeError):
-        entropy_table(8)
+    monkeypatch.setattr(sys.modules["wordrep.census"], "decide", refused)
+    monkeypatch.setattr(sys.modules["wordrep.graphs"], "_class_codes", refused)
+    monkeypatch.setattr(sys.modules["wordrep.graphs"], "_perm_tables", refused)
+    for call in (census, entropy_table, lambda n: list(enumerate_graphs(n))):
+        with pytest.raises(TooLargeError, match=r"^class enumeration supports n <= 8, got 9$"):
+            call(9)
 
 
 def test_vertex_order_certifies_most_classes():
@@ -244,12 +256,25 @@ def test_heredity_refutes_the_non_minimal_classes(monkeypatch):
     assert all(decide(delete_vertex(w5, v)).verdict == REPRESENTABLE for v in w5.vertices())
 
 
-def test_refuted_classes_of_max_degree_4():
+@pytest.mark.slow
+def test_refuted_classes_of_max_degree_4(pass_8):
     # the two that verify-paper's a-max-degree row names: A and 7:03ef71
     refuted = [_graph_from_mask(7, int(key[2:], 16)) for key in census(7).nonrep_classes]
     assert sorted(canonical_form(g).key for g in refuted if g.max_degree() == 4) == \
         [canonical_form(bundled_graph("A")).key, "7:03ef71"] == ["7:03af74", "7:03ef71"]
     assert min(g.max_degree() for g in refuted) == 4
+    # at n = 8, read from the row's codes with no search: 11 of the 2,590
+    # classes of max degree <= 4 are refuted, and none is minimal, as each
+    # holds one of those two as the graph less one vertex
+    row_7, row_8 = pass_8.rows[6:]
+    low = [code for code in pass_8.codes if _graph_from_mask(8, code).max_degree() <= 4]
+    refuted = [code for code in low if f"8:{code:07x}" in row_8.nonrep_classes]
+    assert (len(low), len(refuted)) == (2590, 11)
+    assert sum(_graph_from_mask(8, code).is_connected() for code in refuted) == 9
+    for code in refuted:
+        deletions = {f"7:{int(_orbit_codes(7, d).min()):06x}" for d in _deletion_codes(8, code)}
+        assert deletions & {"7:03af74", "7:03ef71"}
+        assert deletions & set(row_7.nonrep_classes)
 
 
 def test_row_n7():
@@ -261,6 +286,127 @@ def test_row_n7():
     assert "7:001eeb" in row.nonrep_classes  # 5-wheel plus an isolated vertex
     assert row.entropy == pytest.approx(math.log2(2054480) / 21)
     assert row.entropy == pytest.approx(0.998588, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def pass_8():
+    """One pass of _rows(8), shared by the n = 8 tests, with what it did
+    recorded: the size of each sweep's seen array, n = 1..8, and at n = 8
+    the class codes, the classes the colouring and the orders settle,
+    the chunks the orders test, and each class decide searches with its
+    decision."""
+    census_module, graphs_module = sys.modules["wordrep.census"], sys.modules["wordrep.graphs"]
+    run = SimpleNamespace(seen_sizes=[], codes=[], coloured=0, ordered=0, order_chunks=[],
+                          searched=[])
+
+    def sized(size):
+        run.seen_sizes.append(size)
+        return bytearray(size)
+
+    def colouring(n, codes):
+        settled = _three_colourable(n, codes)
+        if n == 8:
+            run.codes += codes
+            run.coloured += sum(settled)
+        return settled
+
+    def ordering(n, codes):
+        settled = _order_semi_transitive(n, codes)
+        if n == 8:
+            run.order_chunks.append(len(codes))
+            run.ordered += sum(settled)
+        return settled
+
+    def deciding(g):
+        d = decide(g)
+        if g.n == 8:
+            run.searched.append((g, d))
+        return d
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs_module, "bytearray", sized, raising=False)
+        patch.setattr(census_module, "_three_colourable", colouring)
+        patch.setattr(census_module, "_order_semi_transitive", ordering)
+        patch.setattr(census_module, "decide", deciding)
+        run.rows = census_module._rows(8)
+    return run
+
+
+@pytest.mark.slow
+def test_row_n8(pass_8):
+    row = pass_8.rows[-1]
+    assert (row.n, row.a_n, row.b_n) == (8, 11390, 244863664)
+    assert row.entropy == pytest.approx(math.log2(244863664) / 28)
+    assert row.entropy == pytest.approx(0.995264, abs=1e-6)
+    assert len(row.nonrep_classes) == 956
+    assert hashlib.sha256("\n".join(row.nonrep_classes).encode()).hexdigest() == \
+        "25caa5e03b7251d09f741a622b600970670771e76d74e251eaf881cc6829f8b6"
+    assert "8:003af74" in row.nonrep_classes   # A plus an isolated vertex
+    assert row.a_n + len(row.nonrep_classes) == len(pass_8.codes) == 12346
+    assert 0 < row.entropy < pass_8.rows[-2].entropy
+    # the rows below are the n <= 7 pass's
+    assert pass_8.rows[1:7] == entropy_table(7)
+
+
+@pytest.mark.slow
+def test_census_8_stage_split(pass_8):
+    # at n = 8 the colouring settles 6,024 classes, the orders that keep
+    # 1..4 first 4,808 of the rest, heredity 909, and decide searches
+    # 605, 47 of them refuted, each minimal: every one-vertex deletion is
+    # a representable class of the row below
+    assert (pass_8.coloured, pass_8.ordered, len(pass_8.searched)) == (6024, 4808, 605)
+    assert len(pass_8.order_chunks) == -(-12346 // 64) and max(pass_8.order_chunks) <= 64
+    assert sum(pass_8.order_chunks) == 12346 - 6024
+    refuted = [g for g, d in pass_8.searched if d.verdict == NON_REPRESENTABLE]
+    assert len(refuted) == 47
+    keys = {canonical_form(g).key for g in refuted}
+    by_heredity = set(pass_8.rows[-1].nonrep_classes) - keys
+    assert len(by_heredity) == 909 == 12346 - 6024 - 4808 - 605
+    row_7 = set(pass_8.rows[6].nonrep_classes)
+    for g in refuted:
+        assert not row_7 & {canonical_form(delete_vertex(g, v)).key for v in g.vertices()}
+
+
+@pytest.mark.slow
+def test_census_8_refutations_recheck(pass_8):
+    # the 47 minimal refutations by the walk, which runs no search, and a
+    # seeded sample of the 909 heredity refutations by decide
+    refuted = [(g, d) for g, d in pass_8.searched if d.verdict == NON_REPRESENTABLE]
+    assert len(refuted) == 47
+    assert all(verify_certificate(g, d) for g, d in refuted)
+    searched = {canonical_form(g).key for g, _ in refuted}
+    by_heredity = sorted(set(pass_8.rows[-1].nonrep_classes) - searched)
+    for key in random.Random(8).sample(by_heredity, 40):
+        assert decide(_graph_from_mask(8, int(key[2:], 16))).verdict == NON_REPRESENTABLE
+
+
+@pytest.mark.slow
+def test_sweep_invariants(pass_8):
+    # _class_codes' seen array holds the masks below limit as rows of
+    # width = 2^(s // 2), so limit must be a multiple of width and at most
+    # width^2, and its codes of s slots are int32, for every n the
+    # enumeration takes; pass_8 swept each n = 1..8 once
+    assert len(pass_8.seen_sizes) == CANONICAL_MAX_N == 8
+    for n, limit in enumerate(pass_8.seen_sizes, 1):
+        s = math.comb(n, 2)
+        width = 1 << s // 2
+        assert limit % width == 0 and limit <= width * width
+        assert _perm_tables(n).dtype == np.int32
+        assert (1 << s) - 1 <= np.iinfo(np.int32).max
+    assert pass_8.seen_sizes[-1] == 1 << 24
+
+
+@pytest.mark.slow
+def test_sweep_stays_small_in_memory_at_n8(pass_8):
+    # traced allocations of the n = 8 sweep, its tables built by pass_8:
+    # the 16 MiB seen array and about 1.3 MB more (18,160,245 bytes in all
+    # on Python 3.11)
+    tracemalloc.start()
+    try:
+        _class_codes(8)
+        assert tracemalloc.get_traced_memory()[1] < 18 * 1024 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 def test_entropy_table_rows():

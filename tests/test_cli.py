@@ -3,6 +3,8 @@
 Exit code contract: 0 positive, 1 negative answer, 2 usage/parse error.
 """
 
+import functools
+import importlib.metadata
 import json
 import os
 import pathlib
@@ -21,6 +23,7 @@ from wordrep.graphs import parse_edge_list, write_edge_list
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(wordrep.__file__).parent / "data"  # the bundled files
 SRC = pathlib.Path(wordrep.__file__).parents[1]
+PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 
 
 @pytest.fixture
@@ -200,14 +203,37 @@ def test_census_text_and_json(capsys):
 
 
 def test_census_cap_and_n7_row(capsys):
-    code, out, err = run(capsys, "census", "8")
-    assert (code, out) == (2, "")
-    assert "n <= 7" in err
+    for argv in (("9",), ("9", "--table")):
+        code, out, err = run(capsys, "census", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: class enumeration supports n <= 8, got 9\n"
 
     code, out, _ = run(capsys, "census", "7")
     assert code == 0
     assert out.splitlines()[1].split() == [
         "7", "1018", "2054480", "0.998588", "26"]
+
+
+@pytest.mark.slow
+def test_census_8_row_and_table(capsys, monkeypatch):
+    # the first run computes rows 1..8 in one pass, and the other two
+    # print that pass again; rows 2..7 are census_7_table's
+    census_module = sys.modules["wordrep.census"]
+    monkeypatch.setattr(census_module, "_rows", functools.cache(census_module._rows))
+    code, out, err = run(capsys, "census", "8", "--table")
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == GOLDEN.joinpath("census_8_table.txt").read_bytes()
+    assert out.splitlines()[:7] == GOLDEN.joinpath("census_7_table.txt").read_text().splitlines()
+
+    code, out, err = run(capsys, "census", "8", "--table", "--json")
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == GOLDEN.joinpath("census_8_table.json").read_bytes()
+    rows = json.loads(out)["rows"]
+    assert rows[:6] == json.loads(GOLDEN.joinpath("census_7_table.json").read_text())["rows"]
+
+    code, out, _ = run(capsys, "census", "8")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["8", "11390", "244863664", "0.995264", "956"]
 
 
 def test_census_table_needs_a_row(capsys):
@@ -389,6 +415,18 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "24\n"
+
+
+def test_console_script_entry_resolves(capsys):
+    # the [project.scripts] entry, resolved as an installer's script
+    # resolves it, with no install: the module path and the function
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert project["scripts"] == {"wordrep": "wordrep.cli:main"}
+    entry = importlib.metadata.EntryPoint("wordrep", project["scripts"]["wordrep"],
+                                          "console_scripts")
+    assert entry.load()(["count-orientations", str(DATA / "K4.edges")]) == 0
+    assert capsys.readouterr() == ("24\n", "")
 
 
 def test_closed_stdout_is_an_error_not_a_traceback():

@@ -483,8 +483,8 @@ def test_enumerate_representatives_are_canonical():
 
 
 def test_enumerate_too_large():
-    with pytest.raises(TooLargeError):
-        list(enumerate_graphs(8))
+    with pytest.raises(TooLargeError, match=r"^class enumeration supports n <= 8, got 9$"):
+        list(enumerate_graphs(9))
     with pytest.raises(OutOfRangeError, match=r"^vertex count must be >= 1, got 0$"):
         list(enumerate_graphs(0))
     with pytest.raises(OutOfRangeError, match=r"^vertex count must be an integer, got 4\.0$"):

@@ -655,6 +655,23 @@ def test_naive_count_past_eight_vertices():
     assert zeros == 3
 
 
+def test_naive_count_past_twelve_vertices():
+    # seeded graphs with n = 13..25 and m <= 24, their edges among 8..10
+    # of the vertices so that each walk stays small: the naive count
+    # agrees with the counter, refuted graphs included
+    rng = random.Random(1325)
+    zeros = 0
+    for _ in range(20):
+        n = rng.randint(13, 25)
+        core = rng.sample(range(1, n + 1), rng.randint(8, 10))
+        pairs = list(itertools.combinations(sorted(core), 2))
+        g = graph_from_edge_list(n, rng.sample(pairs, rng.randint(18, 24)))
+        count = count_semi_transitive(g)
+        assert count_semi_transitive_naive(g) == count
+        zeros += count == 0
+    assert zeros == 5
+
+
 def test_two_to_the_blocks_divides_every_count():
     # reversing one block of a semi-transitive orientation keeps it so
     rng = random.Random(16)

@@ -161,8 +161,8 @@ C1200 = Orientation(graph_from_edge_list(1200, P1200.edges + ((1, 1200),)), (FOR
 # at least one case per row of the README's "Size caps" table
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: canonical_form(G9), id="canonical-form"),
-    pytest.param(lambda: list(enumerate_graphs(8)), id="enumerate-graphs"),
-    pytest.param(lambda: entropy_table(8), id="entropy-table"),
+    pytest.param(lambda: list(enumerate_graphs(9)), id="enumerate-graphs"),
+    pytest.param(lambda: entropy_table(9), id="entropy-table"),
     pytest.param(lambda: decide(graph_from_edge_list(41, [])), id="orientation-search"),
     pytest.param(lambda: lemma1_propagate(G41, Orientation(G41, ())), id="four-cycle-propagation"),
     pytest.param(lambda: count_semi_transitive(M25), id="count"),
