@@ -23,10 +23,6 @@ class TooLargeError(WordrepError):
     """Input exceeds a size cap of the exact methods (README "Size caps")."""
 
 
-class CyclicInputError(WordrepError):
-    """An operation requiring an acyclic orientation got a cyclic one."""
-
-
 class ParseError(WordrepError):
     """A text input (edge list or word) failed to parse."""
 

@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CyclicInputError, OutOfRangeError, TooLargeError
+from .errors import OutOfRangeError, TooLargeError
 from .graphs import BACKTRACK_MAX_N, CANONICAL_MAX_N, Graph, VertexColoring, _bits, _components
 
 FORWARD = 1
@@ -97,7 +97,8 @@ class Orientation:
 
 @dataclass(frozen=True)
 class Conflict:
-    kind: str  # Shortcut | Lemma1Cycle | DirectedCycle
+    # find_shortcut: Shortcut | DirectedCycle; lemma1_propagate: Lemma1Cycle | DirectedCycle
+    kind: str
     witness: tuple[int, ...]
 
 
@@ -141,18 +142,18 @@ def _require_total(o: Orientation) -> None:
 
 
 def find_shortcut(o: Orientation) -> Conflict | None:
-    """First shortcut in deterministic order, or None.
+    """The arc closing a directed cycle, else the first shortcut, or None.
 
-    Scans stored edges in order; for each arc t->h enumerates every simple
-    directed path t ~> h with at least 3 edges (neighbors in ascending
-    order) and checks that all its pairs are adjacent, which in an acyclic
-    orientation makes each an arc pointing along the path.  The arcs are
-    first placed in stored order by _place, the walk's arc step, which
-    grows each vertex's descendant and ancestor masks and refuses an arc
-    that closes a directed cycle (CyclicInputError).  The walk steps only to vertices
-    that reach h, read from those descendants, so it lists the same paths
-    in the same order and skips only dead ends.  The walk recurses once
-    per path vertex, so n > BACKTRACK_MAX_N (500) raises TooLargeError.
+    _place, the walk's arc step, places the arcs in stored order, growing
+    each vertex's descendant and ancestor masks; the first arc t->h it
+    refuses, as h already reaches t, is DirectedCycle (t, h), the name
+    lemma1_propagate gives a forced one.  Then for each arc t->h in stored
+    order every simple directed path t ~> h with at least 3 edges
+    (neighbors in ascending order) is checked for a non-adjacent pair: in
+    an acyclic orientation an adjacent pair is an arc along the path.  The
+    walk steps only to vertices that reach h, so it lists the same paths
+    in the same order and skips only dead ends.  It recurses once per
+    path vertex, so n > BACKTRACK_MAX_N (500) raises TooLargeError.
     """
     if o.base.n > BACKTRACK_MAX_N:
         raise TooLargeError(
@@ -162,7 +163,7 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     out, desc, anc = [0] * (o.base.n + 1), [0] * (o.base.n + 1), [0] * (o.base.n + 1)
     for t, h in arcs:
         if _place(out, desc, anc, t, h) is None:
-            raise CyclicInputError("shortcut detection needs an acyclic orientation")
+            return Conflict("DirectedCycle", (t, h))
     for t, h in arcs:
         hit = _shortcut_dfs(out, o.base.adj, desc, h, [t], 1 << t, True)
         if hit is not None:
@@ -201,10 +202,7 @@ def _shortcut_dfs(out, adj, desc, h, path, on_path, closed) -> tuple[int, ...] |
 
 
 def is_semi_transitive(o: Orientation) -> bool:
-    try:
-        return find_shortcut(o) is None
-    except CyclicInputError:
-        return False
+    return find_shortcut(o) is None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 import wordrep
 from wordrep.bundled import GRAPH_NAMES
 from wordrep.cli import main
-from wordrep.errors import CyclicInputError, TooLargeError
+from wordrep.errors import TooLargeError
 from wordrep.graphs import (
     CanonicalForm,
     Graph,
@@ -142,13 +142,15 @@ def ref_is_acyclic(n: int, arcs) -> bool:
 
 
 def ref_find_shortcut(o: Orientation):
-    """find_shortcut with no pruning: for each arc t->h in stored order,
-    every directed path from t is walked until it reaches h or a sink,
-    and the first path of three or more arcs that misses an inner pair
-    arc is the witness."""
+    """find_shortcut with no pruning: a cyclic orientation's witness is
+    the first arc whose stored prefix ref_is_acyclic rejects; otherwise,
+    for each arc t->h in stored order, every directed path from t is
+    walked until it reaches h or a sink, and the first path of three or
+    more arcs that misses an inner pair arc is the witness."""
     arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
     if not ref_is_acyclic(o.base.n, arcs):
-        raise CyclicInputError("shortcut detection needs an acyclic orientation")
+        i = next(i for i in range(len(arcs)) if not ref_is_acyclic(o.base.n, arcs[:i + 1]))
+        return Conflict("DirectedCycle", arcs[i])
     out = [0] * (o.base.n + 1)
     into = [0] * (o.base.n + 1)
     for t, h in arcs:

@@ -26,6 +26,7 @@ from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import (
     CANONICAL_MAX_N,
     _class_codes,
+    _color_classes,
     _deletion_codes,
     _graph_from_mask,
     _orbit_codes,
@@ -182,6 +183,7 @@ def test_three_colourable_labelled_totals():
         accepted = _three_colourable(n, [cls.form.code for cls in classes])
         c_n.append(sum(cls.labelled_size for cls, ok in zip(classes, accepted) if ok))
     assert c_n == [1, 2, 8, 63, 958, 27554, 1457047]
+    assert math.log2(c_n[-1]) / 21 == pytest.approx(0.974982, abs=1e-6)
     assert [sum(ref_colorable(g, 3) for g in all_graphs(n)) for n in range(1, 6)] == c_n[:5]
     # 3-colourable graphs are representable
     assert all(c <= row.b_n for c, row in zip(c_n, [census(1)] + entropy_table(7)))
@@ -292,22 +294,28 @@ def test_row_n7():
 def pass_8():
     """One pass of _rows(8), shared by the n = 8 tests, with what it did
     recorded: the size of each sweep's seen array, n = 1..8, and at n = 8
-    the class codes, the classes the colouring and the orders settle,
-    the chunks the orders test, and each class decide searches with its
-    decision."""
+    the class codes with their labelled sizes, whether the colouring
+    settles each, how many the orders settle, the chunks the orders
+    test, and each class decide searches with its decision."""
     census_module, graphs_module = sys.modules["wordrep.census"], sys.modules["wordrep.graphs"]
-    run = SimpleNamespace(seen_sizes=[], codes=[], coloured=0, ordered=0, order_chunks=[],
-                          searched=[])
+    run = SimpleNamespace(seen_sizes=[], codes=[], labelled_sizes=[], coloured=[], ordered=0,
+                          order_chunks=[], searched=[])
 
     def sized(size):
         run.seen_sizes.append(size)
         return bytearray(size)
 
+    def classes(n):
+        for cls in enumerate_graphs(n):
+            if n == 8:
+                run.labelled_sizes.append(cls.labelled_size)
+            yield cls
+
     def colouring(n, codes):
         settled = _three_colourable(n, codes)
         if n == 8:
             run.codes += codes
-            run.coloured += sum(settled)
+            run.coloured += settled
         return settled
 
     def ordering(n, codes):
@@ -325,6 +333,7 @@ def pass_8():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graphs_module, "bytearray", sized, raising=False)
+        patch.setattr(census_module, "enumerate_graphs", classes)
         patch.setattr(census_module, "_three_colourable", colouring)
         patch.setattr(census_module, "_order_semi_transitive", ordering)
         patch.setattr(census_module, "decide", deciding)
@@ -354,7 +363,7 @@ def test_census_8_stage_split(pass_8):
     # 1..4 first 4,808 of the rest, heredity 909, and decide searches
     # 605, 47 of them refuted, each minimal: every one-vertex deletion is
     # a representable class of the row below
-    assert (pass_8.coloured, pass_8.ordered, len(pass_8.searched)) == (6024, 4808, 605)
+    assert (sum(pass_8.coloured), pass_8.ordered, len(pass_8.searched)) == (6024, 4808, 605)
     assert len(pass_8.order_chunks) == -(-12346 // 64) and max(pass_8.order_chunks) <= 64
     assert sum(pass_8.order_chunks) == 12346 - 6024
     refuted = [g for g, d in pass_8.searched if d.verdict == NON_REPRESENTABLE]
@@ -365,6 +374,19 @@ def test_census_8_stage_split(pass_8):
     row_7 = set(pass_8.rows[6].nonrep_classes)
     for g in refuted:
         assert not row_7 & {canonical_form(delete_vertex(g, v)).key for v in g.vertices()}
+
+
+@pytest.mark.slow
+def test_three_colourable_at_8(pass_8):
+    # the colouring from class codes alone agrees with _color_classes on
+    # all 12,346 classes the pass swept, and c_8 is by orbit-stabilizer
+    # over the 6,024 it certifies
+    assert len(pass_8.labelled_sizes) == len(pass_8.coloured) == 12346
+    assert pass_8.coloured == [_color_classes(_graph_from_mask(8, code), 3) is not None
+                               for code in pass_8.codes]
+    c_8 = sum(size for size, ok in zip(pass_8.labelled_sizes, pass_8.coloured) if ok)
+    assert c_8 == 137_144_754 <= pass_8.rows[-1].b_n
+    assert math.log2(c_8) / 28 == pytest.approx(0.965397, abs=1e-6)
 
 
 @pytest.mark.slow

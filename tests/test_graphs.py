@@ -243,8 +243,9 @@ def test_three_class_codes_are_the_three_colourings():
 
 def test_three_colourable_codes_match_the_backtracking():
     # the census's test from class codes alone: against _color_classes on
-    # every class with n <= 7, and against generate-and-test on every
-    # labelled graph with n <= 5
+    # every class with n <= 7 (n = 8 on the census pass's own sweep, in
+    # test_census.py), and against generate-and-test on every labelled
+    # graph with n <= 5
     total = 0
     for n in range(1, 8):
         classes = list(enumerate_graphs(n))

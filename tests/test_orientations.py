@@ -12,7 +12,7 @@ import pytest
 
 from wordrep.bundled import bundled_graph
 from wordrep.census import census
-from wordrep.errors import CyclicInputError, OutOfRangeError, TooLargeError
+from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import (
     VertexColoring,
     _edge_mask,
@@ -121,9 +121,10 @@ def test_find_shortcut_none_cases():
 
 
 def test_find_shortcut_rejects_cyclic():
+    # stored order 1-2, 1-4, 2-3, 3-4: 4 reaches 1 only once 3->4 is placed
     cyclic = orientation_from_arcs(C4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    with pytest.raises(CyclicInputError):
-        find_shortcut(cyclic)
+    assert find_shortcut(cyclic) == Conflict("DirectedCycle", (3, 4))
+    assert not is_semi_transitive(cyclic)
 
 
 def test_c4_sixteen_orientations():
@@ -154,8 +155,7 @@ def test_reversal():
     # the reversed 4-cycle is still a cycle
     cyclic = orientation_from_arcs(C4, [(2, 1), (3, 2), (4, 3), (1, 4)])
     assert not is_semi_transitive(cyclic)
-    with pytest.raises(CyclicInputError):
-        find_shortcut(cyclic)
+    assert find_shortcut(cyclic) == Conflict("DirectedCycle", (4, 3))
 
 
 def test_reversal_invariance_random():
@@ -569,6 +569,17 @@ def test_components_are_searched_in_turn():
     assert time.perf_counter() - start < 1.0
     # the path's 32 arcs and its leaf, then A's 17 nodes
     assert stats.nodes == 33 + 17
+    # a path of 6 edges stored first and glued at its end to A's vertex 1
+    # (then 7) is one component: A is refuted below each of its 2^6
+    # orientations, in 17 (then 11) nodes each
+    a = bundled_graph("A")
+    for at, per_leaf in ((1, 17), (7, 11)):
+        label = dict(zip([at] + [v for v in a.vertices() if v != at], range(7, 14)))
+        glued = graph_from_edge_list(13, [(v, v + 1) for v in range(1, 7)] +
+                                     [(label[u], label[v]) for u, v in a.edges])
+        stats = SearchStats()
+        assert find_semi_transitive(glued, stats) is None
+        assert stats.nodes == per_leaf * 2 ** 6
     assert count_semi_transitive(_disjoint_union(C4, C4, K3)) == 6 * 6 * 6 == 216
 
 
@@ -1065,38 +1076,39 @@ def test_find_shortcut_matches_unpruned_dfs():
             checked += 1
     assert checked == 21_188 + 28_584
     # and the arc step that grows the descendants refuses exactly the
-    # cyclic ones: every total orientation of every class with n <= 5,
-    # of which 1,195 are acyclic
+    # cyclic ones, at the first arc that closes a cycle: every total
+    # orientation of every class with n <= 5, of which 1,195 are acyclic
     checked = cyclic = 0
     for g in (cls.graph for n in range(1, 6) for cls in enumerate_graphs(n)):
         for dirs in itertools.product((FORWARD, BACKWARD), repeat=len(g.edges)):
             o = Orientation(g, dirs)
-            checked += 1
-            try:
-                expected = ref_find_shortcut(o)
-            except CyclicInputError:
-                cyclic += 1
-                with pytest.raises(CyclicInputError):
-                    find_shortcut(o)
-                continue
+            expected = ref_find_shortcut(o)
             assert find_shortcut(o) == expected
+            checked += 1
+            cyclic += expected is not None and expected.kind == "DirectedCycle"
     assert (checked, cyclic) == (3_457, 2_262)
 
 
 def test_conflict_witnesses_are_genuine():
     rng = random.Random(515)
-    seen = 0
+    seen = collections.Counter()
     for _ in range(400):
         g = random_graph(rng, rng.randint(3, 6))
         o = Orientation(g, tuple(rng.choice((FORWARD, BACKWARD)) for _ in g.edges))
-        if not ref_is_acyclic(g.n, o.arcs()):
-            continue
         c = find_shortcut(o)
         if c is None:
             continue
-        seen += 1
+        seen[c.kind] += 1
+        stored = list(o.arcs())
+        if c.kind == "DirectedCycle":
+            # an arc of o whose head reaches its tail over the arcs stored
+            # before it, and no earlier arc closes a cycle
+            i = stored.index(c.witness)
+            assert ref_is_acyclic(g.n, stored[:i]) and not ref_is_acyclic(g.n, stored[:i + 1])
+            continue
+        assert c.kind == "Shortcut" and ref_is_acyclic(g.n, stored)
         path = c.witness
-        arcs = set(o.arcs())
+        arcs = set(stored)
         assert len(path) >= 4
         # consecutive arcs really form a directed path and its closing
         # edge exists; some inner pair must be absent or misdirected
@@ -1106,4 +1118,4 @@ def test_conflict_witnesses_are_genuine():
         assert any(
             (path[i], path[j]) not in arcs
             for i, j in itertools.combinations(range(len(path)), 2))
-    assert seen > 20
+    assert seen["Shortcut"] > 20 and seen["DirectedCycle"] > 20

@@ -141,11 +141,18 @@ def test_only_graphs_imports_numpy():
     assert users == {"graphs.py"}
 
 
+def test_source_parses_at_the_declared_python_floor():
+    # no module may use syntax newer than the declared floor's grammar
+    pyproject = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_one_error_class_per_decision_a_caller_makes():
     classes = {name for name, obj in vars(errors).items()
                if isinstance(obj, type) and issubclass(obj, Exception)}
-    assert classes == {"WordrepError", "OutOfRangeError", "TooLargeError",
-                       "CyclicInputError", "ParseError"}
+    assert classes == {"WordrepError", "OutOfRangeError", "TooLargeError", "ParseError"}
     assert all(issubclass(getattr(errors, name), errors.WordrepError) for name in classes)
 
 
