@@ -34,7 +34,9 @@ class SpeedRow:
     a_n: int
     b_n: int
     entropy: float | None  # None for n = 1, where C(n,2) = 0
-    nonrep_classes: tuple[str, ...]  # canonical keys, sorted
+    # canonical keys, sorted: enumerate_graphs yields classes by ascending
+    # code, and one row's keys are hex of one fixed width
+    nonrep_classes: tuple[str, ...]
 
 
 def _entropy(n: int, b_n: int) -> float | None:
@@ -112,7 +114,7 @@ def _rows(n_max: int) -> list[SpeedRow]:
                 else:
                     nonrep.append(cls.form)
         rows.append(SpeedRow(n, a_n, b_n, _entropy(n, b_n),
-                             tuple(sorted(form.key for form in nonrep))))
+                             tuple(form.key for form in nonrep)))
         if n < n_max:
             refuted = set().union(*(_orbit_codes(n, form.code).tolist() for form in nonrep))
     return rows
@@ -124,7 +126,7 @@ def _representable(cls: GraphClass, refuted: set[int]) -> bool:
     labelled codes of the refuted classes one vertex smaller; else
     settled by decide."""
     n, code = cls.form.n, cls.form.code
-    if refuted and not refuted.isdisjoint(_deletion_codes(n, code)):
+    if not refuted.isdisjoint(_deletion_codes(n, code)):
         return False
     return decide(cls.graph).verdict == REPRESENTABLE
 

@@ -70,8 +70,7 @@ class Graph:
         return range(1, self.n + 1)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
+        # edges are stored u < v, so no bit u of adj[u] is ever set
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:

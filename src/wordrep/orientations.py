@@ -37,6 +37,7 @@ shortcut unless both chords a-c and b-d are edges.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -63,11 +64,6 @@ class Orientation:
         if len(self.dirs) != len(self.base.edges):
             raise OutOfRangeError(
                 f"{len(self.dirs)} directions for {len(self.base.edges)} edges")
-        try:   # an unhashable entry is no direction
-            if _DIRECTIONS.issuperset(self.dirs):
-                return
-        except TypeError:
-            pass
         for (u, v), d in zip(self.base.edges, self.dirs):   # name the first bad one
             try:
                 if d in _DIRECTIONS:
@@ -120,9 +116,14 @@ class SearchStats:
 
 
 def orientation_from_arcs(g: Graph, arcs) -> Orientation:
-    """Build an orientation from (tail, head) pairs."""
+    """Build an orientation from (tail, head) pairs, each endpoint read
+    with operator.index, as graph_from_edge_list reads an edge's."""
     dirs: list[int | None] = [None] * len(g.edges)
-    for t, h in arcs:
+    for arc in arcs:
+        try:
+            t, h = map(operator.index, arc)
+        except (TypeError, ValueError):
+            raise OutOfRangeError(f"an arc is two integer endpoints, got {arc!r}") from None
         key = (t, h) if t < h else (h, t)
         idx = g.edge_index.get(key)
         if idx is None:
@@ -362,6 +363,10 @@ class _Searcher:
     partial orientation."""
 
     def __init__(self, g: Graph, stats: SearchStats | None = None):
+        # the n cap of the search and of lemma1_propagate, beside the n^2-bit closure it bounds
+        if g.n > SEARCH_MAX_N:
+            raise TooLargeError(
+                f"orientation search supports n <= {SEARCH_MAX_N}, got {g.n}")
         self.g = g
         self.stats = stats if stats is not None else SearchStats()
         self.w = g.n + 1
@@ -514,12 +519,9 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
     every graph: 4-cycles with both chords are not indexed.  It is the
     search's node step, _Searcher.propagate, from the root state, so a
     fixpoint returned is acyclic.  Its packed closure grows as n^2 bits
-    however few the edges, so n > SEARCH_MAX_N (40) raises TooLargeError,
-    as the search does.
+    however few the edges, so n > SEARCH_MAX_N (40) raises TooLargeError:
+    the cap is the search's own guard, in _Searcher, with its message.
     """
-    if g.n > SEARCH_MAX_N:
-        raise TooLargeError(
-            f"four-cycle propagation supports n <= {SEARCH_MAX_N}, got {g.n}")
     if o.base != g:
         raise OutOfRangeError("orientation does not belong to this graph")
     s = _Searcher(g)
@@ -583,13 +585,11 @@ def _search(g: Graph, stats: SearchStats | None, first_only: bool) -> tuple[int,
     leaf is ORed into found: the witness is the product of the
     components' FORWARD-first witnesses, which is the FORWARD-first
     witness of g, as its edge order interleaves theirs.  Finding splits
-    no further, as the decisions are mostly tiny: over the 171 seed-0
-    benchmark `decide` inputs, _blocks takes 12.4 us a graph against
-    1.3 us for the component partition above (in process, min of 30
-    passes; 2-core Xeon VM, Python 3.11)."""
-    if g.n > SEARCH_MAX_N:
-        raise TooLargeError(
-            f"orientation search supports n <= {SEARCH_MAX_N}, got {g.n}")
+    no further, as the decisions are mostly tiny: over the seed-0
+    benchmark `decide` inputs, _blocks took 14.5 us a graph against
+    1.3 us for the component partition above, and searching by blocks
+    made `decide` x1.225 slower (ROADMAP.md item 2: in process, paired
+    over 30 alternated rounds; 2-core Xeon VM, Python 3.11)."""
     start = time.perf_counter()
     searcher = _Searcher(g, stats)
     if first_only:
@@ -757,7 +757,5 @@ def orient_by_coloring(g: Graph, coloring: VertexColoring) -> Orientation:
 def format_orientation(o: Orientation) -> str:
     _require_total(o)
     lines = [f"{o.base.n} {len(o.base.edges)}"]
-    for i in range(len(o.dirs)):
-        t, h = o.arc(i)
-        lines.append(f"{t} {h} >")
+    lines += [f"{t} {h} >" for t, h in o.arcs()]
     return "\n".join(lines) + "\n"

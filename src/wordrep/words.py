@@ -128,10 +128,6 @@ def parse_word(text: str) -> Word:
                 raise ParseError(f"letters are positive integers, got {tok}")
             letters.append(val)
         return word_from_letters(letters)
-    if len(stripped) == 1:
-        if stripped not in "123456789":
-            raise ParseError(f"not a letter: {stripped!r}")
-        return Word((int(stripped),))
     # compact form; "0" is never a label, so a bare 0 digit is an error and
     # multi-digit letters must be written "(10)" or space-separated
     letters = []

@@ -30,6 +30,7 @@ from wordrep.orientations import (
     count_semi_transitive,
     find_semi_transitive,
     is_semi_transitive,
+    lemma1_propagate,
     semi_transitive_orientations,
 )
 
@@ -91,10 +92,13 @@ def test_search_vertex_cap():
     assert decide(complete(40)).verdict == REPRESENTABLE
     with pytest.raises(TooLargeError):
         decide(complete(41))
+    # one guard, the search's own, for every entry point
     for n in (41, 99999999999):
-        for search in (decide, find_semi_transitive, count_semi_transitive):
-            with pytest.raises(TooLargeError):
-                search(graph_from_edge_list(n, []))
+        g = graph_from_edge_list(n, [])
+        for search in (decide, find_semi_transitive, count_semi_transitive,
+                       lambda g: lemma1_propagate(g, Orientation(g, ()))):
+            with pytest.raises(TooLargeError, match=rf"^orientation search supports n <= 40, got {n}$"):
+                search(g)
 
 
 def test_nonrep_stats_cover_search():

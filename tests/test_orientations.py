@@ -86,6 +86,13 @@ def test_partial_guards():
         orientation_from_arcs(C4, [(1, 2), (2, 1)])
     with pytest.raises(OutOfRangeError, match=r"^edge 1-4 is unassigned$"):
         partial.arc(1)
+    # an arc is read as graph_from_edge_list reads an edge: two endpoints,
+    # each an integer by operator.index, so 1.0 is no vertex
+    for arc, shown in ((("1", 2), r"\('1', 2\)"), (None, "None"), ((1,), r"\(1,\)"),
+                       ((1, 2, 3), r"\(1, 2, 3\)"), ((1.0, 2), r"\(1\.0, 2\)")):
+        with pytest.raises(OutOfRangeError, match=rf"^an arc is two integer endpoints, got {shown}$"):
+            orientation_from_arcs(C4, [arc])
+    assert orientation_from_arcs(C4, [(np.int64(2), 1)]).dirs == (BACKWARD, None, None, None)
 
 
 def test_orientation_rejects_bogus_directions():

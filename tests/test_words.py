@@ -205,6 +205,9 @@ def test_parse_errors():
         parse_word("")
     with pytest.raises(ParseError):
         parse_word("10")        # ambiguous: compact form has no digit 0
+    with pytest.raises(ParseError, match=r"^bad character in compact word: '0'") as e:
+        parse_word("0")         # a single character takes the compact path too
+    assert e.value.column == 1
     with pytest.raises(ParseError):
         parse_word("120")
     with pytest.raises(ParseError):
