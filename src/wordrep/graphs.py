@@ -22,9 +22,10 @@ if TYPE_CHECKING:   # the functions that use numpy import it themselves
     import numpy as np
 
 CANONICAL_MAX_N = 8
-# proper colouring, the isomorphism test and the shortcut scan recurse one
-# level per vertex, under Python's default limit of 1000 frames with room
-# for their callers
+# proper colouring and the isomorphism test recurse one level per vertex,
+# under Python's default limit of 1000 frames with room for their callers;
+# the orientation walk, which copies three mask lists of n + 1 entries per
+# node, shares the cap
 BACKTRACK_MAX_N = 500
 
 
@@ -52,6 +53,19 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]  # (u, v) with u < v, lexicographic
+
+    def __post_init__(self):
+        """Hold every Graph, built directly or by graph_from_edge_list, to
+        one form: an int n >= 1 and int pairs (u, v), 1 <= u < v <= n,
+        each above the one before it."""
+        n = self.n
+        if type(n) is not int or n < 1:
+            raise OutOfRangeError(f"vertex count must be an int >= 1, got {n!r}")
+        for last, e in itertools.pairwise([(0, 0), *self.edges]):
+            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                    and 0 < e[0] < e[1] <= n and last < e):
+                raise OutOfRangeError(
+                    f"edge {e!r} is not an int pair u < v in 1..{n} above the edge before it")
 
     @_cached
     def adj(self) -> tuple[int, ...]:
@@ -120,10 +134,9 @@ def _integer(x, what: str) -> int:
 
 def graph_from_edge_list(n: int, pairs) -> Graph:
     """Validate, normalize (u < v), dedupe and sort the edge list.  n and
-    each endpoint are read with operator.index, as by _integer."""
+    each endpoint are read with operator.index, as by _integer; Graph
+    checks n >= 1."""
     n = _integer(n, "vertex count")
-    if n < 1:
-        raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
     seen = set()
     for pair in pairs:
         try:

@@ -12,8 +12,9 @@ by popcount, acyclicity is a one-bit test per arc, semi-transitivity at
 a leaf is a few mask tests on the packed closure, read in place (the
 interval lemma, _no_shortcut), and backtracking undoes nothing.
 find_shortcut, is_semi_transitive and the walk
-semi_transitive_orientations enumerate directed paths literally instead,
-as the independent route that certificates and counts are re-checked by.
+semi_transitive_orientations, the independent route that certificates
+and counts are re-checked by, test the same lemma per arc instead, on
+one descendant and one ancestor mask per vertex (_far_pair).
 The census certifies most small graphs with no search and no Graph, by
 vertex orders tested on their codes (graphs._order_semi_transitive).
 
@@ -148,17 +149,11 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     _place, the walk's arc step, places the arcs in stored order, growing
     each vertex's descendant and ancestor masks; the first arc t->h it
     refuses, as h already reaches t, is DirectedCycle (t, h), the name
-    lemma1_propagate gives a forced one.  Then for each arc t->h in stored
-    order every simple directed path t ~> h with at least 3 edges
-    (neighbors in ascending order) is checked for a non-adjacent pair: in
-    an acyclic orientation an adjacent pair is an arc along the path.  The
-    walk steps only to vertices that reach h, so it lists the same paths
-    in the same order and skips only dead ends.  It recurses once per
-    path vertex, so n > BACKTRACK_MAX_N (500) raises TooLargeError.
+    lemma1_propagate gives a forced one.  Then the first arc t->h in
+    stored order whose interval holds a far pair x, y (_far_pair) is a
+    Shortcut, witnessed by the path t ~> x ~> y ~> h that _path builds.
+    No path is enumerated, so nothing recurses and n is uncapped.
     """
-    if o.base.n > BACKTRACK_MAX_N:
-        raise TooLargeError(
-            f"shortcut detection supports n <= {BACKTRACK_MAX_N}, got {o.base.n}")
     _require_total(o)
     arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
     out, desc, anc = [0] * (o.base.n + 1), [0] * (o.base.n + 1), [0] * (o.base.n + 1)
@@ -166,40 +161,45 @@ def find_shortcut(o: Orientation) -> Conflict | None:
         if _place(out, desc, anc, t, h) is None:
             return Conflict("DirectedCycle", (t, h))
     for t, h in arcs:
-        hit = _shortcut_dfs(out, o.base.adj, desc, h, [t], 1 << t, True)
-        if hit is not None:
-            return Conflict("Shortcut", hit)
+        if (pair := _far_pair(o.base.adj, desc, anc, t, h)) is not None:
+            return Conflict("Shortcut", _path(out, anc, (t, *pair, h)))
     return None
 
 
-def _shortcut_dfs(out, adj, desc, h, path, on_path, closed) -> tuple[int, ...] | None:
-    """A path from path[-1] to h over the arcs in out, extending path, with
-    at least 3 arcs and a non-adjacent pair, or None.  closed: every pair
-    of the path so far is adjacent, so the path closed by h has none
-    exactly when each of its vertices is adjacent to h.  The arcs are
-    acyclic, so no walk revisits, and along a directed path an adjacent
-    pair is an arc pointing along it: adjacency masks stand in for in-arc
-    masks, for a total orientation (find_shortcut) and a partial one
-    (semi_transitive_orientations) alike.  desc holds each vertex's
-    descendants; only vertices that reach h are stepped to."""
-    step = out[path[-1]]
-    while step:
-        low = step & -step
-        step ^= low
-        w = low.bit_length() - 1
-        if w == h:
-            if len(path) >= 3 and not (closed and on_path & ~adj[h] == 0):
-                return tuple(path) + (h,)
-            continue
-        if not desc[w] >> h & 1:
-            continue
-        path.append(w)
-        hit = _shortcut_dfs(out, adj, desc, h, path, on_path | 1 << w,
-                            closed and on_path & ~adj[w] == 0)
-        path.pop()
-        if hit is not None:
-            return hit
+def _far_pair(adj, desc, anc, t: int, h: int) -> tuple[int, int] | None:
+    """The least x, then the least y, of the interval I = {t, h} +
+    {z : t ~> z ~> h} of the arc t->h with x ~> y and x, y non-adjacent,
+    or None; desc and anc hold each vertex's descendants and ancestors.
+
+    Lemma: t->h is a shortcut, skipped by a directed path of at least 3
+    arcs that misses an edge between two of its vertices, iff such a pair
+    exists.  If it does, t ~> x ~> y ~> h is a path (the arcs are
+    acyclic) of at least 3 arcs, as x ~> y takes two or more and
+    {x, y} != {t, h}, and it misses the edge x-y.  Conversely every vertex
+    of a path t ~> h lies in I, so its non-adjacent pair is such an x, y.
+    Along a directed path of an acyclic orientation an adjacent pair is an
+    arc pointing along it, so adjacency stands in for arcs, for a total
+    orientation (find_shortcut) and a partial one
+    (semi_transitive_orientations) alike."""
+    span = rest = (desc[t] | 1 << t) & (anc[h] | 1 << h)
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        if far := desc[x] & span & ~adj[x]:
+            return x, (far & -far).bit_length() - 1
     return None
+
+
+def _path(out, anc, stops: tuple[int, ...]) -> tuple[int, ...]:
+    """A directed path through stops, each of which is the next or reaches
+    it: each step goes to the least out-neighbour that is, or reaches, the
+    next stop."""
+    path = [stops[0]]
+    for b in stops[1:]:
+        while path[-1] != b:
+            step = out[path[-1]] & (anc[b] | 1 << b)
+            path.append((step & -step).bit_length() - 1)
+    return tuple(path)
 
 
 def is_semi_transitive(o: Orientation) -> bool:
@@ -637,9 +637,9 @@ def semi_transitive_orientations(g: Graph) -> Iterator[Orientation]:
     FORWARD before BACKWARD, with the first edge FORWARD only.  Each arc
     is placed by _place, which refuses it when its head already reaches
     its tail and otherwise grows the descendant and ancestor masks, and a
-    branch is cut as soon as its placed arcs hold a literal shortcut,
-    found by _shortcut_dfs on the placed arcs against g's adjacency.  It
-    rests on three lemmas:
+    branch is cut as soon as its placed arcs hold a shortcut, found by
+    _far_pair on the placed arcs against g's adjacency.  It rests on three
+    lemmas:
 
     1. Placed arcs only grow down a branch, so a placed shortcut is a
        shortcut of every total orientation below it: a cut loses nothing.
@@ -656,10 +656,9 @@ def semi_transitive_orientations(g: Graph) -> Iterator[Orientation]:
     first edge FORWARD, so there are at most min(n!, 2^m) / 2 leaves, and
     the walk runs when n <= CANONICAL_MAX_N (8) or m <= COUNT_MAX_EDGES
     (24), the fast counter's cap; a graph A after a path of 12 edges
-    takes 6.3 s (2^11 copies of A's 219 nodes; 2-core Xeon VM, Python
-    3.11.7).  n is capped at
-    BACKTRACK_MAX_N (500), as find_shortcut is, since both grow a mask
-    list per vertex and recurse along directed paths."""
+    yields nothing after 4.6 s (2^11 copies of A's 219 nodes; 2-core Xeon
+    VM, Python 3.11.7).  n is capped at BACKTRACK_MAX_N (500), as each
+    node copies three mask lists of n + 1 entries."""
     if g.n > CANONICAL_MAX_N and len(g.edges) > COUNT_MAX_EDGES:
         raise TooLargeError(
             f"semi-transitive orientation walk supports n <= {CANONICAL_MAX_N} "
@@ -682,7 +681,7 @@ def _walk(g: Graph, i: int, out, desc, anc, dirs: tuple[int, ...]) -> Iterator[O
     for d, t, h in ((FORWARD, u, v), (BACKWARD, v, u)) if i else ((FORWARD, u, v),):
         out_, desc_, anc_ = out[:], desc[:], anc[:]
         placed = _place(out_, desc_, anc_, t, h)
-        if placed is not None and not _placed_shortcut(out_, g.adj, desc_, *placed):
+        if placed is not None and not _placed_shortcut(out_, g.adj, desc_, anc_, *placed):
             yield from _walk(g, i + 1, out_, desc_, anc_, dirs + (d,))
 
 
@@ -702,9 +701,10 @@ def _place(out, desc, anc, t: int, h: int) -> tuple[int, int] | None:
     return ups, below
 
 
-def _placed_shortcut(out, adj, desc, ups, below) -> bool:
+def _placed_shortcut(out, adj, desc, anc, ups, below) -> bool:
     """Whether some arc x->y, x in the mask ups and y in the mask below,
-    is skipped by a path of the arcs in out that misses an edge of adj."""
+    is skipped by a path of the arcs in out that misses an edge of adj:
+    whether its interval holds a far pair (_far_pair)."""
     while ups:
         x = (ups & -ups).bit_length() - 1
         ups &= ups - 1
@@ -712,7 +712,7 @@ def _placed_shortcut(out, adj, desc, ups, below) -> bool:
         while heads:
             low = heads & -heads
             heads ^= low
-            if _shortcut_dfs(out, adj, desc, low.bit_length() - 1, [x], 1 << x, True):
+            if _far_pair(adj, desc, anc, x, low.bit_length() - 1) is not None:
                 return True
     return False
 
@@ -722,7 +722,9 @@ def count_semi_transitive_naive(g: Graph) -> int:
     yields, or 1 for an edgeless g: no search, no propagation and no
     forcing; the anchor the fast counter must match, so capped as it is,
     at COUNT_MAX_EDGES (24) edges, and by the walk at n <= BACKTRACK_MAX_N
-    (500)."""
+    (500).  Its worst case is a forest of 24 edges, all of whose 2^23
+    leaves are semi-transitive: a path of 24 edges takes about 77 s
+    (2-core Xeon VM, Python 3.11.7)."""
     if len(g.edges) > COUNT_MAX_EDGES:
         raise TooLargeError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")

@@ -142,11 +142,12 @@ def ref_is_acyclic(n: int, arcs) -> bool:
 
 
 def ref_find_shortcut(o: Orientation):
-    """find_shortcut with no pruning: a cyclic orientation's witness is
-    the first arc whose stored prefix ref_is_acyclic rejects; otherwise,
-    for each arc t->h in stored order, every directed path from t is
-    walked until it reaches h or a sink, and the first path of three or
-    more arcs that misses an inner pair arc is the witness."""
+    """find_shortcut by the literal path definition: a cyclic
+    orientation's witness is the first arc whose stored prefix
+    ref_is_acyclic rejects; otherwise, for each arc t->h in stored order,
+    every directed path from t is walked until it reaches h or a sink,
+    and the first path of three or more arcs that misses an inner pair
+    arc is the witness."""
     arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
     if not ref_is_acyclic(o.base.n, arcs):
         i = next(i for i in range(len(arcs)) if not ref_is_acyclic(o.base.n, arcs[:i + 1]))

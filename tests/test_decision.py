@@ -116,6 +116,20 @@ def test_verify_certificate_positive():
     assert verify_certificate(a, decide(a))
 
 
+def test_verify_certificate_of_k20_is_fast():
+    # the re-check tests each arc's interval once and enumerates no path:
+    # well under a millisecond for K20's transitive witness, where walking
+    # every directed path inside each interval took about a second
+    g = complete(20)
+    d = decide(g)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert verify_certificate(g, d)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.25
+
+
 def test_verify_certificate_rejects_bad_witness():
     k4 = bundled_graph("K4")
     # cyclic triangle 1->2, 2->3, 3->1 inside an otherwise forward K4

@@ -13,6 +13,7 @@ import pytest
 from wordrep.bundled import bundled_graph
 from wordrep.errors import OutOfRangeError, ParseError, TooLargeError
 from wordrep.graphs import (
+    Graph,
     _color_classes,
     _deletion_codes,
     _edge_mask,
@@ -108,6 +109,15 @@ def test_construction_errors():
             graph_from_edge_list(n, [])
     p3 = graph_from_edge_list(np.int64(3), [(True, np.int32(2)), (np.uint8(2), 3)])
     assert p3 == graph_from_edge_list(3, [(1, 2), (2, 3)])
+    # a Graph built directly is held to the same form: a self-loop, an
+    # endpoint past n and a repeated edge are refused, not kept
+    for n, edges, shown in ((3, ((2, 2),), r"\(2, 2\)"), (3, ((1, 5),), r"\(1, 5\)"),
+                            (3, ((1, 2), (1, 2)), r"\(1, 2\)")):
+        with pytest.raises(OutOfRangeError, match=rf"^edge {shown} is not an int pair u < v "
+                                                  r"in 1\.\.3 above the edge before it$"):
+            Graph(n, edges)
+    with pytest.raises(OutOfRangeError, match=r"^vertex count must be an int >= 1, got 0$"):
+        Graph(0, ())
     assert all(type(x) is int for x in (p3.n, *itertools.chain(*p3.edges)))
     with pytest.raises(OutOfRangeError, match=r"^vertex must be an integer, got 1\.5$"):
         delete_vertex(p3, 1.5)

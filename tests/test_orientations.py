@@ -1067,19 +1067,47 @@ def test_orientation_format_round_trip():
         format_orientation(orientation_from_arcs(C4, [(1, 2)]))
 
 
+def _assert_same_conflict(o, c, expected):
+    """c, find_shortcut's answer on o, agrees with ref_find_shortcut's
+    expected: the same kind, the same DirectedCycle arc, and a Shortcut
+    on the same arc whose path is a genuine shortcut of o."""
+    assert (c is None) == (expected is None)
+    if c is None:
+        return
+    assert c.kind == expected.kind
+    if c.kind == "DirectedCycle":
+        assert c.witness == expected.witness
+        return
+    assert (c.witness[0], c.witness[-1]) == (expected.witness[0], expected.witness[-1])
+    _assert_genuine_shortcut(o, c.witness)
+
+
+def _assert_genuine_shortcut(o, path):
+    # consecutive arcs really form a directed path and its closing edge
+    # exists; some inner pair must be absent or misdirected
+    arcs = set(o.arcs())
+    assert len(path) >= 4
+    for i in range(len(path) - 1):
+        assert (path[i], path[i + 1]) in arcs
+    assert (path[0], path[-1]) in arcs
+    assert any(
+        (path[i], path[j]) not in arcs
+        for i, j in itertools.combinations(range(len(path)), 2))
+
+
 @pytest.mark.slow
 def test_find_shortcut_matches_unpruned_dfs():
-    # the walk skips only vertices that cannot reach the arc's head, so it
-    # finds the same first witness, or none, as the walk that skips nothing:
-    # on every acyclic orientation of every class with n <= 6, and of the
-    # 26 refutations at n = 7
+    # the interval test finds a shortcut on the same first arc, or none, as
+    # the literal walk over every directed path, and its path is a genuine
+    # shortcut: on every acyclic orientation of every class with n <= 6,
+    # and of the 26 refutations at n = 7
     keys = set(census(7).nonrep_classes)
     graphs = [cls.graph for n in range(1, 7) for cls in enumerate_graphs(n)]
     graphs += [cls.graph for cls in enumerate_graphs(7) if cls.form.key in keys]
     checked = 0
     for g in graphs:
         for o in acyclic_orientations(g):
-            assert find_shortcut(o) == ref_find_shortcut(o)
+            _assert_same_conflict(o, find_shortcut(o), ref_find_shortcut(o))
             checked += 1
     assert checked == 21_188 + 28_584
     # and the arc step that grows the descendants refuses exactly the
@@ -1090,7 +1118,7 @@ def test_find_shortcut_matches_unpruned_dfs():
         for dirs in itertools.product((FORWARD, BACKWARD), repeat=len(g.edges)):
             o = Orientation(g, dirs)
             expected = ref_find_shortcut(o)
-            assert find_shortcut(o) == expected
+            _assert_same_conflict(o, find_shortcut(o), expected)
             checked += 1
             cyclic += expected is not None and expected.kind == "DirectedCycle"
     assert (checked, cyclic) == (3_457, 2_262)
@@ -1114,15 +1142,5 @@ def test_conflict_witnesses_are_genuine():
             assert ref_is_acyclic(g.n, stored[:i]) and not ref_is_acyclic(g.n, stored[:i + 1])
             continue
         assert c.kind == "Shortcut" and ref_is_acyclic(g.n, stored)
-        path = c.witness
-        arcs = set(stored)
-        assert len(path) >= 4
-        # consecutive arcs really form a directed path and its closing
-        # edge exists; some inner pair must be absent or misdirected
-        for i in range(len(path) - 1):
-            assert (path[i], path[i + 1]) in arcs
-        assert (path[0], path[-1]) in arcs
-        assert any(
-            (path[i], path[j]) not in arcs
-            for i, j in itertools.combinations(range(len(path)), 2))
+        _assert_genuine_shortcut(o, c.witness)
     assert seen["Shortcut"] > 20 and seen["DirectedCycle"] > 20

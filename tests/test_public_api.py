@@ -33,7 +33,7 @@ from wordrep.orientations import (
     FORWARD,
     Orientation,
     count_semi_transitive_naive,
-    is_semi_transitive,
+    find_shortcut,
     lemma1_propagate,
 )
 
@@ -120,7 +120,7 @@ def test_recheck_route_shares_no_code_with_the_search():
                 ident = node.id if isinstance(node, ast.Name) else node.attr
                 named.add(ident)
                 todo += [ident] if ident in defs else []
-    assert {"_shortcut_dfs", "_place", "_require_total", "_walk"} <= route
+    assert {"_far_pair", "_place", "_require_total", "_walk"} <= route
     assert named & SEARCH_NAMES == set()
 
 
@@ -184,9 +184,15 @@ C1200 = Orientation(graph_from_edge_list(1200, P1200.edges + ((1, 1200),)), (FOR
     pytest.param(lambda: find_k_uniform_word(graph_from_edge_list(11, []), 3), id="word-search"),
     pytest.param(lambda: find_proper_coloring(P1200, 2), id="proper-coloring"),
     pytest.param(lambda: are_isomorphic(P1200, P1200), id="isomorphism"),
-    pytest.param(lambda: is_semi_transitive(C1200), id="shortcut-scan"),
     pytest.param(lambda: graph_of_word(word_from_letters(range(1, 1002))), id="graph-of-word"),
 ])
 def test_every_size_cap_raises_too_large(call):
     with pytest.raises(errors.TooLargeError):
         call()
+
+
+def test_shortcut_scan_has_no_size_cap():
+    # the scan tests each arc's interval and recurses along no path: the
+    # 1,199-arc path under the arc 1 -> 1200 is found, not refused
+    c = find_shortcut(C1200)
+    assert c.kind == "Shortcut" and (c.witness[0], c.witness[-1]) == (1, 1200)
