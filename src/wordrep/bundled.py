@@ -4,8 +4,6 @@ offline from a fresh install.
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .errors import OutOfRangeError
 from .graphs import Graph, parse_edge_list
 from .words import Word, parse_word
@@ -15,6 +13,9 @@ WORD_NAMES = ("M", "K4", "petersen")
 
 
 def _read(filename: str) -> str:
+    # imported here, not at the top: importlib.resources loads pathlib and
+    # zipfile, 10-18 ms that only verify-paper and the bundled readers need
+    from importlib import resources
     return (resources.files("wordrep") / "data" / filename).read_text("utf-8")
 
 

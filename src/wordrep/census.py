@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .decision import REPRESENTABLE, decide
 from .errors import OutOfRangeError
 from .graphs import (
     GraphClass,
+    _Frozen,
     _deletion_codes,
     _enumerable_n,
     _integer,
@@ -28,15 +28,19 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class SpeedRow:
-    n: int
-    a_n: int
-    b_n: int
-    entropy: float | None  # None for n = 1, where C(n,2) = 0
+class SpeedRow(_Frozen):
+    # entropy is None for n = 1, where C(n,2) = 0; nonrep_classes holds
     # canonical keys, sorted: enumerate_graphs yields classes by ascending
     # code, and one row's keys are hex of one fixed width
-    nonrep_classes: tuple[str, ...]
+    _fields = ("n", "a_n", "b_n", "entropy", "nonrep_classes")
+
+    def __init__(self, n: int, a_n: int, b_n: int, entropy: float | None,
+                 nonrep_classes: tuple[str, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a_n", a_n)
+        object.__setattr__(self, "b_n", b_n)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "nonrep_classes", nonrep_classes)
 
 
 def _entropy(n: int, b_n: int) -> float | None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .census import census, entropy_table
 from .decision import NON_REPRESENTABLE, decide
@@ -27,7 +26,7 @@ from .wordsearch import DEFAULT_K_MAX, find_word
 def cmd_decide(args):
     d = decide(read_edge_list(args.graph))
     witness = None if d.witness is None else list(d.witness.arcs())
-    payload = {"verdict": d.verdict, "witness": witness, "stats": asdict(d.stats)}
+    payload = {"verdict": d.verdict, "witness": witness, "stats": d.stats._asdict()}
     # the search counters are only in the JSON's stats
     text = d.verdict + "\n" + ("" if d.witness is None else format_orientation(d.witness))
     return payload, text, 1 if d.verdict == NON_REPRESENTABLE else 0
@@ -64,7 +63,7 @@ def cmd_census(args):
         ent = "-" if r.entropy is None else f"{r.entropy:.6f}"
         lines.append(
             f"{r.n:>2}  {r.a_n:>6}  {r.b_n:>10}  {ent:>9}  {len(r.nonrep_classes)}")
-    payload = [asdict(r) for r in rows]
+    payload = [r._asdict() for r in rows]
     return {"rows": payload} if args.table else payload[0], "\n".join(lines) + "\n", 0
 
 

@@ -5,10 +5,8 @@ orientation search and packages the outcome with its search statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OutOfRangeError
-from .graphs import Graph
+from .graphs import Graph, _Frozen
 from .orientations import (
     Orientation,
     SearchStats,
@@ -21,11 +19,13 @@ REPRESENTABLE = "Representable"
 NON_REPRESENTABLE = "NonRepresentable"
 
 
-@dataclass(frozen=True)
-class Decision:
-    verdict: str
-    witness: Orientation | None
-    stats: SearchStats
+class Decision(_Frozen):
+    _fields = ("verdict", "witness", "stats")
+
+    def __init__(self, verdict: str, witness: Orientation | None, stats: SearchStats):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "stats", stats)
 
 
 def decide(g: Graph) -> Decision:

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import OutOfRangeError, ParseError, TooLargeError
@@ -47,25 +46,67 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Base of the package's records, in a few lines of plain Python: the
+    standard library's record decorator loads inspect, ast and dis, and
+    execs generated code for each class, about 12 of the 29 ms import
+    wordrep took (2-core Xeon VM, Python 3.11.7).  A record names its fields
+    in _fields and sets them in an explicit __init__.  It equals a record
+    of its own class whose fields are equal, reprs as
+    Graph(n=3, edges=((1, 2),)), and _asdict gives its fields in order,
+    the --json shape.  A mutable record is unhashable."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+
+class _Frozen(_Record):
+    """A record whose attributes can be neither assigned nor deleted,
+    hashed by the tuple of its fields.  Its __init__ sets each field with
+    object.__setattr__, and _cached writes the instance __dict__."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
     """Immutable labelled graph.  Build through graph_from_edge_list."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]  # (u, v) with u < v, lexicographic
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         """Hold every Graph, built directly or by graph_from_edge_list, to
         one form: an int n >= 1 and int pairs (u, v), 1 <= u < v <= n,
-        each above the one before it."""
-        n = self.n
+        each above the one before it, so lexicographic."""
         if type(n) is not int or n < 1:
             raise OutOfRangeError(f"vertex count must be an int >= 1, got {n!r}")
-        for last, e in itertools.pairwise([(0, 0), *self.edges]):
+        for last, e in itertools.pairwise([(0, 0), *edges]):
             if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
                     and 0 < e[0] < e[1] <= n and last < e):
                 raise OutOfRangeError(
                     f"edge {e!r} is not an int pair u < v in 1..{n} above the edge before it")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @_cached
     def adj(self) -> tuple[int, ...]:
@@ -258,11 +299,13 @@ def is_k4_free(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # proper colorings
 
-@dataclass(frozen=True)
-class VertexColoring:
+class VertexColoring(_Frozen):
     """Total assignment vertex -> color index in 1..c."""
 
-    color: tuple[int, ...]  # color[v - 1] for vertex v
+    _fields = ("color",)
+
+    def __init__(self, color: tuple[int, ...]):   # color[v - 1] for vertex v
+        object.__setattr__(self, "color", color)
 
     def of(self, v: int) -> int:
         return self.color[v - 1]
@@ -474,12 +517,14 @@ def _deletion_codes(n: int, code: int) -> list[int]:
     return (_orbit_codes(n, code, list(ranks)) & (1 << math.comb(n - 1, 2)) - 1).tolist()
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Frozen):
     """Minimum, over all relabelings, of the packed upper-triangle code."""
 
-    n: int
-    code: int
+    _fields = ("n", "code")
+
+    def __init__(self, n: int, code: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "code", code)
 
     @property
     def key(self) -> str:
@@ -500,11 +545,14 @@ def canonical_form(g: Graph) -> CanonicalForm:
 # isomorphism-class enumeration (orbit sweep over the masks that a
 # canonical code of at most C(n,2) / 2 edges can be)
 
-@dataclass(frozen=True)
-class GraphClass:
-    form: CanonicalForm
-    aut_size: int
-    labelled_size: int        # n! / |Aut|, orbit-stabilizer
+class GraphClass(_Frozen):
+    # labelled_size: n! / |Aut|, orbit-stabilizer
+    _fields = ("form", "aut_size", "labelled_size")
+
+    def __init__(self, form: CanonicalForm, aut_size: int, labelled_size: int):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "aut_size", aut_size)
+        object.__setattr__(self, "labelled_size", labelled_size)
 
     @_cached
     def graph(self) -> Graph:

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import OutOfRangeError, TooLargeError
-from .graphs import BACKTRACK_MAX_N, CANONICAL_MAX_N, Graph, VertexColoring, _bits, _components
+from .graphs import (BACKTRACK_MAX_N, CANONICAL_MAX_N, Graph, VertexColoring, _bits,
+                     _components, _Frozen, _Record)
 
 FORWARD = 1
 BACKWARD = -1
@@ -56,16 +56,14 @@ COUNT_MAX_EDGES = 24
 SEARCH_MAX_N = 40
 
 
-@dataclass(frozen=True)
-class Orientation:
-    base: Graph
-    dirs: tuple[int | None, ...]  # aligned with base.edges
+class Orientation(_Frozen):
+    _fields = ("base", "dirs")
 
-    def __post_init__(self):
-        if len(self.dirs) != len(self.base.edges):
+    def __init__(self, base: Graph, dirs: tuple[int | None, ...]):   # aligned with base.edges
+        if len(dirs) != len(base.edges):
             raise OutOfRangeError(
-                f"{len(self.dirs)} directions for {len(self.base.edges)} edges")
-        for (u, v), d in zip(self.base.edges, self.dirs):   # name the first bad one
+                f"{len(dirs)} directions for {len(base.edges)} edges")
+        for (u, v), d in zip(base.edges, dirs):   # name the first bad one
             try:
                 if d in _DIRECTIONS:
                     continue
@@ -73,6 +71,8 @@ class Orientation:
                 pass
             raise OutOfRangeError(f"direction {d!r} of edge {u}-{v} is not "
                                   "FORWARD (1), BACKWARD (-1) or None")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "dirs", dirs)
 
     @property
     def is_total(self) -> bool:
@@ -92,15 +92,16 @@ class Orientation:
                 yield self.arc(i)
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(_Frozen):
     # find_shortcut: Shortcut | DirectedCycle; lemma1_propagate: Lemma1Cycle | DirectedCycle
-    kind: str
-    witness: tuple[int, ...]
+    _fields = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass
-class SearchStats:
+class SearchStats(_Record):
     """Counters of the orientation search, summed over every search that
     is handed the object.  nodes: calls of _Searcher.branch, each part's
     root and the leaves included.  propagations: arcs placed by the
@@ -108,12 +109,18 @@ class SearchStats:
     conflict ends the branch included; so it depends on the order the
     rule reads its cycles in, as no answer and no other counter does.
     shortcut_checks: leaves tested for a shortcut; shortcut_conflicts:
-    those that have one.  wall_time_s: time spent searching."""
-    nodes: int = 0
-    propagations: int = 0
-    shortcut_checks: int = 0
-    shortcut_conflicts: int = 0
-    wall_time_s: float = 0.0
+    those that have one.  wall_time_s: time spent searching.  Mutable,
+    so branch's writes take object's own __setattr__, and unhashable."""
+
+    _fields = ("nodes", "propagations", "shortcut_checks", "shortcut_conflicts", "wall_time_s")
+
+    def __init__(self, nodes: int = 0, propagations: int = 0, shortcut_checks: int = 0,
+                 shortcut_conflicts: int = 0, wall_time_s: float = 0.0):
+        self.nodes = nodes
+        self.propagations = propagations
+        self.shortcut_checks = shortcut_checks
+        self.shortcut_conflicts = shortcut_conflicts
+        self.wall_time_s = wall_time_s
 
 
 def orientation_from_arcs(g: Graph, arcs) -> Orientation:

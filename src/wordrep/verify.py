@@ -5,11 +5,9 @@ Everything here is deterministic, so two runs print identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundled import bundled_graph, bundled_word
 from .decision import NON_REPRESENTABLE, decide, verify_certificate
-from .graphs import Graph, are_isomorphic
+from .graphs import Graph, _Frozen, are_isomorphic
 from .orientations import (
     Conflict,
     count_semi_transitive,
@@ -22,11 +20,13 @@ from .words import Word, graph_of_word, parse_word, represents, uniformity
 K4_WORDS = ("1234", "3142", "123412", "12341234", "432143214321")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Frozen):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _check_m_word(m: Graph, w: Word) -> list[CheckResult]:

@@ -9,23 +9,21 @@ import itertools
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import OutOfRangeError, ParseError, TooLargeError
-from .graphs import Graph, _decimal
+from .graphs import Graph, _decimal, _Frozen
 
 # the graph of a word over n letters has up to C(n, 2) edges
 ALPHABET_MAX_N = 1000
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: tuple[int, ...]
+class Word(_Frozen):
+    _fields = ("letters",)
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[int, ...]):
         try:   # integer types such as numpy's pass; floats and strings do not
-            letters = tuple(map(operator.index, self.letters))
+            letters = tuple(map(operator.index, letters))
         except TypeError as e:
             raise OutOfRangeError(f"letters are positive integers: {e}") from None
         if not letters:

@@ -61,10 +61,8 @@ cycle, so it would cut nothing and only cost time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OutOfRangeError, TooLargeError
-from .graphs import Graph, _integer
+from .graphs import Graph, _Frozen, _integer
 from .orientations import _Searcher
 from .words import Word
 
@@ -72,11 +70,14 @@ SEARCH_MAX_LETTERS = 30
 DEFAULT_K_MAX = 3
 
 
-@dataclass(frozen=True)
-class WordSearchResult:
-    word: Word | None
-    k_tried: int   # multiplicity reached (the successful k, or the cap)
-    nodes: int
+class WordSearchResult(_Frozen):
+    # k_tried: the multiplicity reached (the successful k, or the cap)
+    _fields = ("word", "k_tried", "nodes")
+
+    def __init__(self, word: Word | None, k_tried: int, nodes: int):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "k_tried", k_tried)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None) -> Word | None:

@@ -7,7 +7,6 @@ benchmark's own tests.
 """
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -46,7 +45,8 @@ def test_hook_resolves_and_binds(module, name, span, kind):
 
 
 def test_search_stats_counters():
-    names = {f.name for f in dataclasses.fields(SearchStats)}
+    # perfbench/spans.py reads these four counters off a fresh SearchStats
+    names = set(vars(SearchStats()))
     assert {"nodes", "propagations", "shortcut_checks", "shortcut_conflicts"} <= names
 
 

@@ -361,10 +361,10 @@ def test_removed_paths_are_usage_errors(capsys, graph_file):
     assert capsys.readouterr().out == ""
 
 
-def _modules_after(*argvs, calls=()):
+def _modules_after(*argvs, calls=(), flags=(), watch=("numpy", "dataclasses", "inspect")):
     """Run each argv through main(), then evaluate each library call, in
-    one fresh interpreter; return the exit codes followed by the calls'
-    values, and whether numpy was imported."""
+    one fresh interpreter started with flags; return the exit codes
+    followed by the calls' values, and the modules of watch it imported."""
     script = (
         "import json, sys\n"
         "import wordrep\n"
@@ -373,8 +373,8 @@ def _modules_after(*argvs, calls=()):
         "from wordrep.orientations import count_semi_transitive_naive\n"
         f"codes = [main(argv) for argv in {list(argvs)!r}]\n"
         f"codes += [eval(call) for call in {list(calls)!r}]\n"
-        "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+        f"print(json.dumps([codes, [m for m in {list(watch)!r} if m in sys.modules]]))\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.stderr == ""
     return json.loads(proc.stdout.splitlines()[-1])
@@ -383,8 +383,9 @@ def _modules_after(*argvs, calls=()):
 def test_search_and_word_commands_never_import_numpy():
     # numpy costs about 0.15 s of start-up, and only class enumeration and
     # canonical forms use it: the refutation re-check walks the acyclic
-    # orientations in pure Python
-    codes, numpy_loaded = _modules_after(
+    # orientations in pure Python.  The records are plain classes, so
+    # nothing loads dataclasses or the inspect module it pulls in
+    codes, loaded = _modules_after(
         ["decide", str(DATA / "A.edges")],
         ["count-orientations", str(DATA / "K4.edges")],
         ["find-word", str(DATA / "M.edges")],
@@ -394,9 +395,20 @@ def test_search_and_word_commands_never_import_numpy():
         calls=["wordrep.verify_certificate(bundled_graph('A'), wordrep.decide(bundled_graph('A')))",
                "count_semi_transitive_naive(bundled_graph('K4'))"])
     assert codes == [1, 0, 0, 0, 0, 0, True, 24]
-    assert not numpy_loaded
+    assert loaded == []
     # the control: census enumerates classes, so it does load numpy
-    assert _modules_after(["census", "3"]) == [[0], True]
+    codes, loaded = _modules_after(["census", "3"])
+    assert codes == [0] and "numpy" in loaded
+
+
+def test_only_bundled_readers_import_importlib_resources():
+    # without site (-S), whose .pth files may load it first, decide starts
+    # without importlib.resources; verify-paper reads the bundled files
+    watch = ("importlib.resources",)
+    assert _modules_after(["decide", str(DATA / "A.edges")], flags=["-S"], watch=watch) \
+        == [[1], []]
+    assert _modules_after(["verify-paper"], flags=["-S"], watch=watch) \
+        == [[0], ["importlib.resources"]]
 
 
 def test_module_entry_point():

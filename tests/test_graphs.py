@@ -1,7 +1,6 @@
 """Graph values, edge-list I/O, K4 detection, canonical forms,
 isomorphism, and class enumeration."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -49,8 +48,8 @@ C5 = graph_from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
 def test_adjacency_is_cached_on_the_frozen_graph():
     # adj and edge_index are computed on first use and kept in the
-    # instance __dict__, past the frozen dataclass's __setattr__; the
-    # cached values take no part in equality or hashing
+    # instance __dict__, past the frozen record's __setattr__; the cached
+    # values take no part in equality or hashing
     g = graph_from_edge_list(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     assert "adj" not in vars(g) and "edge_index" not in vars(g)
     assert g.adj is g.adj and vars(g)["adj"] is g.adj
@@ -58,8 +57,9 @@ def test_adjacency_is_cached_on_the_frozen_graph():
     assert g.edge_index is g.edge_index
     assert g.edge_index == {(1, 2): 0, (1, 4): 1, (2, 3): 2, (3, 4): 3}
     assert g == C4 and hash(g) == hash(C4)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         g.adj = ()
+    assert g.adj == (0, 0b10100, 0b1010, 0b10100, 0b1010)
 
 
 def test_construction_normalizes():

@@ -29,13 +29,19 @@ from wordrep import (
     word_from_letters,
 )
 from wordrep import errors
+from wordrep.census import SpeedRow
+from wordrep.graphs import CanonicalForm, Graph, GraphClass, VertexColoring, _Frozen, _Record
 from wordrep.orientations import (
     FORWARD,
+    Conflict,
     Orientation,
     count_semi_transitive_naive,
     find_shortcut,
     lemma1_propagate,
 )
+from wordrep.verify import CheckResult
+from wordrep.words import Word
+from wordrep.wordsearch import WordSearchResult
 
 PACKAGE = pathlib.Path(wordrep.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -75,7 +81,7 @@ def test_every_export_has_a_caller_or_is_documented():
 
 SHARED_PRIVATE = {"_bits", "_components", "_Searcher", "_order_semi_transitive",
                   "_three_colourable", "_deletion_codes", "_orbit_codes", "_enumerable_n",
-                  "_integer", "_decimal"}
+                  "_integer", "_decimal", "_Record", "_Frozen"}
 SEARCH_STATE = {"found", "rows"}
 
 
@@ -196,3 +202,83 @@ def test_shortcut_scan_has_no_size_cap():
     # 1,199-arc path under the arc 1 -> 1200 is found, not refused
     c = find_shortcut(C1200)
     assert c.kind == "Shortcut" and (c.witness[0], c.witness[-1]) == (1, 1200)
+
+
+# ---------------------------------------------------------------------------
+# the records: plain classes that keep the value semantics, repr and field
+# order they had as frozen dataclasses (SearchStats as a mutable one)
+
+G3 = Graph(3, ((1, 2),))
+FORM = CanonicalForm(3, 1)
+ARC = Orientation(G3, (FORWARD,))
+RECORDS = [
+    (G3, "Graph(n=3, edges=((1, 2),))"),
+    (VertexColoring((1, 2, 1)), "VertexColoring(color=(1, 2, 1))"),
+    (FORM, "CanonicalForm(n=3, code=1)"),
+    (GraphClass(FORM, 2, 3),
+     "GraphClass(form=CanonicalForm(n=3, code=1), aut_size=2, labelled_size=3)"),
+    (ARC, "Orientation(base=Graph(n=3, edges=((1, 2),)), dirs=(1,))"),
+    (Conflict("Shortcut", (1, 2, 3, 1)), "Conflict(kind='Shortcut', witness=(1, 2, 3, 1))"),
+    (SearchStats(1, 2, 3, 4, 0.5), "SearchStats(nodes=1, propagations=2, shortcut_checks=3, "
+                                   "shortcut_conflicts=4, wall_time_s=0.5)"),
+    (Decision("Representable", ARC, SearchStats()),
+     "Decision(verdict='Representable', witness=Orientation(base=Graph(n=3, edges=((1, 2),)), "
+     "dirs=(1,)), stats=SearchStats(nodes=0, propagations=0, shortcut_checks=0, "
+     "shortcut_conflicts=0, wall_time_s=0.0))"),
+    (SpeedRow(3, 4, 8, 1.0, ("3:1",)),
+     "SpeedRow(n=3, a_n=4, b_n=8, entropy=1.0, nonrep_classes=('3:1',))"),
+    (CheckResult("k4-words", True, "ok"), "CheckResult(name='k4-words', passed=True, detail='ok')"),
+    (Word((1, 2, 1)), "Word(letters=(1, 2, 1))"),
+    (WordSearchResult(Word((1,)), 1, 3),
+     "WordSearchResult(word=Word(letters=(1,)), k_tried=1, nodes=3)"),
+]
+
+
+def _record(cls, values):
+    """A record of cls with these field values, past its constructor's checks."""
+    record = cls.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+def test_records_cover_every_record_class():
+    def subclasses(cls):
+        return {s for sub in cls.__subclasses__() for s in {sub} | subclasses(sub)}
+    package = {cls for cls in subclasses(_Record) if cls.__module__.startswith("wordrep.")}
+    assert {type(r) for r, _ in RECORDS} == package - {_Frozen}
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_record_keeps_its_value_semantics(record, text):
+    cls, values = type(record), tuple(getattr(record, name) for name in record._fields)
+    # the repr fixes the field order, which _asdict and so --json keep
+    assert repr(record) == text
+    assert list(record._asdict().items()) == list(zip(cls._fields, values))
+    # equal exactly when the class and the fields are equal
+    twin = cls(*values)
+    assert twin == record and not twin != record and twin is not record
+    assert record != _record(type("Sub", (cls,), {}), values)
+    assert record.__eq__(values) is NotImplemented and record != values
+    for i in range(len(values)):
+        assert record != _record(cls, values[:i] + (object(),) + values[i + 1:])
+    if cls is SearchStats:
+        with pytest.raises(TypeError):
+            hash(record)
+        # mutable, through object's own __setattr__, which the search's
+        # counter writes take
+        assert cls.__setattr__ is object.__setattr__
+        return
+    try:
+        expected = hash(values)
+    except TypeError:   # Decision holds an unhashable SearchStats
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    for name in cls._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert all(getattr(record, name) is value for name, value in zip(cls._fields, values))
