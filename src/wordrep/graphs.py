@@ -13,12 +13,12 @@ import functools
 import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, Iterator
+# annotations stay unevaluated strings, so np.ndarray needs no import here
+# (the functions that use numpy import it themselves) and Iterator comes
+# from collections.abc, not typing, which start-up then need not load
+from collections.abc import Iterator
 
 from .errors import OutOfRangeError, ParseError, TooLargeError
-
-if TYPE_CHECKING:   # the functions that use numpy import it themselves
-    import numpy as np
 
 CANONICAL_MAX_N = 8
 # proper colouring and the isomorphism test recurse one level per vertex,
@@ -666,46 +666,37 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     if max(g.n, h.n) > BACKTRACK_MAX_N:
         raise TooLargeError(
             f"isomorphism test supports n <= {BACKTRACK_MAX_N}, got {max(g.n, h.n)}")
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
+    # equal sorted degree sequences imply equal n and edge counts
     if sorted(g.degree_sequence()) != sorted(h.degree_sequence()):
         return False
-    n = g.n
     # order g's vertices so each (after the first) touches an earlier one
     # when possible; keeps the partial maps constrained
-    order: list[int] = []
-    placed = 0
+    order, seen = [], 0
     rest = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     while rest:
-        pick = next((v for v in rest if g.adj[v] & placed), rest[0])
+        pick = next((v for v in rest if g.adj[v] & seen), rest[0])
         rest.remove(pick)
         order.append(pick)
-        placed |= 1 << pick
+        seen |= 1 << pick
+    image = [0] * (g.n + 1)
 
-    image = [0] * (n + 1)
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == n:
+    def extend(i: int, placed: int, used: int) -> bool:
+        """Extend the map of order[:i], the vertex mask placed, onto the
+        mask used, to order[i:].  w can be v's image when it has v's degree
+        and its used neighbours are exactly want, the images of v's placed
+        neighbours, so only free, the common neighbours of those images,
+        are tried."""
+        if i == g.n:
             return True
         v = order[i]
-        for w in h.vertices():
-            if used >> w & 1 or h.degree(w) != g.degree(v):
-                continue
-            ok = True
-            for prev in order[:i]:
-                if g.has_edge(v, prev) != h.has_edge(w, image[prev]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used |= 1 << w
-            if extend(i + 1):
-                return True
-            used &= ~(1 << w)
-            image[v] = 0
+        want, free = 0, (1 << g.n + 1) - 2 & ~used
+        for u in _bits(g.adj[v] & placed):
+            want, free = want | 1 << image[u], free & h.adj[image[u]]
+        for w in _bits(free):
+            if h.adj[w] & used == want and h.degree(w) == g.degree(v):
+                image[v] = w
+                if extend(i + 1, placed | 1 << v, used | 1 << w):
+                    return True
         return False
 
-    return extend(0)
+    return extend(0, 0, 0)

@@ -38,9 +38,10 @@ shortcut unless both chords a-c and b-d are edges.
 
 from __future__ import annotations
 
+import math
 import operator
 import time
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import OutOfRangeError, TooLargeError
 from .graphs import (BACKTRACK_MAX_N, CANONICAL_MAX_N, Graph, VertexColoring, _bits,
@@ -725,18 +726,27 @@ def _placed_shortcut(out, adj, desc, anc, ups, below) -> bool:
 
 
 def count_semi_transitive_naive(g: Graph) -> int:
-    """Twice the number of orientations semi_transitive_orientations
-    yields, or 1 for an edgeless g: no search, no propagation and no
-    forcing; the anchor the fast counter must match, so capped as it is,
-    at COUNT_MAX_EDGES (24) edges, and by the walk at n <= BACKTRACK_MAX_N
-    (500).  Its worst case is a forest of 24 edges, all of whose 2^23
-    leaves are semi-transitive: a path of 24 edges takes about 77 s
+    """The product over g's blocks (_blocks) of twice the number of
+    orientations semi_transitive_orientations yields for the block's own
+    graph, Graph(g.n, its edges in stored order); 1 for an edgeless g, the
+    empty product.  No search, no propagation and no forcing; the anchor
+    the fast counter must match, so capped as it is, at COUNT_MAX_EDGES
+    (24) edges, and by the walk at n <= BACKTRACK_MAX_N (500).
+
+    It trusts one lemma, as the fast counter does: a directed cycle, and a
+    shortcut together with the edge it skips, lie on one cycle of g, so
+    inside one block, and g's semi-transitive orientations are the
+    products of its blocks' ones.  Its worst case is one block most of
+    whose orientations pass, as the fast count's is: C16 takes 0.25 s and
+    C24, at the cap, 86 s, where the fast count takes 0.35 and 148 s
     (2-core Xeon VM, Python 3.11.7)."""
     if len(g.edges) > COUNT_MAX_EDGES:
         raise TooLargeError(
             f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
-    found = sum(1 for _ in semi_transitive_orientations(g))
-    return 2 * found if g.edges else found
+    return math.prod(
+        2 * sum(1 for _ in semi_transitive_orientations(
+            Graph(g.n, tuple(g.edges[i] for i in _bits(block)))))
+        for block in _blocks(g))
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,10 @@ def _check_case_replay(a: Graph) -> list[CheckResult]:
 def _check_counts(graphs: dict[str, Graph], a_refuted: bool) -> list[CheckResult]:
     """Fast and naive orientation counts of K4, C4 and A, taken from
     graphs by name.  a_refuted: the a-refutation check passed, so
-    verify_certificate has already run the walk the naive count runs,
-    semi_transitive_orientations of A, and it yielded nothing: that is
-    the naive count of A being 0.  A is walked again only when the check
-    did not pass."""
+    verify_certificate has already run the walk the naive count runs on
+    A, one block, semi_transitive_orientations of A, and it yielded
+    nothing: that is the naive count of A being 0.  A is walked again
+    only when the check did not pass."""
     got = {}
     ok = True
     for name, expected in (("K4", 24), ("C4", 6), ("A", 0)):

@@ -9,10 +9,9 @@ import itertools
 import operator
 import re
 from collections import Counter
-from functools import cached_property
 
 from .errors import OutOfRangeError, ParseError, TooLargeError
-from .graphs import Graph, _decimal, _Frozen
+from .graphs import Graph, _cached, _decimal, _Frozen
 
 # the graph of a word over n letters has up to C(n, 2) edges
 ALPHABET_MAX_N = 1000
@@ -32,7 +31,7 @@ class Word(_Frozen):
             raise OutOfRangeError(f"letters are positive integers, got {min(letters)}")
         object.__setattr__(self, "letters", letters)
 
-    @cached_property
+    @_cached
     def alphabet(self) -> frozenset[int]:
         return frozenset(self.letters)
 

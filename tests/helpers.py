@@ -457,6 +457,17 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return graph_from_edge_list(n, pairs)
 
 
+def random_regular(rng: random.Random, n: int, d: int) -> Graph:
+    """A random d-regular graph: shuffle d copies of each vertex and pair
+    them off, until the pairs hold no loop and no repeated edge."""
+    while True:
+        points = [v for v in range(1, n + 1) for _ in range(d)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, n * d, 2)}
+        if len(pairs) == n * d // 2 and all(u != v for u, v in pairs):
+            return graph_from_edge_list(n, sorted(pairs))
+
+
 def random_word(rng: random.Random, alphabet: int, length: int):
     return tuple(rng.randint(1, alphabet) for _ in range(length))
 

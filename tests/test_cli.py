@@ -402,13 +402,15 @@ def test_search_and_word_commands_never_import_numpy():
 
 
 def test_only_bundled_readers_import_importlib_resources():
-    # without site (-S), whose .pth files may load it first, decide starts
-    # without importlib.resources; verify-paper reads the bundled files
-    watch = ("importlib.resources",)
+    # without site (-S), whose .pth files may load them first, decide
+    # starts without importlib.resources and without typing, as the
+    # annotations are never evaluated; verify-paper reads the bundled
+    # files, and importlib.resources loads typing
+    watch = ("importlib.resources", "typing")
     assert _modules_after(["decide", str(DATA / "A.edges")], flags=["-S"], watch=watch) \
         == [[1], []]
     assert _modules_after(["verify-paper"], flags=["-S"], watch=watch) \
-        == [[0], ["importlib.resources"]]
+        == [[0], ["importlib.resources", "typing"]]
 
 
 def test_module_entry_point():

@@ -704,7 +704,9 @@ def test_two_to_the_blocks_divides_every_count():
 
 def test_count_walks_each_block_once():
     # P_25, at the edge cap: 24 one-edge blocks of 2 nodes each, where one
-    # tree over all the edges takes about 2^25 nodes
+    # tree over all the edges takes about 2^25 nodes; the naive count
+    # walks each block on its own too, where one walk over all the edges
+    # passed 2^23 leaves (about 77 s)
     path = graph_from_edge_list(25, [(v, v + 1) for v in range(1, 25)])
     assert len(path.edges) == 24
     stats = SearchStats()
@@ -712,6 +714,9 @@ def test_count_walks_each_block_once():
     assert count_semi_transitive(path, stats) == 2 ** 24
     assert time.perf_counter() - start < 0.5
     assert stats.nodes <= 48
+    start = time.perf_counter()
+    assert count_semi_transitive_naive(path) == 2 ** 24
+    assert time.perf_counter() - start < 1.0
     # a 12-edge path whose end is A's vertex 1: 12 bridges, then A's 17
     # nodes once, not once per orientation of the path (139,263 nodes)
     a = bundled_graph("A")
