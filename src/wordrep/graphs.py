@@ -14,9 +14,10 @@ import itertools
 import math
 import operator
 # annotations stay unevaluated strings, so np.ndarray needs no import here
-# (the functions that use numpy import it themselves) and Iterator comes
-# from collections.abc, not typing, which start-up then need not load
-from collections.abc import Iterator
+# (the functions that use numpy import it themselves) and Iterable and
+# Iterator come from collections.abc, not typing, which start-up then need
+# not load
+from collections.abc import Iterable, Iterator
 
 from .errors import OutOfRangeError, ParseError, TooLargeError
 
@@ -88,16 +89,28 @@ class _Frozen(_Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @staticmethod
+    def _tuple(items: Iterable, what: str) -> tuple:
+        """items as a tuple, a tuple itself with no copy, read once before
+        __init__ validates it, so a generator is not used up by the check
+        and a list field still hashes; OutOfRangeError when items is not
+        iterable."""
+        try:
+            return tuple(items)
+        except TypeError:
+            raise OutOfRangeError(f"{what} must be iterable, got {items!r}") from None
+
 
 class Graph(_Frozen):
     """Immutable labelled graph.  Build through graph_from_edge_list."""
 
     _fields = ("n", "edges")
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """Hold every Graph, built directly or by graph_from_edge_list, to
-        one form: an int n >= 1 and int pairs (u, v), 1 <= u < v <= n,
-        each above the one before it, so lexicographic."""
+        one form: an int n >= 1 and a tuple of int pairs (u, v),
+        1 <= u < v <= n, each above the one before it, so lexicographic."""
+        edges = self._tuple(edges, "edges")
         if type(n) is not int or n < 1:
             raise OutOfRangeError(f"vertex count must be an int >= 1, got {n!r}")
         for last, e in itertools.pairwise([(0, 0), *edges]):
@@ -189,7 +202,7 @@ def graph_from_edge_list(n: int, pairs) -> Graph:
         if u == v:
             raise OutOfRangeError(f"self-loop at vertex {u}")
         seen.add((u, v) if u < v else (v, u))
-    return Graph(n, tuple(sorted(seen)))
+    return Graph(n, sorted(seen))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -304,8 +317,8 @@ class VertexColoring(_Frozen):
 
     _fields = ("color",)
 
-    def __init__(self, color: tuple[int, ...]):   # color[v - 1] for vertex v
-        object.__setattr__(self, "color", color)
+    def __init__(self, color: Iterable[int]):   # color[v - 1] for vertex v
+        object.__setattr__(self, "color", self._tuple(color, "colours"))
 
     def of(self, v: int) -> int:
         return self.color[v - 1]
@@ -362,7 +375,7 @@ def find_proper_coloring(g: Graph, max_colors: int) -> VertexColoring | None:
     for c, held in enumerate(classes, 1):
         for v in _bits(held):
             color[v] = c
-    return VertexColoring(tuple(color[1:]))
+    return VertexColoring(color[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +412,7 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
         b = mask.bit_length() - 1
         edges.append(pairs[top - b])
         mask ^= 1 << b
-    return Graph(n, tuple(edges))
+    return Graph(n, edges)
 
 
 @functools.cache

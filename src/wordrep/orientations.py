@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import OutOfRangeError, TooLargeError
 from .graphs import (BACKTRACK_MAX_N, CANONICAL_MAX_N, Graph, VertexColoring, _bits,
@@ -60,7 +60,8 @@ SEARCH_MAX_N = 40
 class Orientation(_Frozen):
     _fields = ("base", "dirs")
 
-    def __init__(self, base: Graph, dirs: tuple[int | None, ...]):   # aligned with base.edges
+    def __init__(self, base: Graph, dirs: Iterable[int | None]):   # aligned with base.edges
+        dirs = self._tuple(dirs, "directions")
         if len(dirs) != len(base.edges):
             raise OutOfRangeError(
                 f"{len(dirs)} directions for {len(base.edges)} edges")
@@ -87,10 +88,10 @@ class Orientation(_Frozen):
             raise OutOfRangeError(f"edge {u}-{v} is unassigned")
         return (u, v) if d == FORWARD else (v, u)
 
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        for i, d in enumerate(self.dirs):
-            if d is not None:
-                yield self.arc(i)
+    def arcs(self) -> list[tuple[int, int]]:
+        """(tail, head) of each assigned edge, in stored order."""
+        return [(u, v) if d == FORWARD else (v, u)
+                for (u, v), d in zip(self.base.edges, self.dirs) if d is not None]
 
 
 class Conflict(_Frozen):
@@ -141,7 +142,7 @@ def orientation_from_arcs(g: Graph, arcs) -> Orientation:
         if dirs[idx] is not None and dirs[idx] != d:
             raise OutOfRangeError(f"edge {key[0]}-{key[1]} given both directions")
         dirs[idx] = d
-    return Orientation(g, tuple(dirs))
+    return Orientation(g, dirs)
 
 
 def _require_total(o: Orientation) -> None:
@@ -163,7 +164,7 @@ def find_shortcut(o: Orientation) -> Conflict | None:
     No path is enumerated, so nothing recurses and n is uncapped.
     """
     _require_total(o)
-    arcs = [(u, v) if d == FORWARD else (v, u) for (u, v), d in zip(o.base.edges, o.dirs)]
+    arcs = o.arcs()
     out, desc, anc = [0] * (o.base.n + 1), [0] * (o.base.n + 1), [0] * (o.base.n + 1)
     for t, h in arcs:
         if _place(out, desc, anc, t, h) is None:
@@ -286,16 +287,16 @@ def _four_cycles(g: Graph) -> tuple[list[tuple], list[int]]:
 # the interval lemma: semi-transitivity from a packed reachability closure,
 # with no path enumeration, at the search's leaves.
 
-def _packed_rows(g: Graph, w: int) -> tuple[int, int]:
-    """(adj_rows, non_rows): row v, bits v*w to v*w + w - 1, holds v's
-    neighbours in adj_rows and every other bit of the row in non_rows."""
+def _packed_rows(g: Graph, w: int) -> int:
+    """g's adjacency packed as the search's closure is: row v, bits v*w to
+    v*w + w - 1, holds v's neighbours."""
     adj_rows = 0
     for v, mask in enumerate(g.adj):
         adj_rows |= mask << v * w
-    return adj_rows, ((1 << w * w) - 1) ^ adj_rows
+    return adj_rows
 
 
-def _no_shortcut(c: int, w: int, row: int, col: int, adj_rows: int, non_rows: int) -> bool:
+def _no_shortcut(c: int, w: int, row: int, col: int, adj_rows: int) -> bool:
     """Whether a total acyclic orientation has no shortcut, given c, its
     reachability closure packed as the search keeps it: row v, bits v*w to
     v*w + w - 1, holds v's strict descendants; row is one row's mask and
@@ -307,7 +308,7 @@ def _no_shortcut(c: int, w: int, row: int, col: int, adj_rows: int, non_rows: in
     takes two or more and {x, y} != {u, v}, and it misses the edge x-y;
     conversely a shortcut path, so its non-adjacent pair, lies in I.  In
     an acyclic orientation x ~> y with x, y adjacent is the arc x->y, so
-    the pairs to look for are the bits of c & non_rows, row x's far ys.
+    the pairs to look for are the bits of c & ~adj_rows, row x's far ys.
 
     Grouped by x instead of by arc: x and a far y lie in the interval of
     u->v exactly when x is at or below u and v is at or below y.  So each
@@ -316,9 +317,7 @@ def _no_shortcut(c: int, w: int, row: int, col: int, adj_rows: int, non_rows: in
     out-neighbours of the rows at or below which x lies: those with bit
     x set, and row x.  The orientation is total, so the out-neighbours
     are c & adj_rows."""
-    far = c & non_rows
-    if not far:
-        return True
+    far = c & ~adj_rows
     out = c & adj_rows
     while far:
         x = ((far & -far).bit_length() - 1) // w
@@ -382,21 +381,15 @@ class _Searcher:
         # bit 0 of every row: picks out the rows that hold a given vertex
         self.col = ((1 << self.w * self.w) - 1) // self.row
         self.cycles, self.through = _four_cycles(g)
-        self.rows: tuple[int, int] | None = None   # _packed_rows, built at the first leaf
+        self.rows: int | None = None   # _packed_rows, built at the first leaf
         self.found = (0, 0)   # finding: fwd and bwd of each part's passing leaf, ORed
 
     def dirs(self, fwd: int, bwd: int) -> list[int | None]:
         """The partial orientation in two edge masks, one direction or None
-        per edge, read from their binary digits, edge 0 first; the bit
-        above the last edge keeps one digit per edge, none when there are
-        no edges.  A total one is read from fwd alone."""
-        m = len(self.g.edges)
-        ups = format(fwd | 1 << m, "b")[:0:-1]
-        if fwd | bwd == (1 << m) - 1:
-            return [FORWARD if u == "1" else BACKWARD for u in ups]
-        downs = format(bwd | 1 << m, "b")[:0:-1]
-        return [FORWARD if u == "1" else BACKWARD if d == "1" else None
-                for u, d in zip(ups, downs)]
+        per edge, edge 0 first: FORWARD where fwd has the edge's bit,
+        BACKWARD where bwd has it."""
+        return [FORWARD if fwd >> e & 1 else BACKWARD if bwd >> e & 1 else None
+                for e in range(len(self.g.edges))]
 
     def propagate(self, fwd: int, bwd: int, c: int, to_fwd: int, to_bwd: int
                   ) -> tuple[tuple[int, ...] | None, int, int, int]:
@@ -494,7 +487,7 @@ class _Searcher:
             rows = self.rows
             if rows is None:
                 rows = self.rows = _packed_rows(self.g, self.w)
-            if not _no_shortcut(c, self.w, self.row, self.col, rows[0], rows[1]):
+            if not _no_shortcut(c, self.w, self.row, self.col, rows):
                 stats.shortcut_conflicts += 1
                 return 0
             if first_only:
@@ -537,7 +530,7 @@ def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
     bwd = sum(1 << e for e, d in enumerate(o.dirs) if d == BACKWARD)
     outcome, fwd, bwd, _ = s.propagate(0, 0, 0, fwd, bwd)
     if outcome is None:
-        return Orientation(g, tuple(s.dirs(fwd, bwd)))
+        return Orientation(g, s.dirs(fwd, bwd))
     return Conflict("Lemma1Cycle" if len(outcome) == 4 else "DirectedCycle", outcome)
 
 
@@ -576,6 +569,19 @@ def _blocks(g: Graph) -> list[int]:
     return sorted(blocks, key=lambda b: b & -b)
 
 
+def _counted_blocks(g: Graph) -> list[int]:
+    """_blocks(g), checked before any is counted: TooLargeError when one
+    has more than COUNT_MAX_EDGES (24) edges.  Each block is counted on
+    its own, in at most 2^(its edges) leaves, so the largest block bounds
+    the cost, not the graph's edge count."""
+    blocks = _blocks(g)
+    largest = max(map(int.bit_count, blocks), default=0)
+    if largest > COUNT_MAX_EDGES:
+        raise TooLargeError(
+            f"exact counting capped at {COUNT_MAX_EDGES} edges a block, got a block of {largest}")
+    return blocks
+
+
 def _search(g: Graph, stats: SearchStats | None, first_only: bool) -> tuple[int, _Searcher]:
     """The number of semi-transitive orientations of g, as a product of
     independent searches run in turn, each twice its FORWARD root
@@ -584,8 +590,8 @@ def _search(g: Graph, stats: SearchStats | None, first_only: bool) -> tuple[int,
     shortcut crosses parts, so each part's search is the same from any
     state the others leave.
 
-    Counting, the parts are the blocks, as _blocks' edge masks by lowest
-    edge: a directed cycle, and a shortcut with the edge it skips, lie on
+    Counting, the parts are the blocks, as _counted_blocks' edge masks by
+    lowest edge: a directed cycle, and a shortcut with the edge it skips, lie on
     one cycle of g, so in one block, and g's orientations are the
     products of its blocks' ones.  Finding, they are the components with
     an edge (every edge at once when there are fewer than two), only
@@ -605,7 +611,7 @@ def _search(g: Graph, stats: SearchStats | None, first_only: bool) -> tuple[int,
         parts = [(1 << len(g.edges)) - 1] if len(comps) < 2 else [
             sum(1 << i for i, (u, _) in enumerate(g.edges) if c >> u & 1) for c in comps]
     else:
-        parts = _blocks(g)
+        parts = _counted_blocks(g)
     found = 1
     for part in parts:
         found *= 2 * searcher.branch(part, first_only, 0, 0, 0)
@@ -621,17 +627,16 @@ def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientat
     Deterministic: the witness is the one the sequential FORWARD-first
     lexicographic search reaches first (its reversal is equally valid)."""
     found, searcher = _search(g, stats, True)
-    return Orientation(g, tuple(searcher.dirs(*searcher.found))) if found else None
+    return Orientation(g, searcher.dirs(*searcher.found)) if found else None
 
 
 def count_semi_transitive(g: Graph, stats: SearchStats | None = None) -> int:
     """Exact number of total semi-transitive orientations: the product
     over g's blocks of twice the block's count with its first edge
     FORWARD.  No directed cycle or shortcut crosses two blocks, and
-    reversing every arc keeps an orientation semi-transitive."""
-    if len(g.edges) > COUNT_MAX_EDGES:
-        raise TooLargeError(
-            f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
+    reversing every arc keeps an orientation semi-transitive.  Capped at
+    COUNT_MAX_EDGES (24) edges in the largest block (_counted_blocks), so
+    a 40-vertex path, 39 blocks of one edge, counts 2^39."""
     return _search(g, stats, False)[0]
 
 
@@ -731,7 +736,8 @@ def count_semi_transitive_naive(g: Graph) -> int:
     graph, Graph(g.n, its edges in stored order); 1 for an edgeless g, the
     empty product.  No search, no propagation and no forcing; the anchor
     the fast counter must match, so capped as it is, at COUNT_MAX_EDGES
-    (24) edges, and by the walk at n <= BACKTRACK_MAX_N (500).
+    (24) edges in the largest block (_counted_blocks), and by the walk at
+    n <= BACKTRACK_MAX_N (500).
 
     It trusts one lemma, as the fast counter does: a directed cycle, and a
     shortcut together with the edge it skips, lie on one cycle of g, so
@@ -740,13 +746,10 @@ def count_semi_transitive_naive(g: Graph) -> int:
     whose orientations pass, as the fast count's is: C16 takes 0.25 s and
     C24, at the cap, 86 s, where the fast count takes 0.35 and 148 s
     (2-core Xeon VM, Python 3.11.7)."""
-    if len(g.edges) > COUNT_MAX_EDGES:
-        raise TooLargeError(
-            f"exact counting capped at {COUNT_MAX_EDGES} edges, got {len(g.edges)}")
     return math.prod(
         2 * sum(1 for _ in semi_transitive_orientations(
-            Graph(g.n, tuple(g.edges[i] for i in _bits(block)))))
-        for block in _blocks(g))
+            Graph(g.n, (g.edges[i] for i in _bits(block)))))
+        for block in _counted_blocks(g))
 
 
 # ---------------------------------------------------------------------------

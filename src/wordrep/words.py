@@ -68,10 +68,8 @@ def graph_of_word(w: Word) -> Graph:
         bx = 1 << x
         since = [s | bx for s in since]
         since[x] = 0
-    # ok[x][y] == "1" iff y is in kept[x]
-    ok = [format(k % (2 << n), f"0{n + 1}b")[::-1] for k in kept]
-    return Graph(n, tuple([(x, y) for x in range(1, n) for y in range(x + 1, n + 1)
-                           if ok[x][y] == ok[y][x] == "1"]))
+    return Graph(n, [(x, y) for x in range(1, n) for y in range(x + 1, n + 1)
+                     if kept[x] >> y & kept[y] >> x & 1])
 
 
 def represents(w: Word, g: Graph) -> bool:

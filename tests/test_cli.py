@@ -18,7 +18,8 @@ import pytest
 import wordrep
 from wordrep.bundled import GRAPH_NAMES, bundled_graph
 from wordrep.cli import main
-from wordrep.graphs import parse_edge_list, write_edge_list
+from wordrep.graphs import graph_from_edge_list, parse_edge_list, write_edge_list
+from wordrep.orientations import count_semi_transitive_naive
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(wordrep.__file__).parent / "data"  # the bundled files
@@ -168,6 +169,31 @@ def test_count_orientations(capsys, graph_file):
     code, out, _ = run(capsys, "count-orientations", graph_file("A"), "--json")
     assert code == 0
     assert json.loads(out) == {"count": 0}
+
+
+# chains of small blocks past 24 edges in all: cut vertices join each block
+# to the next, so every block has at most 4 edges
+CHAINS = [
+    pytest.param(40, [(v, v + 1) for v in range(1, 40)], 2 ** 39, id="path-40"),
+    pytest.param(27, [e for i in range(1, 27, 2) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))],
+                 6 ** 13, id="triangles-13"),
+    pytest.param(37, [e for i in range(1, 37, 3)
+                      for e in ((i, i + 1), (i + 1, i + 2), (i + 2, i + 3), (i, i + 3))],
+                 6 ** 12, id="four-cycles-12"),
+]
+
+
+@pytest.mark.parametrize("n, edges, count", CHAINS)
+def test_count_orientations_caps_the_largest_block(capsys, tmp_path, n, edges, count):
+    # the 24-edge cap of exact counting bounds each block, as each is
+    # counted on its own; the naive route agrees
+    g = graph_from_edge_list(n, edges)
+    assert len(g.edges) > 24 and g.n == n
+    path = tmp_path / "chain.edges"
+    write_edge_list(g, path)
+    code, out, _ = run(capsys, "count-orientations", str(path), "--json")
+    assert (code, json.loads(out)) == (0, {"count": count})
+    assert count_semi_transitive_naive(g) == count
 
 
 def test_find_word(capsys, graph_file):

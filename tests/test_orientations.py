@@ -741,13 +741,23 @@ def test_witness_is_lex_least_on_disjoint_unions():
 
 
 def test_count_too_many_edges():
+    # the cap bounds the largest block: K8 is one block of 28 edges
     big = graph_from_edge_list(
         8, [(u, v) for u in range(1, 8) for v in range(u + 1, 9)])
     assert len(big.edges) == 28
-    with pytest.raises(TooLargeError, match=r"^exact counting capped at 24 edges, got 28$"):
+    message = r"^exact counting capped at 24 edges a block, got a block of 28$"
+    with pytest.raises(TooLargeError, match=message):
         count_semi_transitive(big)
-    with pytest.raises(TooLargeError, match=r"^exact counting capped at 24 edges, got 28$"):
+    with pytest.raises(TooLargeError, match=message):
         count_semi_transitive_naive(big)
+    # every block is checked before the first is searched: three bridges,
+    # the first blocks by lowest edge, then that K8 on 4..11
+    tail = graph_from_edge_list(11, [(1, 2), (2, 3), (3, 4)] + [
+        (u + 3, v + 3) for u, v in big.edges])
+    stats = SearchStats()
+    with pytest.raises(TooLargeError, match=message):
+        count_semi_transitive(tail, stats)
+    assert stats.nodes == 0
 
 
 def test_search_count_consistency_all_n5():

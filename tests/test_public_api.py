@@ -32,6 +32,7 @@ from wordrep import errors
 from wordrep.census import SpeedRow
 from wordrep.graphs import CanonicalForm, Graph, GraphClass, VertexColoring, _Frozen, _Record
 from wordrep.orientations import (
+    BACKWARD,
     FORWARD,
     Conflict,
     Orientation,
@@ -282,3 +283,26 @@ def test_record_keeps_its_value_semantics(record, text):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert all(getattr(record, name) is value for name, value in zip(cls._fields, values))
+
+
+PATH3 = Graph(3, ((1, 2), (2, 3)))
+
+
+@pytest.mark.parametrize("make, items", [
+    (lambda items: Graph(3, items), PATH3.edges),
+    (lambda items: Orientation(PATH3, items), (FORWARD, BACKWARD)),
+    (VertexColoring, (1, 2, 1)),
+], ids=["Graph", "Orientation", "VertexColoring"])
+def test_record_holds_its_sequence_as_a_tuple(make, items):
+    # the sequence is read once, into a tuple, before it is validated: a
+    # generator is not used up by the check, a list or an iterator gives
+    # the record that the tuple gives, hash included, and a tuple is kept
+    # as it is, with no copy
+    record = make(items)
+    assert record._values()[-1] is items
+    for other in (make(list(items)), make(iter(items)), make(x for x in items)):
+        assert type(other._values()[-1]) is tuple
+        assert other == record and hash(other) == hash(record)
+    for bad in (None, 5):
+        with pytest.raises(errors.OutOfRangeError, match="must be iterable"):
+            make(bad)
