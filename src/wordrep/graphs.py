@@ -1,6 +1,7 @@
 """Undirected simple graphs on vertices 1..n, plus the small-n machinery
-that everything else leans on: K4 detection, proper colorings, canonical
-forms, isomorphism, and exhaustive enumeration of isomorphism classes.
+that everything else leans on: K4 detection, comparability tests, proper
+colorings, canonical forms, isomorphism, and exhaustive enumeration of
+isomorphism classes.
 
 Vertices are always the contiguous labels 1..n.  Adjacency is kept as one
 bitmask per vertex (bit v set in adj[u] means u ~ v), which is the cheapest
@@ -310,6 +311,72 @@ def is_k4_free(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# comparability graphs, by Golumbic's implication classes on masks
+
+def _comparability(adj, mask: int) -> bool:
+    """Whether the subgraph induced on the vertex mask, adjacency masks
+    adj, is a comparability graph: one with a transitive orientation.
+
+    A vertex adjacent to all the rest or to none of it is dropped, until
+    none is left: a graph is a comparability graph iff it is one without
+    such a vertex (orient the vertex as a source, or leave it alone).
+    Every graph on four or fewer vertices is a comparability graph.
+
+    Then Golumbic's implication classes (Algorithmic Graph Theory and
+    Perfect Graphs, 1980, ch. 5): arc (a, b) forces (a, c) when c ~ a,
+    c != b and c is not adjacent to b, and (c, b) when c ~ b, c != a and
+    c is not adjacent to a.  The graph is a comparability graph iff no
+    class holds both an arc and its reversal.  Each class is grown from
+    an edge that no earlier class or its reversal holds, and an arc is
+    tested against its reversal as it joins, so no class is swept twice.
+    out[a] holds b for every arc (a, b) placed so far, into[b] holds a."""
+    while True:
+        if mask.bit_count() < 5:
+            return True
+        keep = 0
+        for u in _bits(mask):
+            if 0 != adj[u] & mask != mask ^ 1 << u:
+                keep |= 1 << u
+        if keep == mask:
+            break
+        mask = keep
+    nbr = [a & mask for a in adj]
+    out, into = [0] * len(adj), [0] * len(adj)
+    for a in _bits(mask):
+        while free := nbr[a] & ~out[a] & ~into[a]:
+            b = (free & -free).bit_length() - 1
+            out[a] |= 1 << b
+            into[b] |= 1 << a
+            todo = [(a, b)]
+            while todo:
+                x, y = todo.pop()
+                new = nbr[x] & ~nbr[y] & ~(1 << y) & ~out[x]   # the arcs (x, c)
+                if new & into[x]:
+                    return False
+                out[x] |= new
+                for c in _bits(new):
+                    into[c] |= 1 << x
+                    todo.append((x, c))
+                new = nbr[y] & ~nbr[x] & ~(1 << x) & ~into[y]   # the arcs (c, y)
+                if new & out[y]:
+                    return False
+                into[y] |= new
+                for c in _bits(new):
+                    out[c] |= 1 << y
+                    todo.append((c, y))
+    return True
+
+
+def _non_comparability_vertex(g: Graph) -> int | None:
+    """The least vertex v whose neighbourhood N(v) is not a comparability
+    graph, or None.  In a word-representable graph every N(v) is one
+    (Kitaev & Pyatkin, "On representable graphs", J. Autom. Lang. Comb.
+    2008), so a vertex found here refutes g."""
+    adj = g.adj
+    return next((v for v in g.vertices() if not _comparability(adj, adj[v])), None)
+
+
+# ---------------------------------------------------------------------------
 # proper colorings
 
 class VertexColoring(_Frozen):
@@ -318,15 +385,27 @@ class VertexColoring(_Frozen):
     _fields = ("color",)
 
     def __init__(self, color: Iterable[int]):   # color[v - 1] for vertex v
-        object.__setattr__(self, "color", self._tuple(color, "colours"))
+        """Each colour is read with operator.index, as by _integer, and
+        must be >= 1; a tuple of ints is kept with no copy."""
+        color = self._tuple(color, "colours")
+        if not all(type(c) is int for c in color):
+            color = tuple(_integer(c, "colour") for c in color)
+        if color and min(color) < 1:
+            raise OutOfRangeError(f"colour must be >= 1, got {min(color)}")
+        object.__setattr__(self, "color", color)
 
     def of(self, v: int) -> int:
+        v = _integer(v, "vertex")
+        if not 1 <= v <= len(self.color):
+            raise OutOfRangeError(f"vertex {v} not in 1..{len(self.color)}")
         return self.color[v - 1]
 
     def num_colors(self) -> int:
         return len(set(self.color))
 
     def is_proper(self, g: Graph) -> bool:
+        if len(self.color) != g.n:
+            raise OutOfRangeError(f"{len(self.color)} colours for {g.n} vertices")
         return all(self.of(u) != self.of(v) for u, v in g.edges)
 
 
@@ -365,7 +444,9 @@ def _color_classes(g: Graph, k: int) -> list[int] | None:
 
 def find_proper_coloring(g: Graph, max_colors: int) -> VertexColoring | None:
     """Exact backtracking search for a proper coloring with <= max_colors:
-    colour c + 1 for the vertices of the c-th of _color_classes."""
+    colour c + 1 for the vertices of the c-th of _color_classes.
+    max_colors is read by _integer."""
+    max_colors = _integer(max_colors, "max_colors")
     if g.n > BACKTRACK_MAX_N:
         raise TooLargeError(f"proper colouring supports n <= {BACKTRACK_MAX_N}, got {g.n}")
     classes = _color_classes(g, max_colors)

@@ -62,6 +62,8 @@ class Orientation(_Frozen):
 
     def __init__(self, base: Graph, dirs: Iterable[int | None]):   # aligned with base.edges
         dirs = self._tuple(dirs, "directions")
+        if not isinstance(base, Graph):
+            raise OutOfRangeError(f"base must be a Graph, got {base!r}")
         if len(dirs) != len(base.edges):
             raise OutOfRangeError(
                 f"{len(dirs)} directions for {len(base.edges)} edges")

@@ -57,12 +57,30 @@ of girth 5, is such a graph), so the _Searcher's table of cycles is
 empty: then nothing is ever forced, and arcs that all point from an
 earlier first copy to a later one follow one order and cannot close a
 cycle, so it would cut nothing and only cost time.
+
+Neighbourhood test (find_word only): in a word-representable graph every
+neighbourhood N(v) is a comparability graph (Kitaev & Pyatkin, "On
+representable graphs", J. Autom. Lang. Comb. 2008).  Rotate a uniform
+word representing g so that it starts with v and restrict it to N(v):
+each letter of N(v) alternates with v, so one copy of each falls between
+consecutive copies of v, and what is left is a concatenation of
+permutations of N(v) that represents N(v).  Permutationally representable
+graphs are exactly the comparability graphs (Kitaev & Seif, "Word problem
+of the Perkins semigroup via directed acyclic graphs", Order 2008).  So
+find_word, after k = 1 and before its first k >= 2 search, asks
+graphs._non_comparability_vertex for such a v; it drops from each N(v)
+the vertices adjacent to all the rest or to none of it, and tests what
+is left by implication classes when five or more remain.  A vertex named
+refutes g at every k, with no search and so with nodes 0.  The test runs
+only when the k = 2 search would, 2n within SEARCH_MAX_LETTERS, so every
+input that hit the letter cap at k = 1 or 2 still does.  decide and
+verify_certificate re-check such a refutation by their own routes.
 """
 
 from __future__ import annotations
 
 from .errors import OutOfRangeError, TooLargeError
-from .graphs import Graph, _Frozen, _integer
+from .graphs import Graph, _Frozen, _integer, _non_comparability_vertex
 from .orientations import _Searcher
 from .words import Word
 
@@ -177,12 +195,22 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
 
 def find_word(g: Graph, k_max: int = DEFAULT_K_MAX) -> WordSearchResult:
     """Iterate k = 1..k_max, returning the first success.  A non-integer
-    k_max raises OutOfRangeError (_integer)."""
+    k_max raises OutOfRangeError (_integer).
+
+    Before the k = 2 search, and only when it would run (k_max >= 2 and
+    2n letters within SEARCH_MAX_LETTERS, so every input that raised
+    TooLargeError at k = 1 or 2 still does), g is refuted with no search
+    when some neighbourhood is not a comparability graph, which no word
+    of any k allows (the module docstring gives the theorem).  The k = 1
+    attempt has then counted no node either, a non-edge ending it before
+    its first, so nodes is 0; k_tried is k_max, as for any refutation."""
     k_max = _integer(k_max, "k_max")
     if k_max < 1:
         raise OutOfRangeError(f"k_max must be >= 1, got {k_max}")
     counter = [0]
     for k in range(1, k_max + 1):
+        if k == 2 and 2 * g.n <= SEARCH_MAX_LETTERS and _non_comparability_vertex(g) is not None:
+            break
         w = find_k_uniform_word(g, k, counter)
         if w is not None:
             return WordSearchResult(w, k, counter[0])

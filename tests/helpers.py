@@ -415,6 +415,23 @@ def ref_colorable(g: Graph, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# comparability graphs
+
+def ref_comparability(g: Graph) -> bool:
+    """Generate-and-test: whether some acyclic orientation of g is
+    transitive, each arc's head pointing only where its tail points.  A
+    transitive orientation has no directed cycle, so the acyclic ones are
+    the only candidates."""
+    for o in acyclic_orientations(g):
+        out = [set() for _ in range(g.n + 1)]
+        for t, h in o.arcs():
+            out[t].add(h)
+        if all(out[h] <= out[t] for t, h in o.arcs()):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # isomorphism
 
 def brute_canonical(g: Graph):
@@ -466,6 +483,12 @@ def random_regular(rng: random.Random, n: int, d: int) -> Graph:
         pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, n * d, 2)}
         if len(pairs) == n * d // 2 and all(u != v for u, v in pairs):
             return graph_from_edge_list(n, sorted(pairs))
+
+
+def wheel_hub_last(k: int) -> Graph:
+    """W_k with the rim 1..k in cycle order and the hub k + 1."""
+    rim = [(v, v % k + 1) for v in range(1, k + 1)]
+    return graph_from_edge_list(k + 1, rim + [(v, k + 1) for v in range(1, k + 1)])
 
 
 def random_word(rng: random.Random, alphabet: int, length: int):

@@ -14,7 +14,9 @@ from wordrep.bundled import bundled_graph
 from wordrep.errors import OutOfRangeError, ParseError, TooLargeError
 from wordrep.graphs import (
     Graph,
+    VertexColoring,
     _color_classes,
+    _comparability,
     _deletion_codes,
     _edge_mask,
     _graph_from_mask,
@@ -40,6 +42,7 @@ from helpers import (
     random_graph,
     random_regular,
     ref_colorable,
+    ref_comparability,
     ref_enumerate_graphs,
 )
 
@@ -216,6 +219,49 @@ def test_proper_coloring_exact():
     for g in (graph_from_edge_list(1, []), C4, K4):
         for k in (0, -1):
             assert find_proper_coloring(g, k) is None
+
+
+def test_comparability_matches_a_transitive_orientation_search():
+    # the implication-class test on a vertex mask against generate-and-test
+    # over the acyclic orientations: on every class with n <= 6 (C5 is the
+    # one failure at n = 5, 12 fail at n = 6), on C7 and its complement,
+    # imperfect and so neither a comparability graph, and on a mask that
+    # leaves out part of a graph
+    failed = []
+    for n in range(1, 7):
+        graphs = [cls.graph for cls in enumerate_graphs(n)]
+        got = [_comparability(g.adj, (1 << n + 1) - 2) for g in graphs]
+        assert got == list(map(ref_comparability, graphs))
+        failed.append(got.count(False))
+    assert failed == [0, 0, 0, 0, 1, 12]
+    c7 = graph_from_edge_list(7, [(v, v % 7 + 1) for v in range(1, 8)])
+    for g in (c7, graph_from_edge_list(
+            7, [e for e in itertools.combinations(range(1, 8), 2) if e not in c7.edges])):
+        assert not _comparability(g.adj, 0b11111110) and not ref_comparability(g)
+    # C5 on 1..5 with vertex 6 joined to 1 and 3: the graph is not a
+    # comparability graph, its part on 1..4 and 6 is one
+    g = graph_from_edge_list(6, [*zip(range(1, 5), range(2, 6)), (1, 5), (1, 6), (3, 6)])
+    assert not _comparability(g.adj, 0b1111110) and _comparability(g.adj, 0b1011110)
+
+
+def test_colouring_validates_its_input():
+    # colours are read as integers >= 1; a vertex outside 1..n has no
+    # colour, and a colouring is proper only for a graph of its length
+    for bad, message in ((["a", "b", "a"], "colour must be an integer, got 'a'"),
+                         ([1.5, 2, 1.5], "colour must be an integer, got 1.5"),
+                         ([0, 1, 0], "colour must be >= 1, got 0")):
+        with pytest.raises(OutOfRangeError, match=rf"^{re.escape(message)}$"):
+            VertexColoring(bad)
+    assert VertexColoring([np.int64(2), 1]).color == (2, 1)
+    col = VertexColoring([1, 2])
+    for v in (0, 3):
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {v} not in 1\.\.2$"):
+            col.of(v)
+    with pytest.raises(OutOfRangeError, match=r"^2 colours for 3 vertices$"):
+        col.is_proper(graph_from_edge_list(3, [(1, 2)]))
+    with pytest.raises(OutOfRangeError, match=r"^max_colors must be an integer, got 2\.5$"):
+        find_proper_coloring(C4, 2.5)
+    assert find_proper_coloring(C4, np.int64(2)) == find_proper_coloring(C4, 2)
 
 
 def test_proper_coloring_matches_brute_force():

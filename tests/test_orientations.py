@@ -99,16 +99,21 @@ def test_orientation_rejects_bogus_directions():
     # a direction other than FORWARD, BACKWARD or None would read as an arc
     # (anything but FORWARD reads as BACKWARD) and pass as total, so a
     # certificate carrying it could be accepted.  An array equal to 1
-    # elementwise is unhashable, so it is no direction either
+    # elementwise is unhashable, so it is no direction either.  A base that
+    # is not a Graph has no edges for the directions to align with
     path = graph_from_edge_list(3, [(1, 2), (2, 3)])
-    for dirs, edge, value in (((7, 0), "1-2", "7"), ((FORWARD, 2), "2-3", "2"),
-                              ((None, "1"), "2-3", "'1'"), ((BACKWARD, [1]), "2-3", r"\[1\]"),
-                              ((np.array([1]), FORWARD), "1-2", r"array\(\[1\]\)")):
-        with pytest.raises(OutOfRangeError, match=rf"^direction {value} of edge {edge} is not "
-                                                  r"FORWARD \(1\), BACKWARD \(-1\) or None$"):
-            Orientation(path, dirs)
-    with pytest.raises(OutOfRangeError, match=r"^1 directions for 2 edges$"):
-        Orientation(path, (FORWARD,))
+    bogus = r"is not FORWARD \(1\), BACKWARD \(-1\) or None"
+    for base, dirs, message in (
+            (path, (7, 0), rf"direction 7 of edge 1-2 {bogus}"),
+            (path, (FORWARD, 2), rf"direction 2 of edge 2-3 {bogus}"),
+            (path, (None, "1"), rf"direction '1' of edge 2-3 {bogus}"),
+            (path, (BACKWARD, [1]), rf"direction \[1\] of edge 2-3 {bogus}"),
+            (path, (np.array([1]), FORWARD), rf"direction array\(\[1\]\) of edge 1-2 {bogus}"),
+            (path, (FORWARD,), r"1 directions for 2 edges"),
+            (None, (), r"base must be a Graph, got None"),
+            ("abc", (), r"base must be a Graph, got 'abc'")):
+        with pytest.raises(OutOfRangeError, match=rf"^{message}$"):
+            Orientation(base, dirs)
     assert Orientation(path, (None, BACKWARD)).dirs == (None, BACKWARD)
 
 

@@ -82,7 +82,8 @@ def test_every_export_has_a_caller_or_is_documented():
 
 SHARED_PRIVATE = {"_bits", "_components", "_Searcher", "_order_semi_transitive",
                   "_three_colourable", "_deletion_codes", "_orbit_codes", "_enumerable_n",
-                  "_integer", "_decimal", "_Record", "_Frozen", "_cached"}
+                  "_integer", "_decimal", "_Record", "_Frozen", "_cached",
+                  "_non_comparability_vertex"}
 SEARCH_STATE = {"found", "rows"}
 
 

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from wordrep.bundled import bundled_graph
+from wordrep.decision import NON_REPRESENTABLE, decide
 from wordrep.errors import OutOfRangeError, TooLargeError
-from wordrep.graphs import enumerate_graphs, graph_from_edge_list
+from wordrep.graphs import _non_comparability_vertex, enumerate_graphs, graph_from_edge_list
 from wordrep.orientations import is_semi_transitive
 from wordrep.words import Word, graph_of_word, represents, uniformity
-from wordrep.wordsearch import find_k_uniform_word, find_word
+from wordrep.wordsearch import WordSearchResult, find_k_uniform_word, find_word
 
 from helpers import (
     acyclic_orientations,
@@ -25,15 +26,14 @@ from helpers import (
     random_graph,
     ref_alternates,
     two_uniform_placements,
+    wheel_hub_last,
 )
 
 K4 = graph_from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 M = graph_from_edge_list(4, [(1, 2), (2, 3), (2, 4), (3, 4)])
 K1 = graph_from_edge_list(1, [])
 # the 5-wheel, the smallest graph with no representing word
-W5 = graph_from_edge_list(
-    6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
-        (1, 6), (2, 6), (3, 6), (4, 6), (5, 6)])
+W5 = wheel_hub_last(5)
 
 
 def test_k_uniform_examples():
@@ -99,6 +99,48 @@ def test_found_words_verified_independently():
             assert uniformity(res.word) == res.k_tried
             assert represents(res.word, g)
     assert found > 25
+
+
+@pytest.mark.parametrize("ns, flagged", [
+    pytest.param(range(1, 8), [0, 0, 0, 0, 0, 1, 20], id="n<=7"),
+    pytest.param([8], [702], id="n=8", marks=pytest.mark.slow),
+])
+def test_non_comparability_neighbourhoods_are_refuted(ns, flagged):
+    # in a word-representable graph every neighbourhood is a comparability
+    # graph, so decide refutes each class the test flags: W5 at n = 6, 20 of
+    # the 26 refuted classes at n = 7 and 702 of the 956 at n = 8
+    counts = []
+    for n in ns:
+        hits = [cls.graph for cls in enumerate_graphs(n)
+                if _non_comparability_vertex(cls.graph) is not None]
+        assert all(decide(g).verdict == NON_REPRESENTABLE for g in hits)
+        counts.append(len(hits))
+    assert counts == flagged
+
+
+def test_find_word_is_the_plain_loop_over_k():
+    # the neighbourhood test moves no answer: on every class with n <= 7,
+    # find_word gives the word and k_tried of trying k = 1..k_max in turn
+    for n in range(1, 8):
+        k_max = 3 if n <= 6 else 2
+        for cls in enumerate_graphs(n):
+            g = cls.graph
+            words = (find_k_uniform_word(g, k) for k in range(1, k_max + 1))
+            found = next(((w, k) for k, w in enumerate(words, 1) if w is not None), (None, k_max))
+            res = find_word(g, k_max)
+            assert (res.word, res.k_tried) == found
+
+
+def test_find_word_refutes_a_non_comparability_neighbourhood_unsearched():
+    # the test runs where the k = 2 search would: W11 at k_max = 3, whose
+    # k = 3 search needs 36 letters, past the cap of 30, is refuted with no
+    # node; W15 needs 32 letters at k = 2, so it still hits the cap.  The
+    # hub is the vertex named: its neighbourhood is the rim, C11, and each
+    # rim vertex has three neighbours, too few to fail
+    assert _non_comparability_vertex(wheel_hub_last(11)) == 12
+    assert find_word(wheel_hub_last(11), 3) == WordSearchResult(None, 3, 0)
+    with pytest.raises(TooLargeError, match=r"asked for 16\*2$"):
+        find_word(wheel_hub_last(15), 2)
 
 
 def test_search_equals_generate_and_test():
@@ -201,10 +243,13 @@ def test_word_search_counters_locked():
     # node counts of fixed runs, so a refactor cannot silently change the
     # search tree; refutations search only the words starting with 1.
     # The first-occurrence orientation prune moved them: W5 at k = 2 from
-    # 405 to 4, A from 88,162 to 52 and the sweep from 1,387 to 1,349
+    # 405 to 4, A from 88,162 to 52 and the sweep from 1,387 to 1,349.
+    # find_word refutes W5 by its hub's neighbourhood, C5, with no node
+    # (8 for k = 2 and 3 before)
     counter = [0]
     assert find_k_uniform_word(W5, 2, counter) is None
     assert counter == [4]
+    assert find_word(W5, 3).nodes == 0
     assert {name: find_word(bundled_graph(name), 3).nodes
             for name in ("A", "M", "K4", "C5")} == \
         {"A": 52, "M": 9, "K4": 5, "C5": 26}

@@ -11,6 +11,9 @@ from wordrep.decision import NON_REPRESENTABLE, decide
 from wordrep.graphs import graph_from_edge_list
 from wordrep.orientations import SearchStats, count_semi_transitive, count_semi_transitive_naive
 from wordrep.verify import verify_certificate
+from wordrep.wordsearch import WordSearchResult, find_word
+
+from helpers import wheel_hub_last
 
 pytestmark = pytest.mark.slow
 
@@ -59,3 +62,10 @@ def test_count_worst_case():
     stats = SearchStats()
     assert count_semi_transitive(c16, stats) == 65_502 == count_semi_transitive_naive(c16)
     assert (stats.nodes, stats.shortcut_checks, stats.shortcut_conflicts) == (65_535, 32_767, 16)
+
+
+def test_find_word_worst_case():
+    # W13 with the hub last: the k = 2 search on its 28 letters took
+    # 96,106 nodes and 3.1-5.3 s; the hub's neighbourhood C13 is not a
+    # comparability graph, so no search runs now
+    assert find_word(wheel_hub_last(13), 2) == WordSearchResult(None, 2, 0)
