@@ -8,7 +8,7 @@ of a k-uniform word represents the same graph, so if any k-uniform word
 represents g, one starting with 1 does, and the lex-least one starts
 with 1 anyway. This prunes refutations only; every found word is the same.
 
-The only other pruning is alternation itself, kept as per-letter bitmasks
+Alternation itself prunes as the word grows, kept as per-letter bitmasks
 (bit y set = letter y):
 
   * adj[x], non[x]: neighbours and non-neighbours of x;
@@ -17,7 +17,8 @@ The only other pruning is alternation itself, kept as per-letter bitmasks
     not yet broken;
   * broken[x]: non-neighbours whose restriction with x has repeated a
     letter, so the pair can never alternate;
-  * rem2: letters with two or more copies left.
+  * rem2: letters with two or more copies left;
+  * one: letters seen with exactly one copy left.
 
 Placing x again repeats x in its restriction with every letter of
 wait[x]. If one of them is a neighbour, x is rejected (the pair could
@@ -26,6 +27,24 @@ left, a non-neighbour y that is not broken with x and has at most one
 copy left can never repeat either, so x is rejected too. Every pair is
 checked that way when its later letter runs out, so a finished word
 represents g.
+
+Order of last copies: take y and z in one, L the one placed more
+recently.  If y ~ z, their restriction alternates and ends with L, so
+the other letter's last copy must come before L's.  If y and z are not
+adjacent and their pair is not broken, the restriction alternates too,
+and the order "other, L" would keep it alternating to the end, so L's
+last copy must come first.  As masks, y's last copy must precede those
+of (adj[y] & ~wait[y] | non[y] & wait[y]) & one (wait[y] already leaves
+out the broken non-neighbours).  Last copies take distinct positions,
+so a cycle in this order rules out every completion.  Placing some
+other letter does not change the relation of y and z, and placing y or
+z for the last time takes it out of one, so a cycle can only appear
+through a letter x just added to one, which is last there: its
+predecessors are adj[x] & one and its successors its open
+non-neighbours in one.  x is rejected when a walk from its successors
+along the order reaches a predecessor.  Only prefixes with no
+representing completion are cut, so the word found and every
+refutation stay the same, for any k.
 
 Orientation prune: orient each edge of g from the letter whose first
 copy comes first.  For a uniform word representing g this first-occurrence
@@ -137,9 +156,10 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     word: list[int] = []
     count = 0   # nodes; one add to the caller's list at the end is cheaper
 
-    def search(wait: list[int], broken: list[int], rem2: int, state: tuple, seen: int) -> bool:
-        # the lists belong to the caller: children get copies.  seen: the
-        # edges of the letters already in the word, as an edge mask
+    def search(wait: list[int], broken: list[int], rem2: int, one: int, state: tuple, seen: int) -> bool:
+        # the lists belong to the caller: children get copies.  one: the
+        # letters seen with one copy left.  seen: the edges of the letters
+        # already in the word, as an edge mask
         nonlocal count
         count += 1
         if len(word) == length:
@@ -162,8 +182,30 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
                     low = fresh & -fresh
                     child_broken[low.bit_length() - 1] |= bx
                     fresh ^= low
-            if not left and non[x] & ~child_broken[x] & ~child_rem2:
-                continue
+            if not left:
+                if non[x] & ~child_broken[x] & ~child_rem2:
+                    continue
+                child_one = one & ~bx
+            elif left == 1:
+                # x's last copy must follow those of its neighbours in one
+                # and precede those of its open non-neighbours there; a
+                # walk along the same order from the latter must not reach
+                # the former
+                pred = adj[x] & one
+                reach = todo = non[x] & ~child_broken[x] & one
+                while todo and not reach & pred:
+                    low = todo & -todo
+                    todo ^= low
+                    y = low.bit_length() - 1
+                    w = wait[y]
+                    new = (adj[y] & ~w | non[y] & w) & one & ~reach
+                    reach |= new
+                    todo |= new
+                if reach & pred:
+                    continue
+                child_one = one | bx
+            else:
+                child_one = one
             child_state, child_seen = state, seen
             if left == first_left:
                 # x's first copy: its edges to unseen letters point out of
@@ -182,13 +224,13 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
             child_wait[x] = full & not_x & ~child_broken[x]
             remaining[x] = left
             word.append(x)
-            if search(child_wait, child_broken, child_rem2, child_state, child_seen):
+            if search(child_wait, child_broken, child_rem2, child_one, child_state, child_seen):
                 return True
             word.pop()
             remaining[x] = left + 1
         return False
 
-    found = search([0] * (n + 1), [0] * (n + 1), rem2, (0, 0, 0), 0)
+    found = search([0] * (n + 1), [0] * (n + 1), rem2, 0, (0, 0, 0), 0)
     nodes[0] += count
     return Word(tuple(word)) if found else None
 

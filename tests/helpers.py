@@ -78,6 +78,45 @@ def naive_lex_min_word(g: Graph, k: int):
     return None
 
 
+def ref_lex_min_word(g: Graph, k: int):
+    """naive_lex_min_word(g, k) by plain backtracking over the k-uniform
+    words that start with 1, in lexicographic order.  A rotation of a
+    uniform word represents the same graph, so the least representing word
+    starts with 1 if there is one.  A prefix is dropped when appending x
+    leaves a pair (x, y) settled against g: an edge whose restriction has
+    two equal neighbours, or a non-edge whose letters are used up and
+    still alternate.  Only pairs with x change, so a full word that
+    survives represents g."""
+    n = g.n
+    others = {x: [(y, g.has_edge(x, y)) for y in range(1, n + 1) if y != x]
+              for x in range(1, n + 1)}
+    word, used = [], [0] * (n + 1)
+
+    def settled_against_g(x):
+        for y, adjacent in others[x]:
+            if adjacent:
+                if not ref_alternates(word, x, y):
+                    return True
+            elif used[x] == used[y] == k and ref_alternates(word, x, y):
+                return True
+        return False
+
+    def extend():
+        if len(word) == n * k:
+            return True
+        for x in range(1, n + 1) if word else (1,):
+            if used[x] < k:
+                word.append(x)
+                used[x] += 1
+                if not settled_against_g(x) and extend():
+                    return True
+                word.pop()
+                used[x] -= 1
+        return False
+
+    return tuple(word) if extend() else None
+
+
 def two_uniform_placements(n: int):
     """Every 2-uniform word on letters 1..n, as int8 blocks of letter
     positions: pos[r, x] holds the two ascending positions of letter x + 1

@@ -25,6 +25,7 @@ from helpers import (
     placement_words,
     random_graph,
     ref_alternates,
+    ref_lex_min_word,
     two_uniform_placements,
     wheel_hub_last,
 )
@@ -160,6 +161,15 @@ def test_search_equals_generate_and_test():
                     assert got is not None and got.letters == expected
 
 
+def test_search_equals_backtracking_at_k3():
+    # 3-uniform words past n = 3, against a backtracking that checks
+    # nothing but pairwise alternation and shares no code with the search
+    for n in range(1, 7):
+        for cls in enumerate_graphs(n):
+            got = find_k_uniform_word(cls.graph, 3)
+            assert (got.letters if got else None) == ref_lex_min_word(cls.graph, 3)
+
+
 @pytest.mark.slow
 def test_search_equals_generate_and_test_longer_words():
     # n*k up to 12: every 4-vertex class at k=3
@@ -245,24 +255,25 @@ def test_word_search_counters_locked():
     # The first-occurrence orientation prune moved them: W5 at k = 2 from
     # 405 to 4, A from 88,162 to 52 and the sweep from 1,387 to 1,349.
     # find_word refutes W5 by its hub's neighbourhood, C5, with no node
-    # (8 for k = 2 and 3 before)
+    # (8 for k = 2 and 3 before).  The order of last copies moved C5 from
+    # 26 to 13 and the sweep from 1,349 to 1,292
     counter = [0]
     assert find_k_uniform_word(W5, 2, counter) is None
     assert counter == [4]
     assert find_word(W5, 3).nodes == 0
     assert {name: find_word(bundled_graph(name), 3).nodes
             for name in ("A", "M", "K4", "C5")} == \
-        {"A": 52, "M": 9, "K4": 5, "C5": 26}
+        {"A": 52, "M": 9, "K4": 5, "C5": 13}
     counter = [0]
     for n in range(1, 6):
         for cls in enumerate_graphs(n):
             for k in range(1, 4):
                 find_k_uniform_word(cls.graph, k, counter)
-    assert counter == [1349]
+    assert counter == [1292]
 
 
-@pytest.mark.slow
 def test_petersen_2_uniform_refutation_nodes():
+    # 1,060,265 nodes before the order of last copies
     counter = [0]
     assert find_k_uniform_word(bundled_graph("petersen"), 2, counter) is None
-    assert counter == [1060265]
+    assert counter == [707]

@@ -11,6 +11,7 @@ from wordrep.decision import NON_REPRESENTABLE, decide
 from wordrep.graphs import graph_from_edge_list
 from wordrep.orientations import SearchStats, count_semi_transitive, count_semi_transitive_naive
 from wordrep.verify import verify_certificate
+from wordrep.words import represents
 from wordrep.wordsearch import WordSearchResult, find_word
 
 from helpers import wheel_hub_last
@@ -69,3 +70,11 @@ def test_find_word_worst_case():
     # 96,106 nodes and 3.1-5.3 s; the hub's neighbourhood C13 is not a
     # comparability graph, so no search runs now
     assert find_word(wheel_hub_last(13), 2) == WordSearchResult(None, 2, 0)
+    # the order of last copies: Petersen at k = 2 took 1,060,265 nodes, at
+    # k = 3 another 3,307,284 (now 707 + 51,978), and A after a 5-edge
+    # path, whose neighbourhoods all pass, 100,244 at k = 2
+    petersen = bundled_graph("petersen")
+    assert find_word(petersen, 2) == WordSearchResult(None, 2, 707)
+    res = find_word(petersen, 3)
+    assert (res.k_tried, res.nodes) == (3, 52_685) and represents(res.word, petersen)
+    assert find_word(path_then_a(5), 2) == WordSearchResult(None, 2, 5_520)
