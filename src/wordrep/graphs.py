@@ -189,11 +189,11 @@ def _integer(x, what: str) -> int:
 
 def graph_from_edge_list(n: int, pairs) -> Graph:
     """Validate, normalize (u < v), dedupe and sort the edge list.  n and
-    each endpoint are read with operator.index, as by _integer; Graph
-    checks n >= 1."""
+    each endpoint are read with operator.index, as by _integer, and pairs
+    as a record reads its sequence (_Frozen._tuple); Graph checks n >= 1."""
     n = _integer(n, "vertex count")
     seen = set()
-    for pair in pairs:
+    for pair in _Frozen._tuple(pairs, "edges"):
         try:
             u, v = map(operator.index, pair)
         except (TypeError, ValueError):

@@ -128,10 +128,10 @@ class SearchStats(_Record):
 
 
 def orientation_from_arcs(g: Graph, arcs) -> Orientation:
-    """Build an orientation from (tail, head) pairs, each endpoint read
-    with operator.index, as graph_from_edge_list reads an edge's."""
+    """Build an orientation from (tail, head) pairs, read as
+    graph_from_edge_list reads its edge list and each edge's endpoints."""
     dirs: list[int | None] = [None] * len(g.edges)
-    for arc in arcs:
+    for arc in _Frozen._tuple(arcs, "arcs"):
         try:
             t, h = map(operator.index, arc)
         except (TypeError, ValueError):

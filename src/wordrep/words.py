@@ -40,7 +40,7 @@ class Word(_Frozen):
 
 
 def word_from_letters(letters) -> Word:
-    return Word(tuple(letters))
+    return Word(letters)
 
 
 def graph_of_word(w: Word) -> Graph:

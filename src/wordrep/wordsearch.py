@@ -17,7 +17,6 @@ Alternation itself prunes as the word grows, kept as per-letter bitmasks
     not yet broken;
   * broken[x]: non-neighbours whose restriction with x has repeated a
     letter, so the pair can never alternate;
-  * rem2: letters with two or more copies left;
   * one: letters seen with exactly one copy left.
 
 Placing x again repeats x in its restriction with every letter of
@@ -27,6 +26,19 @@ left, a non-neighbour y that is not broken with x and has at most one
 copy left can never repeat either, so x is rejected too. Every pair is
 checked that way when its later letter runs out, so a finished word
 represents g.
+
+The finish check reads one for "at most one copy left".  With one copy
+of each letter (k = 1) no non-edge can ever repeat, so the search
+returns None at once when g has one; that exit carries the k = 1 case,
+leaving only complete graphs, where non[x] is 0.  For k >= 2, let x
+place its last copy while a non-neighbour y is still open with x, and
+suppose y has no copy left.  When y placed its last copy, x had r >= 1
+copies left.  If r = 1, x had been placed, so it was in one, and y's
+own finish check rejected y unless the pair was already broken.  If
+r >= 2, x is placed twice after y's last copy with no y in between,
+and at the second of these y is in wait[x], so the pair breaks.  Both
+contradict y being open, so among x's open non-neighbours "at most one
+copy left" and "in one" pick out the same letters.
 
 Order of last copies: take y and z in one, L the one placed more
 recently.  If y ~ z, their restriction alternates and ends with L, so
@@ -136,8 +148,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     full = sum(1 << x for x in letters)
     adj = g.adj
     non = [0] + [full & ~adj[x] & ~(1 << x) for x in letters]
-    rem2 = full if k >= 2 else 0
-    if rem2 == 0 and any(non):
+    if k == 1 and any(non):
         return None   # with one copy each, a non-edge can never repeat
 
     remaining = [k] * (n + 1)
@@ -156,7 +167,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
     word: list[int] = []
     count = 0   # nodes; one add to the caller's list at the end is cheaper
 
-    def search(wait: list[int], broken: list[int], rem2: int, one: int, state: tuple, seen: int) -> bool:
+    def search(wait: list[int], broken: list[int], one: int, state: tuple, seen: int) -> bool:
         # the lists belong to the caller: children get copies.  one: the
         # letters seen with one copy left.  seen: the edges of the letters
         # already in the word, as an edge mask
@@ -173,7 +184,6 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
                 continue
             bx = 1 << x
             left -= 1
-            child_rem2 = rem2 & ~bx if left < 2 else rem2
             child_broken = broken
             if fresh:
                 child_broken = broken[:]
@@ -183,7 +193,7 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
                     child_broken[low.bit_length() - 1] |= bx
                     fresh ^= low
             if not left:
-                if non[x] & ~child_broken[x] & ~child_rem2:
+                if non[x] & ~child_broken[x] & one:
                     continue
                 child_one = one & ~bx
             elif left == 1:
@@ -224,13 +234,13 @@ def find_k_uniform_word(g: Graph, k: int, _node_counter: list[int] | None = None
             child_wait[x] = full & not_x & ~child_broken[x]
             remaining[x] = left
             word.append(x)
-            if search(child_wait, child_broken, child_rem2, child_one, child_state, child_seen):
+            if search(child_wait, child_broken, child_one, child_state, child_seen):
                 return True
             word.pop()
             remaining[x] = left + 1
         return False
 
-    found = search([0] * (n + 1), [0] * (n + 1), rem2, 0, (0, 0, 0), 0)
+    found = search([0] * (n + 1), [0] * (n + 1), 0, (0, 0, 0), 0)
     nodes[0] += count
     return Word(tuple(word)) if found else None
 

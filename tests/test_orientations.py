@@ -554,6 +554,11 @@ def test_count_examples():
     assert count_semi_transitive(K4) == 24
     assert count_semi_transitive(C4) == 6
     assert count_semi_transitive(bundled_graph("A")) == 0
+    # C_n, n >= 4: all 2^n orientations but the two directed cycles and
+    # the 2n with n - 1 arcs one way round, whose odd arc is a shortcut
+    for n in range(4, 13):
+        cycle = graph_from_edge_list(n, [(v, v % n + 1) for v in range(1, n + 1)])
+        assert count_semi_transitive(cycle) == count_semi_transitive_naive(cycle) == 2 ** n - 2 * n - 2
 
 
 def test_count_matches_naive_bit_for_bit():

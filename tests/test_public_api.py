@@ -25,6 +25,7 @@ from wordrep import (
     find_proper_coloring,
     graph_from_edge_list,
     graph_of_word,
+    orientation_from_arcs,
     verify_certificate,
     word_from_letters,
 )
@@ -307,3 +308,14 @@ def test_record_holds_its_sequence_as_a_tuple(make, items):
     for bad in (None, 5):
         with pytest.raises(errors.OutOfRangeError, match="must be iterable"):
             make(bad)
+
+
+def test_builders_refuse_a_non_iterable_list():
+    # the edge and arc lists are read as the records read their sequences,
+    # and the letters by Word itself, so no builder lets a bare TypeError out
+    with pytest.raises(errors.OutOfRangeError, match="^edges must be iterable, got 5$"):
+        graph_from_edge_list(3, 5)
+    with pytest.raises(errors.OutOfRangeError, match="^arcs must be iterable, got None$"):
+        orientation_from_arcs(PATH3, None)
+    with pytest.raises(errors.OutOfRangeError, match="^letters are positive integers"):
+        word_from_letters(5)

@@ -163,11 +163,14 @@ def test_search_equals_generate_and_test():
 
 def test_search_equals_backtracking_at_k3():
     # 3-uniform words past n = 3, against a backtracking that checks
-    # nothing but pairwise alternation and shares no code with the search
-    for n in range(1, 7):
+    # nothing but pairwise alternation and shares no code with the search.
+    # k = 4 and 5 (up to 25 letters) add searches where letters run out
+    # while others still have copies left, the case that lets the finish
+    # check read one for "at most one copy left"
+    for n, k in [(n, 3) for n in range(1, 7)] + [(n, k) for k in (4, 5) for n in range(1, 6)]:
         for cls in enumerate_graphs(n):
-            got = find_k_uniform_word(cls.graph, 3)
-            assert (got.letters if got else None) == ref_lex_min_word(cls.graph, 3)
+            got = find_k_uniform_word(cls.graph, k)
+            assert (got.letters if got else None) == ref_lex_min_word(cls.graph, k)
 
 
 @pytest.mark.slow

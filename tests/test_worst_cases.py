@@ -1,20 +1,26 @@
 """The slowest known inputs inside the README's "Size caps", one per
-searching row, locked by their deterministic search counters.  Wall time
-is not gated: the README gives each measured time next to its cap row.
-A change that makes one of these fast re-locks its counters, with the
-reason, rather than loosening them."""
+row, locked by their deterministic search counters.  Colouring,
+isomorphism, canonical forms and the graph of a word keep no counter,
+so their rows lock answers only.  Wall time is not gated: the README
+gives each measured time next to its cap row.  A change that makes one
+of these fast re-locks its counters, with the reason, rather than
+loosening them."""
+
+import itertools
+import random
 
 import pytest
 
 from wordrep.bundled import bundled_graph
 from wordrep.decision import NON_REPRESENTABLE, decide
-from wordrep.graphs import graph_from_edge_list
+from wordrep.graphs import (CanonicalForm, are_isomorphic, canonical_form, find_proper_coloring,
+                            graph_from_edge_list)
 from wordrep.orientations import SearchStats, count_semi_transitive, count_semi_transitive_naive
 from wordrep.verify import verify_certificate
-from wordrep.words import represents
+from wordrep.words import Word, graph_of_word, represents
 from wordrep.wordsearch import WordSearchResult, find_word
 
-from helpers import wheel_hub_last
+from helpers import random_regular, wheel_hub_last
 
 pytestmark = pytest.mark.slow
 
@@ -78,3 +84,60 @@ def test_find_word_worst_case():
     res = find_word(petersen, 3)
     assert (res.k_tried, res.nodes) == (3, 52_685) and represents(res.word, petersen)
     assert find_word(path_then_a(5), 2) == WordSearchResult(None, 2, 5_520)
+
+
+def mycielski(k):
+    """M_k, chromatic number k: M2 = K2, and M_(i+1) adds a twin u' of
+    each vertex u, adjacent to u's neighbours, and a vertex joined to
+    every twin."""
+    n, edges = 2, [(1, 2)]
+    for _ in range(k - 2):
+        edges += ([(u + n, v) for u, v in edges] + [(u, v + n) for u, v in edges]
+                  + [(v + n, 2 * n + 1) for v in range(1, n + 1)])
+        n = 2 * n + 1
+    return graph_from_edge_list(n, edges)
+
+
+def test_coloring_worst_case():
+    # M6 (47 vertices, 236 edges) has no 4-colouring, and the search must
+    # exhaust them; at 5 colours it runs past a minute (ROADMAP item 23)
+    m6 = mycielski(6)
+    assert (m6.n, len(m6.edges)) == (47, 236)
+    assert find_proper_coloring(m6, 4) is None
+    assert find_proper_coloring(m6, 6).is_proper(m6)
+
+
+def cubic_pairs(n):
+    """With random.Random(n), round after round: a cubic graph g, another
+    drawn on its own, and g relabelled."""
+    rng = random.Random(n)
+    while True:
+        g, other = random_regular(rng, n, 3), random_regular(rng, n, 3)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        yield g, other, graph_from_edge_list(n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+def test_isomorphism_worst_case():
+    # the slowest of six rounds at n = 40, for both answers, is the third;
+    # at n = 60 a pair takes seconds (ROADMAP item 23)
+    g, other, copy = next(itertools.islice(cubic_pairs(40), 2, None))
+    assert not are_isomorphic(g, other)
+    assert are_isomorphic(g, copy)
+
+
+def test_canonical_form_worst_case():
+    # every 8-vertex graph costs the same: the least code over all 40,320
+    # relabellings of its 28 vertex pairs
+    cube = graph_from_edge_list(8, [(u + 1, (u ^ b) + 1) for u in range(8) for b in (1, 2, 4)])
+    perm = (2, 7, 1, 8, 4, 6, 3, 5)
+    relabelled = graph_from_edge_list(8, [(perm[u - 1], perm[v - 1]) for u, v in cube.edges])
+    assert relabelled != cube
+    assert canonical_form(cube) == canonical_form(relabelled) == CanonicalForm(8, 15_054_720)
+
+
+def test_graph_of_word_worst_case():
+    # 1,000 letters, the cap, each written three times: every pair
+    # alternates, so the graph is K1000
+    g = graph_of_word(Word(tuple(range(1, 1001)) * 3))
+    assert (g.n, len(g.edges)) == (1000, 499_500)
