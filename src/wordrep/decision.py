@@ -1,6 +1,7 @@
 """Top-level representability decision: a graph is word-representable
 exactly when it admits a semi-transitive orientation, so decide() runs the
-orientation search and packages the outcome with its search statistics.
+orientation search, which a failing branch may cut short by the
+neighbourhood test, and packages the outcome with its search statistics.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ class Decision(_Frozen):
 
 def decide(g: Graph) -> Decision:
     """Decide word-representability via the orientation search.
+
+    The search runs the neighbourhood test once, at its first failed
+    child: every neighbourhood of a word-representable graph is a
+    comparability graph (Kitaev & Pyatkin 2008, by Kitaev & Seif's
+    permutationally representable graphs), so a vertex whose
+    neighbourhood is not one refutes g, and the search stops there, its
+    stats covering the nodes up to that failure.  A refutation carries no
+    witness, so no witness moves; verify_certificate re-checks it by the
+    walk, which never runs the test.
 
     Complete graphs need no special case: the search places every edge
     FORWARD (K_n has no 4-cycle without both chords, so nothing is

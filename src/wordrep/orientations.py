@@ -45,7 +45,7 @@ from collections.abc import Iterable, Iterator
 
 from .errors import OutOfRangeError, TooLargeError
 from .graphs import (BACKTRACK_MAX_N, CANONICAL_MAX_N, Graph, VertexColoring, _bits,
-                     _components, _Frozen, _Record)
+                     _components, _Frozen, _non_comparability_vertex, _Record)
 
 FORWARD = 1
 BACKWARD = -1
@@ -113,8 +113,11 @@ class SearchStats(_Record):
     conflict ends the branch included; so it depends on the order the
     rule reads its cycles in, as no answer and no other counter does.
     shortcut_checks: leaves tested for a shortcut; shortcut_conflicts:
-    those that have one.  wall_time_s: time spent searching.  Mutable,
-    so branch's writes take object's own __setattr__, and unhashable."""
+    those that have one.  A finding search that the neighbourhood test
+    settles (_search) stops at its first failed child, so its counters
+    cover the search up to that failure.  wall_time_s: time spent
+    searching, the neighbourhood test included.  Mutable, so branch's
+    writes take object's own __setattr__, and unhashable."""
 
     _fields = ("nodes", "propagations", "shortcut_checks", "shortcut_conflicts", "wall_time_s")
 
@@ -338,6 +341,11 @@ def _no_shortcut(c: int, w: int, row: int, col: int, adj_rows: int) -> bool:
 # ---------------------------------------------------------------------------
 # backtracking search
 
+class _Refuted(Exception):
+    """A finding search's neighbourhood test named a vertex: unwinds the
+    search to _search, which returns 0."""
+
+
 class _Searcher:
     """Depth-first search over edge directions, lexicographic edge order,
     FORWARD first.  Every assignment runs the four-cycle forcing rule to
@@ -385,6 +393,8 @@ class _Searcher:
         self.cycles, self.through = _four_cycles(g)
         self.rows: int | None = None   # _packed_rows, built at the first leaf
         self.found = (0, 0)   # finding: fwd and bwd of each part's passing leaf, ORed
+        # whether the neighbourhood test is still to run: _search sets it when finding
+        self.untested = False
 
     def dirs(self, fwd: int, bwd: int) -> list[int | None]:
         """The partial orientation in two edge masks, one direction or None
@@ -491,6 +501,8 @@ class _Searcher:
                 rows = self.rows = _packed_rows(self.g, self.w)
             if not _no_shortcut(c, self.w, self.row, self.col, rows):
                 stats.shortcut_conflicts += 1
+                if first_only and self.untested:
+                    self.failed()
                 return 0
             if first_only:
                 self.found = self.found[0] | fwd, self.found[1] | bwd
@@ -508,7 +520,18 @@ class _Searcher:
                 count += self.branch(part, first_only, f, b, cc)
                 if count and first_only:
                     return count
+            elif first_only and self.untested:
+                self.failed()
         return count
+
+    def failed(self) -> None:
+        """Run the neighbourhood test (_search gives the lemma), called by
+        branch at its first failed child while untested: a refused arc, a
+        cycle with three legs one way, or a leaf with a shortcut.  Raises
+        _Refuted when the test names a vertex."""
+        self.untested = False
+        if _non_comparability_vertex(self.g) is not None:
+            raise _Refuted
 
 
 def lemma1_propagate(g: Graph, o: Orientation) -> Orientation | Conflict:
@@ -605,9 +628,27 @@ def _search(g: Graph, stats: SearchStats | None, first_only: bool) -> tuple[int,
     benchmark `decide` inputs, _blocks took 14.5 us a graph against
     1.3 us for the component partition above, and searching by blocks
     made `decide` x1.225 slower (ROADMAP.md item 2: in process, paired
-    over 30 alternated rounds; 2-core Xeon VM, Python 3.11)."""
+    over 30 alternated rounds; 2-core Xeon VM, Python 3.11).
+
+    Finding, the search also runs the neighbourhood test once, at its
+    first failed child: a refused arc, a cycle with three legs one way,
+    or a leaf with a shortcut.  In a word-representable graph every
+    neighbourhood N(v) is a comparability graph (Kitaev & Pyatkin, "On
+    representable graphs", J. Autom. Lang. Comb. 2008; the proof, through
+    Kitaev & Seif's permutationally representable graphs, is in
+    wordsearch's module docstring), so when
+    graphs._non_comparability_vertex names a vertex the search unwinds
+    and returns 0.  Only refutations can be cut short, so every witness
+    stays the same.  A search that never fails never pays for the test,
+    and most representable graphs' FORWARD-first dives do not fail; a
+    refutation fails within its first few nodes.  So W39, about 20
+    minutes by search alone, is refuted in 40 nodes, and no threshold is
+    needed.  Counting does not run the test: nearly every count meets a
+    failure and few count 0, so it would cost nearly every query and
+    settle almost none."""
     start = time.perf_counter()
     searcher = _Searcher(g, stats)
+    searcher.untested = first_only
     if first_only:
         comps = [c for c in _components(g) if c & c - 1]   # two or more vertices
         parts = [(1 << len(g.edges)) - 1] if len(comps) < 2 else [
@@ -615,10 +656,13 @@ def _search(g: Graph, stats: SearchStats | None, first_only: bool) -> tuple[int,
     else:
         parts = _counted_blocks(g)
     found = 1
-    for part in parts:
-        found *= 2 * searcher.branch(part, first_only, 0, 0, 0)
-        if not found:
-            break
+    try:
+        for part in parts:
+            found *= 2 * searcher.branch(part, first_only, 0, 0, 0)
+            if not found:
+                break
+    except _Refuted:
+        found = 0
     searcher.stats.wall_time_s += time.perf_counter() - start
     return found, searcher
 
@@ -627,7 +671,11 @@ def find_semi_transitive(g: Graph, stats: SearchStats | None = None) -> Orientat
     """A semi-transitive orientation if one exists, else None.
 
     Deterministic: the witness is the one the sequential FORWARD-first
-    lexicographic search reaches first (its reversal is equally valid)."""
+    lexicographic search reaches first (its reversal is equally valid).
+    None may also come from the neighbourhood test, run once at the
+    search's first failure (_search): a vertex whose neighbourhood is not
+    a comparability graph refutes g, and stats then count the search up
+    to that failure."""
     found, searcher = _search(g, stats, True)
     return Orientation(g, searcher.dirs(*searcher.found)) if found else None
 

@@ -104,8 +104,9 @@ the vertices adjacent to all the rest or to none of it, and tests what
 is left by implication classes when five or more remain.  A vertex named
 refutes g at every k, with no search and so with nodes 0.  The test runs
 only when the k = 2 search would, 2n within SEARCH_MAX_LETTERS, so every
-input that hit the letter cap at k = 1 or 2 still does.  decide and
-verify_certificate re-check such a refutation by their own routes.
+input that hit the letter cap at k = 1 or 2 still does.  decide runs the
+same test, at its search's first failure, so only verify_certificate's
+walk re-checks such a refutation by its own route.
 """
 
 from __future__ import annotations

@@ -270,6 +270,22 @@ def test_refutation_recheck_agrees_with_decide():
     assert verdicts[True, True] == 11 and verdicts[True, False] == 49
 
 
+@pytest.mark.slow
+def test_decide_agrees_with_the_walk_on_every_n8_class():
+    # decide runs the neighbourhood test at its search's first failure,
+    # and the test settles 702 of the 956 refutations at n = 8; the walk
+    # never runs it.  Every verdict must agree with the walk's, and every
+    # witness must be its first yield, so flagging moved no witness
+    refuted = 0
+    for cls in enumerate_graphs(8):
+        d = decide(cls.graph)
+        first = next(semi_transitive_orientations(cls.graph), None)
+        assert d.witness == first
+        assert (d.verdict == NON_REPRESENTABLE) == (first is None)
+        refuted += first is None
+    assert refuted == 956
+
+
 def _walks_per_graph(monkeypatch):
     """Count walks per graph at their root node, orientations._walk with
     no edge placed: semi_transitive_orientations, which verify_certificate

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from wordrep.bundled import bundled_graph
-from wordrep.decision import NON_REPRESENTABLE, decide
+from wordrep.decision import NON_REPRESENTABLE, Decision, verify_certificate
 from wordrep.errors import OutOfRangeError, TooLargeError
 from wordrep.graphs import _non_comparability_vertex, enumerate_graphs, graph_from_edge_list
-from wordrep.orientations import is_semi_transitive
+from wordrep.orientations import SearchStats, is_semi_transitive
 from wordrep.words import Word, graph_of_word, represents, uniformity
 from wordrep.wordsearch import WordSearchResult, find_k_uniform_word, find_word
 
@@ -108,13 +108,16 @@ def test_found_words_verified_independently():
 ])
 def test_non_comparability_neighbourhoods_are_refuted(ns, flagged):
     # in a word-representable graph every neighbourhood is a comparability
-    # graph, so decide refutes each class the test flags: W5 at n = 6, 20 of
-    # the 26 refuted classes at n = 7 and 702 of the 956 at n = 8
+    # graph, so each class the test flags is refuted: W5 at n = 6, 20 of
+    # the 26 refuted classes at n = 7 and 702 of the 956 at n = 8.  decide
+    # runs the same test, so the refutation is re-checked by the walk,
+    # which does not
+    claim = Decision(NON_REPRESENTABLE, None, SearchStats())
     counts = []
     for n in ns:
         hits = [cls.graph for cls in enumerate_graphs(n)
                 if _non_comparability_vertex(cls.graph) is not None]
-        assert all(decide(g).verdict == NON_REPRESENTABLE for g in hits)
+        assert all(verify_certificate(g, claim) for g in hits)
         counts.append(len(hits))
     assert counts == flagged
 

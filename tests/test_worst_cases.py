@@ -39,13 +39,19 @@ def path_then_a(length):
                                 + [(u + length, v + length) for u, v in a.edges])
 
 
-# odd wheels: no leaf is reached, and the nodes grow about x6.9 per four
-# rim vertices; a path before A: the search refutes A again below each of
+# odd wheels: the hub's neighbourhood, the rim, is an odd cycle and not a
+# comparability graph, so the neighbourhood test that decide runs at its
+# first failure refutes them after one node per hub edge (by search alone
+# W19 took 5,779 nodes, W23 39,604 and W27 271,444, growing about x6.9 per
+# four rim vertices); W39 has SEARCH_MAX_N vertices.  A path before A,
+# whose neighbourhoods all pass: the search refutes A again below each of
 # the path's 2^(L-1) orientations with its first edge FORWARD, so the
 # nodes double per path edge
 @pytest.mark.parametrize("g, nodes", [
-    pytest.param(wheel(19), 5_779, id="W19"),
-    pytest.param(wheel(23), 39_604, id="W23"),
+    pytest.param(wheel(19), 20, id="W19"),
+    pytest.param(wheel(23), 24, id="W23"),
+    pytest.param(wheel(27), 28, id="W27"),
+    pytest.param(wheel(39), 40, id="W39"),
     pytest.param(path_then_a(10), 17_408, id="path-10-A"),
     pytest.param(path_then_a(12), 69_632, id="path-12-A"),
 ])
